@@ -1,28 +1,26 @@
-// Scale benchmark: one big experiment vs engine threads and cluster size.
+// Scale benchmark: one big experiment vs cluster size, placement index on
+// and off.
 //
 // Replays the synthetic scale profile (workload/trace_gen.h: wide multi-node
-// training gangs on a 2k/10k-node cluster) through a live ClusterEngine at
-// 1/2/4/8 engine threads and reports events/sec plus the speedup over the
-// serial engine. Each cluster size also runs once with the placement index
-// disabled (CODA_NO_PLACEMENT_INDEX-equivalent linear scans) so the index's
-// serial win is measured side by side. Every replay's ExperimentReport must
-// serialize to the same bytes — parallel flush and placement index are
-// optimizations, never behavior changes — and the binary fails loudly if
-// any thread count or either index mode disagrees.
+// training gangs on a 2k/10k-node cluster) through a live ClusterEngine
+// twice per cluster size: once with the placement index disabled
+// (CODA_NO_PLACEMENT_INDEX-equivalent linear scans) and once with it on,
+// and reports events/sec plus the index's gain over the scan. Both replays'
+// ExperimentReports must serialize to the same bytes — the index is an
+// optimization, never a behavior change — and the binary fails loudly if
+// they disagree.
 //
-// Full mode sweeps {2k, 10k} nodes x {1, 2, 4, 8} threads and prints one
+// Full mode replays day-long traces on {2k, 10k} nodes and prints one
 // machine-readable line — "BENCH_SCALE_JSON {...}" — for
-// scripts/run_benches.sh (events_per_sec_scale is the 10k-node, 4-thread
+// scripts/run_benches.sh (events_per_sec_scale is the 10k-node indexed
 // cell; placement_ops_per_sec is indexed find/count probes retired per
-// second in the biggest serial run). --fast / CODA_FAST=1 shrinks the
-// workload and sweeps {1, 4} threads on both cluster sizes so the binary
-// can run as a ctest case.
+// second in that run). --fast / CODA_FAST=1 shrinks the workload so the
+// binary can run as a ctest case.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -50,11 +48,8 @@ struct ScaleCase {
 };
 
 struct ScaleRun {
-  int threads = 1;
-  bool indexed = true;
   size_t events = 0;
   double wall_s = 0.0;
-  uint64_t parallel_flushes = 0;
   uint64_t index_probes = 0;  // indexed placement queries in the window
   std::string report_blob;
 
@@ -67,11 +62,9 @@ struct ScaleRun {
 };
 
 ScaleRun replay(const ScaleCase& sc, const std::vector<workload::JobSpec>& trace,
-                int threads, bool use_index) {
-  // The engine reads CODA_ENGINE_THREADS at construction; results are
-  // thread-count- and index-invariant, which run_case() asserts on the
-  // report bytes.
-  ::setenv("CODA_ENGINE_THREADS", std::to_string(threads).c_str(), 1);
+                bool use_index) {
+  // Results are index-invariant, which run_case() asserts on the report
+  // bytes.
   sched::set_placement_index_enabled(use_index);
 
   sim::ExperimentConfig config;
@@ -97,56 +90,44 @@ ScaleRun replay(const ScaleCase& sc, const std::vector<workload::JobSpec>& trace
   const double t1 = wall_seconds();
 
   ScaleRun r;
-  r.threads = threads;
-  r.indexed = use_index;
   r.events = engine.sim().dispatched() - events0;
   r.wall_s = t1 - t0;
-  r.parallel_flushes = engine.engine_stats().parallel_flushes;
   r.index_probes = engine.cluster().placement_index().stats().probes - probes0;
   r.report_blob = sim::serialize_report(sim::build_report(
       sim::Policy::kCoda, engine, trace.size(), horizon, sched.coda));
-  ::unsetenv("CODA_ENGINE_THREADS");
   sched::set_placement_index_enabled(true);
   return r;
 }
 
 struct CaseResult {
-  ScaleRun scan;            // serial, placement index disabled
-  std::vector<ScaleRun> runs;  // index on, one per sweep entry
+  ScaleRun scan;   // placement index disabled
+  ScaleRun index;  // placement index on
 };
 
-// Runs one cluster size: a serial linear-scan baseline first, then the
-// indexed thread sweep. Exits non-zero on any report divergence (between
-// thread counts or between index modes).
-CaseResult run_case(const ScaleCase& sc, const std::vector<int>& threads_sweep) {
+// Runs one cluster size: the linear-scan baseline first, then the indexed
+// replay. Exits non-zero if the two reports diverge.
+CaseResult run_case(const ScaleCase& sc) {
   const auto trace = workload::TraceGenerator(sc.trace_config).generate();
   std::printf("case %s: %d nodes, %zu jobs\n", sc.label, sc.nodes,
               trace.size());
 
   CaseResult cr;
-  cr.scan = replay(sc, trace, /*threads=*/1, /*use_index=*/false);
-  std::printf("  scan   threads=1  events=%zu  wall=%.2fs  %.0f events/s\n",
+  cr.scan = replay(sc, trace, /*use_index=*/false);
+  std::printf("  scan   events=%zu  wall=%.2fs  %.0f events/s\n",
               cr.scan.events, cr.scan.wall_s, cr.scan.events_per_sec());
   std::fflush(stdout);
-
-  for (int threads : threads_sweep) {
-    cr.runs.push_back(replay(sc, trace, threads, /*use_index=*/true));
-    const ScaleRun& r = cr.runs.back();
-    std::printf("  index  threads=%d  events=%zu  wall=%.2fs  %.0f events/s  "
-                "(%.2fx vs serial, %.2fx vs scan, %llu parallel flushes)\n",
-                r.threads, r.events, r.wall_s, r.events_per_sec(),
-                r.events_per_sec() / cr.runs.front().events_per_sec(),
-                r.events_per_sec() / cr.scan.events_per_sec(),
-                static_cast<unsigned long long>(r.parallel_flushes));
-    std::fflush(stdout);
-    if (r.report_blob != cr.scan.report_blob) {
-      std::fprintf(stderr,
-                   "bench_scale: report at %d threads (index on) diverges "
-                   "from the serial linear scan on %s — the placement index "
-                   "or the parallel flush changed behavior\n",
-                   threads, sc.label);
-      std::exit(1);
-    }
+  cr.index = replay(sc, trace, /*use_index=*/true);
+  std::printf("  index  events=%zu  wall=%.2fs  %.0f events/s  "
+              "(%.2fx vs scan)\n",
+              cr.index.events, cr.index.wall_s, cr.index.events_per_sec(),
+              cr.index.events_per_sec() / cr.scan.events_per_sec());
+  std::fflush(stdout);
+  if (cr.index.report_blob != cr.scan.report_blob) {
+    std::fprintf(stderr,
+                 "bench_scale: indexed report diverges from the linear scan "
+                 "on %s — the placement index changed behavior\n",
+                 sc.label);
+    std::exit(1);
   }
   return cr;
 }
@@ -162,11 +143,10 @@ int main(int argc, char** argv) {
   }
   bench::print_banner(
       "scale",
-      "one-experiment scalability: events/sec vs engine threads vs cluster "
-      "size (placement index + parallel dirty-node flush)");
+      "one-experiment scalability: events/sec vs cluster size, placement "
+      "index vs linear scan");
 
   std::vector<ScaleCase> cases;
-  std::vector<int> sweep;
   if (fast) {
     ScaleCase small;
     small.label = "2k-smoke";
@@ -182,7 +162,6 @@ int main(int argc, char** argv) {
         workload::scale_profile(10000, /*gpu_jobs=*/1200, /*cpu_jobs=*/1800,
                                 /*duration_s=*/2.0 * 3600.0);
     cases.push_back(big);
-    sweep = {1, 4};
   } else {
     ScaleCase mid;
     mid.label = "2k";
@@ -198,65 +177,36 @@ int main(int argc, char** argv) {
         workload::scale_profile(10000, /*gpu_jobs=*/15000, /*cpu_jobs=*/22500,
                                 /*duration_s=*/1.0 * 86400.0);
     cases.push_back(big);
-    sweep = {1, 2, 4, 8};
   }
 
   util::Table table;
-  table.set_header({"cluster", "mode", "threads", "events/s", "speedup"});
-  double events_per_sec_scale = 0.0;  // 10k nodes @ 4 threads (the headline)
-  double speedup_4t_2k = 0.0;
-  double speedup_4t_10k = 0.0;
-  double index_gain_10k = 0.0;        // serial index-on vs serial scan
-  double placement_ops_per_sec = 0.0; // biggest case, serial, index on
+  table.set_header({"cluster", "mode", "events/s", "vs scan"});
+  double events_per_sec_scale = 0.0;  // 10k nodes, index on (the headline)
+  double index_gain_10k = 0.0;        // index on vs scan
+  double placement_ops_per_sec = 0.0; // 10k nodes, index on
   for (const ScaleCase& sc : cases) {
-    const CaseResult cr = run_case(sc, sweep);
-    table.add_row({sc.label, "scan", "1", bench::num(cr.scan.events_per_sec(), 0),
+    const CaseResult cr = run_case(sc);
+    const double gain =
+        cr.index.events_per_sec() / cr.scan.events_per_sec();
+    table.add_row({sc.label, "scan", bench::num(cr.scan.events_per_sec(), 0),
                    "1.00x"});
-    for (const ScaleRun& r : cr.runs) {
-      const double speedup =
-          r.events_per_sec() / cr.runs.front().events_per_sec();
-      table.add_row({sc.label, "index", std::to_string(r.threads),
-                     bench::num(r.events_per_sec(), 0),
-                     bench::num(r.events_per_sec() / cr.scan.events_per_sec(),
-                                2) +
-                         "x"});
-      if (r.threads == 4 && sc.nodes == 2000) {
-        speedup_4t_2k = speedup;
-      }
-      if (r.threads == 4 && sc.nodes == 10000) {
-        events_per_sec_scale = r.events_per_sec();
-        speedup_4t_10k = speedup;
-      }
-      if (r.threads == 1 && sc.nodes == 10000) {
-        index_gain_10k = r.events_per_sec() / cr.scan.events_per_sec();
-        placement_ops_per_sec = r.probes_per_sec();
-      }
+    table.add_row({sc.label, "index",
+                   bench::num(cr.index.events_per_sec(), 0),
+                   bench::num(gain, 2) + "x"});
+    if (sc.nodes == 10000) {
+      events_per_sec_scale = cr.index.events_per_sec();
+      index_gain_10k = gain;
+      placement_ops_per_sec = cr.index.probes_per_sec();
     }
   }
   std::printf("\n%s\n", table.to_string().c_str());
-
-  // Speedup only materializes when the host actually has the cores: on a
-  // single-CPU container the 4-thread engine timeshares one core and the
-  // sweep degenerates into a pure overhead measurement. Record the host's
-  // concurrency next to the numbers so a reader (and the --compare gate)
-  // can tell the two situations apart.
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw < 4) {
-    std::printf(
-        "note: host exposes %u CPU(s); 4-thread speedup cannot exceed 1.0 "
-        "here — the sweep measures determinism and overhead only\n",
-        hw);
-  }
   std::printf(
       "BENCH_SCALE_JSON {\"events_per_sec_scale\": %.1f, "
-      "\"speedup_4t_2k\": %.3f, \"speedup_4t_10k\": %.3f, "
-      "\"index_gain_10k\": %.3f, \"placement_ops_per_sec\": %.1f, "
-      "\"hardware_concurrency\": %u}\n",
-      events_per_sec_scale, speedup_4t_2k, speedup_4t_10k, index_gain_10k,
-      placement_ops_per_sec, hw);
+      "\"index_gain_10k\": %.3f, \"placement_ops_per_sec\": %.1f}\n",
+      events_per_sec_scale, index_gain_10k, placement_ops_per_sec);
 
   if (events_per_sec_scale <= 0.0) {
-    std::fprintf(stderr, "bench_scale: no 10k-node 4-thread measurement\n");
+    std::fprintf(stderr, "bench_scale: no 10k-node indexed measurement\n");
     return 1;
   }
   return 0;

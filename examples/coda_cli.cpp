@@ -174,13 +174,6 @@ int cmd_replay_journal(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_replay(const std::map<std::string, std::string>& flags) {
-  if (flags.count("engine-threads") > 0) {
-    // Engines read CODA_ENGINE_THREADS at construction; the flag covers
-    // every replay form (trace, journal, snapshot restore) and never
-    // changes results — only how the dirty-node recompute fans out.
-    const int threads = flag_int(flags, "engine-threads", 1, 1);
-    ::setenv("CODA_ENGINE_THREADS", std::to_string(threads).c_str(), 1);
-  }
   if (flags.count("journal") > 0 || flags.count("snapshot") > 0) {
     return cmd_replay_journal(flags);
   }
@@ -302,8 +295,6 @@ void usage() {
                "  generate --days D --seed S --out FILE\n"
                "  replay   [--trace FILE | --days D --seed S] --policy "
                "fifo|drf|coda [--nodes N] [--noise SIGMA] [--csv-dir DIR]\n"
-               "           [--engine-threads N] (parallel dirty-node "
-               "recompute; identical results at any N)\n"
                "  replay   --journal FILE [--expect-report FILE] [--out "
                "FILE]\n"
                "  replay   --snapshot FILE.SNAP.N [--journal FILE] "

@@ -56,7 +56,7 @@ void usage() {
       "             (--socket PATH | --port N) [--journal FILE] "
       "[--report FILE]\n"
       "             [--shards N] [--auth-token T] [--journal-fsync 0|1]\n"
-      "             [--restore 0|1] [--engine-threads N] [experiment knobs]\n"
+      "             [--restore 0|1] [experiment knobs]\n"
       "  --speedup 3600 paces one sim-hour per wall-second; <= 0 runs "
       "as fast as possible\n"
       "  --port 0 binds an ephemeral port (printed on startup)\n"
@@ -77,10 +77,6 @@ void usage() {
       "shard's journal between\n"
       "    event batches every H sim-hours or once it exceeds M MB "
       "(0 disables)\n"
-      "  --engine-threads N fans each engine's dirty-node recompute across "
-      "N threads\n"
-      "    (default CODA_ENGINE_THREADS or 1; results are identical at any "
-      "N)\n"
       "experiment knobs (all journaled in the v2 header):\n"
       "  engine:  --noise SIGMA --noise-seed N --metrics-period S\n"
       "           --frag-min-cpus N --mba-fraction F --cpu-only-nodes N\n"
@@ -99,7 +95,7 @@ void usage() {
 // reject unknown flags so `--speedpu 3600` cannot silently run defaults.
 const std::set<std::string> kKnownFlags = {
     "trace", "days", "seed", "policy", "nodes", "horizon", "speedup",
-    "socket", "port", "journal", "report", "shards", "engine-threads",
+    "socket", "port", "journal", "report", "shards",
     "auth-token", "journal-fsync", "restore",
     "snapshot-every-sim-hours", "snapshot-journal-mb",
     "noise", "noise-seed", "metrics-period", "frag-min-cpus",
@@ -262,9 +258,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--restore requires --journal\n");
     return 2;
   }
-  // Auto-snapshot triggers: serving-layer knobs like --engine-threads, NOT
-  // experiment config — when a shard compacts its journal never changes
-  // results, so neither belongs in the v2 header or the report cache key.
+  // Auto-snapshot triggers: serving-layer knobs, NOT experiment config —
+  // when a shard compacts its journal never changes results, so they belong
+  // in neither the v2 header nor the report cache key.
   config.snapshot_every_sim_hours = flag_double(
       flags, "snapshot-every-sim-hours",
       util::env_double("CODA_SERVE_SNAP_SIM_HOURS", 0.0, 0.0), 0.0);
@@ -284,14 +280,6 @@ int main(int argc, char** argv) {
   config.limits = service::ServiceLimits::from_env();
   if (flags.count("shards") > 0) {
     config.limits.shards = flag_int(flags, "shards", 1, 1);
-  }
-  if (flags.count("engine-threads") > 0) {
-    // The engines read CODA_ENGINE_THREADS at construction (deliberately
-    // not an ExperimentConfig knob: thread count never changes results, so
-    // it must not enter the journal header or report cache key). The flag
-    // just sets the variable before any engine exists.
-    const int threads = flag_int(flags, "engine-threads", 1, 1);
-    ::setenv("CODA_ENGINE_THREADS", std::to_string(threads).c_str(), 1);
   }
 
   // Resolve the horizon the same way run_experiment does (max submit time)

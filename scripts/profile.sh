@@ -10,9 +10,7 @@
 #   --top N      rows per ranked table (default: 25)
 #
 # Backend: `perf record`/`perf report` when perf is on PATH and allowed to
-# sample; otherwise gprof (-pg instrumentation, serial engine only — gprof
-# samples the main thread, so CODA_ENGINE_THREADS is pinned to 1 to keep
-# the profile honest).
+# sample; otherwise gprof (-pg instrumentation).
 #
 # Environment:
 #   CODA_FAST=0   profile the full-size benches instead of the smoke traces
@@ -52,7 +50,7 @@ if [[ "$USE_PERF" == "1" ]]; then
   echo "== backend: perf (sampling) =="
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 else
-  echo "== backend: gprof (-pg instrumentation, serial engine) =="
+  echo "== backend: gprof (-pg instrumentation) =="
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg > /dev/null
 fi
@@ -79,7 +77,7 @@ for b in "${BENCHES[@]}"; do
   else
     # gprof writes gmon.out into the CWD of the profiled process.
     bin_abs=$(cd "$(dirname "$bin")" && pwd)/$(basename "$bin")
-    (cd "$workdir" && CODA_ENGINE_THREADS=1 "$bin_abs" > /dev/null 2>&1)
+    (cd "$workdir" && "$bin_abs" > /dev/null 2>&1)
     gprof -b -p "$bin_abs" "$workdir/gmon.out" | head -n "$((TOP + 5))"
     rm -f "$workdir/gmon.out"
   fi

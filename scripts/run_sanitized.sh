@@ -33,21 +33,18 @@ for san in "${sanitizers[@]}"; do
   echo "==> ctest under $san sanitizer"
   # halt_on_error makes ASan failures fail the test instead of just logging;
   # fast smoke traces keep the instrumented replays affordable. The TSan
-  # pass runs only the threaded suites (service layer, parallel runner, and
-  # the engine's parallel dirty-node flush) — the single-threaded simulator
-  # suites have nothing for TSan to see and run several times slower
-  # instrumented. CODA_ENGINE_THREADS=4 forces every engine in every lane
-  # through the thread-pool flush so races in the partition phase can't
-  # hide behind the serial default.
+  # pass runs only the threaded suites (service layer and parallel runner)
+  # — the single-threaded simulator suites have nothing for TSan to see and
+  # run several times slower instrumented.
   if [ "$san" = thread ]; then
     TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
-    CODA_FAST=1 CODA_ENGINE_THREADS=4 \
+    CODA_FAST=1 \
       ctest --test-dir "$dir" --output-on-failure -j "$(nproc)" \
-            -R '(Mailbox|LineReader|Protocol|Env|Server|Journal|Runner|Parallel|serve_smoke)'
+            -R '(Mailbox|LineReader|Protocol|Env|Server|Journal|Runner|serve_smoke)'
   else
     ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    CODA_FAST=1 CODA_ENGINE_THREADS=4 \
+    CODA_FAST=1 \
       ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
   fi
   echo "==> $san pass clean"

@@ -19,12 +19,6 @@ CODAD=$1
 CTL=$2
 CLI=$3
 
-# Run the whole daemon-vs-offline-replay comparison with the parallel
-# dirty-node flush on: live shards and the coda_cli replays all pick the
-# variable up, so the byte-for-byte journal checks below also prove the
-# 4-thread engine is trajectory-identical to serial CI runs.
-export CODA_ENGINE_THREADS=4
-
 workdir=$(mktemp -d /tmp/coda_serve_smoke.XXXXXX)
 journal="$workdir/session.journal"
 daemon_pid=""

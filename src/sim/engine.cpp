@@ -7,7 +7,6 @@
 #include "sched/placement.h"
 #include "simcore/event_tags.h"
 #include "util/assert.h"
-#include "util/env.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -34,20 +33,6 @@ ClusterEngine::ClusterEngine(const EngineConfig& config,
   footprints_scratch_.reserve(32);
   node_dirty_.assign(cluster_.node_count(), 0);
   dirty_nodes_.reserve(cluster_.node_count());
-  // Parallel dirty-node flush. Not an ExperimentConfig knob on purpose: the
-  // thread count never changes results (the equivalence suite asserts it),
-  // so it must not enter journal headers or report-cache keys.
-  engine_threads_ = util::env_int("CODA_ENGINE_THREADS", 1, 1);
-  if (engine_threads_ > 1) {
-    flush_pool_ = std::make_unique<util::ThreadPool>(engine_threads_);
-    workers_.reserve(static_cast<size_t>(engine_threads_));
-    for (int w = 0; w < engine_threads_; ++w) {
-      auto ws = std::make_unique<WorkerState>();
-      ws->contention = contention_;  // same params as the serial model
-      ws->footprints.reserve(32);
-      workers_.push_back(std::move(ws));
-    }
-  }
   if (config_.incremental_recompute) {
     // Drain the dirty set after every dispatched event: each event's
     // mutations happen at one simulated instant, so one recompute per
@@ -538,138 +523,11 @@ void ClusterEngine::flush_dirty_nodes() {
   // Ascending node order keeps the recompute sequence — and with it the
   // finish-event insertion order — independent of mutation order.
   std::sort(dirty_nodes_.begin(), dirty_nodes_.end());
-
-  // Narrow flushes (the single-node arrival/finish steady state) stay on
-  // the serial path: fanning out two nodes costs more in pool wake-ups
-  // than the resolve itself. Both paths produce identical bits, so the
-  // threshold is purely a performance choice.
-  constexpr size_t kParallelFlushThreshold = 4;
-  if (flush_pool_ == nullptr ||
-      dirty_nodes_.size() < kParallelFlushThreshold) {
-    for (cluster::NodeId node : dirty_nodes_) {
-      node_dirty_[node] = 0;
-      recompute_node(node);
-    }
-    dirty_nodes_.clear();
-    return;
-  }
-
-  // Phase 1 (parallel): contention resolves + perf-model evaluations, all
-  // of it pure w.r.t. the state the apply phase orders on.
-  parallel_partition_phase();
-
-  // Phase 2 (serial apply, ascending node order): commit report rows into
-  // per-node state and update rates in *exactly* the serial engine's
-  // (node, resident) order. update_rate on a multi-node job reads its other
-  // legs' factors — possibly pre-update, if those nodes come later in this
-  // very flush — so the intermediate rates, and with them the finish-event
-  // cancel/push sequence and every (time, seq) tie-break downstream, only
-  // reproduce the serial engine if the commits interleave identically.
-  // That is why this phase cannot fan out.
-  for (size_t k = 0; k < dirty_nodes_.size(); ++k) {
-    const cluster::NodeId node = dirty_nodes_[k];
+  for (cluster::NodeId node : dirty_nodes_) {
     node_dirty_[node] = 0;
-    ++stats_.node_recomputes;
-    const auto& report = node_reports_[node];
-    const std::vector<Resident>& residents = jobs_on_node_[node];
-    CODA_ASSERT(report.jobs.size() == residents.size());
-    const std::vector<StagedEval>& staged = staged_evals_[k];
-    for (size_t i = 0; i < report.jobs.size(); ++i) {
-      CODA_ASSERT(report.jobs[i].job == residents[i].id);
-      PerNodeState& st = *residents[i].state;
-      st.factors = report.jobs[i].factors;
-      st.cpu_rate_factor = report.jobs[i].cpu_rate_factor;
-      st.achieved_bw = report.jobs[i].achieved_bw_gbps;
-      const StagedEval& ev = staged[i];
-      if (ev.valid) {
-        st.eval_cpus = ev.cpus;
-        st.eval_prep_bits = ev.prep_bits;
-        st.eval_gpu_bits = ev.gpu_bits;
-        st.eval_iter = ev.iter;
-        st.eval_util = ev.util;
-        st.eval_prep = ev.prep;
-      }
-      update_rate(*residents[i].job);
-    }
+    recompute_node(node);
   }
   dirty_nodes_.clear();
-}
-
-void ClusterEngine::parallel_partition_phase() {
-  const size_t n = dirty_nodes_.size();
-  if (staged_evals_.size() < n) {
-    staged_evals_.resize(n);
-  }
-  const int nw = flush_pool_->size();
-  flush_pool_->run([&](int w) {
-    // Static contiguous slices: deterministic, and cheap to account.
-    const size_t begin = n * static_cast<size_t>(w) / nw;
-    const size_t end = n * (static_cast<size_t>(w) + 1) / nw;
-    WorkerState& ws = *workers_[static_cast<size_t>(w)];
-    for (size_t k = begin; k < end; ++k) {
-      const cluster::NodeId node = dirty_nodes_[k];
-      const std::vector<Resident>& residents = jobs_on_node_[node];
-      std::vector<perfmodel::ResourceFootprint>& fps = ws.footprints;
-      fps.clear();
-      for (const Resident& r : residents) {
-        PerNodeState& st = *r.state;
-        if (!st.footprint.is_gpu_job) {
-          // Safe to write from a worker: this (job, node) state belongs to
-          // exactly one node, and nodes partition across workers.
-          st.footprint.mem_bw_cap_gbps = mba_.cap(node, r.id);
-        }
-        fps.push_back(st.footprint);
-      }
-      ws.contention.resolve_into(cluster_.node(node).config(), fps,
-                                 &node_reports_[node]);
-      const auto& report = node_reports_[node];
-      std::vector<StagedEval>& staged = staged_evals_[k];
-      staged.assign(residents.size(), StagedEval{});
-      for (size_t i = 0; i < residents.size(); ++i) {
-        const Resident& r = residents[i];
-        const workload::JobSpec& spec = *r.job->spec;
-        if (!spec.is_gpu_job()) {
-          continue;
-        }
-        PerNodeState& st = *r.state;
-        const int cores = std::max(1, st.cpus);
-        const perfmodel::ContentionFactors& f = report.jobs[i].factors;
-        uint64_t prep_bits;
-        uint64_t gpu_bits;
-        std::memcpy(&prep_bits, &f.prep_inflation, sizeof(prep_bits));
-        std::memcpy(&gpu_bits, &f.gpu_inflation, sizeof(gpu_bits));
-        if (st.eval_cpus == cores && st.eval_prep_bits == prep_bits &&
-            st.eval_gpu_bits == gpu_bits) {
-          continue;  // the resident's eval cache already matches
-        }
-        StagedEval& ev = staged[i];
-        ev.valid = true;
-        ev.cpus = cores;
-        ev.prep_bits = prep_bits;
-        ev.gpu_bits = gpu_bits;
-        ev.iter = ws.perf.iter_time(spec.model, spec.train_config, cores, f);
-        ev.util =
-            ws.perf.gpu_utilization(spec.model, spec.train_config, cores, f);
-        ev.prep = ws.perf.prep_time(spec.model, spec.train_config, cores, f);
-      }
-    }
-  });
-
-  // Imbalance accounting over the deterministic static partition.
-  ++stats_.parallel_flushes;
-  stats_.parallel_flush_nodes += n;
-  uint64_t max_residents = 0;
-  for (int w = 0; w < nw; ++w) {
-    const size_t begin = n * static_cast<size_t>(w) / nw;
-    const size_t end = n * (static_cast<size_t>(w) + 1) / nw;
-    uint64_t count = 0;
-    for (size_t k = begin; k < end; ++k) {
-      count += jobs_on_node_[dirty_nodes_[k]].size();
-    }
-    max_residents = std::max(max_residents, count);
-    stats_.parallel_worker_sum_residents += count;
-  }
-  stats_.parallel_worker_max_residents += max_residents;
 }
 
 void ClusterEngine::recompute_node(cluster::NodeId node) {
@@ -1047,9 +905,6 @@ void ClusterEngine::sample_metrics() {
     gauges_.reschedules_skipped =
         &metrics_.gauge_ref("engine_reschedules_skipped");
     gauges_.dirty_flushes = &metrics_.gauge_ref("engine_dirty_flushes");
-    gauges_.parallel_flushes = &metrics_.gauge_ref("engine_parallel_flushes");
-    gauges_.parallel_flush_nodes =
-        &metrics_.gauge_ref("engine_parallel_flush_nodes");
     gauges_.event_pool_live = &metrics_.gauge_ref("event_pool_live");
     gauges_.event_pool_slots_in_use =
         &metrics_.gauge_ref("event_pool_slots_in_use");
@@ -1070,27 +925,6 @@ void ClusterEngine::sample_metrics() {
   *gauges_.reschedules_skipped =
       static_cast<double>(stats_.reschedules_skipped);
   *gauges_.dirty_flushes = static_cast<double>(stats_.dirty_flushes);
-  // Parallel-flush fan-out accounting: how many flushes were wide enough to
-  // take the pooled path, how many nodes they drained, and how evenly the
-  // static partition spread the resident recomputes (max vs mean per-flush
-  // worker load — identical when perfectly balanced).
-  *gauges_.parallel_flushes = static_cast<double>(stats_.parallel_flushes);
-  *gauges_.parallel_flush_nodes =
-      static_cast<double>(stats_.parallel_flush_nodes);
-  if (stats_.parallel_flushes > 0) {
-    if (gauges_.parallel_worker_residents_max == nullptr) {
-      gauges_.parallel_worker_residents_max =
-          &metrics_.gauge_ref("engine_parallel_worker_residents_max");
-      gauges_.parallel_worker_residents_mean =
-          &metrics_.gauge_ref("engine_parallel_worker_residents_mean");
-    }
-    const double flushes = static_cast<double>(stats_.parallel_flushes);
-    *gauges_.parallel_worker_residents_max =
-        static_cast<double>(stats_.parallel_worker_max_residents) / flushes;
-    *gauges_.parallel_worker_residents_mean =
-        static_cast<double>(stats_.parallel_worker_sum_residents) /
-        (flushes * static_cast<double>(engine_threads_));
-  }
   // Event control-slot pool occupancy (steady-state allocs/event proxy:
   // chunks stops growing once the pool covers the live-event high-water
   // mark, after which push() allocates nothing).

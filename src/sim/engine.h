@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -26,7 +25,6 @@
 #include "telemetry/mba.h"
 #include "telemetry/mbm.h"
 #include "telemetry/metrics.h"
-#include "util/thread_pool.h"
 #include "workload/job.h"
 
 namespace coda::state {
@@ -161,19 +159,8 @@ class ClusterEngine : public telemetry::BandwidthSource,
     uint64_t reschedules = 0;          // finish events (re)scheduled
     uint64_t reschedules_skipped = 0;  // rate unchanged -> event kept
     uint64_t dirty_flushes = 0;        // dirty-set drains that did work
-    // Parallel-flush accounting (engine_threads > 1). A flush wide enough
-    // to fan out counts once here; per-flush worker load (residents
-    // recomputed per worker slice) accumulates so telemetry can report
-    // imbalance as running max/mean.
-    uint64_t parallel_flushes = 0;
-    uint64_t parallel_flush_nodes = 0;
-    uint64_t parallel_worker_max_residents = 0;  // sum of per-flush maxima
-    uint64_t parallel_worker_sum_residents = 0;  // all residents recomputed
   };
   const EngineStats& engine_stats() const { return stats_; }
-
-  // Worker count for the parallel dirty-node flush (CODA_ENGINE_THREADS).
-  int engine_threads() const { return engine_threads_; }
 
   // ---- telemetry interfaces (simulated MBM / nvidia-smi) ----
   telemetry::NodeBandwidthSample sample(cluster::NodeId node) const override;
@@ -296,10 +283,7 @@ class ClusterEngine : public telemetry::BandwidthSource,
   void mark_node_dirty(cluster::NodeId node);
   // Drains the dirty set in ascending node order. Runs after every event
   // dispatch and lazily (via ensure_synced) before any read that consumes
-  // rates or contention reports. Wide flushes fan the pure partition work
-  // out across the engine thread pool; the apply phase — rate updates,
-  // reschedules, stats — always runs serially in node-id order, which is
-  // what keeps reports bit-identical to the single-threaded engine.
+  // rates or contention reports.
   void flush_dirty_nodes();
   // Const probes (telemetry samples, snapshot save) sync derived state
   // through this wrapper: observable semantics match the eager path, hence
@@ -308,12 +292,6 @@ class ClusterEngine : public telemetry::BandwidthSource,
   void ensure_synced() const {
     const_cast<ClusterEngine*>(this)->flush_dirty_nodes();
   }
-  // Parallel partition phase over the (sorted) dirty set: each worker takes
-  // a contiguous slice of nodes, resolves contention into node_reports_ and
-  // stages perf-model evaluations at the new factors, using only
-  // worker-local models and scratch. Pure with respect to engine state the
-  // other workers (or the later apply phase's ordering) can observe.
-  void parallel_partition_phase();
   void update_rate(RunningJob& job);
   void advance_progress(RunningJob& job);
   void reschedule_finish(RunningJob& job);
@@ -348,7 +326,7 @@ class ClusterEngine : public telemetry::BandwidthSource,
   // Ids with a non-empty resident list, maintained on the same transitions
   // as jobs_on_node_. After a flush, a node outside this set has an empty
   // contention report (pressure exactly +0.0), which lets the periodic
-  // whole-cluster scans (pressure_all, the mem-pressure mean) iterate
+  // whole-cluster scans (pressure_screen, the mem-pressure mean) iterate
   // occupied nodes only instead of all N — bit-identical, since skipped
   // nodes contribute literal zeros.
   cluster::IdBitmap occupied_nodes_;
@@ -373,38 +351,6 @@ class ClusterEngine : public telemetry::BandwidthSource,
   // plus the insertion list flushed (sorted) once per event dispatch.
   std::vector<uint8_t> node_dirty_;
   std::vector<cluster::NodeId> dirty_nodes_;
-
-  // ---- parallel flush (CODA_ENGINE_THREADS > 1) ----
-  // A GPU resident's perf-model evaluation at its node's *new* contention
-  // factors, computed in the partition phase by a worker-local TrainPerf.
-  // The apply phase copies it into the resident's one-entry eval cache just
-  // before update_rate, so the serial phase never touches the perf model.
-  // The values are bit-identical to what the serial engine would compute
-  // (the memoized model's documented contract), so only the *ordering* of
-  // the apply phase matters for determinism — and that stays serial.
-  struct StagedEval {
-    bool valid = false;  // false: existing cache entry already matches
-    int cpus = 0;
-    uint64_t prep_bits = 0;
-    uint64_t gpu_bits = 0;
-    double iter = 0.0;
-    double util = 0.0;
-    double prep = 0.0;
-  };
-  // Everything one worker needs so the partition phase shares nothing
-  // mutable: its own contention model, perf-model memo shard and footprint
-  // scratch. Allocated once; memo shards warm up across flushes.
-  struct WorkerState {
-    perfmodel::NodeContentionModel contention;
-    perfmodel::TrainPerf perf;
-    std::vector<perfmodel::ResourceFootprint> footprints;
-  };
-  int engine_threads_ = 1;
-  std::unique_ptr<util::ThreadPool> flush_pool_;  // null when threads == 1
-  std::vector<std::unique_ptr<WorkerState>> workers_;
-  // staged_evals_[k][i]: staged eval for resident i of dirty_nodes_[k].
-  // Outer capacity persists across flushes; inner vectors recycle too.
-  std::vector<std::vector<StagedEval>> staged_evals_;
 
   EngineStats stats_;
 
@@ -435,12 +381,6 @@ class ClusterEngine : public telemetry::BandwidthSource,
     double* rate_updates = nullptr;
     double* reschedules_skipped = nullptr;
     double* dirty_flushes = nullptr;
-    double* parallel_flushes = nullptr;
-    double* parallel_flush_nodes = nullptr;
-    // Published only once a parallel flush happened (their own lazy pair):
-    // a serial run's metrics must not grow zero-valued imbalance gauges.
-    double* parallel_worker_residents_max = nullptr;
-    double* parallel_worker_residents_mean = nullptr;
     double* event_pool_live = nullptr;
     double* event_pool_slots_in_use = nullptr;
     double* event_pool_slots_free = nullptr;

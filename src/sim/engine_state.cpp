@@ -32,9 +32,7 @@ void ClusterEngine::save_state(state::Writer* w) const {
           node_failures_);
   w->line("stats", stats_.node_recomputes, stats_.rate_updates,
           stats_.reschedules, stats_.reschedules_skipped,
-          stats_.dirty_flushes, stats_.parallel_flushes,
-          stats_.parallel_flush_nodes, stats_.parallel_worker_max_residents,
-          stats_.parallel_worker_sum_residents);
+          stats_.dirty_flushes);
 
   w->line("records", records_.size());
   for (const auto& [id, rec] : records_) {
@@ -153,10 +151,6 @@ util::Status ClusterEngine::load_state(
   stats_.reschedules = r->u64();
   stats_.reschedules_skipped = r->u64();
   stats_.dirty_flushes = r->u64();
-  stats_.parallel_flushes = r->u64();
-  stats_.parallel_flush_nodes = r->u64();
-  stats_.parallel_worker_max_residents = r->u64();
-  stats_.parallel_worker_sum_residents = r->u64();
 
   r->expect("records");
   uint64_t n = r->u64();

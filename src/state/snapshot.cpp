@@ -18,8 +18,8 @@ namespace coda::state {
 
 namespace {
 
-// v2: the engine stats line grew the parallel-flush counters (PR 9).
-constexpr uint64_t kVersion = 2;
+// v3: the engine stats line dropped v2's four parallel-flush counters.
+constexpr uint64_t kVersion = 3;
 
 util::Error precondition(const std::string& msg) {
   return util::Error{util::ErrorCode::kFailedPrecondition, msg};

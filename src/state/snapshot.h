@@ -5,7 +5,7 @@
 //
 // Container format (line-oriented text, see state/serde.h):
 //
-//   CODA_SNAPSHOT 1
+//   CODA_SNAPSHOT 3
 //   meta <seq> <vt hexfloat> <dispatched> <accepted> <next_auto_id>
 //   session_bytes <N>
 //   <N raw bytes: a full journal text — header + S-lines — covering every

@@ -40,7 +40,7 @@ TraceConfig scale_profile(int nodes, int gpu_jobs, int cpu_jobs,
   cfg.cpu_jobs = cpu_jobs;
   // Most of the GPU load trains across several servers: one start/finish
   // then dirties the whole gang's nodes inside a single dispatched event,
-  // which is exactly the recompute shape that scales with engine threads.
+  // the widest recompute shape a flush sees.
   cfg.wide_span_fraction = 0.7;
   // Span grows gently with cluster size (4 legs at 2k nodes, 8 at 10k) —
   // big clusters run bigger gangs, and wider gangs mean wider flushes.

@@ -66,8 +66,7 @@ struct TraceConfig {
   // servers (`wide_span_gpus_per_node` GPUs each) instead of drawing from
   // the stock configuration mix (whose widest job spans 2 nodes). Wide
   // gangs make single start/finish events dirty many nodes at once — the
-  // shape a capacity-planning cluster shows and the parallel dirty-node
-  // flush fans out. 0 (the default) leaves the generator's RNG stream
+  // shape a capacity-planning cluster shows. 0 (the default) leaves the generator's RNG stream
   // untouched, so existing seeded traces reproduce exactly.
   double wide_span_fraction = 0.0;
   int wide_span_nodes = 4;

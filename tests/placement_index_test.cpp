@@ -13,11 +13,15 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "sched/placement.h"
+#include "sim/experiment.h"
+#include "sim/report_io.h"
 #include "util/rng.h"
+#include "workload/trace_gen.h"
 
 namespace coda {
 namespace {
@@ -253,6 +257,32 @@ TEST(PlacementIndexProperty, GenerationAdvancesOnObservableChanges) {
   const uint64_t g2 = index.generation();
   ASSERT_TRUE(cluster.node(0).release(1).ok());
   EXPECT_GT(index.generation(), g2);
+}
+
+// The same contract end to end at scale: on 10k nodes, where the index and
+// the occupied-node screens carry the hot path, a CODA replay serializes to
+// the same report bytes with the index on and off.
+TEST(PlacementIndexProperty, TenThousandNodeReportMatchesLinearScan) {
+  const workload::TraceConfig tc = workload::scale_profile(
+      10000, /*gpu_jobs=*/300, /*cpu_jobs=*/450, /*duration_s=*/1800.0);
+  const auto trace = workload::TraceGenerator(tc).generate();
+  sim::ExperimentConfig config;
+  config.engine.cluster.node_count = 10000;
+  config.horizon_s = 1800.0;
+
+  std::string indexed;
+  std::string scanned;
+  {
+    IndexToggle on(true);
+    indexed = sim::serialize_report(
+        sim::run_experiment(sim::Policy::kCoda, trace, config));
+  }
+  {
+    IndexToggle off(false);
+    scanned = sim::serialize_report(
+        sim::run_experiment(sim::Policy::kCoda, trace, config));
+  }
+  EXPECT_EQ(indexed, scanned);
 }
 
 }  // namespace

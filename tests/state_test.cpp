@@ -97,10 +97,16 @@ TEST(Serde, ReaderPoisonsOnMissingTokenAndTruncatedBlob) {
 TEST(Snapshot, ParseRejectsCorruptContainers) {
   EXPECT_FALSE(parse_snapshot("").ok());
   EXPECT_FALSE(parse_snapshot("NOT_A_SNAPSHOT 1\n").ok());
-  // Right magic, wrong version.
+  // Right magic, wrong version. v2 carried four parallel-flush counters in
+  // its engine stats line; v3 dropped them, so v2 files are refused.
   EXPECT_FALSE(parse_snapshot("CODA_SNAPSHOT 99\n").ok());
+  auto v2 = parse_snapshot("CODA_SNAPSHOT 2\n");
+  ASSERT_FALSE(v2.ok());
+  EXPECT_NE(v2.error().message.find("unsupported snapshot version"),
+            std::string::npos)
+      << v2.error().message;
   // Truncated embedded session blob.
-  EXPECT_FALSE(parse_snapshot("CODA_SNAPSHOT 1\n"
+  EXPECT_FALSE(parse_snapshot("CODA_SNAPSHOT 3\n"
                               "meta 1 0x1p+0 0 0 0\n"
                               "session_bytes 100\nshort")
                    .ok());
@@ -153,7 +159,7 @@ TEST(Snapshot, WriteFileDurableReplacesAtomically) {
 
 TEST(Snapshot, SerializedStructSizeTripwires) {
   EXPECT_EQ(sizeof(sim::JobRecord), 224u);
-  EXPECT_EQ(sizeof(sim::ClusterEngine::EngineStats), 72u);
+  EXPECT_EQ(sizeof(sim::ClusterEngine::EngineStats), 40u);
   EXPECT_EQ(sizeof(perfmodel::ResourceFootprint), 80u);
   EXPECT_EQ(sizeof(perfmodel::ContentionFactors), 16u);
   EXPECT_EQ(sizeof(perfmodel::JobContention), 40u);
