@@ -139,9 +139,9 @@ EVENTS_PER_SEC=$(micro_field events_per_sec); EVENTS_PER_SEC="${EVENTS_PER_SEC:-
 ALLOCS_PER_EVENT=$(micro_field allocs_per_event)
 ALLOCS_PER_EVENT="${ALLOCS_PER_EVENT:-0}"
 
-# One-experiment scalability: the 10k-node indexed events/sec headline
-# (plus the index-vs-scan gain and indexed placement ops/s) from
-# bench_scale; cache off — it drives live engines. Fast mode to keep the
+# One-experiment scalability: the 10k-node events/sec headline (plus
+# indexed placement ops/s) from bench_scale; cache off — it drives live
+# engines. Fast mode to keep the
 # suite's wall-clock sane, recorded as scale_fast_mode next to the numbers;
 # the full-size run (day-long traces) stays a manual one.
 SCALE_FAST=1
@@ -156,8 +156,6 @@ scale_field() {  # scale_field <field>
 }
 EVENTS_PER_SEC_SCALE=$(scale_field events_per_sec_scale)
 EVENTS_PER_SEC_SCALE="${EVENTS_PER_SEC_SCALE:-0}"
-SCALE_INDEX_GAIN_10K=$(scale_field index_gain_10k)
-SCALE_INDEX_GAIN_10K="${SCALE_INDEX_GAIN_10K:-0}"
 PLACEMENT_OPS_PER_SEC=$(scale_field placement_ops_per_sec)
 PLACEMENT_OPS_PER_SEC="${PLACEMENT_OPS_PER_SEC:-0}"
 
@@ -219,7 +217,6 @@ SERVE_CMDS_PER_SEC="${SERVE_CMDS_PER_SEC:-0}"
   echo "  \"allocs_per_event\": $ALLOCS_PER_EVENT,"
   echo "  \"events_per_sec_scale\": $EVENTS_PER_SEC_SCALE,"
   echo "  \"scale_fast_mode\": \"$SCALE_FAST\","
-  echo "  \"scale_index_gain_10k\": $SCALE_INDEX_GAIN_10K,"
   echo "  \"placement_ops_per_sec\": $PLACEMENT_OPS_PER_SEC,"
   echo "  \"serve_cmds_per_sec\": $SERVE_CMDS_PER_SEC,"
   echo "  \"snapshot_ms\": $SNAPSHOT_MS,"
@@ -243,7 +240,7 @@ echo ""
 echo "cold total: $(awk "BEGIN{print $COLD_MS/1000}") s"
 echo "warm total: $(awk "BEGIN{print $WARM_MS/1000}") s"
 echo "engine micro: $EVENTS_PER_SEC events/s, $ALLOCS_PER_EVENT allocs/event"
-echo "scale bench: $EVENTS_PER_SEC_SCALE events/s (10k nodes, fast mode $SCALE_FAST, index ${SCALE_INDEX_GAIN_10K}x vs scan, ${PLACEMENT_OPS_PER_SEC} placement ops/s)"
+echo "scale bench: $EVENTS_PER_SEC_SCALE events/s (10k nodes, fast mode $SCALE_FAST, ${PLACEMENT_OPS_PER_SEC} placement ops/s)"
 echo "serve bench: $SERVE_CMDS_PER_SEC cmds/s (8 shards, pipeline 16)"
 echo "snapshot: ${SNAPSHOT_MS} ms capture, ${RESTORE_MS} ms restore (${RESTORE_SPEEDUP}x vs replay)"
 echo "wrote $OUT (microbench details: $MICRO_JSON)"

@@ -443,37 +443,20 @@ bool CodaScheduler::prepare_nodes_by_eviction(
     const sched::PlacementRequest& request, sched::IdRange range) {
   const int before = preemptions_;
   int prepared = 0;
-  if (sched::placement_index_enabled()) {
-    // Candidate set snapshot: evicting borrowers on one node never touches
-    // another node's (free_gpus, free_cpus), so collecting first and then
-    // visiting in ascending id order is step-for-step identical to the
-    // linear scan below.
-    eviction_scratch_.clear();
-    env_.cluster->placement_index().collect_eviction_candidates(
-        request.gpus_per_node, request.cpus_per_node, range,
-        &eviction_scratch_);
-    std::sort(eviction_scratch_.begin(), eviction_scratch_.end());
-    for (cluster::NodeId id : eviction_scratch_) {
-      if (prepared >= request.nodes) {
-        break;
-      }
-      if (evict_cpu_borrowers_for(id, request.cpus_per_node)) {
-        ++prepared;
-      }
+  // Evicting borrowers on one node never changes another node's
+  // (free_gpus, free_cpus), so the candidate set collected up front stays
+  // exact while the loop below evicts in ascending id order.
+  eviction_scratch_.clear();
+  env_.cluster->placement_index().collect_eviction_candidates(
+      request.gpus_per_node, request.cpus_per_node, range,
+      &eviction_scratch_);
+  std::sort(eviction_scratch_.begin(), eviction_scratch_.end());
+  for (cluster::NodeId id : eviction_scratch_) {
+    if (prepared >= request.nodes) {
+      break;
     }
-  } else {
-    for (const auto& node : env_.cluster->nodes()) {
-      if (prepared >= request.nodes) {
-        break;
-      }
-      if (node.id() < range.lo || node.id() >= range.hi ||
-          node.free_gpus() < request.gpus_per_node ||
-          node.free_cpus() >= request.cpus_per_node) {
-        continue;  // either out of range, unusable, or needs no eviction
-      }
-      if (evict_cpu_borrowers_for(node.id(), request.cpus_per_node)) {
-        ++prepared;
-      }
+    if (evict_cpu_borrowers_for(id, request.cpus_per_node)) {
+      ++prepared;
     }
   }
   // Candidates always have a core deficit, so a successful preparation
@@ -609,59 +592,27 @@ void CodaScheduler::schedule_cpu_array() {
       // (adjusted cores, id) with adjusted >= req; only when no such node
       // exists, lowest (free_cpus, id) with free_cpus >= req (borrowing
       // reserved cores). The index's adjusted table equals
-      // cpu_array_free_cores() for every node (see refresh_cpu_bias), and
-      // when the adjusted query misses, *every* node with free_cpus >= req
-      // is a borrow candidate — so both picks match the linear scan below.
-      const cluster::Node* best = nullptr;
+      // cpu_array_free_cores() for every node (see refresh_cpu_bias).
       bool best_borrows = false;
-      if (sched::placement_index_enabled()) {
-        cluster::NodeId pick = index.best_adjusted_fit(req);
-        if (pick == cluster::PlacementIndex::kNone && may_borrow) {
-          pick = index.best_free_cpu_fit(req);
-          best_borrows = pick != cluster::PlacementIndex::kNone;
-        }
-        if (pick != cluster::PlacementIndex::kNone) {
-          best = &env_.cluster->node(pick);
-          CODA_ASSERT(best_borrows || cpu_array_free_cores(*best) >= req);
-        }
-      } else {
-        int best_left = 0;
-        for (const auto& node : env_.cluster->nodes()) {
-          const int normal = cpu_array_free_cores(node);
-          if (normal >= req) {
-            const int left = normal - req;
-            if (best == nullptr || best_borrows || left < best_left) {
-              best = &node;
-              best_left = left;
-              best_borrows = false;
-            }
-          } else if (may_borrow && node.free_cpus() >= req &&
-                     (best == nullptr || best_borrows)) {
-            const int left = node.free_cpus() - req;
-            if (best == nullptr || left < best_left || !best_borrows) {
-              // Prefer non-borrowing nodes; among borrowing ones, best fit.
-              if (best == nullptr || best_borrows) {
-                best = &node;
-                best_left = left;
-                best_borrows = true;
-              }
-            }
-          }
-        }
+      cluster::NodeId best = index.best_adjusted_fit(req);
+      if (best == cluster::PlacementIndex::kNone && may_borrow) {
+        best = index.best_free_cpu_fit(req);
+        best_borrows = true;
       }
-      if (best == nullptr) {
+      if (best == cluster::PlacementIndex::kNone) {
         failed_cpu_reqs_.push_back(req);
         continue;  // this tenant's head does not fit; try the next tenant
       }
+      const int normal = cpu_array_free_cores(env_.cluster->node(best));
+      CODA_ASSERT(best_borrows || normal >= req);
       sched::Placement placement;
-      placement.nodes.push_back(sched::NodePlacement{best->id(), req, 0});
-      const int borrowed =
-          best_borrows ? req - cpu_array_free_cores(*best) : 0;
+      placement.nodes.push_back(sched::NodePlacement{best, req, 0});
+      const int borrowed = best_borrows ? req - normal : 0;
       const auto status = env_.start_job(head.id, placement);
       CODA_ASSERT_MSG(status.ok(), "CODA proposed an infeasible CPU placement");
       RunningCpu rc;
       rc.spec = head;
-      rc.node = best->id();
+      rc.node = best;
       rc.cores = req;
       rc.borrowed_reserved = std::max(0, borrowed);
       rc.start_seq = next_seq_++;
@@ -672,8 +623,7 @@ void CodaScheduler::schedule_cpu_array() {
       if (config_.static_bw_cap_gbps > 0.0 && !head.user_facing) {
         // Kelp-like static partitioning: cap unconditionally at start.
         // Fails silently on nodes without MBA (Kelp needs the hardware).
-        (void)env_.set_bw_cap(best->id(), head.id,
-                              config_.static_bw_cap_gbps);
+        (void)env_.set_bw_cap(best, head.id, config_.static_bw_cap_gbps);
       }
       started = true;
       break;

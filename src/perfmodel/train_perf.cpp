@@ -187,6 +187,28 @@ int TrainPerf::ref_optimal_cores(ModelId id, const TrainConfig& cfg,
   CODA_UNREACHABLE("optimal_cores: no core count reached best utilization");
 }
 
+double TrainPerf::ref_mem_bw_demand_gbps(ModelId id, const TrainConfig& cfg,
+                                         int cores) const {
+  const ModelParams& p = model_params(id);
+  const double bs = batch_ratio(id, cfg);
+  const double per_gpu = p.mem_bw_gbps * std::pow(bs, p.mem_bs_exp);
+  const int opt = ref_optimal_cores(id, cfg);
+  const double rate_scale =
+      ref_iter_time(id, cfg, opt) / ref_iter_time(id, cfg, cores);
+  return per_gpu * cfg.gpus_per_node * std::min(1.0, rate_scale);
+}
+
+double TrainPerf::ref_pcie_demand_gbps(ModelId id, const TrainConfig& cfg,
+                                       int cores) const {
+  const ModelParams& p = model_params(id);
+  const double bs = batch_ratio(id, cfg);
+  const double per_gpu = p.pcie_gbps * std::pow(bs, p.mem_bs_exp);
+  const int opt = ref_optimal_cores(id, cfg);
+  const double rate_scale =
+      ref_iter_time(id, cfg, opt) / ref_iter_time(id, cfg, cores);
+  return per_gpu * cfg.gpus_per_node * std::min(1.0, rate_scale);
+}
+
 // ------------------------------------------------------------- memoization
 
 const TrainPerf::Invariants& TrainPerf::invariants(
@@ -316,35 +338,23 @@ const TrainPerf::EvalEntry& TrainPerf::evaluate(
 
 double TrainPerf::prep_time(ModelId id, const TrainConfig& cfg, int cores,
                             const ContentionFactors& contention) const {
-  if (!memoize_) {
-    return ref_prep_time(id, cfg, cores, contention);
-  }
   return evaluate(id, cfg, cores, contention).prep;
 }
 
 double TrainPerf::gpu_phase_time(ModelId id, const TrainConfig& cfg,
                                  const ContentionFactors& contention) const {
-  if (!memoize_) {
-    return ref_gpu_phase_time(id, cfg, contention);
-  }
   const Invariants& inv = invariants(id, cfg);
   return inv.gpu_base * std::max(1.0, contention.gpu_inflation);
 }
 
 double TrainPerf::iter_time(ModelId id, const TrainConfig& cfg, int cores,
                             const ContentionFactors& contention) const {
-  if (!memoize_) {
-    return ref_iter_time(id, cfg, cores, contention);
-  }
   return evaluate(id, cfg, cores, contention).iter;
 }
 
 double TrainPerf::gpu_utilization(ModelId id, const TrainConfig& cfg,
                                   int cores,
                                   const ContentionFactors& contention) const {
-  if (!memoize_) {
-    return ref_gpu_utilization(id, cfg, cores, contention);
-  }
   return evaluate(id, cfg, cores, contention).util;
 }
 
@@ -367,15 +377,6 @@ double TrainPerf::mem_bw_demand_gbps(ModelId id, const TrainConfig& cfg,
   // Per-GPU peak demand at the optimal allocation, scaled by batch size
   // (Fig. 6) and by the achieved iteration rate: a core-starved job issues
   // iterations more slowly and therefore moves less data per second.
-  if (!memoize_) {
-    const ModelParams& p = model_params(id);
-    const double bs = batch_ratio(id, cfg);
-    const double per_gpu = p.mem_bw_gbps * std::pow(bs, p.mem_bs_exp);
-    const int opt = optimal_cores(id, cfg);
-    const double rate_scale =
-        iter_time(id, cfg, opt) / iter_time(id, cfg, cores);
-    return per_gpu * cfg.gpus_per_node * std::min(1.0, rate_scale);
-  }
   const Invariants& inv = invariants(id, cfg);
   if (inv.opt_cores < 0) {
     optimal_cores(id, cfg);  // fills opt_cores/iter_at_opt
@@ -387,15 +388,6 @@ double TrainPerf::mem_bw_demand_gbps(ModelId id, const TrainConfig& cfg,
 
 double TrainPerf::pcie_demand_gbps(ModelId id, const TrainConfig& cfg,
                                    int cores) const {
-  if (!memoize_) {
-    const ModelParams& p = model_params(id);
-    const double bs = batch_ratio(id, cfg);
-    const double per_gpu = p.pcie_gbps * std::pow(bs, p.mem_bs_exp);
-    const int opt = optimal_cores(id, cfg);
-    const double rate_scale =
-        iter_time(id, cfg, opt) / iter_time(id, cfg, cores);
-    return per_gpu * cfg.gpus_per_node * std::min(1.0, rate_scale);
-  }
   const Invariants& inv = invariants(id, cfg);
   if (inv.opt_cores < 0) {
     optimal_cores(id, cfg);
@@ -412,9 +404,6 @@ double TrainPerf::llc_demand_mb(ModelId id, const TrainConfig& cfg) const {
 int TrainPerf::optimal_cores(ModelId id, const TrainConfig& cfg,
                              int max_cores, double tolerance) const {
   CODA_ASSERT(max_cores >= 1);
-  if (!memoize_) {
-    return ref_optimal_cores(id, cfg, max_cores, tolerance);
-  }
   constexpr int kDefaultMaxCores = 28;
   constexpr double kDefaultTolerance = 0.01;
   const bool default_args =
@@ -438,13 +427,6 @@ int TrainPerf::optimal_cores(ModelId id, const TrainConfig& cfg,
     }
   }
   CODA_UNREACHABLE("optimal_cores: no core count reached best utilization");
-}
-
-void TrainPerf::set_memoize(bool on) {
-  memoize_ = on;
-  interned_.clear();
-  last_entry_ = nullptr;
-  stats_ = CacheStats{};
 }
 
 }  // namespace coda::perfmodel

@@ -19,12 +19,12 @@
 // small interned table of per-(model, TrainConfig) invariants (batch-ratio
 // powers, effective prep work, uncontended GPU phase, the uncontended knee
 // and optimum) and memoizes full evaluations on (cores, exact contention
-// factor bits). Memoized results are bit-for-bit identical to the reference
-// arithmetic — set_memoize(false) switches an instance to the original
-// unmemoized code path, and tests/perf_equivalence_test.cpp asserts equality
-// across the model zoo. An instance is NOT thread-safe (the caches mutate on
-// const evaluations); every engine/scheduler owns its own instance, which
-// matches how the parallel runner shards experiments across threads.
+// factor bits). Memoization is always on. Its results are bit-for-bit
+// identical to the reference arithmetic, which stays public as the ref_*
+// methods; tests/perf_equivalence_test.cpp asserts equality across the
+// model zoo. An instance is NOT thread-safe (the caches mutate on const
+// evaluations); every engine/scheduler owns its own instance, which matches
+// how the parallel runner shards experiments across threads.
 #pragma once
 
 #include <cstdint>
@@ -125,12 +125,30 @@ class TrainPerf {
   int optimal_cores(ModelId id, const TrainConfig& cfg, int max_cores = 28,
                     double tolerance = 0.01) const;
 
-  // Toggles memoization (on by default). Turning it off clears every cache
-  // and routes evaluations through the original unmemoized arithmetic; the
-  // equivalence suite uses this as the bit-exact reference.
-  void set_memoize(bool on);
-  bool memoize() const { return memoize_; }
   const CacheStats& cache_stats() const { return stats_; }
+
+  // ---- reference (unmemoized) arithmetic: the original implementation ----
+  // Same contracts as the methods above, recomputed from the model
+  // parameters on every call without touching the caches (the knee is a
+  // linear scan). The equivalence suite holds the memoized API to these bit
+  // for bit; nothing on a hot path calls them.
+  double ref_prep_time(ModelId id, const TrainConfig& cfg, int cores,
+                       const ContentionFactors& contention = {}) const;
+  double ref_gpu_phase_time(ModelId id, const TrainConfig& cfg,
+                            const ContentionFactors& contention = {}) const;
+  double ref_iter_time(ModelId id, const TrainConfig& cfg, int cores,
+                       const ContentionFactors& contention = {}) const;
+  double ref_gpu_utilization(ModelId id, const TrainConfig& cfg, int cores,
+                             const ContentionFactors& contention = {}) const;
+  int ref_saturation_cores(ModelId id, const TrainConfig& cfg,
+                           const ContentionFactors& contention,
+                           int max_cores) const;
+  int ref_optimal_cores(ModelId id, const TrainConfig& cfg, int max_cores = 28,
+                        double tolerance = 0.01) const;
+  double ref_mem_bw_demand_gbps(ModelId id, const TrainConfig& cfg,
+                                int cores) const;
+  double ref_pcie_demand_gbps(ModelId id, const TrainConfig& cfg,
+                              int cores) const;
 
  private:
   // ---- interned per-(model, config) invariants ----
@@ -196,24 +214,8 @@ class TrainPerf {
                             const ContentionFactors& contention,
                             int max_cores) const;
 
-  // ---- reference (unmemoized) arithmetic: the original implementation ----
-  double ref_prep_time(ModelId id, const TrainConfig& cfg, int cores,
-                       const ContentionFactors& contention) const;
-  double ref_gpu_phase_time(ModelId id, const TrainConfig& cfg,
-                            const ContentionFactors& contention) const;
-  double ref_iter_time(ModelId id, const TrainConfig& cfg, int cores,
-                       const ContentionFactors& contention) const;
-  double ref_gpu_utilization(ModelId id, const TrainConfig& cfg, int cores,
-                             const ContentionFactors& contention) const;
-  int ref_saturation_cores(ModelId id, const TrainConfig& cfg,
-                           const ContentionFactors& contention,
-                           int max_cores) const;
-  int ref_optimal_cores(ModelId id, const TrainConfig& cfg, int max_cores,
-                        double tolerance) const;
-
   double batch_ratio(ModelId id, const TrainConfig& cfg) const;
 
-  bool memoize_ = true;
   mutable CacheStats stats_;
   // node-based map: Invariants addresses stay stable across rehashes.
   mutable std::unordered_map<InvKey, std::unique_ptr<Invariants>, InvKeyHash>

@@ -1,32 +1,10 @@
 #include "sched/placement.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "util/assert.h"
 
 namespace coda::sched {
-
-namespace {
-
-bool read_index_enabled_from_env() {
-  const char* v = std::getenv("CODA_NO_PLACEMENT_INDEX");
-  return v == nullptr || v[0] == '\0' || std::string_view(v) == "0";
-}
-
-bool& index_enabled_flag() {
-  static bool enabled = read_index_enabled_from_env();
-  return enabled;
-}
-
-}  // namespace
-
-bool placement_index_enabled() { return index_enabled_flag(); }
-
-void set_placement_index_enabled(bool enabled) {
-  index_enabled_flag() = enabled;
-}
 
 NodeFilter any_node() {
   return [](const cluster::Node&) { return true; };
@@ -67,98 +45,6 @@ struct Candidate {
   }
 };
 
-// Linear-scan search shared by the NodeFilter overload and the index-off
-// fallback; `pred` is any callable over const Node&.
-template <typename Pred>
-std::optional<Placement> find_placement_linear(const cluster::Cluster& cluster,
-                                               const PlacementRequest& request,
-                                               Pred&& pred) {
-  // Single-node requests (every CPU job and most GPU jobs) dominate the
-  // schedulers' probe traffic: pick the best-fit node in one pass with no
-  // candidate buffer at all. The comparator is a strict total order (ties
-  // break on node id), so the running minimum is exactly sort()[0].
-  if (request.nodes == 1) {
-    Candidate best;
-    for (const auto& node : cluster.nodes()) {
-      if (!pred(node) ||
-          !node.can_fit(request.cpus_per_node, request.gpus_per_node)) {
-        continue;
-      }
-      Candidate c{&node, node.free_gpus() - request.gpus_per_node,
-                  node.free_cpus() - request.cpus_per_node};
-      if (best.node == nullptr || c < best) {
-        best = c;
-      }
-    }
-    if (best.node == nullptr) {
-      return std::nullopt;
-    }
-    Placement placement;
-    placement.nodes.push_back(NodePlacement{
-        best.node->id(), request.cpus_per_node, request.gpus_per_node});
-    return placement;
-  }
-  // Multi-node: rank every feasible node, take the best `nodes`. The
-  // scratch buffer is reused across calls (one per runner thread); only the
-  // leading `request.nodes` entries need to be ordered, and partial_sort
-  // selects the same prefix as a full sort under a total order.
-  static thread_local std::vector<Candidate> candidates;
-  candidates.clear();
-  for (const auto& node : cluster.nodes()) {
-    if (!pred(node)) {
-      continue;
-    }
-    if (!node.can_fit(request.cpus_per_node, request.gpus_per_node)) {
-      continue;
-    }
-    candidates.push_back(
-        Candidate{&node, node.free_gpus() - request.gpus_per_node,
-                  node.free_cpus() - request.cpus_per_node});
-  }
-  if (static_cast<int>(candidates.size()) < request.nodes) {
-    return std::nullopt;
-  }
-  std::partial_sort(candidates.begin(),
-                    candidates.begin() + request.nodes, candidates.end());
-  Placement placement;
-  for (int i = 0; i < request.nodes; ++i) {
-    placement.nodes.push_back(NodePlacement{candidates[static_cast<size_t>(i)].node->id(),
-                                            request.cpus_per_node,
-                                            request.gpus_per_node});
-  }
-  return placement;
-}
-
-// Capacity probe shared by the NodeFilter overload and the index-off
-// fallback: how many *disjoint* placements fit, assuming each node can host
-// floor(free/need) copies.
-template <typename Pred>
-int count_feasible_linear(const cluster::Cluster& cluster,
-                          const PlacementRequest& request, Pred&& pred,
-                          int limit) {
-  int total_slots = 0;
-  for (const auto& node : cluster.nodes()) {
-    if (!pred(node)) {
-      continue;
-    }
-    int by_cpu = request.cpus_per_node > 0
-                     ? node.free_cpus() / request.cpus_per_node
-                     : limit;
-    int by_gpu = request.gpus_per_node > 0
-                     ? node.free_gpus() / request.gpus_per_node
-                     : limit;
-    total_slots += std::min(by_cpu, by_gpu);
-    if (total_slots / request.nodes >= limit) {
-      return limit;
-    }
-  }
-  return std::min(limit, total_slots / request.nodes);
-}
-
-bool in_range(const cluster::Node& node, IdRange range) {
-  return node.id() >= range.lo && node.id() < range.hi;
-}
-
 }  // namespace
 
 std::optional<Placement> find_placement(const cluster::Cluster& cluster,
@@ -171,11 +57,6 @@ std::optional<Placement> find_placement(const cluster::Cluster& cluster,
                                         IdRange range) {
   CODA_ASSERT(request.nodes >= 1);
   CODA_ASSERT(request.cpus_per_node >= 1 || request.gpus_per_node >= 1);
-  if (!placement_index_enabled()) {
-    return find_placement_linear(
-        cluster, request,
-        [range](const cluster::Node& node) { return in_range(node, range); });
-  }
   // Bucket probe: the index walks (free_gpus, free_cpus, id) ascending from
   // the request's demand, which is exactly the best-fit preference order, so
   // the first `nodes` feasible ids it yields are the linear scan's answer.
@@ -200,17 +81,33 @@ std::optional<Placement> find_placement(const cluster::Cluster& cluster,
                                         const NodeFilter& filter) {
   CODA_ASSERT(request.nodes >= 1);
   CODA_ASSERT(request.cpus_per_node >= 1 || request.gpus_per_node >= 1);
-  return find_placement_linear(cluster, request, filter);
+  // Rank every feasible node and take the best `nodes`; partial_sort picks
+  // the same prefix as a full sort because the order is total.
+  std::vector<Candidate> candidates;
+  for (const auto& node : cluster.nodes()) {
+    if (filter(node) &&
+        node.can_fit(request.cpus_per_node, request.gpus_per_node)) {
+      candidates.push_back(
+          Candidate{&node, node.free_gpus() - request.gpus_per_node,
+                    node.free_cpus() - request.cpus_per_node});
+    }
+  }
+  if (static_cast<int>(candidates.size()) < request.nodes) {
+    return std::nullopt;
+  }
+  std::partial_sort(candidates.begin(), candidates.begin() + request.nodes,
+                    candidates.end());
+  Placement placement;
+  for (int i = 0; i < request.nodes; ++i) {
+    placement.nodes.push_back(
+        NodePlacement{candidates[static_cast<size_t>(i)].node->id(),
+                      request.cpus_per_node, request.gpus_per_node});
+  }
+  return placement;
 }
 
 int count_feasible(const cluster::Cluster& cluster,
                    const PlacementRequest& request, IdRange range, int limit) {
-  if (!placement_index_enabled()) {
-    return count_feasible_linear(
-        cluster, request,
-        [range](const cluster::Node& node) { return in_range(node, range); },
-        limit);
-  }
   const long long stop =
       static_cast<long long>(limit) * static_cast<long long>(request.nodes);
   const long long total = cluster.placement_index().feasible_slots(
@@ -222,7 +119,25 @@ int count_feasible(const cluster::Cluster& cluster,
 int count_feasible(const cluster::Cluster& cluster,
                    const PlacementRequest& request, const NodeFilter& filter,
                    int limit) {
-  return count_feasible_linear(cluster, request, filter, limit);
+  // How many *disjoint* placements fit, assuming each node can host
+  // floor(free/need) copies.
+  int total_slots = 0;
+  for (const auto& node : cluster.nodes()) {
+    if (!filter(node)) {
+      continue;
+    }
+    int by_cpu = request.cpus_per_node > 0
+                     ? node.free_cpus() / request.cpus_per_node
+                     : limit;
+    int by_gpu = request.gpus_per_node > 0
+                     ? node.free_gpus() / request.gpus_per_node
+                     : limit;
+    total_slots += std::min(by_cpu, by_gpu);
+    if (total_slots / request.nodes >= limit) {
+      return limit;
+    }
+  }
+  return std::min(limit, total_slots / request.nodes);
 }
 
 }  // namespace coda::sched

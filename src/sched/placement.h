@@ -41,35 +41,27 @@ using IdRange = cluster::PlacementIndex::IdRange;
 
 // Finds a best-fit placement over all nodes (or an id range), or nullopt
 // when the cluster cannot host the request right now. Deterministic: ties
-// break on node id. Served from the cluster's placement index unless it is
-// disabled (CODA_NO_PLACEMENT_INDEX=1 or set_placement_index_enabled) —
-// both paths return bit-identical results.
+// break on node id. Served from the cluster's placement index.
 std::optional<Placement> find_placement(const cluster::Cluster& cluster,
                                         const PlacementRequest& request);
 std::optional<Placement> find_placement(const cluster::Cluster& cluster,
                                         const PlacementRequest& request,
                                         IdRange range);
 
-// Arbitrary-predicate variant: always a linear scan (the index cannot
-// answer opaque filters). Kept for callers with genuinely ad-hoc
-// restrictions; the hot scheduler paths use the overloads above.
+// Arbitrary-predicate variant: a linear scan over every node. It is the
+// reference the indexed overload above is tested against (pass a filter
+// for the same id range to get the identical answer).
 std::optional<Placement> find_placement(const cluster::Cluster& cluster,
                                         const PlacementRequest& request,
                                         const NodeFilter& filter);
 
-// Counts how many requests of this shape could start right now (capacity
-// probes used by array rebalancing); stops counting at `limit`. The IdRange
-// overload answers from bucket counts; the NodeFilter overload scans.
+// Counts how many requests of this shape could start right now; stops
+// counting at `limit`. The IdRange overload answers from bucket counts; the
+// NodeFilter overload is its linear-scan reference.
 int count_feasible(const cluster::Cluster& cluster,
                    const PlacementRequest& request, IdRange range, int limit);
 int count_feasible(const cluster::Cluster& cluster,
                    const PlacementRequest& request, const NodeFilter& filter,
                    int limit);
-
-// Runtime switch between the indexed and linear-scan search paths. The
-// index is maintained either way, so toggling is safe at any time; the
-// scale bench uses it to measure both implementations side by side.
-bool placement_index_enabled();
-void set_placement_index_enabled(bool enabled);
 
 }  // namespace coda::sched

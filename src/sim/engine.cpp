@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "sched/placement.h"
 #include "simcore/event_tags.h"
 #include "util/assert.h"
 #include "util/logging.h"
@@ -788,43 +787,26 @@ void ClusterEngine::sample_metrics() {
   double frag_cpu = 0.0;
   double frag_adjacency = 0.0;
   if (auto demand = scheduler_->min_pending_gpu_demand()) {
+    // Adjacency is a pure sum over the (free_gpus < demand) buckets; failed
+    // nodes sit at (0, 0) and count nowhere. The starved side only needs
+    // nodes with free_gpus >= demand.gpus AND free_cpus < demand.cpus —
+    // reclaimable_cpus() is a sum of core counts (never negative), so a node
+    // with free_cpus >= demand.cpus can never satisfy the starvation
+    // predicate — and that candidate set is exactly the eviction-candidate
+    // bucket walk.
+    const auto& index = cluster_.placement_index();
+    const long long adjacency =
+        index.free_gpu_sum_below(demand->gpus_per_node);
     long long cpu_starved = 0;
-    long long adjacency = 0;
-    if (sched::placement_index_enabled()) {
-      // Bucket-count form of the scan below. Adjacency is a pure sum over
-      // the (free_gpus < demand) buckets; failed nodes sit at (0, 0) and are
-      // excluded by both forms. The starved side only needs nodes with
-      // free_gpus >= demand.gpus AND free_cpus < demand.cpus — since
-      // reclaimable_cpus() is a sum of core counts (never negative), a node
-      // with free_cpus >= demand.cpus can never satisfy the starvation
-      // predicate — and that candidate set is exactly the eviction-candidate
-      // bucket walk. Integer sums are order-free, so this matches the full
-      // scan bit for bit.
-      const auto& index = cluster_.placement_index();
-      adjacency = index.free_gpu_sum_below(demand->gpus_per_node);
-      frag_scratch_.clear();
-      index.collect_eviction_candidates(demand->gpus_per_node,
-                                        demand->cpus_per_node, {},
-                                        &frag_scratch_);
-      for (const cluster::NodeId id : frag_scratch_) {
-        const cluster::Node& node = cluster_.node(id);
-        if (node.free_cpus() + scheduler_->reclaimable_cpus(id) <
-            demand->cpus_per_node) {
-          cpu_starved += node.free_gpus();
-        }
-      }
-    } else {
-      for (const auto& node : cluster_.nodes()) {
-        if (node.free_gpus() == 0) {
-          continue;
-        }
-        if (node.free_gpus() < demand->gpus_per_node) {
-          adjacency += node.free_gpus();
-        } else if (node.free_cpus() +
-                       scheduler_->reclaimable_cpus(node.id()) <
-                   demand->cpus_per_node) {
-          cpu_starved += node.free_gpus();
-        }
+    frag_scratch_.clear();
+    index.collect_eviction_candidates(demand->gpus_per_node,
+                                      demand->cpus_per_node, {},
+                                      &frag_scratch_);
+    for (const cluster::NodeId id : frag_scratch_) {
+      const cluster::Node& node = cluster_.node(id);
+      if (node.free_cpus() + scheduler_->reclaimable_cpus(id) <
+          demand->cpus_per_node) {
+        cpu_starved += node.free_gpus();
       }
     }
     frag_cpu = static_cast<double>(cpu_starved) / cluster_.total_gpus();

@@ -142,6 +142,37 @@ TEST(CodaScheduler, CpuJobsBorrowIdleReservedCoresAndGetEvicted) {
   EXPECT_TRUE(rig.engine.cluster().node(0).hosts(1));
 }
 
+TEST(CodaScheduler, EvictionPrepVisitsCandidatesInAscendingIdOrder) {
+  CodaConfig config;
+  config.reserved_cores_per_node = 20;
+  config.reservation_update_period_s = 0.0;
+  Rig rig(5, config);  // four_array = nodes {0,1}, one_array = {2,3,4}
+  // One 28-core CPU job per node, each borrowing 20 reserved cores.
+  for (cluster::JobId id = 1; id <= 5; ++id) {
+    rig.engine.inject(cpu_spec(id, 28, 1e9), 0.0);
+  }
+  rig.engine.run_until(1.0);
+  cluster::JobId on_node2 = 0;
+  for (cluster::JobId id = 1; id <= 5; ++id) {
+    if (rig.engine.cluster().node(2).hosts(id)) {
+      on_node2 = id;
+    }
+  }
+  ASSERT_NE(on_node2, 0u);
+  for (cluster::NodeId node = 0; node < 5; ++node) {
+    ASSERT_EQ(rig.coda.reclaimable_cpus(node), 28);
+  }
+  // Every one-array node is an eviction candidate for a 1-GPU job; the
+  // lowest id goes first, so node 2's borrower is the one aborted and the
+  // GPU job takes its place.
+  rig.engine.inject(gpu_spec(6, ModelId::kVgg16, 1, 1e6), 10.0);
+  rig.engine.run_until(11.0);
+  EXPECT_EQ(rig.coda.preemptions(), 1);
+  EXPECT_EQ(rig.engine.records().at(on_node2).preempt_count, 1);
+  EXPECT_FALSE(rig.engine.cluster().node(2).hosts(on_node2));
+  EXPECT_TRUE(rig.engine.cluster().node(2).hosts(6));
+}
+
 TEST(CodaScheduler, CpuJobsPreferNonReservedCores) {
   CodaConfig config;
   config.reserved_cores_per_node = 20;

@@ -1,8 +1,8 @@
 // Equivalence suite for the hot-path optimizations: the memoized TrainPerf
-// must be bit-for-bit identical to the reference (unmemoized) arithmetic,
-// and the incremental (dirty-set) engine must produce byte-identical
-// experiment reports to the eager reference engine. These tests are the
-// contract that lets the memo/incremental paths stay on by default.
+// must be bit-for-bit identical to its ref_* (unmemoized) arithmetic, and
+// the incremental (dirty-set) engine must produce byte-identical experiment
+// reports to the eager reference engine. These tests are the contract that
+// lets the memo/incremental paths stay on by default.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,12 +34,10 @@ constexpr double kGpuInflations[] = {1.0, 1.01, 1.4};
 TEST(PerfEquivalence, MemoizedMatchesReferenceBitForBit) {
   TrainPerf memo;
   TrainPerf ref;
-  ref.set_memoize(false);
-  ASSERT_TRUE(memo.memoize());
-  ASSERT_FALSE(ref.memoize());
 
   const TrainConfig configs[] = {config_1n1g(), config_1n4g(), config_2n4g()};
   for (ModelId id : kAllModels) {
+    const int batch = model_params(id).default_batch;
     for (const TrainConfig& cfg : configs) {
       for (int cores = 1; cores <= 64; ++cores) {
         for (double pi : kPrepInflations) {
@@ -50,17 +48,18 @@ TEST(PerfEquivalence, MemoizedMatchesReferenceBitForBit) {
                          " pi=" + std::to_string(pi) +
                          " gi=" + std::to_string(gi));
             ASSERT_EQ(bits(memo.prep_time(id, cfg, cores, f)),
-                      bits(ref.prep_time(id, cfg, cores, f)));
+                      bits(ref.ref_prep_time(id, cfg, cores, f)));
             ASSERT_EQ(bits(memo.gpu_phase_time(id, cfg, f)),
-                      bits(ref.gpu_phase_time(id, cfg, f)));
+                      bits(ref.ref_gpu_phase_time(id, cfg, f)));
+            const double ref_iter = ref.ref_iter_time(id, cfg, cores, f);
             ASSERT_EQ(bits(memo.iter_time(id, cfg, cores, f)),
-                      bits(ref.iter_time(id, cfg, cores, f)));
+                      bits(ref_iter));
             ASSERT_EQ(bits(memo.gpu_utilization(id, cfg, cores, f)),
-                      bits(ref.gpu_utilization(id, cfg, cores, f)));
+                      bits(ref.ref_gpu_utilization(id, cfg, cores, f)));
             ASSERT_EQ(bits(memo.throughput(id, cfg, cores, f)),
-                      bits(ref.throughput(id, cfg, cores, f)));
+                      bits(1.0 / ref_iter));
             ASSERT_EQ(bits(memo.samples_per_second(id, cfg, cores, f)),
-                      bits(ref.samples_per_second(id, cfg, cores, f)));
+                      bits(1.0 / ref_iter * batch * cfg.total_gpus()));
           }
         }
       }
@@ -69,13 +68,14 @@ TEST(PerfEquivalence, MemoizedMatchesReferenceBitForBit) {
   // The grid revisits every (model, cfg, cores, factors) point six times
   // (once per probe), so the memo must be doing real work by the end.
   EXPECT_GT(memo.cache_stats().hits, memo.cache_stats().misses);
+  // The reference arithmetic never touches the caches.
   EXPECT_EQ(ref.cache_stats().hits, 0u);
+  EXPECT_EQ(ref.cache_stats().misses, 0u);
 }
 
 TEST(PerfEquivalence, OptimalCoresAndDemandsMatchReference) {
   TrainPerf memo;
   TrainPerf ref;
-  ref.set_memoize(false);
 
   const TrainConfig configs[] = {config_1n1g(), config_1n4g(), config_2n4g()};
   for (ModelId id : kAllModels) {
@@ -83,19 +83,17 @@ TEST(PerfEquivalence, OptimalCoresAndDemandsMatchReference) {
       SCOPED_TRACE(std::string(to_string(id)) + " " + cfg.name());
       for (int max_cores : {4, 28, 64}) {
         EXPECT_EQ(memo.optimal_cores(id, cfg, max_cores),
-                  ref.optimal_cores(id, cfg, max_cores));
+                  ref.ref_optimal_cores(id, cfg, max_cores));
         EXPECT_EQ(memo.optimal_cores(id, cfg, max_cores, 0.05),
-                  ref.optimal_cores(id, cfg, max_cores, 0.05));
+                  ref.ref_optimal_cores(id, cfg, max_cores, 0.05));
       }
       for (int cores = 1; cores <= 64; ++cores) {
         ASSERT_EQ(bits(memo.mem_bw_demand_gbps(id, cfg, cores)),
-                  bits(ref.mem_bw_demand_gbps(id, cfg, cores)))
+                  bits(ref.ref_mem_bw_demand_gbps(id, cfg, cores)))
             << "cores=" << cores;
         ASSERT_EQ(bits(memo.pcie_demand_gbps(id, cfg, cores)),
-                  bits(ref.pcie_demand_gbps(id, cfg, cores)))
+                  bits(ref.ref_pcie_demand_gbps(id, cfg, cores)))
             << "cores=" << cores;
-        ASSERT_EQ(bits(memo.llc_demand_mb(id, cfg)),
-                  bits(ref.llc_demand_mb(id, cfg)));
       }
     }
   }
@@ -118,12 +116,9 @@ TEST(PerfEquivalence, RepeatedCallsHitTheCacheAndStayIdentical) {
   EXPECT_EQ(after_loop.misses, after_first.misses);
   EXPECT_GE(after_loop.hits, after_first.hits + 100);
 
-  // Toggling memoization clears the caches and still returns the same bits.
-  perf.set_memoize(false);
-  EXPECT_EQ(bits(perf.iter_time(ModelId::kResnet50, cfg, 9, f)), bits(first));
-  perf.set_memoize(true);
-  EXPECT_EQ(perf.cache_stats().hits, 0u);
-  EXPECT_EQ(bits(perf.iter_time(ModelId::kResnet50, cfg, 9, f)), bits(first));
+  // The cached bits are the reference arithmetic's bits.
+  EXPECT_EQ(bits(perf.ref_iter_time(ModelId::kResnet50, cfg, 9, f)),
+            bits(first));
 }
 
 TEST(PerfEquivalence, NearIdenticalFactorsDoNotConflate) {
@@ -131,7 +126,6 @@ TEST(PerfEquivalence, NearIdenticalFactorsDoNotConflate) {
   // evaluate independently: equality on the exact bits, never the hash.
   TrainPerf memo;
   TrainPerf ref;
-  ref.set_memoize(false);
   const TrainConfig cfg = config_1n1g();
   const double base = 1.25;
   const double nudged = std::nextafter(base, 2.0);
@@ -139,9 +133,9 @@ TEST(PerfEquivalence, NearIdenticalFactorsDoNotConflate) {
     const ContentionFactors fa{base, 1.0};
     const ContentionFactors fb{nudged, 1.0};
     ASSERT_EQ(bits(memo.iter_time(id, cfg, 7, fa)),
-              bits(ref.iter_time(id, cfg, 7, fa)));
+              bits(ref.ref_iter_time(id, cfg, 7, fa)));
     ASSERT_EQ(bits(memo.iter_time(id, cfg, 7, fb)),
-              bits(ref.iter_time(id, cfg, 7, fb)));
+              bits(ref.ref_iter_time(id, cfg, 7, fb)));
   }
 }
 

@@ -3,11 +3,13 @@
 // Drives a cluster through thousands of random mutations (allocate, resize,
 // release, failure toggles, CPU-bias updates) and checks after every step
 // that the indexed query paths return exactly what the linear scans return:
-// find_placement / count_feasible via the runtime toggle, and the CODA side
-// queries (best_adjusted_fit, best_free_cpu_fit, eviction candidates, the
-// fragmentation bucket sum) against brute-force recomputation from the
-// nodes. The index is pure derived state — any divergence here is a
-// maintenance bug, not a modelling choice.
+// find_placement / count_feasible (IdRange overloads) against their
+// NodeFilter overloads, and the CODA side queries (best_adjusted_fit,
+// best_free_cpu_fit, eviction candidates, the fragmentation bucket sum)
+// against brute-force recomputation from the nodes. The index is pure
+// derived state — any divergence here is a maintenance bug, not a modelling
+// choice. End to end, report digests recorded from the linear-scan
+// schedulers pin whole replays.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include "cluster/cluster.h"
 #include "sched/placement.h"
 #include "sim/experiment.h"
+#include "sim/report_cache.h"
 #include "sim/report_io.h"
 #include "util/rng.h"
 #include "workload/trace_gen.h"
@@ -30,12 +33,6 @@ using cluster::Cluster;
 using cluster::ClusterConfig;
 using cluster::NodeId;
 using cluster::PlacementIndex;
-
-// Restores the global toggle even when an assertion aborts the test body.
-struct IndexToggle {
-  explicit IndexToggle(bool enabled) { sched::set_placement_index_enabled(enabled); }
-  ~IndexToggle() { sched::set_placement_index_enabled(true); }
-};
 
 ClusterConfig mixed_cluster() {
   ClusterConfig cfg;
@@ -104,10 +101,12 @@ NodeId brute_best_free_cpu_fit(const Cluster& cluster, int cpus) {
 }
 
 std::vector<NodeId> brute_eviction_candidates(const Cluster& cluster,
-                                              int gpus, int cpus_below) {
+                                              int gpus, int cpus_below,
+                                              PlacementIndex::IdRange range) {
   std::vector<NodeId> out;
   for (const auto& node : cluster.nodes()) {
-    if (node.free_gpus() >= gpus && node.free_cpus() < cpus_below) {
+    if (node.id() >= range.lo && node.id() < range.hi &&
+        node.free_gpus() >= gpus && node.free_cpus() < cpus_below) {
       out.push_back(node.id());
     }
   }
@@ -194,25 +193,17 @@ TEST(PlacementIndexProperty, RandomWalkMatchesLinearScan) {
     }
     const int limit = static_cast<int>(rng.uniform_int(1, 12));
 
-    std::optional<sched::Placement> indexed;
-    std::optional<sched::Placement> scanned;
-    int indexed_count = 0;
-    int scanned_count = 0;
-    {
-      IndexToggle on(true);
-      indexed = sched::find_placement(cluster, req, range);
-      indexed_count = sched::count_feasible(cluster, req, range, limit);
-    }
-    {
-      IndexToggle off(false);
-      scanned = sched::find_placement(cluster, req, range);
-      scanned_count = sched::count_feasible(cluster, req, range, limit);
-    }
-    ASSERT_TRUE(placements_equal(indexed, scanned))
+    const sched::NodeFilter in_range = [range](const cluster::Node& node) {
+      return node.id() >= range.lo && node.id() < range.hi;
+    };
+    ASSERT_TRUE(placements_equal(sched::find_placement(cluster, req, range),
+                                 sched::find_placement(cluster, req, in_range)))
         << "step " << step << " req={" << req.nodes << ","
         << req.gpus_per_node << "," << req.cpus_per_node << "} range=["
         << range.lo << "," << range.hi << ")";
-    ASSERT_EQ(indexed_count, scanned_count) << "step " << step;
+    ASSERT_EQ(sched::count_feasible(cluster, req, range, limit),
+              sched::count_feasible(cluster, req, in_range, limit))
+        << "step " << step;
 
     // --- CODA side queries vs brute force -------------------------------
     const PlacementIndex& index = cluster.placement_index();
@@ -225,10 +216,11 @@ TEST(PlacementIndexProperty, RandomWalkMatchesLinearScan) {
     const int eg = static_cast<int>(rng.uniform_int(1, 4));
     const int ec = static_cast<int>(rng.uniform_int(0, 8));
     std::vector<NodeId> candidates;
-    index.collect_eviction_candidates(eg, ec, {}, &candidates);
+    index.collect_eviction_candidates(eg, ec, range, &candidates);
     std::sort(candidates.begin(), candidates.end());
-    ASSERT_EQ(candidates, brute_eviction_candidates(cluster, eg, ec))
-        << "step " << step << " eg=" << eg << " ec=" << ec;
+    ASSERT_EQ(candidates, brute_eviction_candidates(cluster, eg, ec, range))
+        << "step " << step << " eg=" << eg << " ec=" << ec << " range=["
+        << range.lo << "," << range.hi << ")";
     ASSERT_EQ(index.free_gpu_sum_below(eg),
               brute_free_gpu_sum_below(cluster, eg))
         << "step " << step << " eg=" << eg;
@@ -259,30 +251,53 @@ TEST(PlacementIndexProperty, GenerationAdvancesOnObservableChanges) {
   EXPECT_GT(index.generation(), g2);
 }
 
-// The same contract end to end at scale: on 10k nodes, where the index and
-// the occupied-node screens carry the hot path, a CODA replay serializes to
-// the same report bytes with the index on and off.
-TEST(PlacementIndexProperty, TenThousandNodeReportMatchesLinearScan) {
-  const workload::TraceConfig tc = workload::scale_profile(
-      10000, /*gpu_jobs=*/300, /*cpu_jobs=*/450, /*duration_s=*/1800.0);
-  const auto trace = workload::TraceGenerator(tc).generate();
-  sim::ExperimentConfig config;
-  config.engine.cluster.node_count = 10000;
-  config.horizon_s = 1800.0;
-
-  std::string indexed;
-  std::string scanned;
-  {
-    IndexToggle on(true);
-    indexed = sim::serialize_report(
-        sim::run_experiment(sim::Policy::kCoda, trace, config));
+// The same contract end to end. Each digest is
+// CacheKeyHasher::mix(serialize_report(r)).hex() of one replay, recorded
+// from the linear-scan schedulers before the index became the only
+// placement path, and identical with the index on. The rows: a 10k-node
+// half hour; the two bench_scale --fast traces; and a contended 80-node day,
+// the only row whose digests change (under all three policies) when the
+// fragmentation gauge sums the wrong buckets.
+TEST(PlacementIndexProperty, ReportDigestsMatchLinearScan) {
+  struct Row {
+    const char* name;
+    workload::TraceConfig trace;
+    int nodes;
+    double horizon_s;
+    const char* digests[3];  // FIFO, DRF, CODA
+  };
+  workload::TraceConfig day = sim::standard_week_trace();
+  day.duration_s = 86400.0;
+  day.cpu_jobs /= 7;
+  day.gpu_jobs /= 7;
+  const Row rows[] = {
+      {"10k half-hour", workload::scale_profile(10000, 300, 450, 1800.0),
+       10000, 1800.0,
+       {"397ab03f0d0cda44", "746dcbb121938b85", "a16463da50a0ead0"}},
+      {"2k smoke", workload::scale_profile(2000, 600, 900, 4.0 * 3600.0),
+       2000, 4.0 * 3600.0,
+       {"6a63651e0f8b4f30", "eba983ba2613fb43", "a07012cbf11f40ba"}},
+      {"10k smoke", workload::scale_profile(10000, 1200, 1800, 2.0 * 3600.0),
+       10000, 2.0 * 3600.0,
+       {"065b6e3831c3ee35", "1188a30a05b5d5e2", "448182775e42ebaf"}},
+      {"80-node day", day, 80, 86400.0,
+       {"089621940404dd6d", "d82ae56ee83d3b44", "c5101b526c2311de"}},
+  };
+  const sim::Policy policies[] = {sim::Policy::kFifo, sim::Policy::kDrf,
+                                  sim::Policy::kCoda};
+  for (const Row& row : rows) {
+    const auto trace = workload::TraceGenerator(row.trace).generate();
+    sim::ExperimentConfig config;
+    config.engine.cluster.node_count = row.nodes;
+    config.horizon_s = row.horizon_s;
+    for (int i = 0; i < 3; ++i) {
+      SCOPED_TRACE(std::string(row.name) + " " + sim::to_string(policies[i]));
+      sim::CacheKeyHasher digest;
+      digest.mix(sim::serialize_report(
+          sim::run_experiment(policies[i], trace, config)));
+      EXPECT_EQ(digest.hex(), row.digests[i]);
+    }
   }
-  {
-    IndexToggle off(false);
-    scanned = sim::serialize_report(
-        sim::run_experiment(sim::Policy::kCoda, trace, config));
-  }
-  EXPECT_EQ(indexed, scanned);
 }
 
 }  // namespace
