@@ -15,13 +15,31 @@
 #include "util/strings.h"
 #include "util/table.h"
 #include "sim/report_io.h"
+#include "util/parse.h"
 #include "workload/trace_io.h"
 
 using namespace coda;
 
+namespace {
+
+[[noreturn]] void bad_arg(const char* name, const util::Error& error) {
+  std::fprintf(stderr, "usage: cluster_replay [days] [seed] [trace.csv]\n"
+                       "%s: %s\n", name, error.message.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const double days = argc > 1 ? std::atof(argv[1]) : 2.0;
-  const uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
+  // Below ~15 minutes the generated trace is too thin to replay.
+  const auto days = util::parse_strict_double(argc > 1 ? argv[1] : "2", 0.01);
+  if (!days.ok()) {
+    bad_arg("days", days.error());
+  }
+  const auto seed = util::parse_strict_u64(argc > 2 ? argv[2] : "42");
+  if (!seed.ok()) {
+    bad_arg("seed", seed.error());
+  }
 
   std::vector<workload::JobSpec> trace;
   if (argc > 3) {
@@ -34,16 +52,15 @@ int main(int argc, char** argv) {
     trace = std::move(loaded).value();
     std::printf("loaded %zu jobs from %s\n", trace.size(), argv[3]);
   } else {
-    auto cfg = sim::standard_week_trace(seed);
-    cfg.duration_s = days * 86400.0;
-    cfg.cpu_jobs = static_cast<int>(2500 * days);
-    cfg.gpu_jobs = static_cast<int>(1250 * days);
+    auto cfg = sim::standard_week_trace(*seed);
+    cfg.duration_s = *days * 86400.0;
+    cfg.cpu_jobs = static_cast<int>(2500 * *days);
+    cfg.gpu_jobs = static_cast<int>(1250 * *days);
     trace = workload::TraceGenerator(cfg).generate();
     const std::string path = "cluster_replay_trace.csv";
     if (workload::save_trace(path, trace).ok()) {
       std::printf("generated %zu jobs (%.1f days, seed %llu) -> %s\n",
-                  trace.size(), days,
-                  static_cast<unsigned long long>(seed), path.c_str());
+                  trace.size(), *days, *seed, path.c_str());
     }
   }
 

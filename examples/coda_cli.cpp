@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -227,7 +228,8 @@ int cmd_sweep(const std::map<std::string, std::string>& flags) {
                     "gpu jobs no-queue", "completed"});
   for (const auto& nodes_str :
        util::split(flag_or(flags, "nodes", "40,60,80,100"), ',')) {
-    auto nodes = util::parse_strict_int(nodes_str, 1);
+    auto nodes = util::parse_strict_int(nodes_str, 1,
+                                        std::numeric_limits<int>::max());
     if (!nodes.ok()) {
       examples::flag_die("nodes", nodes_str, nodes.error().message);
     }

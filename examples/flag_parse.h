@@ -4,9 +4,9 @@
 // The old pattern — std::atoi / std::atof on flag values — turned typos
 // into silent behavior changes: `--speedup fast` became 0 (as-fast-as-
 // possible mode) and `--port abc` bound an ephemeral port. These helpers
-// demand the whole value parse (endptr + ERANGE, via util::parse_strict_*)
-// and exit(2) naming the flag and the rejected value otherwise — the same
-// discipline trace_io and util::env already apply.
+// demand the whole value parse (util::parse_strict_*, util/parse.h) and
+// exit(2) naming the flag and the rejected value otherwise — the same core
+// trace_io, the journal and util::env parse through.
 #pragma once
 
 #include <cstdio>
@@ -16,7 +16,7 @@
 #include <map>
 #include <string>
 
-#include "util/env.h"
+#include "util/parse.h"
 
 namespace coda::examples {
 
@@ -64,12 +64,10 @@ inline int flag_int(const FlagMap& flags, const std::string& key,
   if (it == flags.end()) {
     return fallback;
   }
-  auto parsed = util::parse_strict_int(it->second, min_value);
+  auto parsed = util::parse_strict_int(it->second, min_value,
+                                       std::numeric_limits<int>::max());
   if (!parsed.ok()) {
     flag_die(key, it->second, parsed.error().message);
-  }
-  if (*parsed > std::numeric_limits<int>::max()) {
-    flag_die(key, it->second, "does not fit an int");
   }
   return static_cast<int>(*parsed);
 }

@@ -10,6 +10,8 @@
 #include <sstream>
 #include <utility>
 
+#include "state/serde.h"
+#include "util/parse.h"
 #include "util/strings.h"
 #include "workload/trace_io.h"
 
@@ -20,79 +22,6 @@ namespace {
 constexpr const char* kMagic = "CODA_JOURNAL";
 constexpr const char* kVersionV1 = "v1";
 constexpr const char* kVersionV2 = "v2";
-
-// Every ExperimentConfig field outside the nine legacy header keys, as
-// `config.<name>` lines. This X-macro is the single source of truth for
-// the v2 config block: the writer and the parser both expand it, so the
-// two can never enumerate different field sets. When a config struct
-// grows a field, add it here AND to experiment_cache_key in
-// sim/report_cache.cpp — tests/config_coverage_test.cpp's sizeof
-// tripwires fail the build until both are updated.
-//
-// X(key, member) where `member` is a path inside sim::ExperimentConfig;
-// the member's type picks the wire encoding (hexfloat double, int,
-// 0/1 bool, u64, or the allocator SearchMode enum integer).
-#define CODA_JOURNAL_V2_FIELDS(X)                                            \
-  X("config.cluster.node.cores", engine.cluster.node.cores)                  \
-  X("config.cluster.node.gpus", engine.cluster.node.gpus)                    \
-  X("config.cluster.node.mem_bw_gbps", engine.cluster.node.mem_bw_gbps)     \
-  X("config.cluster.node.pcie_gbps", engine.cluster.node.pcie_gbps)         \
-  X("config.cluster.node.llc_mb", engine.cluster.node.llc_mb)               \
-  X("config.cluster.node.mba_capable", engine.cluster.node.mba_capable)     \
-  X("config.cluster.mba_fraction", engine.cluster.mba_fraction)             \
-  X("config.cluster.cpu_only_nodes", engine.cluster.cpu_only_node_count)    \
-  X("config.cluster.cpu_only_node.cores", engine.cluster.cpu_only_node.cores) \
-  X("config.cluster.cpu_only_node.gpus", engine.cluster.cpu_only_node.gpus) \
-  X("config.cluster.cpu_only_node.mem_bw_gbps",                             \
-    engine.cluster.cpu_only_node.mem_bw_gbps)                               \
-  X("config.cluster.cpu_only_node.pcie_gbps",                               \
-    engine.cluster.cpu_only_node.pcie_gbps)                                 \
-  X("config.cluster.cpu_only_node.llc_mb",                                  \
-    engine.cluster.cpu_only_node.llc_mb)                                    \
-  X("config.cluster.cpu_only_node.mba_capable",                             \
-    engine.cluster.cpu_only_node.mba_capable)                               \
-  X("config.engine.record_events", engine.record_events)                    \
-  X("config.engine.incremental_recompute", engine.incremental_recompute)    \
-  X("config.retry.enabled", retry.enabled)                                  \
-  X("config.retry.backoff_base_s", retry.backoff_base_s)                    \
-  X("config.retry.backoff_max_s", retry.backoff_max_s)                      \
-  X("config.retry.max_retries", retry.max_retries)                          \
-  X("config.failures.node_mtbf_s", failures.node_mtbf_s)                    \
-  X("config.failures.outage_s", failures.outage_s)                          \
-  X("config.failures.seed", failures.seed)                                  \
-  X("config.coda.allocator.search_mode", coda.allocator.search_mode)        \
-  X("config.coda.allocator.profile_step_s", coda.allocator.profile_step_s)  \
-  X("config.coda.allocator.max_profile_steps",                              \
-    coda.allocator.max_profile_steps)                                       \
-  X("config.coda.allocator.improvement_eps",                                \
-    coda.allocator.improvement_eps)                                         \
-  X("config.coda.allocator.plateau_util", coda.allocator.plateau_util)      \
-  X("config.coda.allocator.min_cores", coda.allocator.min_cores)            \
-  X("config.coda.allocator.max_cores", coda.allocator.max_cores)            \
-  X("config.coda.eliminator.enabled", coda.eliminator.enabled)              \
-  X("config.coda.eliminator.check_period_s", coda.eliminator.check_period_s) \
-  X("config.coda.eliminator.bw_threshold", coda.eliminator.bw_threshold)    \
-  X("config.coda.eliminator.util_drop_tolerance",                           \
-    coda.eliminator.util_drop_tolerance)                                    \
-  X("config.coda.eliminator.mba_throttle_factor",                           \
-    coda.eliminator.mba_throttle_factor)                                    \
-  X("config.coda.eliminator.release_when_calm",                             \
-    coda.eliminator.release_when_calm)                                      \
-  X("config.coda.eliminator.release_threshold",                             \
-    coda.eliminator.release_threshold)                                      \
-  X("config.coda.reserved_cores_per_node", coda.reserved_cores_per_node)    \
-  X("config.coda.four_gpu_node_fraction", coda.four_gpu_node_fraction)      \
-  X("config.coda.reservation_update_period_s",                              \
-    coda.reservation_update_period_s)                                       \
-  X("config.coda.multi_array_enabled", coda.multi_array_enabled)            \
-  X("config.coda.cpu_preemption_enabled", coda.cpu_preemption_enabled)      \
-  X("config.coda.static_bw_cap_gbps", coda.static_bw_cap_gbps)
-
-constexpr size_t kV2FieldCount = 0
-#define CODA_COUNT_FIELD(key, member) +1
-    CODA_JOURNAL_V2_FIELDS(CODA_COUNT_FIELD)
-#undef CODA_COUNT_FIELD
-    ;
 
 util::Error io_error(const std::string& path, const char* what) {
   return util::Error{util::ErrorCode::kIoError,
@@ -116,166 +45,104 @@ void split_key(const std::string& line, std::string* key, std::string* rest) {
   }
 }
 
-util::Result<double> parse_hexfloat(const std::string& s) {
-  if (s.empty()) {
-    return parse_error("empty number");
-  }
-  // Same endptr/ERANGE discipline as workload/trace_io: errno must be
-  // cleared first (strtod only sets it), and an out-of-range value is an
-  // error — "1e999" parsing as HUGE_VAL would silently replay a different
-  // session instead of failing loudly.
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) {
-    return parse_error("'" + s + "' is not a number");
-  }
-  if (errno == ERANGE) {
-    return parse_error("'" + s + "' is out of range");
-  }
-  return v;
-}
-
-util::Result<long long> parse_ll(const std::string& s) {
-  if (s.empty()) {
-    return parse_error("empty integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || errno == ERANGE) {
-    return parse_error("'" + s + "' is not an integer");
-  }
-  return v;
-}
-
-// Full-u64-range parser: noise_seed and job ids are written with %llu, so
-// values >= 2^63 must round-trip (strtoll would reject them with ERANGE).
-util::Result<unsigned long long> parse_ull(const std::string& s) {
-  // strtoull silently wraps negative input, so reject it up front.
-  if (s.empty() || s[0] == '-') {
-    return parse_error("'" + s + "' is not an unsigned integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || errno == ERANGE) {
-    return parse_error("'" + s + "' is not an unsigned integer");
-  }
-  return v;
-}
-
-util::Result<sim::Policy> policy_from_string(const std::string& name) {
+util::Status parse_policy(const std::string& name, sim::Policy* out) {
   for (sim::Policy p :
        {sim::Policy::kFifo, sim::Policy::kDrf, sim::Policy::kCoda}) {
     if (name == sim::to_string(p)) {
-      return p;
+      *out = p;
+      return util::Status::Ok();
     }
   }
   return parse_error("unknown policy '" + name + "'");
 }
 
-// ---- config.* wire encoding, one overload pair per member type ----
+// ---- header values, one overload per config member type ----
 
-std::string format_value(double v) { return util::strfmt("%a", v); }
-std::string format_value(int v) { return util::strfmt("%d", v); }
-std::string format_value(bool v) { return v ? "1" : "0"; }
-std::string format_value(uint64_t v) {
-  return util::strfmt("%llu", static_cast<unsigned long long>(v));
-}
-std::string format_value(core::SearchMode v) {
-  return format_value(static_cast<int>(v));
-}
-
-util::Status assign_value(const std::string& key, const std::string& s,
-                          double* out) {
-  auto v = parse_hexfloat(s);
-  if (!v.ok()) {
-    return parse_error("bad value for '" + key + "': " +
-                       v.error().message);
+template <typename T, typename Parsed>
+util::Status assign(util::Result<Parsed> parsed, T* out) {
+  if (!parsed.ok()) {
+    return parsed.error();
   }
-  *out = *v;
+  *out = static_cast<T>(*parsed);
   return util::Status::Ok();
 }
 
-util::Status assign_value(const std::string& key, const std::string& s,
-                          int* out) {
-  auto v = parse_ll(s);
-  if (!v.ok() || *v < std::numeric_limits<int>::min() ||
-      *v > std::numeric_limits<int>::max()) {
-    return parse_error("bad value for '" + key + "': '" + s +
-                       "' is not an int");
+util::Status parse_value(const std::string& s, double* out) {
+  return assign(util::parse_strict_double(
+                    s, -std::numeric_limits<double>::infinity()),
+                out);
+}
+
+util::Status parse_value(const std::string& s, int* out) {
+  return assign(util::parse_strict_int(s, std::numeric_limits<int>::min(),
+                                       std::numeric_limits<int>::max()),
+                out);
+}
+
+util::Status parse_value(const std::string& s, uint64_t* out) {
+  return assign(util::parse_strict_u64(s), out);
+}
+
+util::Status parse_value(const std::string& s, bool* out) {
+  if (s != "0" && s != "1") {
+    return util::Error{util::ErrorCode::kParseError,
+                       "'" + s + "' is not 0 or 1"};
   }
-  *out = static_cast<int>(*v);
+  *out = s == "1";
   return util::Status::Ok();
 }
 
-util::Status assign_value(const std::string& key, const std::string& s,
-                          bool* out) {
-  if (s == "0") {
-    *out = false;
-  } else if (s == "1") {
-    *out = true;
-  } else {
-    return parse_error("bad value for '" + key + "': '" + s +
-                       "' is not 0 or 1");
-  }
-  return util::Status::Ok();
+util::Status parse_value(const std::string& s, core::SearchMode* out) {
+  return assign(
+      util::parse_strict_int(s, static_cast<int>(core::SearchMode::kHillClimb),
+                             static_cast<int>(core::SearchMode::kOneShot)),
+      out);
 }
 
-util::Status assign_value(const std::string& key, const std::string& s,
-                          uint64_t* out) {
-  auto v = parse_ull(s);
-  if (!v.ok()) {
-    return parse_error("bad value for '" + key + "': " +
-                       v.error().message);
+// Parses one header line into `session`: policy, speedup, or a field of
+// the CODA_EXPERIMENT_CONFIG_FIELDS table (its `config.` rows only in a v2
+// header).
+util::Status parse_header_field(const std::string& key,
+                                const std::string& value, bool is_v2,
+                                SessionSpec* session) {
+  if (key == "policy") {
+    return parse_policy(value, &session->policy);
   }
-  *out = static_cast<uint64_t>(*v);
-  return util::Status::Ok();
-}
-
-util::Status assign_value(const std::string& key, const std::string& s,
-                          core::SearchMode* out) {
-  int raw = 0;
-  if (auto status = assign_value(key, s, &raw); !status.ok()) {
-    return status;
+  util::Status status;
+  if (key == "speedup") {
+    status = parse_value(value, &session->speedup);
   }
-  if (raw < static_cast<int>(core::SearchMode::kHillClimb) ||
-      raw > static_cast<int>(core::SearchMode::kOneShot)) {
-    return parse_error("bad value for '" + key + "': search mode " + s +
-                       " out of range");
+#define CODA_PARSE_FIELD(wire_key, member)                  \
+  else if (key == wire_key) {                               \
+    status = parse_value(value, &session->config.member);   \
   }
-  *out = static_cast<core::SearchMode>(raw);
-  return util::Status::Ok();
-}
-
-// Dispatches one `config.<name> <value>` line into the ExperimentConfig.
-// `seen` records which listed fields the header provided so the caller can
-// reject a v2 header that omits any (or repeats one).
-util::Status parse_config_field(const std::string& key,
-                                const std::string& rest,
-                                sim::ExperimentConfig* cfg,
-                                std::set<std::string>* seen) {
-#define CODA_PARSE_FIELD(wire_key, member)                   \
-  if (key == wire_key) {                                     \
-    if (!seen->insert(key).second) {                         \
-      return parse_error("duplicate config key '" + key + "'"); \
-    }                                                        \
-    return assign_value(key, rest, &cfg->member);            \
+#define CODA_PARSE_V2_FIELD(wire_key, member)               \
+  else if (is_v2 && key == wire_key) {                      \
+    status = parse_value(value, &session->config.member);   \
   }
-  CODA_JOURNAL_V2_FIELDS(CODA_PARSE_FIELD)
+  CODA_EXPERIMENT_CONFIG_FIELDS(CODA_PARSE_FIELD, CODA_PARSE_V2_FIELD)
+#undef CODA_PARSE_V2_FIELD
 #undef CODA_PARSE_FIELD
-  return parse_error("unknown config key '" + key + "'");
+  else {
+    return parse_error("unknown config key '" + key + "'");
+  }
+  if (!status.ok()) {
+    return parse_error("bad value for '" + key + "': " +
+                       status.error().message);
+  }
+  return status;
 }
 
-// The first listed field `seen` is missing, for the error message.
-std::string first_missing_config_field(const std::set<std::string>& seen) {
-#define CODA_CHECK_FIELD(wire_key, member)   \
-  if (seen.count(wire_key) == 0) {           \
-    return wire_key;                         \
+// The first `config.` field `seen` lacks; empty when the block is complete.
+std::string first_missing_v2_field(const std::set<std::string>& seen) {
+#define CODA_SKIP_FIELD(wire_key, member)
+#define CODA_CHECK_FIELD(wire_key, member) \
+  if (seen.count(wire_key) == 0) {         \
+    return wire_key;                       \
   }
-  CODA_JOURNAL_V2_FIELDS(CODA_CHECK_FIELD)
+  CODA_EXPERIMENT_CONFIG_FIELDS(CODA_SKIP_FIELD, CODA_CHECK_FIELD)
 #undef CODA_CHECK_FIELD
+#undef CODA_SKIP_FIELD
   return std::string();
 }
 
@@ -306,28 +173,20 @@ void JournalWriter::close() {
 }
 
 std::string serialize_session_header(const SessionSpec& session) {
-  const auto& eng = session.config.engine;
-  std::string header;
-  header += util::strfmt("%s %s\n", kMagic, kVersionV2);
-  header += util::strfmt("policy %s\n", sim::to_string(session.policy));
-  header += util::strfmt("nodes %d\n", eng.cluster.node_count);
-  header += util::strfmt("metrics_period %a\n", eng.metrics_period_s);
-  header += util::strfmt("frag_min_cpus %d\n", eng.frag_min_cpus);
-  header += util::strfmt("noise_stddev %a\n", eng.util_noise_stddev);
-  header += util::strfmt("noise_seed %llu\n",
-                         static_cast<unsigned long long>(eng.noise_seed));
-  header += util::strfmt("horizon %a\n", session.config.horizon_s);
-  header += util::strfmt("drain_slack %a\n", session.config.drain_slack_s);
-  header += util::strfmt("speedup %a\n", session.speedup);
-#define CODA_WRITE_FIELD(wire_key, member)                              \
-  header += wire_key " " +                                              \
-            format_value(session.config.member) + "\n";
-  CODA_JOURNAL_V2_FIELDS(CODA_WRITE_FIELD)
+  state::Writer w;
+  w.line(kMagic, kVersionV2);
+  w.line("policy", sim::to_string(session.policy));
+#define CODA_WRITE_FIELD(wire_key, member) \
+  w.line(wire_key, session.config.member);
+#define CODA_SKIP_FIELD(wire_key, member)
+  CODA_EXPERIMENT_CONFIG_FIELDS(CODA_WRITE_FIELD, CODA_SKIP_FIELD)
+  w.line("speedup", session.speedup);
+  CODA_EXPERIMENT_CONFIG_FIELDS(CODA_SKIP_FIELD, CODA_WRITE_FIELD)
+#undef CODA_SKIP_FIELD
 #undef CODA_WRITE_FIELD
-  header += util::strfmt("base_trace_bytes %zu\n",
-                         session.base_trace_csv.size());
-  header += session.base_trace_csv;
-  return header;
+  w.line("base_trace_bytes", session.base_trace_csv.size());
+  w.raw(session.base_trace_csv);
+  return w.take();
 }
 
 util::Result<JournalWriter> JournalWriter::open(const std::string& path,
@@ -440,8 +299,7 @@ util::Result<JournalSession> parse_journal(const std::string& text) {
 
   // ---- header key/value lines, terminated by base_trace_bytes ----
   auto& cfg = out.session.config;
-  bool saw_horizon = false;
-  std::set<std::string> seen_config;
+  std::set<std::string> seen;
   while (true) {
     auto line = next_line();
     if (!line.ok()) {
@@ -450,94 +308,41 @@ util::Result<JournalSession> parse_journal(const std::string& text) {
     std::string key;
     std::string rest;
     split_key(*line, &key, &rest);
-    if (key == "policy") {
-      auto p = policy_from_string(rest);
-      if (!p.ok()) {
-        return p.error();
-      }
-      out.session.policy = *p;
-    } else if (key == "nodes") {
-      auto v = parse_ll(rest);
-      if (!v.ok()) {
-        return v.error();
-      }
-      cfg.engine.cluster.node_count = static_cast<int>(*v);
-    } else if (key == "metrics_period") {
-      auto v = parse_hexfloat(rest);
-      if (!v.ok()) {
-        return v.error();
-      }
-      cfg.engine.metrics_period_s = *v;
-    } else if (key == "frag_min_cpus") {
-      auto v = parse_ll(rest);
-      if (!v.ok()) {
-        return v.error();
-      }
-      cfg.engine.frag_min_cpus = static_cast<int>(*v);
-    } else if (key == "noise_stddev") {
-      auto v = parse_hexfloat(rest);
-      if (!v.ok()) {
-        return v.error();
-      }
-      cfg.engine.util_noise_stddev = *v;
-    } else if (key == "noise_seed") {
-      auto v = parse_ull(rest);
-      if (!v.ok()) {
-        return v.error();
-      }
-      cfg.engine.noise_seed = static_cast<uint64_t>(*v);
-    } else if (key == "horizon") {
-      auto v = parse_hexfloat(rest);
-      if (!v.ok()) {
-        return v.error();
-      }
-      cfg.horizon_s = *v;
-      saw_horizon = true;
-    } else if (key == "drain_slack") {
-      auto v = parse_hexfloat(rest);
-      if (!v.ok()) {
-        return v.error();
-      }
-      cfg.drain_slack_s = *v;
-    } else if (key == "speedup") {
-      auto v = parse_hexfloat(rest);
-      if (!v.ok()) {
-        return v.error();
-      }
-      out.session.speedup = *v;
-    } else if (is_v2 && key.compare(0, 7, "config.") == 0) {
-      if (auto status = parse_config_field(key, rest, &cfg, &seen_config);
-          !status.ok()) {
-        return status.error();
-      }
-    } else if (key == "base_trace_bytes") {
+    if (key == "base_trace_bytes") {
       // A v2 header must provide every listed config field: a journal from
-      // a *newer* writer would fail above on its unknown key, and one with
+      // a *newer* writer would fail below on its unknown key, and one with
       // fields stripped (truncation, hand edits) must not silently replay
       // under defaults.
-      if (is_v2 && seen_config.size() != kV2FieldCount) {
-        return parse_error(util::strfmt(
-            "v2 header has %zu of %zu config fields (first missing: %s)",
-            seen_config.size(), kV2FieldCount,
-            first_missing_config_field(seen_config).c_str()));
+      if (is_v2) {
+        if (const std::string missing = first_missing_v2_field(seen);
+            !missing.empty()) {
+          return parse_error("v2 header lacks config field " + missing);
+        }
       }
-      auto v = parse_ll(rest);
-      if (!v.ok()) {
-        return v.error();
+      auto n = util::parse_strict_u64(rest);
+      if (!n.ok()) {
+        return parse_error("bad base_trace_bytes: " + n.error().message);
       }
-      const size_t n = static_cast<size_t>(*v);
-      if (pos + n > text.size()) {
+      if (*n > text.size() - pos) {
         return parse_error("truncated base trace");
       }
-      out.session.base_trace_csv = text.substr(pos, n);
-      pos += n;
+      out.session.base_trace_csv = text.substr(pos, *n);
+      pos += *n;
       break;  // entries follow
-    } else {
-      return parse_error("unknown header key '" + key + "'");
+    }
+    if (!seen.insert(key).second) {
+      return parse_error("duplicate header key '" + key + "'");
+    }
+    if (auto status = parse_header_field(key, rest, is_v2, &out.session);
+        !status.ok()) {
+      return status.error();
     }
   }
-  if (!saw_horizon || cfg.horizon_s <= 0.0) {
+  if (seen.count("horizon") == 0 || cfg.horizon_s <= 0.0) {
     return parse_error("missing or non-positive horizon");
+  }
+  if (auto status = sim::validate_config(cfg); !status.ok()) {
+    return status.error();
   }
 
   // ---- entries ----
@@ -561,13 +366,14 @@ util::Result<JournalSession> parse_journal(const std::string& text) {
     std::string id_str;
     std::string row;
     split_key(after_vt, &id_str, &row);
-    auto vt = parse_hexfloat(vt_str);
+    auto vt = util::parse_strict_double(
+        vt_str, -std::numeric_limits<double>::infinity());
     if (!vt.ok()) {
-      return vt.error();
+      return parse_error(vt.error().message);
     }
-    auto id = parse_ull(id_str);
+    auto id = util::parse_strict_u64(id_str);
     if (!id.ok()) {
-      return id.error();
+      return parse_error(id.error().message);
     }
     if (row.empty()) {
       return parse_error("malformed submission entry");

@@ -27,13 +27,16 @@
 // CPU-only nodes and the MBA fraction), record_events /
 // incremental_recompute, sched::RetryPolicy, sim::FailureConfig and every
 // core::CodaConfig / AllocatorConfig / EliminatorConfig knob. Doubles are
-// hexfloats, bools are 0/1, the allocator search mode is its enum integer.
-// The single source of truth for the block is the CODA_JOURNAL_V2_FIELDS
-// X-macro in journal.cpp: writer and parser expand the same list, the v2
-// parser rejects unknown `config.*` keys AND headers missing any listed
-// field, and tests/config_coverage_test.cpp trips at compile time when a
-// config struct grows a field the list (or the report cache key) doesn't
-// enumerate — a knob can never be dropped silently again.
+// hexfloats, bools are 0/1, the allocator search mode is its enum integer
+// (the header is written through state::serde's Writer). The single
+// source of truth for the seven legacy config keys and the block is the
+// CODA_EXPERIMENT_CONFIG_FIELDS table in sim/experiment.h: writer, parser
+// and the report cache key all expand it, the v2 parser rejects unknown
+// and repeated keys AND headers missing any `config.` field, and
+// tests/config_coverage_test.cpp trips at compile time when a config
+// struct grows a field — a knob can never be dropped silently again. A
+// header that parses must also pass sim::validate_config, so a config the
+// engine would abort on is a parse error.
 //
 // Three invariants make replay exact:
 //  1. Text is the source of truth. The daemon parses the base trace and

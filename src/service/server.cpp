@@ -233,6 +233,10 @@ util::Status Server::start() {
     return util::Error{util::ErrorCode::kInvalidArgument,
                        "session horizon must be resolved (> 0)"};
   }
+  if (auto status = sim::validate_config(config_.session.config);
+      !status.ok()) {
+    return status;
+  }
   if (config_.limits.shards < 1) {
     return util::Error{util::ErrorCode::kInvalidArgument,
                        "shard count must be >= 1"};

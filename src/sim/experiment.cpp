@@ -21,6 +21,35 @@ const char* to_string(Policy policy) {
   return "?";
 }
 
+util::Status validate_config(const ExperimentConfig& config) {
+  const auto& cluster = config.engine.cluster;
+  const struct {
+    bool holds;
+    const char* what;
+  } checks[] = {
+      {cluster.node_count > 0, "nodes must be > 0"},
+      {cluster.node.cores >= 0, "node.cores must be >= 0"},
+      {cluster.node.gpus >= 0, "node.gpus must be >= 0"},
+      {cluster.cpu_only_node_count >= 0, "cpu_only_nodes must be >= 0"},
+      {cluster.cpu_only_node.cores >= 0, "cpu_only_node.cores must be >= 0"},
+      {cluster.cpu_only_node.gpus == 0, "cpu_only_node.gpus must be 0"},
+      {cluster.mba_fraction >= 0.0 && cluster.mba_fraction <= 1.0,
+       "mba_fraction must be in [0, 1]"},
+      {config.engine.metrics_period_s > 0.0, "metrics_period must be > 0"},
+      {config.coda.eliminator.check_period_s > 0.0,
+       "eliminator.check_period_s must be > 0"},
+      {!config.failures.enabled() || config.failures.outage_s > 0.0,
+       "failures.outage_s must be > 0 when node_mtbf_s > 0"},
+  };
+  for (const auto& check : checks) {
+    if (!check.holds) {
+      return util::Error{util::ErrorCode::kInvalidArgument,
+                         std::string("invalid config: ") + check.what};
+    }
+  }
+  return util::Status::Ok();
+}
+
 workload::TraceConfig standard_week_trace(uint64_t seed) {
   workload::TraceConfig cfg;
   cfg.seed = seed;

@@ -10,6 +10,7 @@
 
 #include "coda/coda_scheduler.h"
 #include "sim/engine.h"
+#include "util/result.h"
 #include "workload/trace_gen.h"
 
 namespace coda::sim {
@@ -37,6 +38,88 @@ struct ExperimentConfig {
   sched::RetryPolicy retry;  // eviction backoff/abandon (any policy)
   FailureConfig failures;    // node churn injected over [0, horizon]
 };
+
+// Every ExperimentConfig field, listed once. The journal header writer and
+// parser (service/journal.cpp) and experiment_cache_key (report_cache.cpp)
+// expand this table, so none of them can miss a knob; the sizeof tripwires
+// in tests/config_coverage_test.cpp fail the build when a config struct
+// grows a field until it is listed here.
+//
+// V1(key, member): the seven fields a v1 journal header carried, under
+// their legacy header keys, in header order. V2(key, member): every other
+// field, one `config.` header line each since v2. `member` is a path inside
+// ExperimentConfig; its type picks the wire encoding (hexfloat double,
+// decimal int/u64, 0/1 bool, the allocator SearchMode's enum integer).
+#define CODA_EXPERIMENT_CONFIG_FIELDS(V1, V2)                                 \
+  V1("nodes", engine.cluster.node_count)                                     \
+  V1("metrics_period", engine.metrics_period_s)                              \
+  V1("frag_min_cpus", engine.frag_min_cpus)                                  \
+  V1("noise_stddev", engine.util_noise_stddev)                               \
+  V1("noise_seed", engine.noise_seed)                                        \
+  V1("horizon", horizon_s)                                                   \
+  V1("drain_slack", drain_slack_s)                                           \
+  V2("config.cluster.node.cores", engine.cluster.node.cores)                 \
+  V2("config.cluster.node.gpus", engine.cluster.node.gpus)                   \
+  V2("config.cluster.node.mem_bw_gbps", engine.cluster.node.mem_bw_gbps)     \
+  V2("config.cluster.node.pcie_gbps", engine.cluster.node.pcie_gbps)         \
+  V2("config.cluster.node.llc_mb", engine.cluster.node.llc_mb)               \
+  V2("config.cluster.node.mba_capable", engine.cluster.node.mba_capable)     \
+  V2("config.cluster.mba_fraction", engine.cluster.mba_fraction)             \
+  V2("config.cluster.cpu_only_nodes", engine.cluster.cpu_only_node_count)    \
+  V2("config.cluster.cpu_only_node.cores",                                   \
+     engine.cluster.cpu_only_node.cores)                                     \
+  V2("config.cluster.cpu_only_node.gpus", engine.cluster.cpu_only_node.gpus) \
+  V2("config.cluster.cpu_only_node.mem_bw_gbps",                             \
+     engine.cluster.cpu_only_node.mem_bw_gbps)                               \
+  V2("config.cluster.cpu_only_node.pcie_gbps",                               \
+     engine.cluster.cpu_only_node.pcie_gbps)                                 \
+  V2("config.cluster.cpu_only_node.llc_mb",                                  \
+     engine.cluster.cpu_only_node.llc_mb)                                    \
+  V2("config.cluster.cpu_only_node.mba_capable",                             \
+     engine.cluster.cpu_only_node.mba_capable)                               \
+  V2("config.engine.record_events", engine.record_events)                    \
+  V2("config.engine.incremental_recompute", engine.incremental_recompute)    \
+  V2("config.retry.enabled", retry.enabled)                                  \
+  V2("config.retry.backoff_base_s", retry.backoff_base_s)                    \
+  V2("config.retry.backoff_max_s", retry.backoff_max_s)                      \
+  V2("config.retry.max_retries", retry.max_retries)                          \
+  V2("config.failures.node_mtbf_s", failures.node_mtbf_s)                    \
+  V2("config.failures.outage_s", failures.outage_s)                          \
+  V2("config.failures.seed", failures.seed)                                  \
+  V2("config.coda.allocator.search_mode", coda.allocator.search_mode)        \
+  V2("config.coda.allocator.profile_step_s", coda.allocator.profile_step_s)  \
+  V2("config.coda.allocator.max_profile_steps",                              \
+     coda.allocator.max_profile_steps)                                       \
+  V2("config.coda.allocator.improvement_eps",                                \
+     coda.allocator.improvement_eps)                                         \
+  V2("config.coda.allocator.plateau_util", coda.allocator.plateau_util)      \
+  V2("config.coda.allocator.min_cores", coda.allocator.min_cores)            \
+  V2("config.coda.allocator.max_cores", coda.allocator.max_cores)            \
+  V2("config.coda.eliminator.enabled", coda.eliminator.enabled)              \
+  V2("config.coda.eliminator.check_period_s",                                \
+     coda.eliminator.check_period_s)                                         \
+  V2("config.coda.eliminator.bw_threshold", coda.eliminator.bw_threshold)    \
+  V2("config.coda.eliminator.util_drop_tolerance",                           \
+     coda.eliminator.util_drop_tolerance)                                    \
+  V2("config.coda.eliminator.mba_throttle_factor",                           \
+     coda.eliminator.mba_throttle_factor)                                    \
+  V2("config.coda.eliminator.release_when_calm",                             \
+     coda.eliminator.release_when_calm)                                      \
+  V2("config.coda.eliminator.release_threshold",                             \
+     coda.eliminator.release_threshold)                                      \
+  V2("config.coda.reserved_cores_per_node", coda.reserved_cores_per_node)    \
+  V2("config.coda.four_gpu_node_fraction", coda.four_gpu_node_fraction)      \
+  V2("config.coda.reservation_update_period_s",                              \
+     coda.reservation_update_period_s)                                       \
+  V2("config.coda.multi_array_enabled", coda.multi_array_enabled)            \
+  V2("config.coda.cpu_preemption_enabled", coda.cpu_preemption_enabled)      \
+  V2("config.coda.static_bw_cap_gbps", coda.static_bw_cap_gbps)
+
+// The preconditions the engine asserts on when it builds a session from
+// `config` (cluster shape, periodic-event periods, outage length), checked
+// where a config enters from outside (journal and snapshot headers, codad
+// flags) so a bad value is a kInvalidArgument error instead of an abort.
+util::Status validate_config(const ExperimentConfig& config);
 
 // Aggregated outcome of one replay.
 struct ExperimentReport {

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "sim/report_io.h"
+#include "state/serde.h"
 #include "util/strings.h"
 
 namespace coda::sim {
@@ -17,67 +18,6 @@ namespace coda::sim {
 namespace {
 
 constexpr const char* kCacheMagic = "CODA_REPORT_CACHE";
-
-uint64_t fnv1a(const char* data, size_t n) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-// The mix_* functions below must enumerate every ExperimentConfig field —
-// a missed knob makes the cache return a stale report for a changed
-// config. The journal's CODA_JOURNAL_V2_FIELDS X-macro (service/
-// journal.cpp) enumerates the same surface; tests/config_coverage_test.cpp
-// trips at compile time when a config struct grows a field, pointing at
-// both sites.
-void mix_node_config(CacheKeyHasher& h, const cluster::NodeConfig& node) {
-  h.mix(node.cores);
-  h.mix(node.gpus);
-  h.mix(node.mem_bw_gbps);
-  h.mix(node.pcie_gbps);
-  h.mix(node.llc_mb);
-  h.mix(node.mba_capable);
-}
-
-void mix_engine_config(CacheKeyHasher& h, const EngineConfig& cfg) {
-  h.mix(cfg.cluster.node_count);
-  mix_node_config(h, cfg.cluster.node);
-  h.mix(cfg.cluster.mba_fraction);
-  h.mix(cfg.cluster.cpu_only_node_count);
-  mix_node_config(h, cfg.cluster.cpu_only_node);
-  h.mix(cfg.metrics_period_s);
-  h.mix(cfg.frag_min_cpus);
-  h.mix(cfg.util_noise_stddev);
-  h.mix(cfg.noise_seed);
-  h.mix(cfg.record_events);
-  h.mix(cfg.incremental_recompute);
-}
-
-void mix_coda_config(CacheKeyHasher& h, const core::CodaConfig& cfg) {
-  h.mix(static_cast<int>(cfg.allocator.search_mode));
-  h.mix(cfg.allocator.profile_step_s);
-  h.mix(cfg.allocator.max_profile_steps);
-  h.mix(cfg.allocator.improvement_eps);
-  h.mix(cfg.allocator.plateau_util);
-  h.mix(cfg.allocator.min_cores);
-  h.mix(cfg.allocator.max_cores);
-  h.mix(cfg.eliminator.enabled);
-  h.mix(cfg.eliminator.check_period_s);
-  h.mix(cfg.eliminator.bw_threshold);
-  h.mix(cfg.eliminator.util_drop_tolerance);
-  h.mix(cfg.eliminator.mba_throttle_factor);
-  h.mix(cfg.eliminator.release_when_calm);
-  h.mix(cfg.eliminator.release_threshold);
-  h.mix(cfg.reserved_cores_per_node);
-  h.mix(cfg.four_gpu_node_fraction);
-  h.mix(cfg.reservation_update_period_s);
-  h.mix(cfg.multi_array_enabled);
-  h.mix(cfg.cpu_preemption_enabled);
-  h.mix(cfg.static_bw_cap_gbps);
-}
 
 void mix_spec(CacheKeyHasher& h, const workload::JobSpec& spec) {
   h.mix(spec.id);
@@ -137,17 +77,9 @@ std::string experiment_cache_key(Policy policy,
   CacheKeyHasher h;
   h.mix(kReportFormatVersion);
   h.mix(static_cast<int>(policy));
-  mix_engine_config(h, config.engine);
-  mix_coda_config(h, config.coda);
-  h.mix(config.horizon_s);
-  h.mix(config.drain_slack_s);
-  h.mix(config.retry.enabled);
-  h.mix(config.retry.backoff_base_s);
-  h.mix(config.retry.backoff_max_s);
-  h.mix(config.retry.max_retries);
-  h.mix(config.failures.node_mtbf_s);
-  h.mix(config.failures.outage_s);
-  h.mix(config.failures.seed);
+#define CODA_MIX_FIELD(wire_key, member) h.mix(config.member);
+  CODA_EXPERIMENT_CONFIG_FIELDS(CODA_MIX_FIELD, CODA_MIX_FIELD)
+#undef CODA_MIX_FIELD
   h.mix(trace.size());
   for (const auto& spec : trace) {
     mix_spec(h, spec);
@@ -191,26 +123,21 @@ std::optional<ExperimentReport> ReportCache::load(
   buffer << in.rdbuf();
   const std::string file = buffer.str();
 
-  // Header: "CODA_REPORT_CACHE <schema> <payload-bytes> <payload-fnv1a>\n".
-  const size_t header_end = file.find('\n');
-  bool valid = header_end != std::string::npos;
-  if (valid) {
-    std::istringstream header(file.substr(0, header_end));
-    std::string magic;
-    int schema = -1;
-    size_t payload_bytes = 0;
-    unsigned long long checksum = 0;
-    header >> magic >> schema >> payload_bytes >> std::hex >> checksum;
-    const char* payload = file.c_str() + header_end + 1;
-    const size_t actual_bytes = file.size() - header_end - 1;
-    valid = !header.fail() && magic == kCacheMagic &&
-            schema == kReportFormatVersion && payload_bytes == actual_bytes &&
-            checksum == fnv1a(payload, actual_bytes);
-    if (valid) {
-      auto report = deserialize_report(file.substr(header_end + 1));
-      if (report.ok()) {
-        return std::move(report).value();
-      }
+  // Header: "CODA_REPORT_CACHE <schema> <payload-bytes> <payload-fnv1a>\n",
+  // then exactly <payload-bytes> bytes of serialize_report text.
+  state::Reader r(file);
+  r.expect(kCacheMagic);
+  const int schema = r.i32();
+  const uint64_t payload_bytes = r.u64();
+  const std::string_view checksum = r.token();
+  const std::string_view payload = r.bytes(payload_bytes);
+  CacheKeyHasher h;
+  h.mix_bytes(payload.data(), payload.size());
+  if (r.ok() && schema == kReportFormatVersion && r.remainder().empty() &&
+      checksum == h.hex()) {
+    auto report = deserialize_report(payload);
+    if (report.ok()) {
+      return std::move(report).value();
     }
   }
   // Corrupt or stale: drop the entry so the recomputed report replaces it.
@@ -231,9 +158,11 @@ util::Status ReportCache::store(const std::string& key,
                        "cannot create cache dir " + dir_};
   }
   const std::string payload = serialize_report(report);
-  const std::string header = util::strfmt(
-      "%s %d %zu %016llx\n", kCacheMagic, kReportFormatVersion, payload.size(),
-      static_cast<unsigned long long>(fnv1a(payload.data(), payload.size())));
+  CacheKeyHasher checksum;
+  checksum.mix_bytes(payload.data(), payload.size());
+  const std::string header =
+      util::strfmt("%s %d %zu %s\n", kCacheMagic, kReportFormatVersion,
+                   payload.size(), checksum.hex().c_str());
 
   // Write-then-rename keeps concurrent readers (other bench binaries) from
   // ever seeing a partial entry.

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "sim/experiment.h"
 #include "util/result.h"
@@ -29,6 +30,10 @@ class CacheKeyHasher {
   void mix(int64_t v) { mix_bytes(&v, sizeof(v)); }
   void mix(int v) { mix(static_cast<int64_t>(v)); }
   void mix(bool v) { mix(static_cast<int64_t>(v ? 1 : 0)); }
+  template <typename E, std::enable_if_t<std::is_enum_v<E>, int> = 0>
+  void mix(E v) {
+    mix(static_cast<int64_t>(v));
+  }
   void mix(double v);
   void mix(const std::string& s);
 
@@ -40,7 +45,8 @@ class CacheKeyHasher {
 };
 
 // Key for one (policy, trace, config) replay. Hashes every JobSpec in the
-// trace plus every EngineConfig/CodaConfig field and kReportFormatVersion.
+// trace, every ExperimentConfig field (the CODA_EXPERIMENT_CONFIG_FIELDS
+// table in sim/experiment.h) and kReportFormatVersion.
 std::string experiment_cache_key(Policy policy,
                                  const std::vector<workload::JobSpec>& trace,
                                  const ExperimentConfig& config);

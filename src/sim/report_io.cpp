@@ -1,10 +1,8 @@
 #include "sim/report_io.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 
+#include "state/serde.h"
 #include "util/csv.h"
 #include "util/strings.h"
 
@@ -113,468 +111,264 @@ namespace {
 
 constexpr const char* kMagic = "CODA_REPORT";
 
-// Append-only text builder: snprintf into a stack buffer, no temporary
-// std::string per token (a week-long report serializes ~1M tokens).
-class Writer {
- public:
-  explicit Writer(std::string* out) : out_(out) {}
+// Caps every count-driven reserve: a corrupt count must not allocate before
+// the values it promises run out.
+constexpr uint64_t kMaxReserve = 1u << 20;
 
-  void word(const char* s) { sep(); out_->append(s); }
-  void str(const std::string& s) { sep(); out_->append(s); }
-  void u64(uint64_t v) { fmt("%llu", static_cast<unsigned long long>(v)); }
-  void i(int v) { fmt("%d", v); }
-  void zu(size_t v) { fmt("%zu", v); }
-  // Hexfloat: exact binary round trip through strtod.
-  void d(double v) { fmt("%a", v); }
-  void nl() {
-    out_->push_back('\n');
-    line_start_ = true;
-  }
-
- private:
-  void sep() {
-    if (!line_start_) {
-      out_->push_back(' ');
-    }
-    line_start_ = false;
-  }
-  template <typename... Args>
-  void fmt(const char* f, Args... args) {
-    sep();
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), f, args...);
-    out_->append(buf);
-  }
-
-  std::string* out_;
-  bool line_start_ = true;
-};
-
-// Token cursor over the serialized blob. Reads are whitespace-delimited;
-// every helper sets failed_ instead of aborting so corrupt cache files
-// surface as a clean parse error.
-class Cursor {
- public:
-  explicit Cursor(const std::string& text)
-      : p_(text.c_str()), end_(text.c_str() + text.size()) {}
-
-  bool failed() const { return failed_; }
-
-  std::string word() {
-    skip_ws();
-    const char* start = p_;
-    while (p_ < end_ && !std::isspace(static_cast<unsigned char>(*p_))) {
-      ++p_;
-    }
-    if (p_ == start) {
-      failed_ = true;
-      return {};
-    }
-    return std::string(start, p_);
-  }
-
-  bool expect(const char* w) {
-    if (word() != w) {
-      failed_ = true;
-    }
-    return !failed_;
-  }
-
-  double d() {
-    skip_ws();
-    char* next = nullptr;
-    const double v = std::strtod(p_, &next);
-    if (next == p_) {
-      failed_ = true;
-      return 0.0;
-    }
-    p_ = next;
-    return v;
-  }
-
-  long long ll() {
-    skip_ws();
-    char* next = nullptr;
-    const long long v = std::strtoll(p_, &next, 10);
-    if (next == p_) {
-      failed_ = true;
-      return 0;
-    }
-    p_ = next;
-    return v;
-  }
-
-  uint64_t u64() { return static_cast<uint64_t>(ll()); }
-  int i() { return static_cast<int>(ll()); }
-  size_t zu() { return static_cast<size_t>(ll()); }
-  bool b() { return ll() != 0; }
-
- private:
-  void skip_ws() {
-    while (p_ < end_ && std::isspace(static_cast<unsigned char>(*p_))) {
-      ++p_;
-    }
-  }
-
-  const char* p_;
-  const char* end_;
-  bool failed_ = false;
-};
-
-void write_series(Writer& w, const char* name,
-                  const util::TimeSeries& series) {
-  w.word("series");
-  w.word(name);
-  w.zu(series.size());
-  for (const auto& p : series.points()) {
-    w.d(p.t);
-    w.d(p.value);
-  }
-  w.nl();
-}
-
-bool read_series(Cursor& c, const char* name, util::TimeSeries* out) {
-  if (!c.expect("series") || !c.expect(name)) {
-    return false;
-  }
-  const size_t n = c.zu();
-  out->reserve(std::min<size_t>(n, 1u << 20));
-  for (size_t i = 0; i < n; ++i) {
-    const double t = c.d();
-    const double v = c.d();
-    // Reject out-of-order timestamps here: TimeSeries::add asserts on them,
-    // and a truncated/corrupt file must surface as a parse error instead.
-    if (c.failed() ||
-        (out->size() > 0 && t < out->at(out->size() - 1).t)) {
-      return false;
-    }
-    out->add(t, v);
-  }
-  return !c.failed();
-}
-
-void write_doubles(Writer& w, const char* name,
-                   const std::vector<double>& values) {
-  w.word(name);
-  w.zu(values.size());
+// Appends "<n> v1 ... vn" to the open line.
+void add_doubles(state::Writer& w, const std::vector<double>& values) {
+  w.add(values.size());
   for (double v : values) {
-    w.d(v);
+    w.add(v);
   }
-  w.nl();
 }
 
-bool read_doubles(Cursor& c, const char* name, std::vector<double>* out) {
-  if (!c.expect(name)) {
-    return false;
+void read_doubles(state::Reader& r, std::vector<double>* out) {
+  const uint64_t n = r.u64();
+  out->reserve(std::min(n, kMaxReserve));
+  for (uint64_t i = 0; i < n && r.ok(); ++i) {
+    out->push_back(r.f64());
   }
-  const size_t n = c.zu();
-  out->reserve(std::min<size_t>(n, 1u << 20));
-  for (size_t i = 0; i < n && !c.failed(); ++i) {
-    out->push_back(c.d());
-  }
-  return !c.failed();
 }
 
-void write_spec(Writer& w, const workload::JobSpec& spec) {
-  w.u64(spec.id);
-  w.u64(spec.tenant);
-  w.i(static_cast<int>(spec.kind));
-  w.d(spec.submit_time);
-  w.i(static_cast<int>(spec.model));
-  w.i(spec.train_config.nodes);
-  w.i(spec.train_config.gpus_per_node);
-  w.i(spec.train_config.batch_size);
-  w.d(spec.train_config.net_gbps);
-  w.d(spec.iterations);
-  w.i(spec.requested_cpus);
-  w.i(spec.hints.category_known ? 1 : 0);
-  w.i(spec.hints.pipelined ? 1 : 0);
-  w.i(spec.hints.large_weights ? 1 : 0);
-  w.i(spec.hints.complex_prep ? 1 : 0);
-  w.i(spec.cpu_cores);
-  w.d(spec.cpu_work_core_s);
-  w.d(spec.mem_bw_gbps);
-  w.d(spec.bw_bound_fraction);
-  w.d(spec.llc_mb);
-  w.i(spec.user_facing ? 1 : 0);
-  w.d(spec.checkpoint_interval_s);
-  w.d(spec.checkpoint_overhead_s);
+void write_series(state::Writer& w, const char* name,
+                  const util::TimeSeries& series) {
+  w.add("series", name, series.size());
+  for (const auto& p : series.points()) {
+    w.add(p.t, p.value);
+  }
+  w.end_line();
 }
 
-workload::JobSpec read_spec(Cursor& c) {
+void read_series(state::Reader& r, const char* name, util::TimeSeries* out) {
+  if (r.expect("series") && r.token() != name) {
+    r.fail(std::string("expected series '") + name + "'");
+  }
+  const uint64_t n = r.u64();
+  out->reserve(std::min(n, kMaxReserve));
+  for (uint64_t i = 0; i < n && r.ok(); ++i) {
+    const double t = r.f64();
+    const double v = r.f64();
+    // TimeSeries::add asserts ascending timestamps; corrupt input must
+    // surface as a parse error instead.
+    if (out->size() > 0 && !(t >= out->at(out->size() - 1).t)) {
+      r.fail("series '" + std::string(name) + "' is not time-ordered");
+    }
+    if (r.ok()) {
+      out->add(t, v);
+    }
+  }
+}
+
+void add_spec(state::Writer& w, const workload::JobSpec& spec) {
+  w.add(spec.id, spec.tenant, spec.kind, spec.submit_time, spec.model,
+        spec.train_config.nodes, spec.train_config.gpus_per_node,
+        spec.train_config.batch_size, spec.train_config.net_gbps,
+        spec.iterations, spec.requested_cpus, spec.hints.category_known,
+        spec.hints.pipelined, spec.hints.large_weights,
+        spec.hints.complex_prep, spec.cpu_cores, spec.cpu_work_core_s,
+        spec.mem_bw_gbps, spec.bw_bound_fraction, spec.llc_mb,
+        spec.user_facing, spec.checkpoint_interval_s,
+        spec.checkpoint_overhead_s);
+}
+
+workload::JobSpec read_spec(state::Reader& r) {
   workload::JobSpec spec;
-  spec.id = c.u64();
-  spec.tenant = static_cast<cluster::TenantId>(c.u64());
-  spec.kind = static_cast<workload::JobKind>(c.i());
-  spec.submit_time = c.d();
-  spec.model = static_cast<perfmodel::ModelId>(c.i());
-  spec.train_config.nodes = c.i();
-  spec.train_config.gpus_per_node = c.i();
-  spec.train_config.batch_size = c.i();
-  spec.train_config.net_gbps = c.d();
-  spec.iterations = c.d();
-  spec.requested_cpus = c.i();
-  spec.hints.category_known = c.b();
-  spec.hints.pipelined = c.b();
-  spec.hints.large_weights = c.b();
-  spec.hints.complex_prep = c.b();
-  spec.cpu_cores = c.i();
-  spec.cpu_work_core_s = c.d();
-  spec.mem_bw_gbps = c.d();
-  spec.bw_bound_fraction = c.d();
-  spec.llc_mb = c.d();
-  spec.user_facing = c.b();
-  spec.checkpoint_interval_s = c.d();
-  spec.checkpoint_overhead_s = c.d();
+  spec.id = r.u64();
+  spec.tenant = static_cast<cluster::TenantId>(r.u64());
+  spec.kind = static_cast<workload::JobKind>(r.i32());
+  spec.submit_time = r.f64();
+  spec.model = static_cast<perfmodel::ModelId>(r.i32());
+  spec.train_config.nodes = r.i32();
+  spec.train_config.gpus_per_node = r.i32();
+  spec.train_config.batch_size = r.i32();
+  spec.train_config.net_gbps = r.f64();
+  spec.iterations = r.f64();
+  spec.requested_cpus = r.i32();
+  spec.hints.category_known = r.b();
+  spec.hints.pipelined = r.b();
+  spec.hints.large_weights = r.b();
+  spec.hints.complex_prep = r.b();
+  spec.cpu_cores = r.i32();
+  spec.cpu_work_core_s = r.f64();
+  spec.mem_bw_gbps = r.f64();
+  spec.bw_bound_fraction = r.f64();
+  spec.llc_mb = r.f64();
+  spec.user_facing = r.b();
+  spec.checkpoint_interval_s = r.f64();
+  spec.checkpoint_overhead_s = r.f64();
   return spec;
-}
-
-util::Error parse_error(const std::string& what) {
-  return util::Error{util::ErrorCode::kParseError,
-                     "report deserialization failed: " + what};
 }
 
 }  // namespace
 
 std::string serialize_report(const ExperimentReport& report) {
-  std::string out;
+  state::Writer w;
   // Rough pre-size: ~64 tokens per record line dominates.
-  out.reserve(256 + report.records.size() * 320);
-  Writer w(&out);
+  w.reserve(256 + report.records.size() * 320);
+  w.line(kMagic, kReportFormatVersion);
+  w.line("scheduler", report.scheduler);
+  w.line("counts", report.submitted, report.completed,
+         report.events_dispatched, report.preemptions, report.migrations,
+         report.abandoned, report.node_failures, report.evictions,
+         report.restarts);
+  w.line("scalars", report.horizon_s, report.gpu_active_rate,
+         report.gpu_util_active, report.gpu_util_overall,
+         report.cpu_active_rate, report.cpu_util_active, report.frag_rate,
+         report.frag_case2_rate, report.gpu_active_when_queued,
+         report.frag_when_queued, report.queued_time_fraction,
+         report.busy_gpu_s, report.busy_core_s, report.wasted_gpu_s,
+         report.wasted_core_s, report.gpu_goodput, report.cpu_goodput);
+  const auto& elim = report.eliminator_stats;
+  w.line("eliminator", elim.checks, elim.nodes_over_threshold,
+         elim.mba_throttles, elim.core_halvings, elim.releases);
 
-  w.word(kMagic);
-  w.i(kReportFormatVersion);
-  w.nl();
-  w.word("scheduler");
-  w.str(report.scheduler);
-  w.nl();
-  w.word("counts");
-  w.zu(report.submitted);
-  w.zu(report.completed);
-  w.zu(report.events_dispatched);
-  w.i(report.preemptions);
-  w.i(report.migrations);
-  w.zu(report.abandoned);
-  w.i(report.node_failures);
-  w.i(report.evictions);
-  w.i(report.restarts);
-  w.nl();
-  w.word("scalars");
-  w.d(report.horizon_s);
-  w.d(report.gpu_active_rate);
-  w.d(report.gpu_util_active);
-  w.d(report.gpu_util_overall);
-  w.d(report.cpu_active_rate);
-  w.d(report.cpu_util_active);
-  w.d(report.frag_rate);
-  w.d(report.frag_case2_rate);
-  w.d(report.gpu_active_when_queued);
-  w.d(report.frag_when_queued);
-  w.d(report.queued_time_fraction);
-  w.d(report.busy_gpu_s);
-  w.d(report.busy_core_s);
-  w.d(report.wasted_gpu_s);
-  w.d(report.wasted_core_s);
-  w.d(report.gpu_goodput);
-  w.d(report.cpu_goodput);
-  w.nl();
-  w.word("eliminator");
-  w.i(report.eliminator_stats.checks);
-  w.i(report.eliminator_stats.nodes_over_threshold);
-  w.i(report.eliminator_stats.mba_throttles);
-  w.i(report.eliminator_stats.core_halvings);
-  w.i(report.eliminator_stats.releases);
-  w.nl();
+  w.add("gpu_queue_times");
+  add_doubles(w, report.gpu_queue_times);
+  w.end_line();
+  w.add("cpu_queue_times");
+  add_doubles(w, report.cpu_queue_times);
+  w.end_line();
 
-  write_doubles(w, "gpu_queue_times", report.gpu_queue_times);
-  write_doubles(w, "cpu_queue_times", report.cpu_queue_times);
-
-  w.word("tenants");
-  w.zu(report.queue_by_tenant.size());
-  w.nl();
+  w.line("tenants", report.queue_by_tenant.size());
   for (const auto& [tenant, times] : report.queue_by_tenant) {
-    w.word("tenant");
-    w.u64(tenant);
-    w.zu(times.size());
-    for (double v : times) {
-      w.d(v);
-    }
-    w.nl();
+    w.add("tenant", tenant);
+    add_doubles(w, times);
+    w.end_line();
   }
 
-  w.word("records");
-  w.zu(report.records.size());
-  w.nl();
+  w.line("records", report.records.size());
   for (const auto& record : report.records) {
-    write_spec(w, record.spec);
-    w.d(record.submit_time);
-    w.d(record.first_start_time);
-    w.d(record.finish_time);
-    w.d(record.queue_time_total);
-    w.i(record.preempt_count);
-    w.i(record.final_cpus);
-    w.i(record.completed ? 1 : 0);
-    w.i(record.evict_count);
-    w.i(record.restart_count);
-    w.i(record.abandoned ? 1 : 0);
-    w.d(record.busy_core_s);
-    w.d(record.busy_gpu_s);
-    w.d(record.wasted_core_s);
-    w.d(record.wasted_gpu_s);
-    w.nl();
+    add_spec(w, record.spec);
+    w.add(record.submit_time, record.first_start_time, record.finish_time,
+          record.queue_time_total, record.preempt_count, record.final_cpus,
+          record.completed, record.evict_count, record.restart_count,
+          record.abandoned, record.busy_core_s, record.busy_gpu_s,
+          record.wasted_core_s, record.wasted_gpu_s);
+    w.end_line();
   }
 
-  w.word("tuning_outcomes");
-  w.zu(report.tuning_outcomes.size());
-  w.nl();
+  w.line("tuning_outcomes", report.tuning_outcomes.size());
   for (const auto& outcome : report.tuning_outcomes) {
-    w.u64(outcome.job);
-    w.i(static_cast<int>(outcome.model));
-    w.i(outcome.requested_cpus);
-    w.i(outcome.start_cpus);
-    w.i(outcome.final_cpus);
-    w.i(outcome.profile_steps);
-    w.nl();
+    w.add(outcome.job, outcome.model, outcome.requested_cpus,
+          outcome.start_cpus, outcome.final_cpus, outcome.profile_steps);
+    w.end_line();
   }
 
   write_series(w, "gpu_active", report.gpu_active_series);
   write_series(w, "gpu_util", report.gpu_util_series);
   write_series(w, "cpu_active", report.cpu_active_series);
   write_series(w, "cpu_util", report.cpu_util_series);
-  w.word("end");
-  w.nl();
-  return out;
+  w.line("end");
+  return w.take();
 }
 
-util::Result<ExperimentReport> deserialize_report(const std::string& text) {
-  Cursor c(text);
-  if (!c.expect(kMagic)) {
-    return parse_error("bad magic");
-  }
-  if (c.i() != kReportFormatVersion || c.failed()) {
-    return parse_error("format version mismatch");
+util::Result<ExperimentReport> deserialize_report(std::string_view text) {
+  state::Reader r(text);
+  if (r.expect(kMagic) && r.i32() != kReportFormatVersion && r.ok()) {
+    r.fail("format version mismatch");
   }
 
   ExperimentReport report;
-  if (!c.expect("scheduler")) {
-    return parse_error("missing scheduler");
-  }
-  report.scheduler = c.word();
-  if (!c.expect("counts")) {
-    return parse_error("missing counts");
-  }
-  report.submitted = c.zu();
-  report.completed = c.zu();
-  report.events_dispatched = c.zu();
-  report.preemptions = c.i();
-  report.migrations = c.i();
-  report.abandoned = c.zu();
-  report.node_failures = c.i();
-  report.evictions = c.i();
-  report.restarts = c.i();
-  if (!c.expect("scalars")) {
-    return parse_error("missing scalars");
-  }
-  report.horizon_s = c.d();
-  report.gpu_active_rate = c.d();
-  report.gpu_util_active = c.d();
-  report.gpu_util_overall = c.d();
-  report.cpu_active_rate = c.d();
-  report.cpu_util_active = c.d();
-  report.frag_rate = c.d();
-  report.frag_case2_rate = c.d();
-  report.gpu_active_when_queued = c.d();
-  report.frag_when_queued = c.d();
-  report.queued_time_fraction = c.d();
-  report.busy_gpu_s = c.d();
-  report.busy_core_s = c.d();
-  report.wasted_gpu_s = c.d();
-  report.wasted_core_s = c.d();
-  report.gpu_goodput = c.d();
-  report.cpu_goodput = c.d();
-  if (!c.expect("eliminator")) {
-    return parse_error("missing eliminator stats");
-  }
-  report.eliminator_stats.checks = c.i();
-  report.eliminator_stats.nodes_over_threshold = c.i();
-  report.eliminator_stats.mba_throttles = c.i();
-  report.eliminator_stats.core_halvings = c.i();
-  report.eliminator_stats.releases = c.i();
+  r.expect("scheduler");
+  report.scheduler = std::string(r.token());
+  r.expect("counts");
+  report.submitted = r.u64();
+  report.completed = r.u64();
+  report.events_dispatched = r.u64();
+  report.preemptions = r.i32();
+  report.migrations = r.i32();
+  report.abandoned = r.u64();
+  report.node_failures = r.i32();
+  report.evictions = r.i32();
+  report.restarts = r.i32();
+  r.expect("scalars");
+  report.horizon_s = r.f64();
+  report.gpu_active_rate = r.f64();
+  report.gpu_util_active = r.f64();
+  report.gpu_util_overall = r.f64();
+  report.cpu_active_rate = r.f64();
+  report.cpu_util_active = r.f64();
+  report.frag_rate = r.f64();
+  report.frag_case2_rate = r.f64();
+  report.gpu_active_when_queued = r.f64();
+  report.frag_when_queued = r.f64();
+  report.queued_time_fraction = r.f64();
+  report.busy_gpu_s = r.f64();
+  report.busy_core_s = r.f64();
+  report.wasted_gpu_s = r.f64();
+  report.wasted_core_s = r.f64();
+  report.gpu_goodput = r.f64();
+  report.cpu_goodput = r.f64();
+  r.expect("eliminator");
+  auto& elim = report.eliminator_stats;
+  elim.checks = r.i32();
+  elim.nodes_over_threshold = r.i32();
+  elim.mba_throttles = r.i32();
+  elim.core_halvings = r.i32();
+  elim.releases = r.i32();
 
-  if (!read_doubles(c, "gpu_queue_times", &report.gpu_queue_times) ||
-      !read_doubles(c, "cpu_queue_times", &report.cpu_queue_times)) {
-    return parse_error("bad queue-time vectors");
-  }
+  r.expect("gpu_queue_times");
+  read_doubles(r, &report.gpu_queue_times);
+  r.expect("cpu_queue_times");
+  read_doubles(r, &report.cpu_queue_times);
 
-  if (!c.expect("tenants")) {
-    return parse_error("missing tenants");
-  }
-  const size_t n_tenants = c.zu();
-  for (size_t i = 0; i < n_tenants && !c.failed(); ++i) {
-    if (!c.expect("tenant")) {
-      return parse_error("bad tenant entry");
-    }
-    const auto tenant = static_cast<cluster::TenantId>(c.u64());
-    const size_t n = c.zu();
-    auto& times = report.queue_by_tenant[tenant];
-    times.reserve(n);
-    for (size_t j = 0; j < n && !c.failed(); ++j) {
-      times.push_back(c.d());
-    }
+  r.expect("tenants");
+  const uint64_t n_tenants = r.u64();
+  for (uint64_t i = 0; i < n_tenants && r.ok(); ++i) {
+    r.expect("tenant");
+    const auto tenant = static_cast<cluster::TenantId>(r.u64());
+    read_doubles(r, &report.queue_by_tenant[tenant]);
   }
 
-  if (!c.expect("records")) {
-    return parse_error("missing records");
-  }
-  const size_t n_records = c.zu();
-  report.records.reserve(n_records);
-  for (size_t i = 0; i < n_records && !c.failed(); ++i) {
+  r.expect("records");
+  const uint64_t n_records = r.u64();
+  report.records.reserve(std::min(n_records, kMaxReserve));
+  for (uint64_t i = 0; i < n_records && r.ok(); ++i) {
+    r.expect_row();
     JobRecord record;
-    record.spec = read_spec(c);
-    record.submit_time = c.d();
-    record.first_start_time = c.d();
-    record.finish_time = c.d();
-    record.queue_time_total = c.d();
-    record.preempt_count = c.i();
-    record.final_cpus = c.i();
-    record.completed = c.b();
-    record.evict_count = c.i();
-    record.restart_count = c.i();
-    record.abandoned = c.b();
-    record.busy_core_s = c.d();
-    record.busy_gpu_s = c.d();
-    record.wasted_core_s = c.d();
-    record.wasted_gpu_s = c.d();
+    record.spec = read_spec(r);
+    record.submit_time = r.f64();
+    record.first_start_time = r.f64();
+    record.finish_time = r.f64();
+    record.queue_time_total = r.f64();
+    record.preempt_count = r.i32();
+    record.final_cpus = r.i32();
+    record.completed = r.b();
+    record.evict_count = r.i32();
+    record.restart_count = r.i32();
+    record.abandoned = r.b();
+    record.busy_core_s = r.f64();
+    record.busy_gpu_s = r.f64();
+    record.wasted_core_s = r.f64();
+    record.wasted_gpu_s = r.f64();
     report.records.push_back(std::move(record));
   }
 
-  if (!c.expect("tuning_outcomes")) {
-    return parse_error("missing tuning outcomes");
-  }
-  const size_t n_outcomes = c.zu();
-  report.tuning_outcomes.reserve(n_outcomes);
-  for (size_t i = 0; i < n_outcomes && !c.failed(); ++i) {
+  r.expect("tuning_outcomes");
+  const uint64_t n_outcomes = r.u64();
+  report.tuning_outcomes.reserve(std::min(n_outcomes, kMaxReserve));
+  for (uint64_t i = 0; i < n_outcomes && r.ok(); ++i) {
+    r.expect_row();
     core::CodaScheduler::TuningOutcome outcome;
-    outcome.job = c.u64();
-    outcome.model = static_cast<perfmodel::ModelId>(c.i());
-    outcome.requested_cpus = c.i();
-    outcome.start_cpus = c.i();
-    outcome.final_cpus = c.i();
-    outcome.profile_steps = c.i();
+    outcome.job = r.u64();
+    outcome.model = static_cast<perfmodel::ModelId>(r.i32());
+    outcome.requested_cpus = r.i32();
+    outcome.start_cpus = r.i32();
+    outcome.final_cpus = r.i32();
+    outcome.profile_steps = r.i32();
     report.tuning_outcomes.push_back(outcome);
   }
 
-  if (!read_series(c, "gpu_active", &report.gpu_active_series) ||
-      !read_series(c, "gpu_util", &report.gpu_util_series) ||
-      !read_series(c, "cpu_active", &report.cpu_active_series) ||
-      !read_series(c, "cpu_util", &report.cpu_util_series)) {
-    return parse_error("bad time series");
-  }
-  if (!c.expect("end")) {
-    return parse_error("missing end marker");
-  }
-  if (c.failed()) {
-    return parse_error("truncated input");
+  read_series(r, "gpu_active", &report.gpu_active_series);
+  read_series(r, "gpu_util", &report.gpu_util_series);
+  read_series(r, "cpu_active", &report.cpu_active_series);
+  read_series(r, "cpu_util", &report.cpu_util_series);
+  r.expect("end");
+  if (auto status = r.status(); !status.ok()) {
+    return util::Error{util::ErrorCode::kParseError,
+                       "report deserialization failed: " +
+                           status.error().message};
   }
   return report;
 }

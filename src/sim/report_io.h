@@ -5,6 +5,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "sim/experiment.h"
 #include "util/result.h"
@@ -27,14 +28,15 @@ util::Status save_report_csv(const ExperimentReport& report,
 // restarts, abandoned, busy/wasted resource-seconds, goodput).
 inline constexpr int kReportFormatVersion = 2;
 
-// Serializes every field of `report` into a line-oriented text blob.
-// Doubles are written as C hexfloats, so deserialize_report() round-trips
-// bit-for-bit: serialize(deserialize(s)) == s and two reports are equal iff
-// their serializations are byte-identical.
+// Serializes every field of `report` into a line-oriented text blob,
+// written and read through state::serde (state/serde.h). Doubles are C
+// hexfloats, so deserialize_report() round-trips bit-for-bit:
+// serialize(deserialize(s)) == s and two reports are equal iff their
+// serializations are byte-identical.
 std::string serialize_report(const ExperimentReport& report);
 
 // Parses a blob produced by serialize_report. Fails with kParseError on any
 // structural damage (wrong magic/version, truncation, malformed fields).
-util::Result<ExperimentReport> deserialize_report(const std::string& text);
+util::Result<ExperimentReport> deserialize_report(std::string_view text);
 
 }  // namespace coda::sim

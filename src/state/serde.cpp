@@ -1,8 +1,9 @@
 #include "state/serde.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+
+#include "util/parse.h"
 
 namespace coda::state {
 
@@ -35,89 +36,33 @@ std::string_view pop_token(std::string_view* rest) {
   return s.substr(0, end);
 }
 
-// The strto* family needs NUL-terminated input; tokens are short, so a
-// stack copy is cheap and keeps the Reader zero-copy elsewhere.
-constexpr size_t kMaxNumToken = 63;
-
-bool copy_token(std::string_view token, char* buf) {
-  if (token.empty() || token.size() > kMaxNumToken) {
-    return false;
-  }
-  for (size_t i = 0; i < token.size(); ++i) {
-    buf[i] = token[i];
-  }
-  buf[token.size()] = '\0';
-  return true;
-}
-
-bool parse_f64(std::string_view token, double* out) {
-  char buf[kMaxNumToken + 1];
-  if (!copy_token(token, buf)) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(buf, &end);
-  if (end != buf + token.size() || errno == ERANGE) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-bool parse_u64(std::string_view token, uint64_t* out) {
-  char buf[kMaxNumToken + 1];
-  if (!copy_token(token, buf) || token[0] == '-' || token[0] == '+') {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(buf, &end, 10);
-  if (end != buf + token.size() || errno == ERANGE) {
-    return false;
-  }
-  *out = static_cast<uint64_t>(value);
-  return true;
-}
-
-bool parse_i64(std::string_view token, int64_t* out) {
-  char buf[kMaxNumToken + 1];
-  if (!copy_token(token, buf)) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(buf, &end, 10);
-  if (end != buf + token.size() || errno == ERANGE) {
-    return false;
-  }
-  *out = static_cast<int64_t>(value);
-  return true;
-}
-
 }  // namespace
 
 void Writer::put_f64(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), " %a", v);
-  out_.append(buf);
+  const int n = std::snprintf(buf, sizeof(buf), "%a", v);
+  sep();
+  out_.append(buf, static_cast<size_t>(n));
 }
 
 void Writer::put_u64(uint64_t v) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), " %llu",
-                static_cast<unsigned long long>(v));
-  out_.append(buf);
+  const int n = std::snprintf(buf, sizeof(buf), "%llu",
+                              static_cast<unsigned long long>(v));
+  sep();
+  out_.append(buf, static_cast<size_t>(n));
 }
 
 void Writer::put_i64(int64_t v) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), " %lld", static_cast<long long>(v));
-  out_.append(buf);
+  const int n =
+      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+  sep();
+  out_.append(buf, static_cast<size_t>(n));
 }
 
 void Writer::put_token(std::string_view token) {
-  out_.push_back(' ');
+  sep();
   out_.append(token.data(), token.size());
 }
 
@@ -158,10 +103,25 @@ bool Reader::expect(std::string_view key) {
   return true;
 }
 
+bool Reader::expect_row() {
+  if (!next()) {
+    if (!failed_) {
+      fail("unexpected end of input; expected a row");
+    }
+    return false;
+  }
+  // next() split the first token off as the key; put it back in front.
+  rest_ = std::string_view(key_.data(),
+                           static_cast<size_t>(rest_.data() + rest_.size() -
+                                               key_.data()));
+  key_ = std::string_view();
+  return true;
+}
+
 double Reader::f64() {
   double value = 0.0;
   const std::string_view tok = token();
-  if (!failed_ && !parse_f64(tok, &value)) {
+  if (!failed_ && util::parse_number(tok, &value) != util::ParseStatus::kOk) {
     fail("bad float token '" + std::string(tok) + "'");
     return 0.0;
   }
@@ -169,9 +129,9 @@ double Reader::f64() {
 }
 
 uint64_t Reader::u64() {
-  uint64_t value = 0;
+  unsigned long long value = 0;
   const std::string_view tok = token();
-  if (!failed_ && !parse_u64(tok, &value)) {
+  if (!failed_ && util::parse_number(tok, &value) != util::ParseStatus::kOk) {
     fail("bad unsigned token '" + std::string(tok) + "'");
     return 0;
   }
@@ -179,13 +139,23 @@ uint64_t Reader::u64() {
 }
 
 int64_t Reader::i64() {
-  int64_t value = 0;
+  long long value = 0;
   const std::string_view tok = token();
-  if (!failed_ && !parse_i64(tok, &value)) {
+  if (!failed_ && util::parse_number(tok, &value) != util::ParseStatus::kOk) {
     fail("bad integer token '" + std::string(tok) + "'");
     return 0;
   }
   return value;
+}
+
+int Reader::i32() {
+  const int64_t value = i64();
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    fail("integer " + std::to_string(value) + " does not fit an int");
+    return 0;
+  }
+  return static_cast<int>(value);
 }
 
 bool Reader::b() {
@@ -234,7 +204,7 @@ util::Status Reader::status() const {
     return util::Status::Ok();
   }
   return util::Error{util::ErrorCode::kParseError,
-                     "snapshot parse error at line " +
+                     "parse error at line " +
                          std::to_string(line_no_) + ": " + error_};
 }
 

@@ -1,14 +1,15 @@
-// Line-oriented, deterministic text (de)serialization primitives for the
-// snapshot subsystem (src/state).
+// Line-oriented, deterministic text (de)serialization: the codec for
+// session snapshots (src/state) and report blobs (sim/report_io); the
+// service journal writes its header through Writer too.
 //
-// Format conventions (shared with the service journal): one record per
-// '\n'-terminated line, a leading key token followed by space-separated
-// value tokens; doubles as C hexfloats ("%a" — bit-exact round trips),
-// bools as 0/1, integers in decimal. Writer and Reader are symmetric: a
-// section written as a sequence of line() calls reads back as the same
-// sequence of expect()/value calls, and any mismatch (wrong key, missing
-// token, malformed number) poisons the Reader with a line-numbered error
-// instead of propagating garbage into a restored engine.
+// Format conventions: one record per '\n'-terminated line, a leading key
+// token followed by space-separated value tokens; doubles as C hexfloats
+// ("%a" — bit-exact round trips), bools as 0/1, integers in decimal. Numbers
+// parse through util/parse.h. Writer and Reader are symmetric: a section
+// written as a sequence of line() calls reads back as the same sequence of
+// expect()/value calls, and any mismatch (wrong key, missing token,
+// malformed number) poisons the Reader with a line-numbered error instead
+// of propagating garbage into a restored engine.
 #pragma once
 
 #include <cstdint>
@@ -24,14 +25,27 @@ class Writer {
  public:
   // Appends `key` followed by each value as a space-separated token and a
   // terminating newline. Value types: floating point -> hexfloat, bool ->
-  // 0/1, signed/unsigned integers -> decimal, string-ish -> verbatim token
-  // (must not contain whitespace or newlines).
+  // 0/1, signed/unsigned integers and enums -> decimal, string-ish ->
+  // verbatim token (must not contain whitespace or newlines).
   template <typename... Ts>
   void line(std::string_view key, Ts&&... values) {
-    out_.append(key.data(), key.size());
-    (put(std::forward<Ts>(values)), ...);
-    out_.push_back('\n');
+    add(key, std::forward<Ts>(values)...);
+    end_line();
   }
+
+  // The open-line form of line(), for rows whose length is data (value
+  // lists) or that carry no key: each add() appends its values to the
+  // current line, space-separated, and end_line() terminates it.
+  template <typename... Ts>
+  void add(Ts&&... values) {
+    (put(std::forward<Ts>(values)), ...);
+  }
+  void end_line() {
+    out_.push_back('\n');
+    open_ = false;
+  }
+
+  void reserve(size_t bytes) { out_.reserve(bytes); }
 
   // Appends raw bytes verbatim (length-prefixed blobs; the caller writes
   // the length on its own line first).
@@ -45,6 +59,13 @@ class Writer {
   void put_u64(uint64_t v);
   void put_i64(int64_t v);
   void put_token(std::string_view token);
+  // Separates a token from the previous one on the same line.
+  void sep() {
+    if (open_) {
+      out_.push_back(' ');
+    }
+    open_ = true;
+  }
 
   template <typename T>
   void put(T&& v) {
@@ -65,6 +86,7 @@ class Writer {
   }
 
   std::string out_;
+  bool open_ = false;  // the current line holds a token
 };
 
 // Sticky-error token reader over a serialized text. Usage:
@@ -88,6 +110,9 @@ class Reader {
   // next() + requires the line's key to equal `key`; poisons on mismatch
   // or end of input. Returns ok().
   bool expect(std::string_view key);
+  // next() for a key-less row: poisons at end of input, and every token on
+  // the line, the first included, is a value.
+  bool expect_row();
   std::string_view key() const { return key_; }
 
   // Next whitespace-separated value token on the current line. Missing or
@@ -95,7 +120,7 @@ class Reader {
   double f64();
   uint64_t u64();
   int64_t i64();
-  int i32() { return static_cast<int>(i64()); }
+  int i32();  // poisons when the value does not fit an int
   bool b();
   std::string_view token();
 

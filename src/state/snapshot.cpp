@@ -12,6 +12,7 @@
 #include "coda/coda_scheduler.h"
 #include "simcore/event_tags.h"
 #include "state/serde.h"
+#include "util/parse.h"
 #include "util/strings.h"
 
 namespace coda::state {
@@ -228,17 +229,9 @@ util::Result<std::string> find_latest_snapshot(const std::string& prefix) {
     if (name.size() <= base.size() || name.compare(0, base.size(), base) != 0) {
       continue;
     }
-    const std::string suffix = name.substr(base.size());
-    uint64_t seq = 0;
-    bool numeric = true;
-    for (char c : suffix) {
-      if (c < '0' || c > '9') {
-        numeric = false;
-        break;
-      }
-      seq = seq * 10 + static_cast<uint64_t>(c - '0');
-    }
-    if (!numeric) {
+    unsigned long long seq = 0;
+    if (util::parse_number(std::string_view(name).substr(base.size()),
+                           &seq) != util::ParseStatus::kOk) {
       continue;
     }
     if (!found || seq > best_seq) {

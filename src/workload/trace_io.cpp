@@ -1,12 +1,11 @@
 #include "workload/trace_io.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "util/csv.h"
+#include "util/parse.h"
 #include "util/strings.h"
 
 namespace coda::workload {
@@ -43,38 +42,29 @@ util::Error field_error(size_t row, const char* column,
 // Checked replacements for the old atoi/strtod calls, which silently turned
 // malformed fields into 0 (a GPU job with 0 nodes/GPUs would "load" fine).
 // Each one demands the whole field parse and rejects range overflow.
+template <typename T>
+util::Result<T> parse_field(const std::string& s, size_t row,
+                            const char* column, const char* what) {
+  T v{};
+  switch (util::parse_number(s, &v)) {
+    case util::ParseStatus::kOk:
+      return v;
+    case util::ParseStatus::kOutOfRange:
+      return field_error(row, column, s, "is out of range");
+    case util::ParseStatus::kMalformed:
+      break;
+  }
+  return field_error(row, column, s, s.empty() ? "is empty" : what);
+}
+
 util::Result<long long> parse_int(const std::string& s, size_t row,
                                   const char* column) {
-  if (s.empty()) {
-    return field_error(row, column, s, "is empty");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) {
-    return field_error(row, column, s, "is not an integer");
-  }
-  if (errno == ERANGE) {
-    return field_error(row, column, s, "is out of range");
-  }
-  return v;
+  return parse_field<long long>(s, row, column, "is not an integer");
 }
 
 util::Result<double> parse_real(const std::string& s, size_t row,
                                 const char* column) {
-  if (s.empty()) {
-    return field_error(row, column, s, "is empty");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) {
-    return field_error(row, column, s, "is not a number");
-  }
-  if (errno == ERANGE) {
-    return field_error(row, column, s, "is out of range");
-  }
-  return v;
+  return parse_field<double>(s, row, column, "is not a number");
 }
 
 util::Result<bool> parse_flag(const std::string& s, size_t row,

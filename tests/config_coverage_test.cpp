@@ -1,21 +1,19 @@
 // Tripwires that keep the experiment-config surface area honest.
 //
-// Two pieces of code must enumerate every knob in sim::ExperimentConfig:
+// Every knob in sim::ExperimentConfig must be listed in the
+// CODA_EXPERIMENT_CONFIG_FIELDS table (src/sim/experiment.h). The journal
+// header writer and parser expand it (a missing field makes a non-default
+// session replay under the wrong config), and so does experiment_cache_key
+// (a missing field makes the cache return a stale report for a changed
+// config).
 //
-//   * src/service/journal.cpp  — the CODA_JOURNAL_V2_FIELDS X-macro (the
-//     journal header; a missing field makes a non-default session replay
-//     under the wrong config), and
-//   * src/sim/report_cache.cpp — experiment_cache_key (a missing field
-//     makes the cache return a stale report for a changed config).
+// The table cannot see a new struct field automatically, so this test
+// fails the build when a config struct changes size on the reference
+// platform (x86-64 Linux, the CI target). If a static_assert below fires:
 //
-// Neither can see a new struct field automatically, so this test fails the
-// build when a config struct changes size on the reference platform
-// (x86-64 Linux, the CI target). If a static_assert below fires:
-//
-//   1. add the new field to CODA_JOURNAL_V2_FIELDS in journal.cpp (writer
-//      and parser pick it up automatically; bump kExpectedV2Fields below),
-//   2. mix the field into experiment_cache_key in report_cache.cpp,
-//   3. update the sizeof constant here.
+//   1. add the new field to CODA_EXPERIMENT_CONFIG_FIELDS (journal and
+//      cache key pick it up; bump kExpectedV2Fields below),
+//   2. update the sizeof constant here.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -31,32 +29,32 @@ namespace {
 
 #if defined(__x86_64__) && defined(__linux__)
 static_assert(sizeof(sched::RetryPolicy) == 32,
-              "RetryPolicy changed: update CODA_JOURNAL_V2_FIELDS "
-              "(journal.cpp) and experiment_cache_key (report_cache.cpp)");
+              "RetryPolicy changed: list the field in "
+              "CODA_EXPERIMENT_CONFIG_FIELDS (sim/experiment.h)");
 static_assert(sizeof(sim::FailureConfig) == 24,
-              "FailureConfig changed: update CODA_JOURNAL_V2_FIELDS "
-              "(journal.cpp) and experiment_cache_key (report_cache.cpp)");
+              "FailureConfig changed: list the field in "
+              "CODA_EXPERIMENT_CONFIG_FIELDS (sim/experiment.h)");
 static_assert(sizeof(cluster::NodeConfig) == 40,
-              "NodeConfig changed: update CODA_JOURNAL_V2_FIELDS "
-              "(journal.cpp) and experiment_cache_key (report_cache.cpp)");
+              "NodeConfig changed: list the field in "
+              "CODA_EXPERIMENT_CONFIG_FIELDS (sim/experiment.h)");
 static_assert(sizeof(cluster::ClusterConfig) == 104,
-              "ClusterConfig changed: update CODA_JOURNAL_V2_FIELDS "
-              "(journal.cpp) and experiment_cache_key (report_cache.cpp)");
+              "ClusterConfig changed: list the field in "
+              "CODA_EXPERIMENT_CONFIG_FIELDS (sim/experiment.h)");
 static_assert(sizeof(sim::EngineConfig) == 144,
-              "EngineConfig changed: update CODA_JOURNAL_V2_FIELDS "
-              "(journal.cpp) and experiment_cache_key (report_cache.cpp)");
+              "EngineConfig changed: list the field in "
+              "CODA_EXPERIMENT_CONFIG_FIELDS (sim/experiment.h)");
 static_assert(sizeof(core::AllocatorConfig) == 48,
-              "AllocatorConfig changed: update CODA_JOURNAL_V2_FIELDS "
-              "(journal.cpp) and experiment_cache_key (report_cache.cpp)");
+              "AllocatorConfig changed: list the field in "
+              "CODA_EXPERIMENT_CONFIG_FIELDS (sim/experiment.h)");
 static_assert(sizeof(core::EliminatorConfig) == 56,
-              "EliminatorConfig changed: update CODA_JOURNAL_V2_FIELDS "
-              "(journal.cpp) and experiment_cache_key (report_cache.cpp)");
+              "EliminatorConfig changed: list the field in "
+              "CODA_EXPERIMENT_CONFIG_FIELDS (sim/experiment.h)");
 static_assert(sizeof(core::CodaConfig) == 144,
-              "CodaConfig changed: update CODA_JOURNAL_V2_FIELDS "
-              "(journal.cpp) and experiment_cache_key (report_cache.cpp)");
+              "CodaConfig changed: list the field in "
+              "CODA_EXPERIMENT_CONFIG_FIELDS (sim/experiment.h)");
 static_assert(sizeof(sim::ExperimentConfig) == 360,
-              "ExperimentConfig changed: update CODA_JOURNAL_V2_FIELDS "
-              "(journal.cpp) and experiment_cache_key (report_cache.cpp)");
+              "ExperimentConfig changed: list the field in "
+              "CODA_EXPERIMENT_CONFIG_FIELDS (sim/experiment.h)");
 // The service-side structs are not journaled, but their knobs are wired
 // through from_env() / codad flag parsing and documented in DESIGN.md §8 —
 // growing them must prompt a pass over both.
@@ -68,10 +66,7 @@ static_assert(sizeof(service::ServerConfig) == 592,
               "parser and document it (DESIGN.md service section)");
 #endif
 
-// The number of `config.` lines the v2 header carries. Duplicated from
-// journal.cpp's kV2FieldCount on purpose: growing the X-macro without
-// thinking about the cache key (step 2 above) should fail a test, not
-// silently agree with itself.
+// The number of `config.` lines the v2 journal header carries.
 constexpr int kExpectedV2Fields = 43;
 
 TEST(ConfigCoverage, V2HeaderCarriesEveryField) {

@@ -80,6 +80,15 @@ TEST(ReportSerialization, RejectsTruncatedAndGarbageInput) {
   EXPECT_FALSE(deserialize_report("not a report at all\n").ok());
   const std::string text = serialize_report(sample_report());
   EXPECT_FALSE(deserialize_report(text.substr(0, text.size() / 2)).ok());
+  // A count the blob cannot back is a parse error, not a reserve() of
+  // 10^14 elements (std::bad_alloc).
+  for (const char* key : {"gpu_queue_times", "records", "tuning_outcomes"}) {
+    const size_t at = text.find(std::string("\n") + key + " ");
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::string claim =
+        text.substr(0, at + 1) + key + " 100000000000000\n";
+    EXPECT_FALSE(deserialize_report(claim).ok()) << key;
+  }
 }
 
 TEST(ReportCacheKey, SensitiveToEveryInput) {

@@ -23,10 +23,12 @@
 #include "service/protocol.h"
 #include "service/restore.h"
 #include "service/server.h"
+#include "sim/report_cache.h"
 #include "sim/report_io.h"
 #include "sim/runner.h"
 #include "state/snapshot.h"
 #include "util/env.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "workload/trace_gen.h"
 #include "workload/trace_io.h"
@@ -206,6 +208,10 @@ TEST(Env, ParseStrictInt) {
   EXPECT_FALSE(util::parse_strict_int("0", 1).ok());    // below minimum
   EXPECT_FALSE(util::parse_strict_int("-3", 1).ok());
   EXPECT_FALSE(util::parse_strict_int("99999999999999999999", 1).ok());
+  EXPECT_FALSE(util::parse_strict_int(" 42", 1).ok());  // whole token only
+  EXPECT_FALSE(util::parse_strict_int("+42", 1).ok());  // '-' is the only sign
+  ASSERT_TRUE(util::parse_strict_int("2147483647", 1, 2147483647).ok());
+  EXPECT_FALSE(util::parse_strict_int("2147483648", 1, 2147483647).ok());
 }
 
 TEST(Env, ParseStrictDouble) {
@@ -228,6 +234,8 @@ TEST(Env, ParseStrictU64) {
   EXPECT_FALSE(util::parse_strict_u64("-1").ok());  // strtoull would wrap
   EXPECT_FALSE(util::parse_strict_u64("7up").ok());
   EXPECT_FALSE(util::parse_strict_u64("18446744073709551616").ok());
+  EXPECT_FALSE(util::parse_strict_u64("+7").ok());  // no sign at all
+  EXPECT_FALSE(util::parse_strict_u64(" -1").ok());
 }
 
 TEST(Env, EnvIntFallsBackOnMalformedValue) {
@@ -236,6 +244,8 @@ TEST(Env, EnvIntFallsBackOnMalformedValue) {
   ::setenv("CODA_TEST_KNOB", "zero", 1);
   EXPECT_EQ(util::env_int("CODA_TEST_KNOB", 3), 3);
   ::setenv("CODA_TEST_KNOB", "0", 1);
+  EXPECT_EQ(util::env_int("CODA_TEST_KNOB", 3), 3);
+  ::setenv("CODA_TEST_KNOB", "4294967297", 1);  // does not fit an int
   EXPECT_EQ(util::env_int("CODA_TEST_KNOB", 3), 3);
   ::unsetenv("CODA_TEST_KNOB");
   EXPECT_EQ(util::env_int("CODA_TEST_KNOB", 3), 3);
@@ -609,13 +619,20 @@ TEST(Journal, V2RejectsUnknownDuplicateAndMissingConfigKeys) {
   EXPECT_NE(r.error().message.find("unknown config key"), std::string::npos)
       << r.error().message;
 
-  // Duplicate key.
+  // Duplicate key, `config.` and legacy alike: last-wins would replay
+  // `nodes 8` followed by `nodes 7` on 7 nodes.
   const std::string line = "config.retry.enabled 1\n";
   const auto line_at = header.find(line);
   ASSERT_NE(line_at, std::string::npos);
   std::string dup = header;
   dup.insert(at, line);
   EXPECT_FALSE(parse_journal(dup).ok());
+  std::string dup_legacy = header;
+  dup_legacy.insert(at, "nodes 7\n");
+  r = parse_journal(dup_legacy);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("duplicate"), std::string::npos)
+      << r.error().message;
 
   // Missing key: a v2 header must carry the complete config block.
   std::string missing = header;
@@ -638,6 +655,112 @@ TEST(Journal, RejectsOutOfRangeNumbers) {
                              "nodes 99999999999999999999\n"
                              "base_trace_bytes 0\n")
                    .ok());
+  // An int field takes only values that fit an int: a wrapping cast would
+  // replay 4294967297 nodes as 1 and 4294967298 as 2.
+  EXPECT_FALSE(parse_journal("CODA_JOURNAL v1\nhorizon 0x1p+10\n"
+                             "nodes 4294967297\nbase_trace_bytes 0\n")
+                   .ok());
+  EXPECT_FALSE(parse_journal("CODA_JOURNAL v1\nhorizon 0x1p+10\n"
+                             "frag_min_cpus 4294967298\nbase_trace_bytes 0\n")
+                   .ok());
+
+  // Values that parse but that the engine asserts on when it builds the
+  // session are refused where the header enters (sim::validate_config),
+  // for legacy and `config.` keys alike. Values the engine tolerates
+  // still load.
+  using Edit = void (*)(sim::ExperimentConfig&);
+  const auto header_with = [](Edit edit) {
+    SessionSpec session;
+    session.config.horizon_s = 3600.0;
+    edit(session.config);
+    return serialize_session_header(session);
+  };
+  const Edit aborting[] = {
+      [](sim::ExperimentConfig& c) { c.engine.cluster.node_count = 0; },
+      [](sim::ExperimentConfig& c) { c.engine.cluster.node_count = -3; },
+      [](sim::ExperimentConfig& c) {
+        c.engine.cluster.cpu_only_node_count = -1;
+      },
+      [](sim::ExperimentConfig& c) {
+        c.engine.cluster.cpu_only_node_count = 1;
+        c.engine.cluster.cpu_only_node.cores = -1;
+      },
+      [](sim::ExperimentConfig& c) { c.engine.cluster.cpu_only_node.gpus = 1; },
+      [](sim::ExperimentConfig& c) { c.engine.cluster.mba_fraction = 2.0; },
+      [](sim::ExperimentConfig& c) { c.engine.cluster.node.gpus = -1; },
+      [](sim::ExperimentConfig& c) { c.engine.cluster.node.cores = -1; },
+      [](sim::ExperimentConfig& c) { c.engine.metrics_period_s = 0.0; },
+      [](sim::ExperimentConfig& c) { c.coda.eliminator.check_period_s = 0.0; },
+      [](sim::ExperimentConfig& c) {
+        c.failures.node_mtbf_s = 600.0;
+        c.failures.outage_s = 0.0;
+      },
+  };
+  for (size_t i = 0; i < std::size(aborting); ++i) {
+    auto parsed = parse_journal(header_with(aborting[i]));
+    ASSERT_FALSE(parsed.ok()) << "case " << i;
+    EXPECT_EQ(parsed.error().code, util::ErrorCode::kInvalidArgument)
+        << "case " << i << ": " << parsed.error().message;
+  }
+  const Edit tolerated[] = {
+      [](sim::ExperimentConfig& c) { c.failures.outage_s = 0.0; },
+      [](sim::ExperimentConfig& c) { c.coda.allocator.min_cores = 9; },
+      [](sim::ExperimentConfig& c) { c.coda.allocator.profile_step_s = 0.0; },
+      [](sim::ExperimentConfig& c) {
+        c.coda.reservation_update_period_s = -1.0;
+      },
+  };
+  for (size_t i = 0; i < std::size(tolerated); ++i) {
+    auto parsed = parse_journal(header_with(tolerated[i]));
+    EXPECT_TRUE(parsed.ok()) << "case " << i << ": "
+                             << parsed.error().message;
+  }
+}
+
+// The persisted bytes themselves, not just their self-consistency: each
+// digest is CacheKeyHasher::mix(text).hex() of a journal header or a report
+// blob, recorded before the report writer moved onto state::serde and the
+// header onto the sim/experiment.h field table. A reordered header line or
+// a changed token format fails here even when the text still round-trips.
+// The report rows run non_default_session()'s config (failures, retry,
+// noise, CPU-only nodes, CODA ablations) over one day of the standard trace.
+TEST(Journal, PinnedHeaderAndReportDigests) {
+  const auto digest = [](const std::string& text) {
+    sim::CacheKeyHasher h;
+    h.mix(text);
+    return h.hex();
+  };
+  SessionSpec default_session;
+  default_session.config.horizon_s = 3600.0;
+  const std::string default_header = serialize_session_header(default_session);
+  EXPECT_EQ(default_header.size(), 1927u);
+  EXPECT_EQ(digest(default_header), "c7347a3d925ef6cf");
+  const std::string non_default_header =
+      serialize_session_header(non_default_session());
+  EXPECT_EQ(non_default_header.size(), 1933u);
+  EXPECT_EQ(digest(non_default_header), "8822783df8653ae8");
+
+  workload::TraceConfig day = sim::standard_week_trace(7);
+  day.duration_s = 86400.0;
+  day.cpu_jobs /= 7;
+  day.gpu_jobs /= 7;
+  const auto trace = workload::TraceGenerator(day).generate();
+  sim::ExperimentConfig config = non_default_session().config;
+  config.horizon_s = 0.0;
+  config.drain_slack_s = 2.0 * 86400.0;
+  config.engine.incremental_recompute = true;
+  config.engine.record_events = false;
+  const std::pair<sim::Policy, const char*> rows[] = {
+      {sim::Policy::kFifo, "99f9271326ff1a91"},
+      {sim::Policy::kDrf, "441a5521086ff9d1"},
+      {sim::Policy::kCoda, "919bc426cba66aa8"},
+  };
+  for (const auto& [policy, expected] : rows) {
+    EXPECT_EQ(digest(sim::serialize_report(
+                  sim::run_experiment(policy, trace, config))),
+              expected)
+        << sim::to_string(policy);
+  }
 }
 
 TEST(Journal, RandomizedSessionHeaderRoundTrips) {
@@ -722,6 +845,28 @@ TEST(Journal, RandomizedSessionHeaderRoundTrips) {
               0);
   }
   std::remove(path.c_str());
+}
+
+TEST(Server, StartRefusesConfigsTheEngineAbortsOn) {
+  // What `codad --mba-fraction 2` and `codad --mtbf 600 --outage-s 0` ask
+  // for: both used to pass flag parsing and abort in an engine assert.
+  using Edit = void (*)(sim::ExperimentConfig&);
+  const Edit edits[] = {
+      [](sim::ExperimentConfig& c) { c.engine.cluster.mba_fraction = 2.0; },
+      [](sim::ExperimentConfig& c) {
+        c.failures.node_mtbf_s = 600.0;
+        c.failures.outage_s = 0.0;
+      },
+  };
+  for (size_t i = 0; i < std::size(edits); ++i) {
+    ServerConfig config = tiny_server_config("badconfig", 0.0);
+    edits[i](config.session.config);
+    Server server(std::move(config));
+    const util::Status status = server.start();
+    ASSERT_FALSE(status.ok()) << "case " << i;
+    EXPECT_EQ(status.error().code, util::ErrorCode::kInvalidArgument)
+        << "case " << i << ": " << status.error().message;
+  }
 }
 
 TEST(Server, NonDefaultSessionReplaysByteForByte) {

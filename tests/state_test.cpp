@@ -90,6 +90,13 @@ TEST(Serde, ReaderPoisonsOnMissingTokenAndTruncatedBlob) {
     r.f64();
     EXPECT_FALSE(r.ok());
   }
+  {
+    // A valid i64 that no int holds must poison, not wrap to 4.
+    Reader r("num 4294967300\n");
+    ASSERT_TRUE(r.expect("num"));
+    EXPECT_EQ(r.i32(), 0);
+    EXPECT_FALSE(r.ok());
+  }
 }
 
 // ------------------------------------------------------------- container
@@ -121,12 +128,15 @@ TEST(Snapshot, FindLatestSnapshotPicksMaxSequence) {
   ASSERT_TRUE(write_file_durable(stem + "2", "two").ok());
   ASSERT_TRUE(write_file_durable(stem + "10", "ten").ok());
   ASSERT_TRUE(write_file_durable(stem + "9", "nine").ok());
-  // Non-numeric suffixes are not snapshots and must be ignored.
+  // Non-numeric suffixes are not snapshots and must be ignored, and so
+  // must one past u64 (2^64 + 11 would wrap to 11 and win).
   ASSERT_TRUE(write_file_durable(stem + "10.tmp", "junk").ok());
+  ASSERT_TRUE(write_file_durable(stem + "18446744073709551627", "wrap").ok());
   auto latest = find_latest_snapshot(stem);
   ASSERT_TRUE(latest.ok()) << latest.error().message;
   EXPECT_EQ(*latest, stem + "10");  // numeric, not lexicographic, order
-  for (const char* suffix : {"2", "10", "9", "10.tmp"}) {
+  for (const char* suffix : {"2", "10", "9", "10.tmp",
+                             "18446744073709551627"}) {
     std::remove((stem + suffix).c_str());
   }
 }
