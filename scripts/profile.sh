@@ -70,15 +70,19 @@ for b in "${BENCHES[@]}"; do
   [[ -x "$bin" ]] || { echo "missing bench binary: $bin" >&2; exit 1; }
   echo ""
   echo "== $b: top $TOP functions by self time =="
+  # Reports go to a file first: piping a long report into `head` would
+  # kill the writer with SIGPIPE, which pipefail turns into a failed run.
   if [[ "$USE_PERF" == "1" ]]; then
     perf record -o "$workdir/$b.perf" --quiet -- "$bin" > /dev/null
     perf report -i "$workdir/$b.perf" --stdio --percent-limit 0.2 \
-        2>/dev/null | grep -v '^#' | awk 'NF' | head -n "$TOP"
+        > "$workdir/$b.txt" 2>/dev/null
+    awk -v top="$TOP" '!/^#/ && NF && n++ < top' "$workdir/$b.txt"
   else
     # gprof writes gmon.out into the CWD of the profiled process.
     bin_abs=$(cd "$(dirname "$bin")" && pwd)/$(basename "$bin")
     (cd "$workdir" && "$bin_abs" > /dev/null 2>&1)
-    gprof -b -p "$bin_abs" "$workdir/gmon.out" | head -n "$((TOP + 5))"
+    gprof -b -p "$bin_abs" "$workdir/gmon.out" > "$workdir/$b.txt"
+    head -n "$((TOP + 5))" "$workdir/$b.txt"
     rm -f "$workdir/gmon.out"
   fi
 done

@@ -74,31 +74,6 @@ NodeId IdBitmap::next_at_least(NodeId from) const {
   return kNone;
 }
 
-size_t IdBitmap::count_in_range(NodeId lo, NodeId hi) const {
-  if (hi > capacity_) {
-    hi = static_cast<NodeId>(capacity_);
-  }
-  if (lo >= hi || count_ == 0) {
-    return 0;
-  }
-  if (lo == 0 && hi == capacity_) {
-    return count_;
-  }
-  const size_t wlo = lo / kWordBits;
-  const size_t whi = (hi - 1) / kWordBits;
-  const uint64_t mask_lo = ~0ULL << (lo % kWordBits);
-  const uint64_t mask_hi = ~0ULL >> (kWordBits - 1 - ((hi - 1) % kWordBits));
-  if (wlo == whi) {
-    return std::popcount(words_[wlo] & mask_lo & mask_hi);
-  }
-  size_t n = std::popcount(words_[wlo] & mask_lo);
-  for (size_t w = wlo + 1; w < whi; ++w) {
-    n += std::popcount(words_[w]);
-  }
-  n += std::popcount(words_[whi] & mask_hi);
-  return n;
-}
-
 void PlacementIndex::reset(int max_gpus, int max_cpus, size_t node_count) {
   CODA_ASSERT(max_gpus >= 0 && max_cpus >= 0);
   max_gpus_ = max_gpus;
@@ -191,39 +166,6 @@ size_t PlacementIndex::collect_best_fit(int gpus, int cpus, IdRange range,
     }
   }
   return appended;
-}
-
-long long PlacementIndex::feasible_slots(int gpus, int cpus, IdRange range,
-                                         long long per_node_cap,
-                                         long long stop_at) const {
-  ++stats_.probes;
-  CODA_ASSERT(gpus >= 1 || cpus >= 1);
-  long long total = 0;
-  if (gpus > max_gpus_ || cpus > max_cpus_) {
-    return 0;
-  }
-  const int g0 = gpus > 0 ? gpus : 0;
-  const int c0 = cpus > 0 ? cpus : 0;
-  for (int g = g0; g <= max_gpus_; ++g) {
-    for (int c = c0; c <= max_cpus_; ++c) {
-      const IdBitmap& b = buckets_[bucket_of(g, c)];
-      if (b.empty()) {
-        continue;
-      }
-      const size_t n = b.count_in_range(range.lo, range.hi);
-      if (n == 0) {
-        continue;
-      }
-      const long long by_gpu = gpus > 0 ? g / gpus : per_node_cap;
-      const long long by_cpu = cpus > 0 ? c / cpus : per_node_cap;
-      const long long slots = by_gpu < by_cpu ? by_gpu : by_cpu;
-      total += slots * static_cast<long long>(n);
-      if (total >= stop_at) {
-        return total;
-      }
-    }
-  }
-  return total;
 }
 
 NodeId PlacementIndex::best_adjusted_fit(int cpus) const {

@@ -43,8 +43,6 @@ class IdBitmap {
 
   // Smallest member >= from, or kNone.
   NodeId next_at_least(NodeId from) const;
-  // Members in [lo, hi).
-  size_t count_in_range(NodeId lo, NodeId hi) const;
 
  private:
   std::vector<uint64_t> words_;
@@ -95,14 +93,6 @@ class PlacementIndex {
   // how many ids were appended.
   size_t collect_best_fit(int gpus, int cpus, IdRange range, size_t want,
                           std::vector<NodeId>* out) const;
-
-  // Sum over in-range nodes of per-node slot counts
-  //   min(gpus > 0 ? free_gpus / gpus : per_node_cap,
-  //       cpus > 0 ? free_cpus / cpus : per_node_cap)
-  // stopping early once the running total reaches `stop_at` (the caller's
-  // limit * group size). Matches count_feasible's early-exit value.
-  long long feasible_slots(int gpus, int cpus, IdRange range,
-                           long long per_node_cap, long long stop_at) const;
 
   // Lowest (adjusted cores, id) with adjusted >= cpus, or kNone. The CODA
   // CPU array's non-borrow best fit.

@@ -34,6 +34,10 @@ void ContentionEliminator::load_state(state::Reader* r) {
     rec.node = static_cast<cluster::NodeId>(r->u64());
     rec.via_mba = r->b();
     rec.original_cores = r->i32();
+    if (r->ok() && rec.node >= env_->cluster->node_count()) {
+      r->fail("throttle record on an unknown node");
+      break;
+    }
     throttled_[job] = rec;
   }
 }
@@ -45,21 +49,36 @@ void ContentionEliminator::check_all(
   }
   ++stats_.checks;
   const auto& nodes = env_->cluster->nodes();
-  // One sparse batched MBM read screens the whole pass: ascending (id,
-  // pressure) rows covering every node that could read nonzero — an
-  // unlisted node's pressure is exactly 0.0, where check_node is a no-op
-  // below the threshold and release_node can only find throttle records on
-  // nodes that host jobs (which the screen lists). Visiting the listed
-  // nodes therefore makes exactly the decisions the old one-probe-per-node
-  // full loop made, at O(occupied) instead of O(cluster) per tick.
+  // One batched MBM read screens the whole pass: ascending (id, pressure)
+  // rows covering every node at or above the floor this eliminator
+  // registered, its bw_threshold. check_node is a no-op on any other node,
+  // and release_node can only act on a node holding one of this
+  // eliminator's throttle records, so with release_when_calm on those nodes
+  // join the rows. Visiting the rows therefore makes exactly the decisions
+  // a one-probe-per-node loop over the whole cluster makes, at O(hot nodes
+  // + throttled jobs) instead of O(cluster) per tick.
   //
   // Acting on a node — a cap, a resize — may shift pressure readings later
   // in the same pass, so after the first action the pass falls back to live
-  // per-node probes (a mutation never populates a node the screen skipped:
-  // caps and resizes move no job between nodes, so unlisted nodes stay at
-  // exactly zero).
+  // per-node probes. A mutation only changes the pressure of the node it
+  // acts on (caps and resizes move no job between nodes), so a node the
+  // rows left out still could not trigger a check or a release.
   env_->bandwidth->pressure_screen(nodes.size(), &screen_ids_,
                                    &pressure_scratch_);
+  if (config_.release_when_calm) {
+    // Nothing has mutated yet this pass, so a probe now reads what a
+    // whole-cluster screen would have listed for the node.
+    for (const auto& [job, rec] : throttled_) {
+      const auto it = std::lower_bound(screen_ids_.begin(), screen_ids_.end(),
+                                       rec.node);
+      if (it == screen_ids_.end() || *it != rec.node) {
+        pressure_scratch_.insert(
+            pressure_scratch_.begin() + (it - screen_ids_.begin()),
+            env_->bandwidth->pressure(rec.node));
+        screen_ids_.insert(it, rec.node);
+      }
+    }
+  }
   bool stale = false;
   size_t i = 0;
   // Fast path while nothing has mutated: the screen value decides both

@@ -71,7 +71,13 @@ class ContentionEliminator {
       : config_(config),
         env_(env),
         on_cpu_resize_(std::move(on_cpu_resize)),
-        is_user_facing_(std::move(is_user_facing)) {}
+        is_user_facing_(std::move(is_user_facing)) {
+    // check_node acts only at or above bw_threshold: the per-pass screen
+    // need list nothing below it.
+    if (env_->set_pressure_floor) {
+      env_->set_pressure_floor(config_.bw_threshold);
+    }
+  }
 
   const EliminatorConfig& config() const { return config_; }
   const EliminatorStats& stats() const { return stats_; }
@@ -124,9 +130,9 @@ class ContentionEliminator {
   // every node every check period, and each sample used to allocate a fresh
   // jobs vector.
   telemetry::NodeBandwidthSample sample_scratch_;
-  // Per-pass batched screen (BandwidthSource::pressure_screen): one sparse
-  // MBM read — parallel (id, pressure) rows for possibly-nonzero nodes —
-  // instead of node_count independent probes.
+  // Per-pass rows: the batched screen (BandwidthSource::pressure_screen,
+  // parallel (id, pressure) rows for the nodes at or above bw_threshold),
+  // plus, under release_when_calm, the nodes holding throttle records.
   std::vector<cluster::NodeId> screen_ids_;
   std::vector<double> pressure_scratch_;
 };

@@ -6,10 +6,6 @@
 
 namespace coda::sched {
 
-NodeFilter any_node() {
-  return [](const cluster::Node&) { return true; };
-}
-
 PlacementRequest baseline_request(const workload::JobSpec& spec) {
   PlacementRequest req;
   if (spec.is_gpu_job()) {
@@ -104,40 +100,6 @@ std::optional<Placement> find_placement(const cluster::Cluster& cluster,
                       request.cpus_per_node, request.gpus_per_node});
   }
   return placement;
-}
-
-int count_feasible(const cluster::Cluster& cluster,
-                   const PlacementRequest& request, IdRange range, int limit) {
-  const long long stop =
-      static_cast<long long>(limit) * static_cast<long long>(request.nodes);
-  const long long total = cluster.placement_index().feasible_slots(
-      request.gpus_per_node, request.cpus_per_node, range, limit, stop);
-  const long long count = total / request.nodes;
-  return static_cast<int>(std::min<long long>(limit, count));
-}
-
-int count_feasible(const cluster::Cluster& cluster,
-                   const PlacementRequest& request, const NodeFilter& filter,
-                   int limit) {
-  // How many *disjoint* placements fit, assuming each node can host
-  // floor(free/need) copies.
-  int total_slots = 0;
-  for (const auto& node : cluster.nodes()) {
-    if (!filter(node)) {
-      continue;
-    }
-    int by_cpu = request.cpus_per_node > 0
-                     ? node.free_cpus() / request.cpus_per_node
-                     : limit;
-    int by_gpu = request.gpus_per_node > 0
-                     ? node.free_gpus() / request.gpus_per_node
-                     : limit;
-    total_slots += std::min(by_cpu, by_gpu);
-    if (total_slots / request.nodes >= limit) {
-      return limit;
-    }
-  }
-  return std::min(limit, total_slots / request.nodes);
 }
 
 }  // namespace coda::sched

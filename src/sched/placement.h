@@ -17,9 +17,6 @@ namespace coda::sched {
 // Restricts which nodes a search may use; return true to allow.
 using NodeFilter = std::function<bool(const cluster::Node&)>;
 
-// Always-true filter.
-NodeFilter any_node();
-
 // How many CPU cores a placement should give the job on each node.
 // For GPU jobs this is the paper's per-node core count (requested by the
 // owner under the baselines, assigned by the CPU allocator under CODA).
@@ -54,14 +51,5 @@ std::optional<Placement> find_placement(const cluster::Cluster& cluster,
 std::optional<Placement> find_placement(const cluster::Cluster& cluster,
                                         const PlacementRequest& request,
                                         const NodeFilter& filter);
-
-// Counts how many requests of this shape could start right now; stops
-// counting at `limit`. The IdRange overload answers from bucket counts; the
-// NodeFilter overload is its linear-scan reference.
-int count_feasible(const cluster::Cluster& cluster,
-                   const PlacementRequest& request, IdRange range, int limit);
-int count_feasible(const cluster::Cluster& cluster,
-                   const PlacementRequest& request, const NodeFilter& filter,
-                   int limit);
 
 }  // namespace coda::sched

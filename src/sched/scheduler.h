@@ -112,6 +112,14 @@ struct SchedulerEnv {
   telemetry::GpuUtilSource* gpu_util = nullptr;
   telemetry::BandwidthSource* bandwidth = nullptr;
 
+  // Sets the pressure floor of bandwidth->pressure_screen: from now on the
+  // screen lists only occupied nodes whose pressure is at or above `floor`
+  // (0 by default: every occupied node). The contention eliminator registers
+  // its bw_threshold once at construction. It lives here rather than on
+  // BandwidthSource so that probe wrappers forwarding the existing virtuals
+  // keep reaching the engine's screen.
+  std::function<void(double floor)> set_pressure_floor;
+
   // Simulated Intel MBA caps: set_bw_cap fails on non-MBA nodes.
   std::function<util::Status(cluster::NodeId, cluster::JobId, double)>
       set_bw_cap;

@@ -21,11 +21,10 @@ ClusterEngine::ClusterEngine(const EngineConfig& config,
       event_log_(config.record_events) {
   jobs_on_node_.resize(cluster_.node_count());
   occupied_nodes_.reset(cluster_.node_count());
-  node_bw_caps_.reserve(cluster_.node_count());
-  for (const auto& node : cluster_.nodes()) {
-    node_bw_caps_.push_back(node.config().mem_bw_gbps);
-  }
+  hot_nodes_.reset(cluster_.node_count());
   node_reports_.resize(cluster_.node_count());
+  node_pressure_.assign(cluster_.node_count(), 0.0);
+  node_mem_terms_.assign(cluster_.node_count(), 0.0);
   for (auto& list : jobs_on_node_) {
     list.reserve(16);  // a 28-core node rarely hosts more residents
   }
@@ -64,6 +63,7 @@ ClusterEngine::ClusterEngine(const EngineConfig& config,
                           int cpus) { return resize_job(id, node, cpus); };
   env.gpu_util = this;
   env.bandwidth = this;
+  env.set_pressure_floor = [this](double floor) { set_pressure_floor(floor); };
   env.set_bw_cap = [this](cluster::NodeId node, cluster::JobId id,
                           double cap) {
     auto status = mba_.set_cap(node, id, cap);
@@ -543,6 +543,7 @@ void ClusterEngine::recompute_node(cluster::NodeId node) {
   }
   contention_.resolve_into(cluster_.node(node).config(), footprints,
                            &node_reports_[node]);
+  cache_node_telemetry(node);
   const auto& report = node_reports_[node];
   // resolve_into emits one row per footprint in input order, so the rows
   // zip with the resident list — no per-row job lookup.
@@ -554,6 +555,45 @@ void ClusterEngine::recompute_node(cluster::NodeId node) {
     st.cpu_rate_factor = report.jobs[i].cpu_rate_factor;
     st.achieved_bw = report.jobs[i].achieved_bw_gbps;
     update_rate(*residents[i].job);
+  }
+}
+
+void ClusterEngine::cache_node_telemetry(cluster::NodeId node) {
+  const perfmodel::NodeContentionReport& report = node_reports_[node];
+  // Every report row is a live job (finish and evict mark the node dirty),
+  // so this row sum equals sample_into's live-filtered total: same rows,
+  // same order, same bits.
+  const double cap = cluster_.node(node).config().mem_bw_gbps;
+  double pressure = 0.0;
+  if (cap > 0.0) {
+    double total = 0.0;
+    for (const auto& jc : report.jobs) {
+      total += jc.achieved_bw_gbps;
+    }
+    pressure = total / cap;
+  }
+  node_pressure_[node] = pressure;
+  node_mem_terms_[node] = std::min(1.0, report.mem_pressure);
+  const bool hot =
+      !jobs_on_node_[node].empty() && pressure >= pressure_floor_;
+  if (hot != hot_nodes_.contains(node)) {
+    if (hot) {
+      hot_nodes_.insert(node);
+    } else {
+      hot_nodes_.erase(node);
+    }
+  }
+}
+
+void ClusterEngine::set_pressure_floor(double floor) {
+  pressure_floor_ = floor;
+  hot_nodes_.reset(cluster_.node_count());
+  for (cluster::NodeId id = occupied_nodes_.next_at_least(0);
+       id != cluster::IdBitmap::kNone;
+       id = occupied_nodes_.next_at_least(id + 1)) {
+    if (node_pressure_[id] >= floor) {
+      hot_nodes_.insert(id);
+    }
   }
 }
 
@@ -629,6 +669,9 @@ void ClusterEngine::update_rate(RunningJob& job) {
     job.rate *= spec.checkpoint_interval_s /
                 (spec.checkpoint_interval_s + spec.checkpoint_overhead_s);
   }
+  // Before the unchanged-rate return: a leg's cores can move while the rate
+  // stays put.
+  store_tick_terms(job);
   // An unchanged rate leaves the finish instant where it is: the pending
   // event's time equals now + remaining/rate in exact arithmetic (and with
   // LESS accumulated rounding — it was anchored when the rate last actually
@@ -641,6 +684,35 @@ void ClusterEngine::update_rate(RunningJob& job) {
     return;
   }
   reschedule_finish(job);
+}
+
+void ClusterEngine::store_tick_terms(RunningJob& job) const {
+  const workload::JobSpec& spec = *job.spec;
+  job.gpu_job = spec.is_gpu_job();
+  job.gpus = spec.total_gpus();
+  if (!job.gpu_job) {
+    PerNodeState& st = job.nodes.front().second;
+    st.busy_cores = st.cpus * st.cpu_rate_factor;
+    return;
+  }
+  const double iter = 1.0 / job.rate;
+  for (auto& [node, st] : job.nodes) {
+    // update_rate has just synced the eval cache with (cpus, factors), so
+    // the prep stage costs no model lookup here. The bit-compare fallback
+    // covers a caller that did not; it returns the identical value.
+    uint64_t prep_bits;
+    uint64_t gpu_bits;
+    std::memcpy(&prep_bits, &st.factors.prep_inflation, sizeof(prep_bits));
+    std::memcpy(&gpu_bits, &st.factors.gpu_inflation, sizeof(gpu_bits));
+    const bool cached = st.eval_cpus == std::max(1, st.cpus) &&
+                        st.eval_prep_bits == prep_bits &&
+                        st.eval_gpu_bits == gpu_bits;
+    const double prep =
+        cached ? st.eval_prep
+               : perf_.prep_time(spec.model, spec.train_config,
+                                 std::max(1, st.cpus), st.factors);
+    st.busy_cores = st.cpus * std::min(1.0, prep / iter);
+  }
 }
 
 void ClusterEngine::reschedule_finish(RunningJob& job) {
@@ -696,47 +768,21 @@ void ClusterEngine::sample_into(cluster::NodeId node,
 
 double ClusterEngine::pressure(cluster::NodeId node) const {
   ensure_synced();
-  const double cap = node_bw_caps_[node];
-  if (cap <= 0.0) {
-    return 0.0;
-  }
-  // After the flush every report row is a live job (finish/evict mark the
-  // node dirty), so summing the report directly matches sample_into's
-  // live-filtered total — same rows, same order, same bits — without the
-  // per-row running_ lookups. The eliminator screens every node with this
-  // each tick; keeping it allocation- and lookup-free is what makes the
-  // periodic full-cluster scan cheap.
-  double total = 0.0;
-  for (const auto& jc : node_reports_[node].jobs) {
-    total += jc.achieved_bw_gbps;
-  }
-  return total / cap;
+  return node_pressure_[node];
 }
 
 void ClusterEngine::pressure_screen(size_t node_count,
                                     std::vector<cluster::NodeId>* ids,
                                     std::vector<double>* out) const {
   ensure_synced();
-  // After the sync, a node outside occupied_nodes_ has an empty report, and
-  // an empty report sums to pressure +0.0 exactly (0.0 / cap, or the cap<=0
-  // early-out) — so listing only occupied nodes satisfies the screen
-  // contract. The occupied set is bounded by the running-job count, not N,
-  // which keeps the eliminator's periodic screen off the 10k-node wall.
   ids->clear();
   out->clear();
-  for (cluster::NodeId id = occupied_nodes_.next_at_least(0);
+  for (cluster::NodeId id = hot_nodes_.next_at_least(0);
        id != cluster::IdBitmap::kNone &&
        id < static_cast<cluster::NodeId>(node_count);
-       id = occupied_nodes_.next_at_least(id + 1)) {
-    const double cap = node_bw_caps_[id];
-    double total = 0.0;
-    if (cap > 0.0) {
-      for (const auto& jc : node_reports_[id].jobs) {
-        total += jc.achieved_bw_gbps;
-      }
-    }
+       id = hot_nodes_.next_at_least(id + 1)) {
     ids->push_back(id);
-    out->push_back(cap > 0.0 ? total / cap : 0.0);
+    out->push_back(node_pressure_[id]);
   }
 }
 
@@ -820,42 +866,24 @@ void ClusterEngine::sample_metrics() {
       t, static_cast<double>(scheduler_->pending_gpu_jobs()));
 
   // GPU utilization averaged over *active* GPUs (the paper's definition);
-  // CPU utilization over active cores.
+  // CPU utilization over active cores. The flush above brought every
+  // rate-update term current, so the tick only adds them up, in job-id,
+  // leg and node order.
   double gpu_util_weighted = 0.0;
   int active_gpus = 0;
   double cpu_busy = 0.0;
   int active_cores = 0;
   for (const auto& [id, job] : running_) {
-    const workload::JobSpec& spec = *job.spec;
-    if (spec.is_gpu_job()) {
-      const int gpus = spec.total_gpus();
-      gpu_util_weighted += job.gpu_util * gpus;
-      active_gpus += gpus;
+    if (job.gpu_job) {
+      gpu_util_weighted += job.gpu_util * job.gpus;
+      active_gpus += job.gpus;
       for (const auto& [node, st] : job.nodes) {
-        // update_rate keeps the eval cache in sync with (cpus, factors)
-        // whenever rates are fresh — which flush_dirty_nodes() above just
-        // guaranteed — so the prep stage costs no model lookup here. The
-        // bit-compare fallback covers any path that mutated state without a
-        // rate update; it returns the identical value either way.
-        uint64_t prep_bits;
-        uint64_t gpu_bits;
-        std::memcpy(&prep_bits, &st.factors.prep_inflation,
-                    sizeof(prep_bits));
-        std::memcpy(&gpu_bits, &st.factors.gpu_inflation, sizeof(gpu_bits));
-        const bool cached = st.eval_cpus == std::max(1, st.cpus) &&
-                            st.eval_prep_bits == prep_bits &&
-                            st.eval_gpu_bits == gpu_bits;
-        const double prep =
-            cached ? st.eval_prep
-                   : perf_.prep_time(spec.model, spec.train_config,
-                                     std::max(1, st.cpus), st.factors);
-        const double iter = 1.0 / job.rate;
-        cpu_busy += st.cpus * std::min(1.0, prep / iter);
+        cpu_busy += st.busy_cores;
         active_cores += st.cpus;
       }
     } else {
       const auto& st = job.nodes.front().second;
-      cpu_busy += st.cpus * st.cpu_rate_factor;
+      cpu_busy += st.busy_cores;
       active_cores += st.cpus;
     }
   }
@@ -871,7 +899,7 @@ void ClusterEngine::sample_metrics() {
   for (cluster::NodeId id = occupied_nodes_.next_at_least(0);
        id != cluster::IdBitmap::kNone;
        id = occupied_nodes_.next_at_least(id + 1)) {
-    pressure += std::min(1.0, node_reports_[id].mem_pressure);
+    pressure += node_mem_terms_[id];
   }
   series_.mem_pressure->add(
       t, pressure / static_cast<double>(node_reports_.size()));

@@ -166,11 +166,13 @@ class ClusterEngine : public telemetry::BandwidthSource,
   telemetry::NodeBandwidthSample sample(cluster::NodeId node) const override;
   void sample_into(cluster::NodeId node,
                    telemetry::NodeBandwidthSample* out) const override;
+  // Reads the pressure recompute_node cached for the node (after a sync).
   double pressure(cluster::NodeId node) const override;
-  // Whole-cluster screen: one sync, then (id, pressure) rows for occupied
-  // nodes only — every unlisted node reads pressure exactly +0.0. This is
-  // the eliminator's per-tick scan; listing only occupied nodes keeps it
-  // O(running jobs) instead of O(cluster).
+  // Whole-cluster screen: one sync, then exactly the ascending (id,
+  // pressure) rows of occupied nodes whose pressure is at or above the floor
+  // set through SchedulerEnv::set_pressure_floor (default 0: every occupied
+  // node). This is the eliminator's per-tick scan; the rows come from a
+  // bitmap kept current by recompute_node, so a screen costs O(rows).
   void pressure_screen(size_t node_count,
                        std::vector<cluster::NodeId>* ids,
                        std::vector<double>* out) const override;
@@ -209,6 +211,12 @@ class ClusterEngine : public telemetry::BandwidthSource,
  private:
   struct PerNodeState {
     int cpus = 0;
+    // Busy cores on this leg, the metrics tick's cpu_util_active term:
+    // cpus * min(1, prep / iter) for a GPU job, cpus * cpu_rate_factor for a
+    // CPU job. Derived state: update_rate stores it on every rate update and
+    // load_state recomputes it, so the tick only adds it up. It sits beside
+    // `cpus`, the other field the tick reads, to share its cache line.
+    double busy_cores = 0.0;
     perfmodel::ResourceFootprint footprint;
     perfmodel::ContentionFactors factors;
     double cpu_rate_factor = 1.0;
@@ -221,7 +229,7 @@ class ClusterEngine : public telemetry::BandwidthSource,
     uint64_t eval_gpu_bits = 0;
     double eval_iter = 0.0;
     double eval_util = 0.0;
-    double eval_prep = 0.0;  // prep-stage time; metrics ticks read it
+    double eval_prep = 0.0;  // prep-stage time
   };
 
   struct RunningJob {
@@ -235,10 +243,15 @@ class ClusterEngine : public telemetry::BandwidthSource,
     // any Resident caches a PerNodeState address, and legs never change
     // count afterwards, so those addresses stay stable.
     std::vector<std::pair<cluster::NodeId, PerNodeState>> nodes;
+    double gpu_util = 0.0;     // cached, refreshed on every rate update
+    // spec->is_gpu_job() and spec->total_gpus(), stored by update_rate so
+    // the metrics tick never dereferences the spec. These three sit beside
+    // `nodes` so the tick reads one cache line of the job.
+    bool gpu_job = false;
+    int gpus = 0;
     double remaining = 0.0;    // iterations (GPU) or core-seconds (CPU)
     double rate = 0.0;         // per simulated second
     double last_update = 0.0;
-    double gpu_util = 0.0;     // cached, refreshed on every rate update
     simcore::EventHandle finish_event;
 
     // ---- checkpoint state (per running stint) ----
@@ -293,6 +306,15 @@ class ClusterEngine : public telemetry::BandwidthSource,
     const_cast<ClusterEngine*>(this)->flush_dirty_nodes();
   }
   void update_rate(RunningJob& job);
+  // Stores the job's metrics-tick terms (gpu_job, gpus, every leg's
+  // busy_cores) from its current rate, cores and factors.
+  void store_tick_terms(RunningJob& job) const;
+  // Caches the node's pressure and mem-pressure term from its report and
+  // files it in or out of hot_nodes_.
+  void cache_node_telemetry(cluster::NodeId node);
+  // SchedulerEnv::set_pressure_floor: re-files every occupied node against
+  // the new floor.
+  void set_pressure_floor(double floor);
   void advance_progress(RunningJob& job);
   void reschedule_finish(RunningJob& job);
   double total_work_of(const workload::JobSpec& spec) const;
@@ -325,17 +347,23 @@ class ClusterEngine : public telemetry::BandwidthSource,
   std::vector<std::vector<Resident>> jobs_on_node_;
   // Ids with a non-empty resident list, maintained on the same transitions
   // as jobs_on_node_. After a flush, a node outside this set has an empty
-  // contention report (pressure exactly +0.0), which lets the periodic
-  // whole-cluster scans (pressure_screen, the mem-pressure mean) iterate
-  // occupied nodes only instead of all N — bit-identical, since skipped
-  // nodes contribute literal zeros.
+  // contention report (mem-pressure term exactly +0.0), which lets the
+  // metrics tick's mem-pressure mean add up occupied nodes only instead of
+  // all N — bit-identical, since skipped nodes contribute literal zeros.
   cluster::IdBitmap occupied_nodes_;
-  // Per-node memory bandwidth capacity, copied out of the immutable node
-  // configs at construction so the periodic pressure screen reads a flat
-  // array instead of chasing Node::config() per occupied node.
-  std::vector<double> node_bw_caps_;
+  // Occupied nodes whose cached pressure is at or above pressure_floor_:
+  // exactly the rows pressure_screen lists. recompute_node re-files a node
+  // whenever its report changes, so after a flush the set is current.
+  cluster::IdBitmap hot_nodes_;
+  double pressure_floor_ = 0.0;
   // Last contention report per node (backs the MBM sample()).
   std::vector<perfmodel::NodeContentionReport> node_reports_;
+  // Derived from node_reports_ by cache_node_telemetry whenever a report
+  // changes (recompute_node, load_state): the report's achieved-bandwidth
+  // row sum over capacity, in row order (what pressure() returns), and
+  // min(1, mem_pressure) (the metrics tick's mem-pressure term).
+  std::vector<double> node_pressure_;
+  std::vector<double> node_mem_terms_;
   std::map<cluster::JobId, double> pending_since_;
   std::map<cluster::JobId, double> remaining_work_;  // preserved on migration
 

@@ -4,7 +4,9 @@
 // doubles the live engine held, so the first post-restore event observes
 // bit-identical state. Node allocations, MBA caps, metrics and the event
 // log restore by replaying their own mutation APIs (allocate/set_cap/set/
-// add/record), which fold deterministically in serialized order.
+// add/record), which fold deterministically in serialized order. The
+// telemetry caches (node pressures, the hot-node set, metrics-tick terms)
+// are pure functions of that state and are rebuilt, not serialized.
 //
 // Pending simulator events are NOT handled here: save_state captures a
 // quiescent engine (between dispatches, dirty nodes flushed) and the
@@ -250,6 +252,10 @@ util::Status ClusterEngine::load_state(
     job.ckpt_busy_core_s = r->f64();
     job.ckpt_busy_gpu_s = r->f64();
     const uint64_t np = r->u64();
+    if (r->ok() && np == 0) {
+      r->fail("running job without a placement: " + std::to_string(id));
+      break;
+    }
     job.placement.nodes.reserve(np);
     job.nodes.reserve(np);
     for (uint64_t j = 0; j < np && r->ok(); ++j) {
@@ -347,6 +353,17 @@ util::Status ClusterEngine::load_state(
       jc.factors.gpu_inflation = r->f64();
       jc.cpu_rate_factor = r->f64();
       rep.jobs.push_back(jc);
+    }
+  }
+
+  // Derived caches are not serialized: rebuild them from what just loaded,
+  // with the same expressions the live engine stored them with.
+  if (r->ok()) {
+    for (auto& [id, job] : running_) {
+      store_tick_terms(job);
+    }
+    for (size_t node = 0; node < node_reports_.size(); ++node) {
+      cache_node_telemetry(static_cast<cluster::NodeId>(node));
     }
   }
 

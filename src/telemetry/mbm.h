@@ -47,8 +47,8 @@ class BandwidthSource {
 
   // Cheap threshold probe: the node's total achieved bandwidth as a
   // fraction of capacity, without materializing the per-job breakdown. The
-  // eliminator screens every node every tick with this and only pulls the
-  // full sample for the rare node over its threshold. Must agree with
+  // eliminator re-probes a node with this once a pass has acted, and only
+  // pulls the full sample for a node over its threshold. Must agree with
   // sample(node).pressure(); the default guarantees that by construction.
   virtual double pressure(cluster::NodeId node) const {
     NodeBandwidthSample s;
@@ -58,13 +58,18 @@ class BandwidthSource {
 
   // Batch screen: one MBM read per monitoring pass instead of node_count
   // independent probes. Fills two parallel arrays — ascending node ids and
-  // their pressures — covering AT LEAST every node whose pressure is
-  // nonzero; any id in [0, node_count) not listed is guaranteed to read
-  // exactly 0.0 from pressure() at the same instant, and every listed
-  // pressure must equal what pressure(id) would return. The default lists
-  // every node, which satisfies the contract trivially; the engine override
-  // syncs its dirty state once and lists only nodes with resident jobs, so
-  // the periodic screen costs O(occupied), not O(cluster).
+  // their pressures — covering AT LEAST every node in [0, node_count) whose
+  // pressure is nonzero and at or above the floor (an unlisted node reads
+  // below the floor, or exactly 0.0, from pressure() at the same instant);
+  // every listed pressure must equal what pressure(id) would return then.
+  // The floor is set through SchedulerEnv::set_pressure_floor (0 until
+  // someone sets it; the contention eliminator registers its bw_threshold),
+  // so a consumer that needs a node below the floor probes it with
+  // pressure(). The default lists every node, which satisfies the contract
+  // for any floor; the engine override syncs its dirty state once and lists
+  // exactly the occupied nodes at or above the floor from a set it keeps
+  // current as nodes recompute, so the periodic screen costs O(hot nodes),
+  // not O(cluster).
   virtual void pressure_screen(size_t node_count,
                                std::vector<cluster::NodeId>* ids,
                                std::vector<double>* out) const {

@@ -3,10 +3,10 @@
 // Drives a cluster through thousands of random mutations (allocate, resize,
 // release, failure toggles, CPU-bias updates) and checks after every step
 // that the indexed query paths return exactly what the linear scans return:
-// find_placement / count_feasible (IdRange overloads) against their
-// NodeFilter overloads, and the CODA side queries (best_adjusted_fit,
-// best_free_cpu_fit, eviction candidates, the fragmentation bucket sum)
-// against brute-force recomputation from the nodes. The index is pure
+// find_placement (IdRange overload) against its NodeFilter overload, and the
+// CODA side queries (best_adjusted_fit, best_free_cpu_fit, eviction
+// candidates, the fragmentation bucket sum) against brute-force
+// recomputation from the nodes. The index is pure
 // derived state — any divergence here is a maintenance bug, not a modelling
 // choice. End to end, report digests recorded from the linear-scan
 // schedulers pin whole replays.
@@ -177,7 +177,7 @@ TEST(PlacementIndexProperty, RandomWalkMatchesLinearScan) {
           node, static_cast<int>(rng.uniform_int(0, 10)));
     }
 
-    // --- indexed vs linear find_placement / count_feasible -------------
+    // --- indexed vs linear find_placement --------------------------------
     sched::PlacementRequest req;
     req.nodes = static_cast<int>(rng.uniform_int(1, 3));
     req.gpus_per_node = static_cast<int>(rng.uniform_int(0, 4));
@@ -191,8 +191,6 @@ TEST(PlacementIndexProperty, RandomWalkMatchesLinearScan) {
       range.lo = std::min(a, b);
       range.hi = std::max(a, b);
     }
-    const int limit = static_cast<int>(rng.uniform_int(1, 12));
-
     const sched::NodeFilter in_range = [range](const cluster::Node& node) {
       return node.id() >= range.lo && node.id() < range.hi;
     };
@@ -201,9 +199,6 @@ TEST(PlacementIndexProperty, RandomWalkMatchesLinearScan) {
         << "step " << step << " req={" << req.nodes << ","
         << req.gpus_per_node << "," << req.cpus_per_node << "} range=["
         << range.lo << "," << range.hi << ")";
-    ASSERT_EQ(sched::count_feasible(cluster, req, range, limit),
-              sched::count_feasible(cluster, req, in_range, limit))
-        << "step " << step;
 
     // --- CODA side queries vs brute force -------------------------------
     const PlacementIndex& index = cluster.placement_index();

@@ -144,19 +144,6 @@ TEST(Placement, FailsWhenNothingFits) {
       find_placement(engine.cluster(), PlacementRequest{2, 1, 1}).has_value());
 }
 
-TEST(Placement, CountFeasibleProbes) {
-  FakeEngine engine(2);  // 2 nodes x (8 cores, 2 gpus)
-  EXPECT_EQ(count_feasible(engine.cluster(), PlacementRequest{1, 1, 4},
-                           any_node(), 100),
-            4);
-  EXPECT_EQ(count_feasible(engine.cluster(), PlacementRequest{1, 0, 3},
-                           any_node(), 100),
-            4);  // floor(8/3) per node
-  EXPECT_EQ(count_feasible(engine.cluster(), PlacementRequest{1, 1, 1},
-                           any_node(), 3),
-            3);  // limited
-}
-
 // --------------------------------------------------------------------- FIFO
 
 TEST(Fifo, StartsInArrivalOrder) {
