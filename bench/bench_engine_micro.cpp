@@ -106,15 +106,10 @@ struct MicroResult {
 
 MicroResult replay(sim::Policy policy,
                    const std::vector<workload::JobSpec>& trace) {
-  sim::ExperimentConfig config;
-  double horizon = 0.0;
-  for (const auto& spec : trace) {
-    horizon = std::max(horizon, spec.submit_time);
-  }
-
-  auto sched = sim::make_policy_scheduler(policy, config);
-  sim::ClusterEngine engine(config.engine, sched.scheduler.get());
-  engine.load_trace(trace);
+  sim::Session session = sim::Session::start(policy, trace, {});
+  const sim::ExperimentConfig& config = session.config;
+  const double horizon = config.horizon_s;
+  sim::ClusterEngine& engine = *session.engine;
 
   // Warmup: let the population ramp and the perf-model caches fill.
   engine.run_until(0.2 * horizon);

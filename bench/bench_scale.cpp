@@ -12,7 +12,6 @@
 // placement_ops_per_sec is indexed find/count probes retired per second in
 // that run). --fast / CODA_FAST=1 shrinks the workload so the binary can run
 // as a ctest case.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -60,15 +59,9 @@ ScaleRun replay(const ScaleCase& sc) {
 
   sim::ExperimentConfig config;
   config.engine.cluster.node_count = sc.nodes;
-  double horizon = 0.0;
-  for (const auto& spec : trace) {
-    horizon = std::max(horizon, spec.submit_time);
-  }
-  config.horizon_s = horizon;
-
-  auto sched = sim::make_policy_scheduler(sim::Policy::kCoda, config);
-  sim::ClusterEngine engine(config.engine, sched.scheduler.get());
-  engine.load_trace(trace);
+  sim::Session session = sim::Session::start(sim::Policy::kCoda, trace, config);
+  sim::ClusterEngine& engine = *session.engine;
+  const double horizon = session.config.horizon_s;
 
   // Short warmup so the population ramps and the pools/memos fill; the
   // measured window is the loaded steady state plus the drain.

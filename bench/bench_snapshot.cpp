@@ -17,7 +17,6 @@
 //
 // Output: a table plus one machine-readable line — "BENCH_SNAPSHOT_JSON
 // {...}" — for scripts/run_benches.sh.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -45,19 +44,14 @@ int main() {
       "session snapshot/restore latency vs full-journal replay");
 
   const auto& trace = bench::standard_trace();
-  double horizon = 0.0;
-  for (const auto& spec : trace) {
-    horizon = std::max(horizon, spec.submit_time);
-  }
-  const double cut_vt = 0.7 * horizon;
   const sim::Policy policy = sim::Policy::kCoda;
-  const sim::ExperimentConfig config;
 
   // The live session to checkpoint.
-  sim::PolicyScheduler live = sim::make_policy_scheduler(policy, config);
-  sim::ClusterEngine engine(config.engine, live.scheduler.get());
-  engine.load_trace(trace);
-  sim::schedule_failures(&engine, config, horizon);
+  sim::Session live = sim::Session::start(policy, trace, {});
+  const sim::ExperimentConfig& config = live.config;
+  const double horizon = config.horizon_s;
+  const double cut_vt = 0.7 * horizon;
+  sim::ClusterEngine& engine = *live.engine;
   engine.run_until(cut_vt);
 
   state::SnapshotMeta meta;
@@ -67,7 +61,7 @@ int main() {
 
   auto t0 = Clock::now();
   auto blob = state::capture_snapshot(meta, "bench", engine,
-                                      *live.scheduler);
+                                      *live.scheduler.scheduler);
   const double snapshot_ms = ms_since(t0);
   if (!blob.ok()) {
     std::fprintf(stderr, "capture failed: %s\n",
@@ -98,11 +92,8 @@ int main() {
   // The alternative a crashed daemon faces without a snapshot: replay the
   // journal — i.e. re-simulate every event — back to the same cut.
   t0 = Clock::now();
-  sim::PolicyScheduler replayed = sim::make_policy_scheduler(policy, config);
-  sim::ClusterEngine replay_engine(config.engine, replayed.scheduler.get());
-  replay_engine.load_trace(trace);
-  sim::schedule_failures(&replay_engine, config, horizon);
-  replay_engine.run_until(cut_vt);
+  sim::Session replayed = sim::Session::start(policy, trace, config);
+  replayed.engine->run_until(cut_vt);
   const double replay_ms = ms_since(t0);
 
   const double speedup = restore_ms > 0.0 ? replay_ms / restore_ms : 0.0;

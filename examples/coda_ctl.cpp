@@ -195,13 +195,11 @@ int cmd_restore_check(const FlagMap& flags) {
   }
   std::printf(
       "restore-check OK: seq=%llu vt=%.3f policy=%s jobs=%zu "
-      "(base %zu + live %llu) running=%zu restore_ms=%.3f\n",
+      "(base %zu + live %zu) running=%zu restore_ms=%.3f\n",
       static_cast<unsigned long long>(shard->snapshot_seq), shard->resume_vt,
-      sim::to_string(shard->session.policy),
-      shard->base_jobs + static_cast<size_t>(shard->accepted_submits),
-      shard->base_jobs,
-      static_cast<unsigned long long>(shard->accepted_submits),
-      shard->engine->running_jobs(), restore_ms);
+      sim::to_string(shard->spec.policy), shard->sim.submitted,
+      shard->base_jobs, shard->accepted(), shard->sim.engine->running_jobs(),
+      restore_ms);
   return 0;
 }
 

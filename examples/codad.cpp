@@ -70,7 +70,13 @@ void usage() {
       "  --restore 1 resumes each shard from its latest "
       "JOURNAL[.shard<k>].SNAP.<seq>\n"
       "    snapshot plus the journal tail (take one live with: coda_ctl "
-      "snapshot)\n"
+      "snapshot),\n"
+      "    else from the whole journal replayed from t=0; only a shard with "
+      "neither\n"
+      "    file starts fresh. Files that fail to load make codad exit 1 and "
+      "stay as they are;\n"
+      "    after a crash inside SNAPSHOT, removing only the journal resumes "
+      "from the snapshot\n"
       "  --snapshot-every-sim-hours H / --snapshot-journal-mb M (or "
       "CODA_SERVE_SNAP_SIM_HOURS /\n"
       "    CODA_SERVE_SNAP_JOURNAL_MB) auto-snapshot + truncate each "

@@ -4,7 +4,10 @@
 # targeted pings, submits routed to both shards, status, cluster, metrics,
 # a pipelined bench burst, drain, shutdown), scrapes GET /metrics over
 # HTTP, then replays BOTH per-shard journals offline with coda_cli and
-# requires each report to match the daemon's byte-for-byte.
+# requires each report to match the daemon's byte-for-byte. Then the
+# recovery cycles: snapshot + kill -9 + --restore, automatic snapshots,
+# kill -9 with no snapshot (--restore replays the journal alone), and a
+# journal torn after a snapshot (--restore exits 1, both files untouched).
 #
 # Usage: scripts/serve_smoke.sh CODAD CODA_CTL CODA_CLI
 #   The three arguments are the binary paths; ctest passes them via
@@ -184,5 +187,54 @@ echo "==> replaying latest auto snapshot + truncated journal tail"
 snap=$(ls "$journal3".SNAP.* | sort -V | tail -1)
 "$CLI" replay --snapshot "$snap" --journal "$journal3" \
        --expect-report "$journal3.report"
+
+# ---- kill -9 with no snapshot: --restore replays the journal alone ----
+echo "==> kill -9 before any snapshot, then --restore from the journal"
+journal4="$workdir/nosnap.journal"
+"$CODAD" --days 0.02 --policy coda --nodes 8 --port 0 \
+         --journal "$journal4" --speedup 20000 >"$workdir/codad5.log" 2>&1 &
+daemon_pid=$!
+port5=$(wait_for_port "$workdir/codad5.log")
+"$CTL" submit --port "$port5" --kind cpu --cores 4 --work 900
+"$CTL" submit --port "$port5" --kind gpu --model resnet50 --iters 1500
+"$CTL" submit --port "$port5" --kind cpu --cores 2 --work 600
+kill -9 "$daemon_pid" 2>/dev/null || true
+wait "$daemon_pid" 2>/dev/null || true
+daemon_pid=""
+"$CODAD" --restore 1 --journal "$journal4" --port 0 \
+         >"$workdir/codad6.log" 2>&1 &
+daemon_pid=$!
+port6=$(wait_for_port "$workdir/codad6.log")
+"$CTL" drain --port "$port6"
+"$CTL" shutdown --port "$port6"
+wait "$daemon_pid"
+daemon_pid=""
+[ "$(grep -c '^S ' "$journal4")" -eq 3 ] \
+  || { echo "--restore lost acknowledged S lines" >&2; exit 1; }
+"$CLI" replay --journal "$journal4" --expect-report "$journal4.report"
+
+# ---- kill -9 that tears the journal after a snapshot: fail closed ----
+echo "==> torn journal tail after a snapshot: --restore must refuse"
+journal5="$workdir/torn.journal"
+"$CODAD" --days 0.02 --policy coda --nodes 8 --port 0 \
+         --journal "$journal5" --speedup 20000 >"$workdir/codad7.log" 2>&1 &
+daemon_pid=$!
+port7=$(wait_for_port "$workdir/codad7.log")
+"$CTL" snapshot --port "$port7" | grep -q 'seq=1'
+"$CTL" submit --port "$port7" --kind cpu --cores 4 --work 900
+kill -9 "$daemon_pid" 2>/dev/null || true
+wait "$daemon_pid" 2>/dev/null || true
+daemon_pid=""
+truncate -s -7 "$journal5"
+cp "$journal5" "$workdir/torn.journal.before"
+cp "$journal5.SNAP.1" "$workdir/torn.snap.before"
+rc=0
+timeout 20 "$CODAD" --restore 1 --journal "$journal5" --port 0 \
+        >"$workdir/codad8.log" 2>&1 || rc=$?
+[ "$rc" -eq 1 ] || { echo "--restore on a torn journal exited $rc" >&2; \
+                     cat "$workdir/codad8.log" >&2; exit 1; }
+grep -a -q 'cannot restore' "$workdir/codad8.log"
+cmp "$journal5" "$workdir/torn.journal.before"
+cmp "$journal5.SNAP.1" "$workdir/torn.snap.before"
 
 echo "==> serve smoke clean"

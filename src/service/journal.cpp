@@ -3,14 +3,17 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <unordered_set>
 #include <utility>
 
 #include "state/serde.h"
+#include "state/snapshot.h"
 #include "util/parse.h"
 #include "util/strings.h"
 #include "workload/trace_io.h"
@@ -22,12 +25,6 @@ namespace {
 constexpr const char* kMagic = "CODA_JOURNAL";
 constexpr const char* kVersionV1 = "v1";
 constexpr const char* kVersionV2 = "v2";
-
-util::Error io_error(const std::string& path, const char* what) {
-  return util::Error{util::ErrorCode::kIoError,
-                     util::strfmt("journal '%s': %s (%s)", path.c_str(), what,
-                                  std::strerror(errno))};
-}
 
 util::Error parse_error(const std::string& what) {
   return util::Error{util::ErrorCode::kParseError, "journal: " + what};
@@ -191,26 +188,21 @@ std::string serialize_session_header(const SessionSpec& session) {
 
 util::Result<JournalWriter> JournalWriter::open(const std::string& path,
                                                 const SessionSpec& session) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return io_error(path, "cannot open for write");
+  if (auto status = state::write_file_durable(
+          path, serialize_session_header(session));
+      !status.ok()) {
+    return status.error();
   }
-  const std::string header = serialize_session_header(session);
-  if (std::fwrite(header.data(), 1, header.size(), f) != header.size() ||
-      std::fflush(f) != 0) {
-    std::fclose(f);
-    return io_error(path, "header write failed");
-  }
-  JournalWriter writer;
-  writer.file_ = f;
-  return writer;
+  return open_append(path);
 }
 
 util::Result<JournalWriter> JournalWriter::open_append(
     const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "ab");
   if (f == nullptr) {
-    return io_error(path, "cannot open for append");
+    return util::Error{util::ErrorCode::kIoError,
+                       util::strfmt("journal '%s': cannot open for append (%s)",
+                                    path.c_str(), std::strerror(errno))};
   }
   JournalWriter writer;
   writer.file_ = f;
@@ -371,6 +363,9 @@ util::Result<JournalSession> parse_journal(const std::string& text) {
     if (!vt.ok()) {
       return parse_error(vt.error().message);
     }
+    if (!std::isfinite(*vt) || *vt < 0.0) {
+      return parse_error("entry vt '" + vt_str + "' must be finite and >= 0");
+    }
     auto id = util::parse_strict_u64(id_str);
     if (!id.ok()) {
       return parse_error(id.error().message);
@@ -415,26 +410,15 @@ util::Result<std::vector<workload::JobSpec>> journal_trace(
     spec->submit_time = entry.virtual_time;
     trace.push_back(std::move(*spec));
   }
+  std::unordered_set<uint64_t> ids;
+  for (const auto& spec : trace) {
+    if (!ids.insert(spec.id).second) {
+      return parse_error(util::strfmt(
+          "entry for job %llu reuses an id the session already holds",
+          static_cast<unsigned long long>(spec.id)));
+    }
+  }
   return trace;
-}
-
-util::Result<sim::ExperimentReport> replay_journal(
-    const JournalSession& journal) {
-  auto trace = journal_trace(journal);
-  if (!trace.ok()) {
-    return trace.error();
-  }
-  return sim::run_experiment(journal.session.policy, *trace,
-                             journal.session.config);
-}
-
-util::Result<sim::ExperimentReport> replay_journal_file(
-    const std::string& path) {
-  auto journal = load_journal(path);
-  if (!journal.ok()) {
-    return journal.error();
-  }
-  return replay_journal(*journal);
 }
 
 }  // namespace coda::service

@@ -49,8 +49,9 @@
 //     pre-posted replay arrivals dispatch in the same order.
 //  3. The header is the complete ExperimentConfig. A codad started with a
 //     non-default retry policy, failure injection, or any CodaConfig
-//     ablation replays under exactly those knobs (failure outages are
-//     pre-posted by the shared sim::schedule_failures in both paths).
+//     ablation replays under exactly those knobs: the live shard and the
+//     replay both build their session through start_shard (restore.h),
+//     which pre-posts the same failure outages before any entry.
 //
 // Backward compatibility: v1 files (which recorded only the nine legacy
 // keys) still parse; every config field takes its library default, which
@@ -100,13 +101,15 @@ class JournalWriter {
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  // Creates/truncates `path` and writes the session header (flushed).
+  // Replaces `path` with the session header in one rename (temp file,
+  // fsync, rename: state::write_file_durable), so a crash leaves the old
+  // file or the whole header, never a torn one; then opens it to append.
   static util::Result<JournalWriter> open(const std::string& path,
                                           const SessionSpec& session);
 
   // Opens an existing journal for appending without touching its contents.
-  // Used on --restore: the truncated journal already carries the header and
-  // the post-snapshot tail; the resumed daemon keeps appending to it.
+  // Used on --restore: the journal already carries the header and the
+  // entries the recovered session replayed; the daemon keeps appending.
   static util::Result<JournalWriter> open_append(const std::string& path);
 
   // Buffers one submission entry; durable only after the next flush().
@@ -150,28 +153,29 @@ class JournalWriter {
 std::string serialize_session_header(const SessionSpec& session);
 
 // The exact one-line text append_submit writes for an entry, '\n' included.
-// The server accumulates these to build the session blob a SNAPSHOT embeds
+// ShardSession::accept appends these to the session blob a SNAPSHOT embeds
 // (header + every accepted entry), so the embedded text is byte-identical
 // to what an untruncated journal would contain.
 std::string format_submit_entry(double virtual_time, uint64_t job_id,
                                 const std::string& csv_row);
 
 // Parses a journal file (header, base trace, submissions). Accepts v2 and,
-// for journals from the previous release, v1 (config fields default).
+// for journals from the previous release, v1 (config fields default). An
+// entry's virtual time must be finite and >= 0.
 util::Result<JournalSession> load_journal(const std::string& path);
 util::Result<JournalSession> parse_journal(const std::string& text);
 
-// Builds the combined trace a replay feeds the engine: base trace first
-// (submit order preserved), then each journaled submission with its id and
-// exact virtual-time submit instant.
+// Builds the combined trace start_shard and restore_shard hand the
+// session: base trace first (submit order preserved), then each journaled
+// submission with its id and exact virtual-time submit instant. Refuses an
+// entry whose id the base trace or an earlier entry holds.
 util::Result<std::vector<workload::JobSpec>> journal_trace(
     const JournalSession& journal);
 
-// Re-executes the session offline through sim::run_experiment. For any
-// journal produced by a live codad session, the returned report serializes
-// byte-identically to the report the daemon wrote at drain.
-util::Result<sim::ExperimentReport> replay_journal(
-    const JournalSession& journal);
+// Re-executes a journal's session offline: load_journal, then the
+// recovery path itself (start_shard and Session::finish, in restore.cpp).
+// For any journal produced by a live codad session, the returned report
+// serializes byte-identically to the report the daemon wrote at drain.
 util::Result<sim::ExperimentReport> replay_journal_file(
     const std::string& path);
 

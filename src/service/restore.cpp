@@ -1,90 +1,114 @@
 #include "service/restore.h"
 
-#include <sys/stat.h>
-
+#include <algorithm>
 #include <utility>
 
+#include "state/snapshot.h"
 #include "util/strings.h"
-#include "workload/trace_io.h"
 
 namespace coda::service {
 
-namespace {
-
-bool file_exists(const std::string& path) {
-  struct stat st {};
-  return ::stat(path.c_str(), &st) == 0;
+void ShardSession::accept(const workload::JobSpec& job,
+                          const std::string& csv_row) {
+  sim.inject(job, job.submit_time);
+  session_text += format_submit_entry(job.submit_time, job.id, csv_row);
+  next_auto_id = std::max(next_auto_id, job.id + 1);
 }
 
-}  // namespace
+util::Result<ShardSession> start_shard(const JournalSession& journal) {
+  auto trace = journal_trace(journal);
+  if (!trace.ok()) {
+    return trace.error();
+  }
+  ShardSession out;
+  out.spec = journal.session;
+  out.session_text = serialize_session_header(journal.session);
+  out.base_jobs = trace->size() - journal.submissions.size();
+  const std::vector<workload::JobSpec> base(
+      trace->begin(),
+      trace->begin() + static_cast<std::ptrdiff_t>(out.base_jobs));
+  out.sim = sim::Session::start(journal.session.policy, base,
+                                journal.session.config);
+  for (const workload::JobSpec& job : base) {
+    out.next_auto_id = std::max(out.next_auto_id, job.id + 1);
+  }
+  for (size_t i = 0; i < journal.submissions.size(); ++i) {
+    out.accept((*trace)[out.base_jobs + i], journal.submissions[i].csv_row);
+    out.resume_vt = journal.submissions[i].virtual_time;
+  }
+  return out;
+}
 
-util::Result<RestoredShard> restore_shard(const std::string& snapshot_path,
-                                          const std::string& journal_path) {
+util::Result<ShardSession> restore_shard(const std::string& snapshot_path,
+                                         const std::string& journal_path) {
   auto snap = state::load_snapshot_file(snapshot_path);
   if (!snap.ok()) {
     return snap.error();
   }
-  auto embedded = parse_journal(snap->session_text);
-  if (!embedded.ok()) {
-    return util::Error{embedded.error().code,
+  auto journal = parse_journal(snap->session_text);
+  if (!journal.ok()) {
+    return util::Error{journal.error().code,
                        "snapshot's embedded session: " +
-                           embedded.error().message};
+                           journal.error().message};
   }
-  auto trace = journal_trace(*embedded);
-  if (!trace.ok()) {
-    return trace.error();
-  }
-
-  auto restored = state::restore_session(*snap, embedded->session.policy,
-                                         embedded->session.config, *trace);
-  if (!restored.ok()) {
-    return restored.error();
-  }
-
-  RestoredShard out;
-  out.scheduler = std::move(restored->scheduler);
-  out.engine = std::move(restored->engine);
-  out.session = std::move(embedded->session);
-  out.session_text = std::move(snap->session_text);
-  out.base_jobs = trace->size() - embedded->submissions.size();
-  out.accepted_submits = snap->meta.accepted;
-  out.next_auto_id = snap->meta.next_auto_id;
-  out.snapshot_seq = snap->meta.seq;
-  out.resume_vt = snap->meta.virtual_time;
+  const size_t captured = journal->submissions.size();
 
   // The truncated journal's tail: submissions acknowledged after the
   // snapshot. Missing file = nothing was accepted after the capture.
-  if (!journal_path.empty() && file_exists(journal_path)) {
+  if (!journal_path.empty() && state::file_exists(journal_path)) {
     auto tail = load_journal(journal_path);
     if (!tail.ok()) {
       return tail.error();
     }
     for (const JournalEntry& entry : tail->submissions) {
-      if (entry.virtual_time <= out.resume_vt) {
+      if (entry.virtual_time <= snap->meta.virtual_time) {
         return util::Error{
             util::ErrorCode::kFailedPrecondition,
             util::strfmt("journal entry for job %llu at vt %g predates the "
                          "snapshot (vt %g): journal and snapshot are from "
                          "different truncation epochs",
                          static_cast<unsigned long long>(entry.job_id),
-                         entry.virtual_time, out.resume_vt)};
+                         entry.virtual_time, snap->meta.virtual_time)};
       }
-      auto spec = workload::job_from_csv_row(entry.csv_row);
-      if (!spec.ok()) {
-        return spec.error();
-      }
-      spec->id = entry.job_id;
-      spec->submit_time = entry.virtual_time;
-      out.engine->inject(*spec, entry.virtual_time);
-      out.session_text += format_submit_entry(entry.virtual_time,
-                                              entry.job_id, entry.csv_row);
-      ++out.accepted_submits;
-      if (entry.job_id >= out.next_auto_id) {
-        out.next_auto_id = entry.job_id + 1;
-      }
+      journal->submissions.push_back(entry);
     }
   }
+  // Refuses a tail entry reusing an id the snapshot's session holds.
+  auto trace = journal_trace(*journal);
+  if (!trace.ok()) {
+    return trace.error();
+  }
+  auto restored = state::restore_session(*snap, journal->session.policy,
+                                         journal->session.config, *trace);
+  if (!restored.ok()) {
+    return restored.error();
+  }
+
+  ShardSession out;
+  out.sim = std::move(*restored);
+  out.spec = std::move(journal->session);
+  out.session_text = std::move(snap->session_text);
+  out.base_jobs = trace->size() - journal->submissions.size();
+  out.next_auto_id = snap->meta.next_auto_id;
+  out.snapshot_seq = snap->meta.seq;
+  out.resume_vt = snap->meta.virtual_time;
+  for (size_t i = captured; i < journal->submissions.size(); ++i) {
+    out.accept((*trace)[out.base_jobs + i], journal->submissions[i].csv_row);
+  }
   return out;
+}
+
+util::Result<sim::ExperimentReport> replay_journal_file(
+    const std::string& path) {
+  auto journal = load_journal(path);
+  if (!journal.ok()) {
+    return journal.error();
+  }
+  auto shard = start_shard(*journal);
+  if (!shard.ok()) {
+    return shard.error();
+  }
+  return shard->sim.finish();
 }
 
 util::Result<sim::ExperimentReport> replay_from_snapshot(
@@ -93,12 +117,7 @@ util::Result<sim::ExperimentReport> replay_from_snapshot(
   if (!shard.ok()) {
     return shard.error();
   }
-  const double horizon = shard->session.config.horizon_s;
-  shard->engine->run_until(horizon);
-  shard->engine->drain(horizon + shard->session.config.drain_slack_s);
-  return sim::build_report(shard->session.policy, *shard->engine,
-                           shard->base_jobs + shard->accepted_submits,
-                           horizon, shard->scheduler.coda);
+  return shard->sim.finish();
 }
 
 }  // namespace coda::service

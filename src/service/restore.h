@@ -1,64 +1,59 @@
-// Service-side snapshot restore: glue between the opaque state/snapshot
-// container and the journal format the daemon embeds in it.
+// A codad shard's session and the two ways to build one. A ShardSession is
+// a sim::Session plus its journal bookkeeping: the header, and
+// `session_text` (the header and every accepted S-line, kept across journal
+// truncations so that a SNAPSHOT can embed it). Every accepted SUBMIT, live
+// or recovered, goes through accept.
 //
-// A SNAPSHOT captures the shard's full live state plus a `session_text`
-// blob — a complete journal (header + every accepted S-line) covering
-// every job the state references — and then truncates the on-disk journal
-// back to its header. Restoring therefore has two inputs:
+//   - start_shard: a journal's session from virtual time zero, each entry
+//     accepted at its recorded instant (a fresh shard has no entries);
+//   - restore_shard: the session a snapshot captured, rebuilt by
+//     state::restore_session, then the tail of the journal (which the
+//     SNAPSHOT truncated to its header) accepted likewise.
 //
-//   1. the snapshot file: parsed here via service::parse_journal into the
-//      session's policy/config/trace, then handed to state::restore_session
-//      which rebuilds the engine, scheduler, RNG streams, clock and event
-//      queue bit-for-bit;
-//   2. the truncated journal's tail: S-lines accepted *after* the snapshot,
-//      re-injected at their exact recorded virtual times (every journaled
-//      instant is strictly after all dispatched events — the same argument
-//      that makes full-journal replay byte-identical).
-//
-// The result resumes exactly where the uninterrupted session would be: the
-// drained report is byte-identical, whether the resume happens inside a
-// restarted codad (--restore) or offline (coda_cli replay --snapshot).
+// A journaled instant is after every event dispatched before it, so both
+// drain to the report of the session that wrote the files, byte for byte.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "service/journal.h"
 #include "sim/experiment.h"
-#include "state/snapshot.h"
 #include "util/result.h"
 
 namespace coda::service {
 
-// A shard session rebuilt from a snapshot plus its journal tail, ready to
-// keep serving (codad --restore) or to finish offline (replay).
-struct RestoredShard {
-  // Scheduler before engine: the engine holds a pointer into the scheduler
-  // and must be destroyed first.
-  sim::PolicyScheduler scheduler;
-  std::unique_ptr<sim::ClusterEngine> engine;
-  SessionSpec session;          // parsed from the embedded journal header
-  std::string session_text;     // embedded journal + re-appended tail lines
-  size_t base_jobs = 0;         // jobs in the embedded base trace
-  uint64_t accepted_submits = 0;  // snapshot's count + journal-tail entries
+struct ShardSession {
+  sim::Session sim;
+  SessionSpec spec;           // the header it was started or captured with
+  std::string session_text;   // header + every accepted S-line
+  size_t base_jobs = 0;       // jobs in the base trace
   uint64_t next_auto_id = 1;
-  uint64_t snapshot_seq = 0;
-  double resume_vt = 0.0;       // virtual clock at the snapshot
+  uint64_t snapshot_seq = 0;  // last snapshot taken or restored from
+  double resume_vt = 0.0;     // pacing origin: the last recovered instant
+
+  // Injects an accepted submission at `job.submit_time` and records it:
+  // its S-line (with `csv_row`) in session_text, its id in next_auto_id.
+  void accept(const workload::JobSpec& job, const std::string& csv_row);
+  size_t accepted() const { return sim.submitted - base_jobs; }
 };
 
-// Loads `snapshot_path`, rebuilds the session, then (when `journal_path` is
-// non-empty) injects the journal's post-snapshot tail. Fails loudly on a
-// tail entry at or before the snapshot instant — that means the journal
-// and snapshot are from different truncation epochs, and replaying it
-// would double-inject a job.
-util::Result<RestoredShard> restore_shard(const std::string& snapshot_path,
-                                          const std::string& journal_path);
+// Starts `journal`'s session and accepts each of its entries. Fails on a
+// base trace or entry that does not parse, or an entry reusing a job id.
+util::Result<ShardSession> start_shard(const JournalSession& journal);
 
-// restore_shard + run the session to its horizon and drain, returning the
-// final report — byte-identical to the uninterrupted session's (and to a
-// full-journal replay's), but starting from the snapshot instant instead
-// of virtual time zero.
+// Loads `snapshot_path`, rebuilds the session, then (when `journal_path`
+// names an existing file) accepts the journal's post-snapshot tail. Fails
+// on a tail entry at or before the snapshot instant — the journal and
+// snapshot are from different truncation epochs — and on a tail entry
+// whose job id the restored session already holds.
+util::Result<ShardSession> restore_shard(const std::string& snapshot_path,
+                                         const std::string& journal_path);
+
+// restore_shard + finish: the report of the session the snapshot and
+// journal tail describe, byte-identical to the uninterrupted session's.
+// Its journal-only twin, replay_journal_file (journal.h), is load_journal
+// + start_shard + finish.
 util::Result<sim::ExperimentReport> replay_from_snapshot(
     const std::string& snapshot_path, const std::string& journal_path);
 

@@ -5,7 +5,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -72,6 +71,79 @@ std::string http_response(int status, const char* reason,
 constexpr const char* kOpenMetricsType =
     "application/openmetrics-text; version=1.0.0; charset=utf-8";
 
+std::string shard_journal_path(const ServerConfig& config, int shard) {
+  if (config.journal_path.empty()) {
+    return std::string();
+  }
+  if (config.limits.shards == 1) {
+    return config.journal_path;
+  }
+  return util::strfmt("%s.shard%d", config.journal_path.c_str(), shard);
+}
+
+std::string shard_report_path(const ServerConfig& config, int shard) {
+  if (config.limits.shards == 1) {
+    if (!config.report_path.empty()) {
+      return config.report_path;
+    }
+    return config.journal_path.empty() ? std::string()
+                                       : config.journal_path + ".report";
+  }
+  if (!config.report_path.empty()) {
+    return util::strfmt("%s.shard%d", config.report_path.c_str(), shard);
+  }
+  const std::string journal = shard_journal_path(config, shard);
+  return journal.empty() ? std::string() : journal + ".report";
+}
+
+// The session shard `k` starts with. With --restore it is rebuilt from the
+// shard's files: the latest snapshot plus the journal's tail, else the
+// whole journal replayed from t=0. Only a shard with neither file starts
+// fresh: a recovery that fails, or a snapshot directory that cannot be
+// read, is an error, not a fresh start.
+util::Result<ShardSession> load_shard(const ServerConfig& config, int k) {
+  const std::string journal_path = shard_journal_path(config, k);
+  if (!config.restore || journal_path.empty()) {
+    return start_shard(JournalSession{config.session, {}});
+  }
+  const auto t0 = SteadyClock::now();
+  auto latest = state::find_latest_snapshot(journal_path + ".SNAP.");
+  if (!latest.ok() && latest.error().code != util::ErrorCode::kNotFound) {
+    return util::Error{latest.error().code,
+                       util::strfmt("shard %d: cannot restore: %s", k,
+                                    latest.error().message.c_str())};
+  }
+  if (!latest.ok() && !state::file_exists(journal_path)) {
+    return start_shard(JournalSession{config.session, {}});
+  }
+  const std::string source = latest.ok() ? *latest : journal_path;
+  auto session = [&]() -> util::Result<ShardSession> {
+    if (latest.ok()) {
+      return restore_shard(*latest, journal_path);
+    }
+    auto journal = load_journal(journal_path);
+    if (!journal.ok()) {
+      return journal.error();
+    }
+    return start_shard(*journal);
+  }();
+  if (!session.ok()) {
+    return util::Error{session.error().code,
+                       util::strfmt("shard %d: cannot restore from %s: %s", k,
+                                    source.c_str(),
+                                    session.error().message.c_str())};
+  }
+  const double restore_ms =
+      std::chrono::duration<double, std::milli>(SteadyClock::now() - t0)
+          .count();
+  auto& metrics = session->sim.engine->metrics_mut();
+  metrics.set("restore_ms", restore_ms);
+  metrics.set("snapshots_taken", static_cast<double>(session->snapshot_seq));
+  CODA_LOG_INFO("shard %d restored from %s (vt=%.3f, %.1f ms)", k,
+                source.c_str(), session->resume_vt, restore_ms);
+  return session;
+}
+
 }  // namespace
 
 ServiceLimits ServiceLimits::from_env() {
@@ -118,6 +190,11 @@ struct Server::Completion {
   uint64_t cid = 0;
   bool http = false;
   std::string line;  // protocol line, or the HTTP body when http
+
+  // The reply slot `cmd` is answered in, without its line.
+  static Completion to(const Command& cmd) {
+    return {cmd.conn_id, cmd.ordered_seq, cmd.has_cid, cmd.cid, cmd.http, {}};
+  }
 };
 
 // Per-connection bookkeeping, owned exclusively by the I/O thread.
@@ -149,40 +226,22 @@ struct Server::Conn {
   bool dead = false;        // swept (poller.del + close + erase) after phase
 };
 
+// A shard: its mailbox and thread, and the engine state start() builds and
+// then only the shard's thread touches.
 struct Server::Shard {
   int index = 0;
   std::unique_ptr<Mailbox<Command>> mailbox;
   std::thread thread;
+  // Set by the shard's thread at drain; Server::drained() reads it.
   std::atomic<bool> drained{false};
-};
 
-// Engine-thread-local state; exists only for its shard thread's lifetime.
-struct Server::EngineState {
-  sim::PolicyScheduler scheduler;
-  std::unique_ptr<sim::ClusterEngine> engine;
+  ShardSession session;
   JournalWriter journal;
-  // The shard's own session spec: config_.session on a fresh start, the
-  // snapshot's embedded header on --restore. Drain and journal truncation
-  // use this, never config_.session, so a restored shard finishes under
-  // exactly the knobs it was captured with.
-  SessionSpec session;
-  // The complete journal text of the session so far (header + every
-  // accepted S-line), maintained across truncations: this is the blob a
-  // SNAPSHOT embeds so the snapshot alone names every job its state
-  // references, even after earlier truncations discarded the file's lines.
-  std::string session_text;
-  size_t base_jobs = 0;
-  size_t accepted_submits = 0;
-  uint64_t next_auto_id = 1;
-  uint64_t snapshot_seq = 0;  // last snapshot written (restored included)
-  double resume_vt = 0.0;     // pacing origin: 0 fresh, snapshot vt restored
   // Auto-snapshot bookkeeping: virtual time of the last snapshot (manual or
   // automatic; restore seeds it with the resumed instant), and a latch that
   // stops retry spam after a failed automatic attempt.
   double last_snap_vt = 0.0;
   bool auto_snap_failed = false;
-  double horizon = 0.0;
-  bool drained = false;
   std::string drain_summary;
   // Set when a journal append/flush fails (the writer poisons itself):
   // later submissions are refused rather than accepted unjournaled, which
@@ -195,8 +254,7 @@ struct Server::EngineState {
   // for the whole batch.
   struct StagedSubmit {
     workload::JobSpec spec;
-    std::string csv_row;  // verbatim row, appended to session_text on commit
-    double virtual_time = 0.0;
+    std::string csv_row;  // verbatim row; spec.submit_time is its vt
     bool journaled = false;
     Command cmd;  // reply routing (request payload unused)
   };
@@ -251,13 +309,22 @@ util::Status Server::start() {
                        "cannot create wakeup descriptor"};
   }
 
-  // Validate the base trace before anything goes live: the engine threads
-  // have no way to report a parse error back to the caller.
-  if (!config_.session.base_trace_csv.empty()) {
-    auto parsed = workload::trace_from_csv(config_.session.base_trace_csv);
-    if (!parsed.ok()) {
-      return parsed.error();
+  // Every shard's session is built before any journal is opened or any
+  // thread started, so a bad trace or a failed recovery reaches the caller
+  // and leaves the files on disk as they were.
+  const int n_shards = config_.limits.shards;
+  shards_.clear();
+  for (int k = 0; k < n_shards; ++k) {
+    auto session = load_shard(config_, k);
+    if (!session.ok()) {
+      return session.error();
     }
+    auto shard = std::make_unique<Shard>();
+    shard->index = k;
+    shard->mailbox = std::make_unique<Mailbox<Command>>(
+        static_cast<size_t>(config_.limits.admission_capacity));
+    shard->session = std::move(*session);
+    shards_.push_back(std::move(shard));
   }
 
   if (unix_listener) {
@@ -323,16 +390,7 @@ util::Status Server::start() {
                        util::strfmt("listen: %s", std::strerror(errno))};
   }
 
-  const int n_shards = config_.limits.shards;
   report_texts_.assign(static_cast<size_t>(n_shards), std::string());
-  shards_.clear();
-  for (int k = 0; k < n_shards; ++k) {
-    auto shard = std::make_unique<Shard>();
-    shard->index = k;
-    shard->mailbox = std::make_unique<Mailbox<Command>>(
-        static_cast<size_t>(config_.limits.admission_capacity));
-    shards_.push_back(std::move(shard));
-  }
   engines_running_.store(n_shards);
   started_ = true;
   for (auto& shard : shards_) {
@@ -394,83 +452,54 @@ void Server::wait() {
 
 // --------------------------------------------------------- engine threads
 
-namespace {
-
-std::string shard_journal_path(const ServerConfig& config, int shard) {
-  if (config.journal_path.empty()) {
-    return std::string();
-  }
-  if (config.limits.shards == 1) {
-    return config.journal_path;
-  }
-  return util::strfmt("%s.shard%d", config.journal_path.c_str(), shard);
-}
-
-std::string shard_report_path(const ServerConfig& config, int shard) {
-  if (config.limits.shards == 1) {
-    if (!config.report_path.empty()) {
-      return config.report_path;
-    }
-    return config.journal_path.empty() ? std::string()
-                                       : config.journal_path + ".report";
-  }
-  if (!config.report_path.empty()) {
-    return util::strfmt("%s.shard%d", config.report_path.c_str(), shard);
-  }
-  const std::string journal = shard_journal_path(config, shard);
-  return journal.empty() ? std::string() : journal + ".report";
-}
-
-}  // namespace
-
-util::Result<std::string> Server::take_snapshot(Shard& shard,
-                                                EngineState& es) {
+util::Result<std::string> Server::take_snapshot(Shard& shard) {
   const std::string journal_path = shard_journal_path(config_, shard.index);
   const auto t0 = SteadyClock::now();
+  sim::ClusterEngine& engine = *shard.session.sim.engine;
   state::SnapshotMeta meta;
-  meta.seq = es.snapshot_seq + 1;
-  meta.virtual_time = es.engine->sim().now();
-  meta.dispatched = es.engine->sim().dispatched();
-  meta.accepted = es.accepted_submits;
-  meta.next_auto_id = es.next_auto_id;
-  auto blob = state::capture_snapshot(meta, es.session_text, *es.engine,
-                                      *es.scheduler.scheduler);
+  meta.seq = shard.session.snapshot_seq + 1;
+  meta.virtual_time = engine.sim().now();
+  meta.dispatched = engine.sim().dispatched();
+  meta.accepted = shard.session.accepted();
+  meta.next_auto_id = shard.session.next_auto_id;
+  auto blob = state::capture_snapshot(meta, shard.session.session_text,
+                                      engine,
+                                      *shard.session.sim.scheduler.scheduler);
   if (!blob.ok()) {
     return blob.error();
   }
   const std::string snap_path =
       util::strfmt("%s.SNAP.%llu", journal_path.c_str(),
                    static_cast<unsigned long long>(meta.seq));
-  // The snapshot always reaches disk (fsync inside) before the journal
-  // loses a byte; a crash between the two leaves snapshot + full
-  // journal, which restore_shard rejects only if they disagree.
+  // The snapshot reaches disk (fsync inside) before the journal loses a
+  // byte, and JournalWriter::open then replaces the journal with its
+  // header in one rename. A crash between the two leaves the snapshot
+  // beside the full journal, whose entries the snapshot already holds:
+  // restore_shard refuses that pair, and removing the journal resumes from
+  // the snapshot alone.
   if (auto status = state::write_file_durable(snap_path, *blob);
       !status.ok()) {
     return status.error();
   }
-  es.journal.close();
-  struct stat st {};
-  const uint64_t old_bytes = ::stat(journal_path.c_str(), &st) == 0
-                                 ? static_cast<uint64_t>(st.st_size)
-                                 : 0;
-  auto reopened = JournalWriter::open(journal_path, es.session);
+  const uint64_t old_bytes = shard.journal.bytes();
+  shard.journal.close();
+  auto reopened = JournalWriter::open(journal_path, shard.session.spec);
   if (!reopened.ok()) {
-    es.journal_failed = true;
+    shard.journal_failed = true;
     return util::Error{reopened.error().code,
                        "journal truncation failed: " +
                            reopened.error().message};
   }
-  es.journal = std::move(*reopened);
-  es.journal.set_fsync(config_.journal_fsync);
-  es.snapshot_seq = meta.seq;
-  es.last_snap_vt = meta.virtual_time;
-  const std::string header = serialize_session_header(es.session);
-  const uint64_t truncated =
-      old_bytes > header.size() ? old_bytes - header.size() : 0;
+  shard.journal = std::move(*reopened);
+  shard.journal.set_fsync(config_.journal_fsync);
+  shard.session.snapshot_seq = meta.seq;
+  shard.last_snap_vt = meta.virtual_time;
+  const uint64_t header = shard.journal.bytes();
+  const uint64_t truncated = old_bytes > header ? old_bytes - header : 0;
   const double snapshot_ms =
       std::chrono::duration<double, std::milli>(SteadyClock::now() - t0)
           .count();
-  auto& metrics = es.engine->metrics_mut();
+  auto& metrics = engine.metrics_mut();
   metrics.increment("snapshots_taken");
   metrics.increment("journal_truncated_bytes",
                     static_cast<double>(truncated));
@@ -482,30 +511,31 @@ util::Result<std::string> Server::take_snapshot(Shard& shard,
       static_cast<unsigned long long>(truncated), snapshot_ms);
 }
 
-void Server::maybe_auto_snapshot(Shard& shard, EngineState& es) {
+void Server::maybe_auto_snapshot(Shard& shard) {
   const double every_s = config_.snapshot_every_sim_hours * 3600.0;
   const double cap_bytes = config_.snapshot_journal_mb * 1024.0 * 1024.0;
   if (every_s <= 0.0 && cap_bytes <= 0.0) {
     return;
   }
-  if (es.drained || es.auto_snap_failed || es.journal_failed ||
-      !es.journal.is_open()) {
+  if (shard.drained || shard.auto_snap_failed || shard.journal_failed ||
+      !shard.journal.is_open()) {
     return;
   }
   const bool vt_due =
-      every_s > 0.0 && es.engine->sim().now() - es.last_snap_vt >= every_s;
+      every_s > 0.0 &&
+      shard.session.sim.engine->sim().now() - shard.last_snap_vt >= every_s;
   const bool bytes_due =
       cap_bytes > 0.0 &&
-      static_cast<double>(es.journal.bytes()) >= cap_bytes;
+      static_cast<double>(shard.journal.bytes()) >= cap_bytes;
   if (!vt_due && !bytes_due) {
     return;
   }
-  auto payload = take_snapshot(shard, es);
+  auto payload = take_snapshot(shard);
   if (payload.ok()) {
     CODA_LOG_INFO("shard %d auto-snapshot %s", shard.index,
                   payload->c_str());
   } else {
-    es.auto_snap_failed = true;
+    shard.auto_snap_failed = true;
     CODA_LOG_ERROR(
         "shard %d auto-snapshot failed (disabled for this shard): %s",
         shard.index, payload.error().message.c_str());
@@ -513,124 +543,61 @@ void Server::maybe_auto_snapshot(Shard& shard, EngineState& es) {
 }
 
 void Server::engine_main(Shard& shard) {
-  EngineState es;
+  shard.last_snap_vt = shard.session.resume_vt;
   const std::string journal_path = shard_journal_path(config_, shard.index);
-
-  bool restored = false;
-  if (config_.restore && !journal_path.empty()) {
-    auto latest = state::find_latest_snapshot(journal_path + ".SNAP.");
-    if (latest.ok()) {
-      const auto t0 = SteadyClock::now();
-      auto resumed = restore_shard(*latest, journal_path);
-      if (resumed.ok()) {
-        es.scheduler = std::move(resumed->scheduler);
-        es.engine = std::move(resumed->engine);
-        es.session = std::move(resumed->session);
-        es.session_text = std::move(resumed->session_text);
-        es.base_jobs = resumed->base_jobs;
-        es.accepted_submits = resumed->accepted_submits;
-        es.next_auto_id = resumed->next_auto_id;
-        es.snapshot_seq = resumed->snapshot_seq;
-        es.resume_vt = resumed->resume_vt;
-        es.last_snap_vt = resumed->resume_vt;
-        es.horizon = es.session.config.horizon_s;
-        const double restore_ms =
-            std::chrono::duration<double, std::milli>(SteadyClock::now() - t0)
-                .count();
-        es.engine->metrics_mut().set("restore_ms", restore_ms);
-        es.engine->metrics_mut().set(
-            "snapshots_taken", static_cast<double>(es.snapshot_seq));
-        restored = true;
-        CODA_LOG_INFO("shard %d restored from %s (vt=%.3f, %.1f ms)",
-                      shard.index, latest->c_str(), es.resume_vt, restore_ms);
-      } else {
-        CODA_LOG_ERROR("shard %d restore from %s failed: %s; starting fresh",
-                       shard.index, latest->c_str(),
-                       resumed.error().message.c_str());
-      }
-    } else {
-      CODA_LOG_WARN("shard %d: no snapshot matches %s.SNAP.*; starting fresh",
-                    shard.index, journal_path.c_str());
-    }
-  }
-
-  if (!restored) {
-    es.session = config_.session;
-    es.scheduler =
-        sim::make_policy_scheduler(es.session.policy, es.session.config);
-    es.engine = std::make_unique<sim::ClusterEngine>(
-        es.session.config.engine, es.scheduler.scheduler.get());
-    es.horizon = es.session.config.horizon_s;
-    es.session_text = serialize_session_header(es.session);
-
-    if (!es.session.base_trace_csv.empty()) {
-      auto trace = workload::trace_from_csv(es.session.base_trace_csv);
-      // start() pre-validated the text; a failure here is a programming
-      // error.
-      es.engine->load_trace(*trace);
-      es.base_jobs = trace->size();
-      for (const auto& spec : *trace) {
-        es.next_auto_id = std::max(es.next_auto_id, spec.id + 1);
-      }
-    }
-
-    // Same call, same place in the setup order as sim::run_experiment
-    // (after the trace, before the first run_until): a live session with
-    // failure injection pre-posts the exact outage schedule its replay
-    // will. A restored shard must NOT repeat this — the pending outages
-    // were captured in the snapshot's manifest and already re-armed.
-    sim::schedule_failures(es.engine.get(), es.session.config, es.horizon);
-  }
-
   if (!journal_path.empty()) {
-    auto journal = restored
+    // A recovered journal is appended to; only a fresh session truncates.
+    auto journal = config_.restore && state::file_exists(journal_path)
                        ? JournalWriter::open_append(journal_path)
-                       : JournalWriter::open(journal_path, es.session);
+                       : JournalWriter::open(journal_path, shard.session.spec);
     if (journal.ok()) {
-      es.journal = std::move(*journal);
-      es.journal.set_fsync(config_.journal_fsync);
+      shard.journal = std::move(*journal);
+      shard.journal.set_fsync(config_.journal_fsync);
     } else {
       CODA_LOG_ERROR("shard %d journal disabled: %s", shard.index,
                      journal.error().message.c_str());
     }
   }
 
-  const double speedup = es.session.speedup;
+  sim::ClusterEngine& engine = *shard.session.sim.engine;
+  const double horizon = shard.session.sim.config.horizon_s;
+  const double speedup = shard.session.spec.speedup;
   const bool paced = speedup > 0.0;
   const auto wall_start = SteadyClock::now();
   std::vector<Command> batch;
   std::vector<Completion> done;
 
   while (!stop_.load()) {
-    if (!es.drained) {
-      double target = es.horizon;
+    if (!shard.drained) {
+      double target = horizon;
       if (paced) {
         const double elapsed =
             std::chrono::duration<double>(SteadyClock::now() - wall_start)
                 .count();
-        // Pacing resumes from the snapshot instant: a restored shard picks
+        // Pacing resumes from the recovered instant: a restored shard picks
         // up mid-session instead of stalling until wall time catches up
-        // with the captured virtual clock.
-        target = std::min(es.horizon, es.resume_vt + elapsed * speedup);
+        // with its virtual clock.
+        target =
+            std::min(horizon, shard.session.resume_vt + elapsed * speedup);
       }
-      if (target > es.engine->sim().now()) {
-        es.engine->run_until(target);
+      if (target > engine.sim().now()) {
+        engine.run_until(target);
       }
       // Between batches nothing is staged and no event is mid-flight — the
       // same instant the SNAPSHOT verb captures at.
-      maybe_auto_snapshot(shard, es);
+      maybe_auto_snapshot(shard);
     }
 
     // Wake on the next command, the next due simulation event, or a 200 ms
     // heartbeat (which also bounds shutdown latency).
     auto deadline = SteadyClock::now() + std::chrono::milliseconds(200);
-    if (paced && !es.drained) {
-      const double next_t = es.engine->sim().next_event_time();
-      if (next_t <= es.horizon) {
+    if (paced && !shard.drained) {
+      const double next_t = engine.sim().next_event_time();
+      if (next_t <= horizon) {
         const auto due =
             wall_start + std::chrono::duration_cast<SteadyClock::duration>(
                              std::chrono::duration<double>(
-                                 (next_t - es.resume_vt) / speedup));
+                                 (next_t - shard.session.resume_vt) / speedup));
         deadline = std::min(deadline, std::max(due, SteadyClock::now()));
       }
     }
@@ -642,9 +609,9 @@ void Server::engine_main(Shard& shard) {
     // command whose completion never reaches the I/O thread would leave
     // its client blocked forever.
     for (auto& cmd : batch) {
-      handle_command(shard, es, cmd, &done);
+      handle_command(shard, cmd, &done);
     }
-    commit_staged(es, &done);
+    commit_staged(shard, &done);
     post_completions(&done);
   }
 
@@ -654,17 +621,17 @@ void Server::engine_main(Shard& shard) {
   // I/O thread), so no command can slip in after the final sweep and hang
   // its client.
   done.clear();
-  commit_staged(es, &done);  // loop exited between batches; normally empty
-  if (!es.drained) {
-    do_drain(shard, es);
+  commit_staged(shard, &done);  // loop exited between batches; normally empty
+  if (!shard.drained) {
+    do_drain(shard);
   }
   shard.mailbox->close();
   batch.clear();
   shard.mailbox->drain(&batch);
   for (auto& cmd : batch) {
-    handle_command(shard, es, cmd, &done);
+    handle_command(shard, cmd, &done);
   }
-  commit_staged(es, &done);
+  commit_staged(shard, &done);
   post_completions(&done);
   engines_running_.fetch_sub(1);
   wakeup_.notify();
@@ -699,12 +666,7 @@ void Server::finish_broadcast(Command& cmd, std::string part,
   if (!last) {
     return;
   }
-  Completion c;
-  c.conn_id = cmd.conn_id;
-  c.ordered_seq = cmd.ordered_seq;
-  c.has_cid = cmd.has_cid;
-  c.cid = cmd.cid;
-  c.http = cmd.http;
+  Completion c = Completion::to(cmd);
   switch (b.kind) {
     case Broadcast::Kind::kDrain: {
       std::string joined;
@@ -734,14 +696,8 @@ void Server::finish_broadcast(Command& cmd, std::string part,
   }
 }
 
-void Server::do_drain(Shard& shard, EngineState& es) {
-  // Mirror sim::run_experiment's finish exactly: any divergence here would
-  // break the journal replay's byte-identity guarantee.
-  es.engine->run_until(es.horizon);
-  es.engine->drain(es.horizon + es.session.config.drain_slack_s);
-  const sim::ExperimentReport report = sim::build_report(
-      es.session.policy, *es.engine, es.base_jobs + es.accepted_submits,
-      es.horizon, es.scheduler.coda);
+void Server::do_drain(Shard& shard) {
+  const sim::ExperimentReport report = shard.session.sim.finish();
   std::string text = sim::serialize_report(report);
 
   const std::string report_path = shard_report_path(config_, shard.index);
@@ -752,22 +708,22 @@ void Server::do_drain(Shard& shard, EngineState& es) {
       CODA_LOG_ERROR("failed to write report to %s", report_path.c_str());
     }
   }
-  if (es.journal.is_open()) {
-    es.journal.note(util::strfmt(
+  if (shard.journal.is_open()) {
+    shard.journal.note(util::strfmt(
         "drained: completed %zu/%zu, %zu live submissions",
-        report.completed, report.submitted, es.accepted_submits));
-    es.journal.close();
+        report.completed, report.submitted, shard.session.accepted()));
+    shard.journal.close();
   }
-  es.drain_summary = util::strfmt(
+  shard.drain_summary = util::strfmt(
       "shard=%d drained completed=%zu submitted=%zu abandoned=%zu vt=%.1f%s%s",
       shard.index, report.completed, report.submitted, report.abandoned,
-      es.engine->sim().now(), report_path.empty() ? "" : " report=",
+      shard.session.sim.engine->sim().now(),
+      report_path.empty() ? "" : " report=",
       report_path.c_str());
   {
     std::lock_guard<std::mutex> lock(report_mu_);
     report_texts_[static_cast<size_t>(shard.index)] = std::move(text);
   }
-  es.drained = true;
   shard.drained.store(true);
 }
 
@@ -776,57 +732,46 @@ void Server::do_drain(Shard& shard, EngineState& es) {
 // failure nothing is injected: the journal is poisoned and every staged
 // submission is refused, so an acknowledged job is always both durable and
 // present in the engine.
-void Server::commit_staged(EngineState& es, std::vector<Completion>* done) {
-  if (es.staged.empty()) {
+void Server::commit_staged(Shard& shard, std::vector<Completion>* done) {
+  if (shard.staged.empty()) {
     return;
   }
   bool flush_failed = false;
-  if (es.journal.is_open()) {
-    if (auto status = es.journal.flush(); !status.ok()) {
-      es.journal_failed = true;
+  if (shard.journal.is_open()) {
+    if (auto status = shard.journal.flush(); !status.ok()) {
+      shard.journal_failed = true;
       flush_failed = true;
       CODA_LOG_ERROR("journal group flush failed: %s",
                      status.error().message.c_str());
     }
   }
-  for (auto& staged : es.staged) {
-    Completion c;
-    c.conn_id = staged.cmd.conn_id;
-    c.ordered_seq = staged.cmd.ordered_seq;
-    c.has_cid = staged.cmd.has_cid;
-    c.cid = staged.cmd.cid;
+  for (auto& staged : shard.staged) {
+    Completion c = Completion::to(staged.cmd);
     if (staged.journaled && flush_failed) {
       c.line = format_err(util::ErrorCode::kIoError,
                           "journal flush failed; submission not accepted");
     } else {
-      es.engine->inject(staged.spec, staged.virtual_time);
-      es.accepted_submits += 1;
-      es.session_text += format_submit_entry(staged.virtual_time,
-                                             staged.spec.id, staged.csv_row);
+      shard.session.accept(staged.spec, staged.csv_row);
       // Hot path: one snprintf into a stack buffer instead of strfmt's
       // measure-allocate-format plus the format_ok concatenation.
       char buf[64];
       const int n = std::snprintf(
           buf, sizeof(buf), "OK id=%llu vt=%.3f",
           static_cast<unsigned long long>(staged.spec.id),
-          staged.virtual_time);
+          staged.spec.submit_time);
       c.line.assign(buf, static_cast<size_t>(n));
     }
     done->push_back(std::move(c));
   }
-  es.staged.clear();
+  shard.staged.clear();
 }
 
-void Server::handle_command(Shard& shard, EngineState& es, Command& cmd,
+void Server::handle_command(Shard& shard, Command& cmd,
                             std::vector<Completion>* done) {
   const Request& req = cmd.request;
-  const sim::ClusterEngine& engine = *es.engine;
+  const sim::ClusterEngine& engine = *shard.session.sim.engine;
   auto reply = [&](std::string line) {
-    Completion c;
-    c.conn_id = cmd.conn_id;
-    c.ordered_seq = cmd.ordered_seq;
-    c.has_cid = cmd.has_cid;
-    c.cid = cmd.cid;
+    Completion c = Completion::to(cmd);
     c.line = std::move(line);
     done->push_back(std::move(c));
   };
@@ -841,12 +786,12 @@ void Server::handle_command(Shard& shard, EngineState& es, Command& cmd,
     }
 
     case Verb::kSubmit: {
-      if (es.drained) {
+      if (shard.drained) {
         reply(format_err(util::ErrorCode::kFailedPrecondition,
                          "session drained; submissions closed"));
         break;
       }
-      if (es.journal_failed) {
+      if (shard.journal_failed) {
         reply(format_err(util::ErrorCode::kFailedPrecondition,
                          "journal failed; submissions closed"));
         break;
@@ -858,10 +803,10 @@ void Server::handle_command(Shard& shard, EngineState& es, Command& cmd,
       }
       uint64_t id = spec->id;
       if (id == 0) {
-        id = es.next_auto_id;
+        id = shard.session.next_auto_id;
       }
       bool duplicate = engine.records().count(id) > 0;
-      for (const auto& staged : es.staged) {
+      for (const auto& staged : shard.staged) {
         duplicate = duplicate || staged.spec.id == id;
       }
       if (duplicate) {
@@ -878,15 +823,15 @@ void Server::handle_command(Shard& shard, EngineState& es, Command& cmd,
       // instant recorded here is the instant the job is injected at.
       const double vt = std::nextafter(
           engine.sim().now(), std::numeric_limits<double>::infinity());
-      EngineState::StagedSubmit staged;
-      if (es.journal.is_open()) {
+      Shard::StagedSubmit staged;
+      if (shard.journal.is_open()) {
         // Journal first (write-ahead): an unjournaled accepted job would
         // silently break replay equivalence. The entry is only buffered;
         // commit_staged() flushes once per batch and withholds the reply
         // until the entry is durable.
-        if (auto status = es.journal.append_submit(vt, id, req.arg);
+        if (auto status = shard.journal.append_submit(vt, id, req.arg);
             !status.ok()) {
-          es.journal_failed = true;
+          shard.journal_failed = true;
           reply(format_err(status.error().code, status.error().message));
           break;
         }
@@ -896,15 +841,15 @@ void Server::handle_command(Shard& shard, EngineState& es, Command& cmd,
       staged.spec.id = id;
       staged.spec.submit_time = vt;
       staged.csv_row = req.arg;
-      staged.virtual_time = vt;
       staged.cmd = cmd;
-      es.staged.push_back(std::move(staged));
-      es.next_auto_id = std::max(es.next_auto_id, id + 1);
+      shard.staged.push_back(std::move(staged));
+      // Reserves the id for the next auto-numbered SUBMIT of this batch.
+      shard.session.next_auto_id = std::max(shard.session.next_auto_id, id + 1);
       break;  // reply deferred to commit_staged()
     }
 
     case Verb::kStatus: {
-      commit_staged(es, done);  // same-batch SUBMITs must be visible
+      commit_staged(shard, done);  // same-batch SUBMITs must be visible
       const auto& records = engine.records();
       auto it = records.find(req.job_id);
       if (it == records.end()) {
@@ -928,7 +873,7 @@ void Server::handle_command(Shard& shard, EngineState& es, Command& cmd,
     }
 
     case Verb::kCluster: {
-      commit_staged(es, done);
+      commit_staged(shard, done);
       const auto& cluster = engine.cluster();
       reply(format_ok(util::strfmt(
           "shard=%d vt=%.3f nodes=%zu cpus=%d/%d gpus=%d/%d running=%zu "
@@ -941,7 +886,7 @@ void Server::handle_command(Shard& shard, EngineState& es, Command& cmd,
     }
 
     case Verb::kMetrics: {
-      commit_staged(es, done);
+      commit_staged(shard, done);
       if (cmd.http) {
         // One OpenMetrics block per shard; the I/O thread prepends the
         // serving-layer block and appends the EOF marker.
@@ -953,7 +898,7 @@ void Server::handle_command(Shard& shard, EngineState& es, Command& cmd,
                               labels.c_str(), engine.sim().now());
         block += util::strfmt("# TYPE coda_shard_drained gauge\n"
                               "coda_shard_drained{%s} %d\n",
-                              labels.c_str(), es.drained ? 1 : 0);
+                              labels.c_str(), shard.drained ? 1 : 0);
         finish_broadcast(cmd, std::move(block), done);
         break;
       }
@@ -961,7 +906,7 @@ void Server::handle_command(Shard& shard, EngineState& es, Command& cmd,
           telemetry::format_snapshot(telemetry::snapshot(engine.metrics()));
       reply(format_ok(util::strfmt("shard=%d vt=%.3f drained=%d ",
                                    shard.index, engine.sim().now(),
-                                   es.drained ? 1 : 0) +
+                                   shard.drained ? 1 : 0) +
                       snap));
       break;
     }
@@ -969,8 +914,8 @@ void Server::handle_command(Shard& shard, EngineState& es, Command& cmd,
     case Verb::kSnapshot: {
       // Same-batch SUBMITs become part of the snapshot (and their journal
       // entries durable) before the capture.
-      commit_staged(es, done);
-      if (es.drained) {
+      commit_staged(shard, done);
+      if (shard.drained) {
         reply(format_err(util::ErrorCode::kFailedPrecondition,
                          "session drained; nothing live to snapshot"));
         break;
@@ -982,12 +927,12 @@ void Server::handle_command(Shard& shard, EngineState& es, Command& cmd,
                          "snapshots require a journal (--journal)"));
         break;
       }
-      if (!es.journal.is_open()) {
+      if (!shard.journal.is_open()) {
         reply(format_err(util::ErrorCode::kFailedPrecondition,
                          "journal failed; cannot truncate safely"));
         break;
       }
-      auto payload = take_snapshot(shard, es);
+      auto payload = take_snapshot(shard);
       if (!payload.ok()) {
         reply(format_err(payload.error().code, payload.error().message));
         break;
@@ -1004,14 +949,14 @@ void Server::handle_command(Shard& shard, EngineState& es, Command& cmd,
       break;
 
     case Verb::kDrain: {
-      commit_staged(es, done);
-      if (!es.drained) {
-        do_drain(shard, es);
+      commit_staged(shard, done);
+      if (!shard.drained) {
+        do_drain(shard);
       }
       if (cmd.broadcast) {
-        finish_broadcast(cmd, es.drain_summary, done);
+        finish_broadcast(cmd, shard.drain_summary, done);
       } else {
-        reply(format_ok(es.drain_summary));
+        reply(format_ok(shard.drain_summary));
       }
       break;
     }
@@ -1020,7 +965,7 @@ void Server::handle_command(Shard& shard, EngineState& es, Command& cmd,
       // The drain itself happens after the serving loop exits (every shard
       // sees stop_ and finishes through the same do_drain path); the reply
       // only acknowledges the order, exactly like SIGTERM.
-      commit_staged(es, done);
+      commit_staged(shard, done);
       if (cmd.broadcast) {
         finish_broadcast(cmd, "bye", done);
       } else {

@@ -20,15 +20,15 @@
 //     `BUSY retry-after-ms=...` by the I/O thread alone, and a connection
 //     whose write buffer outgrows its cap is dropped.
 //
-// Determinism (per shard): accepted submissions are injected at
-// nextafter(now()) — an instant strictly after every event the shard's
-// engine has dispatched and strictly before every event still queued — so
-// an offline replay that pre-posts the journaled arrivals dispatches the
-// exact same event sequence. DRAIN finishes each shard through the same
-// run_until(horizon) + drain(horizon + slack) path as sim::run_experiment
-// and builds the final report with the shared sim::build_report, which is
-// why every shard's journal replay reproduces that shard's live report
-// byte-for-byte.
+// Determinism (per shard): each shard runs a ShardSession (restore.h)
+// around a sim::Session, the session run_experiment also builds and
+// finishes; journal replay and snapshot restore rebuild that ShardSession
+// itself (start_shard, restore_shard). An accepted SUBMIT is injected at
+// nextafter(now()), strictly after every event the shard has dispatched,
+// so a run that pre-posts it and a recovery that re-injects it at its
+// journaled instant dispatch the same events, and DRAIN's
+// Session::finish builds the same report bytes. tests/session_test.cpp
+// pins live == replay == restore.
 #pragma once
 
 #include <atomic>
@@ -81,10 +81,11 @@ struct ServerConfig {
   // are acknowledged. Snapshot files are always fsynced before the journal
   // is truncated, independent of this knob.
   bool journal_fsync = false;
-  // --restore: each shard looks for the latest `<journal>.SNAP.<seq>` next
-  // to its journal and resumes from it (snapshot + journal tail) instead of
-  // starting at virtual time zero. Without a snapshot the shard starts
-  // fresh. Requires journaling.
+  // --restore: each shard resumes from the latest `<journal>.SNAP.<seq>`
+  // plus the journal's tail, else from the whole journal replayed from
+  // virtual time zero, and appends to the journal; only a shard with
+  // neither file starts fresh. Files that fail to load make start() fail
+  // before any journal is opened. Requires journaling.
   bool restore = false;
   // Automatic snapshot + journal compaction, checked between event batches
   // on each shard (0 disables a trigger; both off by default). A snapshot
@@ -120,8 +121,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds the listener, spawns the engine shards and the I/O thread. The
-  // session's horizon must be resolved (> 0).
+  // Builds every shard's session, then binds the listener and spawns the
+  // engine shards and the I/O thread. The horizon must be resolved (> 0).
   util::Status start();
 
   // Blocks until the server has shut down (SHUTDOWN verb or
@@ -149,22 +150,21 @@ class Server {
   struct Command;
   struct Completion;
   struct Conn;
-  struct EngineState;
   struct Shard;
 
   void io_main();
   void engine_main(Shard& shard);
-  void handle_command(Shard& shard, EngineState& es, Command& cmd,
+  void handle_command(Shard& shard, Command& cmd,
                       std::vector<Completion>* done);
-  void commit_staged(EngineState& es, std::vector<Completion>* done);
+  void commit_staged(Shard& shard, std::vector<Completion>* done);
   // Captures a snapshot and truncates the shard's journal; returns the OK
   // payload text (seq, path, vt, sizes). Shared by the SNAPSHOT verb and
   // the automatic between-batches trigger.
-  util::Result<std::string> take_snapshot(Shard& shard, EngineState& es);
-  void maybe_auto_snapshot(Shard& shard, EngineState& es);
+  util::Result<std::string> take_snapshot(Shard& shard);
+  void maybe_auto_snapshot(Shard& shard);
   void finish_broadcast(Command& cmd, std::string part,
                         std::vector<Completion>* done);
-  void do_drain(Shard& shard, EngineState& es);
+  void do_drain(Shard& shard);
   void post_completions(std::vector<Completion>* done);
 
   // ---- I/O-thread helpers (only ever called from io_main) ----

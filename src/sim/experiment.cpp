@@ -85,26 +85,42 @@ PolicyScheduler make_policy_scheduler(Policy policy,
   return out;
 }
 
+Session Session::start(Policy policy,
+                       const std::vector<workload::JobSpec>& trace,
+                       const ExperimentConfig& config) {
+  Session s;
+  s.policy = policy;
+  s.config = config;
+  s.scheduler = make_policy_scheduler(policy, config);
+  if (s.config.horizon_s <= 0.0) {
+    for (const auto& spec : trace) {
+      s.config.horizon_s = std::max(s.config.horizon_s, spec.submit_time);
+    }
+  }
+  s.engine = std::make_unique<ClusterEngine>(config.engine,
+                                             s.scheduler.scheduler.get());
+  s.engine->load_trace(trace);
+  s.submitted = trace.size();
+  schedule_failures(s.engine.get(), config, s.config.horizon_s);
+  return s;
+}
+
+void Session::inject(const workload::JobSpec& spec, double t) {
+  engine->inject(spec, t);
+  ++submitted;
+}
+
+ExperimentReport Session::finish() {
+  const double horizon = config.horizon_s;
+  engine->run_until(horizon);
+  engine->drain(horizon + config.drain_slack_s);
+  return build_report(policy, *engine, submitted, horizon, scheduler.coda);
+}
+
 ExperimentReport run_experiment(Policy policy,
                                 const std::vector<workload::JobSpec>& trace,
                                 const ExperimentConfig& config) {
-  PolicyScheduler ps = make_policy_scheduler(policy, config);
-  ClusterEngine engine(config.engine, ps.scheduler.get());
-  engine.load_trace(trace);
-
-  double horizon = config.horizon_s;
-  if (horizon <= 0.0) {
-    for (const auto& spec : trace) {
-      horizon = std::max(horizon, spec.submit_time);
-    }
-  }
-
-  schedule_failures(&engine, config, horizon);
-
-  engine.run_until(horizon);
-  engine.drain(horizon + config.drain_slack_s);
-
-  return build_report(policy, engine, trace.size(), horizon, ps.coda);
+  return Session::start(policy, trace, config).finish();
 }
 
 void schedule_failures(ClusterEngine* engine, const ExperimentConfig& config,

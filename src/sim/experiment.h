@@ -176,34 +176,50 @@ struct ExperimentReport {
   util::TimeSeries cpu_util_series;
 };
 
-// Replays `trace` under `policy` and aggregates the report.
-ExperimentReport run_experiment(Policy policy,
-                                const std::vector<workload::JobSpec>& trace,
-                                const ExperimentConfig& config = {});
-
-// Pre-posts the Poisson node-outage schedule drawn from config.failures
-// onto the engine (no-op when failures are disabled). Must run after
-// load_trace and before the first run_until. Shared by run_experiment and
-// the live codad shards so a journaled session with failure injection
-// replays the exact same outages bit-for-bit.
-void schedule_failures(ClusterEngine* engine, const ExperimentConfig& config,
-                       double horizon);
-
 // A scheduler instantiated for `policy`, plus a typed view of it when the
 // policy is CODA (the report pulls tuning/eliminator telemetry off it).
 struct PolicyScheduler {
   std::unique_ptr<sched::Scheduler> scheduler;
   core::CodaScheduler* coda = nullptr;  // non-null iff policy == kCoda
 };
+
+// One replay session, assembled in one place: run_experiment, codad's
+// shards, journal replay and snapshot restore (state::restore_session) all
+// build and finish theirs here, so live == replay == restore by design.
+struct Session {
+  Policy policy = Policy::kCoda;
+  ExperimentConfig config;  // horizon_s resolved: else the last submit time
+  PolicyScheduler scheduler;  // before engine, which points into it
+  std::unique_ptr<ClusterEngine> engine;
+  size_t submitted = 0;  // jobs handed to the engine
+
+  // make_policy_scheduler -> ClusterEngine -> load_trace ->
+  // schedule_failures.
+  static Session start(Policy policy,
+                       const std::vector<workload::JobSpec>& trace,
+                       const ExperimentConfig& config);
+  // Hands one more job to the engine, arriving at `t`.
+  void inject(const workload::JobSpec& spec, double t);
+  // run_until(horizon) -> drain(horizon + drain_slack_s) -> build_report.
+  ExperimentReport finish();
+};
+
+// Replays `trace` under `policy`: Session::start, then finish.
+ExperimentReport run_experiment(Policy policy,
+                                const std::vector<workload::JobSpec>& trace,
+                                const ExperimentConfig& config = {});
+
+// Session's steps, public only because perfbench assembles its own
+// sessions around a tracing scheduler proxy.
+//
+// Pre-posts the Poisson node-outage schedule drawn from config.failures
+// over [0, horizon] (no-op when failures are disabled).
+void schedule_failures(ClusterEngine* engine, const ExperimentConfig& config,
+                       double horizon);
 PolicyScheduler make_policy_scheduler(Policy policy,
                                       const ExperimentConfig& config);
-
-// Aggregates a *finished* engine (run to `horizon` and drained) into the
-// report run_experiment returns. Shared by the offline replay path and the
-// live service daemon so both produce byte-identical reports for identical
-// engine histories: every field — including censoring at sim().now() —
-// derives from the same code. `submitted` is the number of jobs handed to
-// the engine (trace plus any live injections).
+// Aggregates a finished engine (run to `horizon` and drained); censoring
+// is at sim().now(). `submitted` counts every job handed to the engine.
 ExperimentReport build_report(Policy policy, const ClusterEngine& engine,
                               size_t submitted, double horizon,
                               const core::CodaScheduler* coda);

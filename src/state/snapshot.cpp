@@ -1,6 +1,7 @@
 #include "state/snapshot.h"
 
 #include <dirent.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -103,6 +104,8 @@ util::Result<RestoredSession> restore_session(
 
   RestoredSession out;
   out.meta = snapshot.meta;
+  out.policy = policy;
+  out.config = config;
   out.scheduler = sim::make_policy_scheduler(policy, config);
   out.engine = std::make_unique<sim::ClusterEngine>(
       config.engine, out.scheduler.scheduler.get(), /*restore_mode=*/true);
@@ -113,6 +116,7 @@ util::Result<RestoredSession> restore_session(
   if (auto status = out.engine->load_state(&r, specs); !status.ok()) {
     return status.error();
   }
+  out.submitted = out.engine->records().size();
   out.scheduler.scheduler->load_state(&r, specs);
 
   // Re-arm the manifest in serialized ((t, seq) ascending) order: the fresh
@@ -208,6 +212,11 @@ util::Status write_file_durable(const std::string& path,
   return util::Status::Ok();
 }
 
+bool file_exists(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0;
+}
+
 util::Result<std::string> find_latest_snapshot(const std::string& prefix) {
   const size_t slash = prefix.find_last_of('/');
   const std::string dir = slash == std::string::npos
@@ -218,7 +227,7 @@ util::Result<std::string> find_latest_snapshot(const std::string& prefix) {
 
   DIR* d = opendir(dir.c_str());
   if (d == nullptr) {
-    return util::Error{util::ErrorCode::kNotFound,
+    return util::Error{util::ErrorCode::kIoError,
                        "cannot open directory " + dir};
   }
   bool found = false;

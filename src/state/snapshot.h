@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -68,20 +67,19 @@ util::Result<std::string> capture_snapshot(const SnapshotMeta& meta,
 util::Result<Snapshot> parse_snapshot(std::string_view text);
 util::Result<Snapshot> load_snapshot_file(const std::string& path);
 
-// A reconstructed session, ready to resume: scheduler first so the engine
-// (which holds a pointer into it) is destroyed before it.
-struct RestoredSession {
-  sim::PolicyScheduler scheduler;
-  std::unique_ptr<sim::ClusterEngine> engine;
+// A reconstructed session, ready to resume, plus the meta it was captured
+// with.
+struct RestoredSession : sim::Session {
   SnapshotMeta meta;
 };
 
 // Rebuilds the live session a snapshot captured. `policy`/`config` must be
-// the session's own (from the embedded journal header) and `trace` the
-// combined job list of the embedded session (service::journal_trace) —
-// every job id the serialized state references must appear in it. On
-// return the engine's clock, state and event queue match the captured
-// session exactly; run_until / drain continue it bit-for-bit.
+// the session's own (from the embedded journal header; horizon_s resolved)
+// and `trace` the combined job list of the embedded session
+// (service::journal_trace) — every job id the serialized state references
+// must appear in it. On return the engine's clock, state and event queue
+// match the captured session exactly; inject / finish continue it
+// bit-for-bit.
 util::Result<RestoredSession> restore_session(
     const Snapshot& snapshot, sim::Policy policy,
     const sim::ExperimentConfig& config,
@@ -93,9 +91,12 @@ util::Result<RestoredSession> restore_session(
 util::Status write_file_durable(const std::string& path,
                                 std::string_view bytes);
 
+// True when `path` names an existing file.
+bool file_exists(const std::string& path);
+
 // Scans `prefix`'s directory for files named `<prefix><seq>` (decimal
 // digits only) and returns the path with the largest sequence; kNotFound
-// when none exist.
+// when none exist, kIoError when the directory cannot be read.
 util::Result<std::string> find_latest_snapshot(const std::string& prefix);
 
 }  // namespace coda::state

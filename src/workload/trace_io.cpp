@@ -1,8 +1,10 @@
 #include "workload/trace_io.h"
 
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <unordered_set>
 
 #include "util/csv.h"
 #include "util/parse.h"
@@ -124,6 +126,7 @@ util::Result<std::vector<JobSpec>> trace_from_csv(const std::string& text) {
   }
   std::vector<JobSpec> trace;
   trace.reserve(doc->rows.size());
+  std::unordered_set<cluster::JobId> ids;
   for (size_t r = 0; r < doc->rows.size(); ++r) {
     const auto& row = doc->rows[r];
     JobSpec j;
@@ -139,6 +142,9 @@ util::Result<std::vector<JobSpec>> trace_from_csv(const std::string& text) {
       return field_error(r, "id", row[0], "is negative");
     }
     j.id = static_cast<cluster::JobId>(id);
+    if (!ids.insert(j.id).second) {
+      return field_error(r, "id", row[0], "repeats an earlier row's id");
+    }
     long long tenant = 0;
     CODA_PARSE(parse_int(row[1], r, "tenant"), tenant);
     if (tenant < 0 || tenant > std::numeric_limits<cluster::TenantId>::max()) {
@@ -154,8 +160,8 @@ util::Result<std::vector<JobSpec>> trace_from_csv(const std::string& text) {
                          "unknown job kind '" + row[2] + "'"};
     }
     CODA_PARSE(parse_real(row[3], r, "submit_time"), j.submit_time);
-    if (j.submit_time < 0.0) {
-      return field_error(r, "submit_time", row[3], "is negative");
+    if (!std::isfinite(j.submit_time) || j.submit_time < 0.0) {
+      return field_error(r, "submit_time", row[3], "must be finite and >= 0");
     }
     if (j.kind == JobKind::kGpuTraining) {
       auto model = model_from_string(row[4]);

@@ -14,7 +14,8 @@ namespace coda::workload {
 std::string trace_to_csv(const std::vector<JobSpec>& trace);
 
 // Parses a trace from CSV text produced by trace_to_csv (or hand-written
-// with the same columns). Fails with kParseError on malformed rows.
+// with the same columns). Fails with kParseError on malformed rows, a
+// repeated id, or a submit time that is negative or not finite.
 util::Result<std::vector<JobSpec>> trace_from_csv(const std::string& text);
 
 // File-level convenience wrappers.

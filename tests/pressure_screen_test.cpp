@@ -204,22 +204,6 @@ TEST_P(EliminatorReference, ReportsAndCountersMatch) {
 
 // ------------------------------------------------------ screen contract
 
-struct Session {
-  PolicyScheduler scheduler;
-  std::unique_ptr<ClusterEngine> engine;
-};
-
-Session start_coda(const std::vector<workload::JobSpec>& trace,
-                   const ExperimentConfig& config) {
-  Session s;
-  s.scheduler = make_policy_scheduler(Policy::kCoda, config);
-  s.engine = std::make_unique<ClusterEngine>(config.engine,
-                                             s.scheduler.scheduler.get());
-  s.engine->load_trace(trace);
-  schedule_failures(s.engine.get(), config, config.horizon_s);
-  return s;
-}
-
 struct Screen {
   std::vector<cluster::NodeId> ids;
   std::vector<double> pressures;
@@ -258,7 +242,7 @@ TEST(PressureScreen, ListsExactlyOccupiedNodesAtOrAboveFloor) {
     ExperimentConfig config = active_config();
     config.engine.incremental_recompute = incremental;
     const double floor = config.coda.eliminator.bw_threshold;
-    Session s = start_coda(contended_trace(), config);
+    Session s = Session::start(Policy::kCoda, contended_trace(), config);
     util::Rng rng(0x5C2EE7);
     std::vector<double> instants;
     for (int i = 0; i < 400; ++i) {
@@ -333,7 +317,7 @@ double cut_hot(Session* live, state::Snapshot* snapshot) {
 TEST(PressureScreen, RestoredEngineMatchesLiveScreenAndTick) {
   const ExperimentConfig config = active_config();
   const auto& trace = contended_trace();
-  Session live = start_coda(trace, config);
+  Session live = Session::start(Policy::kCoda, trace, config);
   state::Snapshot snapshot;
   const double cut = cut_hot(&live, &snapshot);
   auto restored = state::restore_session(snapshot, Policy::kCoda, config,
@@ -372,7 +356,7 @@ TEST(PressureScreen, RestoredEngineMatchesLiveScreenAndTick) {
 TEST(PressureScreen, RestoreRefusesRowsTheCachesCannotIndex) {
   const ExperimentConfig config = active_config();
   const auto& trace = contended_trace();
-  Session live = start_coda(trace, config);
+  Session live = Session::start(Policy::kCoda, trace, config);
   state::Snapshot snapshot;
   cut_hot(&live, &snapshot);
   const std::vector<std::string> lines = util::split(snapshot.body, '\n');

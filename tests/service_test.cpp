@@ -492,6 +492,41 @@ TEST(Journal, WriterProducesReparsableSession) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, OpenReplacesAnExistingFileInOneRename) {
+  // SNAPSHOT truncates a journal by reopening it. A rename leaves the old
+  // inode whole (a second link still reads it), so a crash mid-write can
+  // never leave a torn header; truncating in place would empty the link.
+  SessionSpec session;
+  session.config.horizon_s = 100.0;
+  const std::string path =
+      "/tmp/coda_journal_rename_" +
+      std::to_string(static_cast<long long>(::getpid())) + ".journal";
+  const std::string old_bytes = serialize_session_header(session) +
+                                format_submit_entry(1.5, 7, submit_row(1, 30.0));
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(old_bytes.data(), 1, old_bytes.size(), f),
+              old_bytes.size());
+    std::fclose(f);
+  }
+  const std::string link = path + ".link";
+  ASSERT_EQ(::link(path.c_str(), link.c_str()), 0);
+  {
+    auto writer = JournalWriter::open(path, session);
+    ASSERT_TRUE(writer.ok()) << writer.error().message;
+    EXPECT_EQ(writer->bytes(), serialize_session_header(session).size());
+  }
+  auto fresh = load_journal(path);
+  ASSERT_TRUE(fresh.ok()) << fresh.error().message;
+  EXPECT_TRUE(fresh->submissions.empty());
+  auto old = load_journal(link);
+  ASSERT_TRUE(old.ok()) << old.error().message;
+  EXPECT_EQ(old->submissions.size(), 1u);
+  std::remove(path.c_str());
+  std::remove(link.c_str());
+}
+
 TEST(Journal, Uint64FieldsAboveInt64MaxRoundTrip) {
   // noise_seed and job ids are written with %llu; values >= 2^63 must
   // parse back (a signed parser rejects them, making the journal fail its
@@ -1199,6 +1234,13 @@ long long file_size_or(const std::string& path, long long fallback) {
                                         : fallback;
 }
 
+void write_file(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
 TEST(Server, AuthGatesEverythingButPing) {
   ServerConfig config = tiny_server_config("auth", 0.0);
   config.journal_path.clear();
@@ -1355,6 +1397,10 @@ TEST(Server, SnapshotRestoreResumesByteIdentically) {
     const long long after = file_size_or(journal_path, -1);
     ASSERT_GT(after, 0);
     EXPECT_LT(after, before);
+    EXPECT_NE(snap->payload.find(
+                  "truncated=" + std::to_string(before - after) + " "),
+              std::string::npos)
+        << snap->payload;
     auto tail = load_journal(journal_path);
     ASSERT_TRUE(tail.ok()) << tail.error().message;
     EXPECT_TRUE(tail->submissions.empty());
@@ -1552,14 +1598,7 @@ TEST(Server, RestoreShardRejectsCrossEpochJournal) {
   }
   // Re-plant the pre-snapshot journal next to the snapshot: its S-line's
   // vt is before the capture point.
-  {
-    std::FILE* f = std::fopen(journal_path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(pre_snapshot_journal.data(), 1,
-                          pre_snapshot_journal.size(), f),
-              pre_snapshot_journal.size());
-    std::fclose(f);
-  }
+  write_file(journal_path, pre_snapshot_journal);
   auto shard = restore_shard(journal_path + ".SNAP.1", journal_path);
   ASSERT_FALSE(shard.ok());
   EXPECT_EQ(shard.error().code, util::ErrorCode::kFailedPrecondition);
@@ -1568,6 +1607,243 @@ TEST(Server, RestoreShardRejectsCrossEpochJournal) {
       << shard.error().message;
   std::remove(journal_path.c_str());
   std::remove((journal_path + ".SNAP.1").c_str());
+}
+
+TEST(Server, RestoreWithoutSnapshotReplaysTheJournal) {
+  // A kill -9 before any SNAPSHOT leaves the journal alone, holding every
+  // acknowledged SUBMIT. --restore replays it from t=0 and keeps appending
+  // to it; starting fresh would truncate it to its header and lose them.
+  ServerConfig config = tiny_server_config("nosnap", 0.0);
+  const std::string journal_path = config.journal_path;
+  const std::string crashed = journal_path + ".crashed";
+  const Endpoint endpoint{config.unix_socket_path, -1};
+  std::string ref_report;
+  {
+    Server server(std::move(config));
+    ASSERT_TRUE(server.start().ok());
+    auto client = Client::connect(endpoint);
+    ASSERT_TRUE(client.ok());
+    for (int i = 0; i < 3; ++i) {
+      auto resp = client->submit_row(submit_row(2 + i, 600.0 * (i + 1)));
+      ASSERT_TRUE(resp.ok());
+      ASSERT_TRUE(resp->ok()) << resp->payload;
+    }
+    // Acknowledged means durable: this copy is what a kill -9 leaves.
+    write_file(crashed, read_file_or_empty(journal_path));
+    ASSERT_TRUE(client->drain().ok());
+    ASSERT_TRUE(client->shutdown().ok());
+    server.wait();
+    ref_report = server.report_text();
+    ASSERT_FALSE(ref_report.empty());
+  }
+
+  ServerConfig restart = tiny_server_config("nosnap", 0.0);
+  restart.journal_path = crashed;
+  restart.restore = true;
+  {
+    Server server(std::move(restart));
+    ASSERT_TRUE(server.start().ok());
+    auto client = Client::connect(endpoint);
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client->drain().ok());
+    ASSERT_TRUE(client->shutdown().ok());
+    server.wait();
+    EXPECT_EQ(server.report_text(), ref_report);
+  }
+  auto journal = load_journal(crashed);
+  ASSERT_TRUE(journal.ok()) << journal.error().message;
+  EXPECT_EQ(journal->submissions.size(), 3u);
+  for (const std::string& path : {journal_path, journal_path + ".report",
+                                  crashed, crashed + ".report"}) {
+    std::remove(path.c_str());
+  }
+}
+
+TEST(Server, RestoreFailsClosedOnATornJournal) {
+  // SNAPSHOT, three acknowledged SUBMITs, then a crash that tears the
+  // journal's last line. --restore must refuse to start and leave both
+  // files as they were, so that nothing acknowledged is overwritten.
+  ServerConfig config = tiny_server_config("torn", 0.0);
+  const std::string journal_path = config.journal_path;
+  const std::string snap_path = journal_path + ".SNAP.1";
+  const Endpoint endpoint{config.unix_socket_path, -1};
+  std::string crashed;
+  {
+    Server server(std::move(config));
+    ASSERT_TRUE(server.start().ok());
+    auto client = Client::connect(endpoint);
+    ASSERT_TRUE(client.ok());
+    auto snap = client->snapshot();
+    ASSERT_TRUE(snap.ok());
+    ASSERT_TRUE(snap->ok()) << snap->payload;
+    for (int i = 0; i < 3; ++i) {
+      auto resp = client->submit_row(submit_row(2 + i, 600.0 * (i + 1)));
+      ASSERT_TRUE(resp.ok());
+      ASSERT_TRUE(resp->ok()) << resp->payload;
+    }
+    crashed = read_file_or_empty(journal_path);
+    ASSERT_TRUE(client->shutdown().ok());
+    server.wait();
+  }
+  ASSERT_GT(crashed.size(), 7u);
+  write_file(journal_path, crashed.substr(0, crashed.size() - 7));
+  const std::string journal_bytes = read_file_or_empty(journal_path);
+  const std::string snap_bytes = read_file_or_empty(snap_path);
+  ASSERT_FALSE(snap_bytes.empty());
+
+  ServerConfig restart = tiny_server_config("torn", 0.0);
+  restart.restore = true;
+  Server server(std::move(restart));
+  const util::Status status = server.start();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.error().message.find("unterminated line"),
+            std::string::npos)
+      << status.error().message;
+  EXPECT_EQ(read_file_or_empty(journal_path), journal_bytes);
+  EXPECT_EQ(read_file_or_empty(snap_path), snap_bytes);
+  std::remove(journal_path.c_str());
+  std::remove(snap_path.c_str());
+}
+
+TEST(Server, CrashInsideSnapshotResumesFromTheSnapshotAlone) {
+  // A crash after SNAPSHOT wrote J.SNAP.1 but before it truncated the
+  // journal leaves the full journal beside the snapshot. --restore refuses
+  // that pair (each entry predates the snapshot or reuses an id it holds)
+  // and keeps both files; removing only the journal then resumes from the
+  // snapshot, which holds every acknowledged entry.
+  ServerConfig config = tiny_server_config("snapcrash", 0.0);
+  const std::string journal_path = config.journal_path;
+  const std::string snap_path = journal_path + ".SNAP.1";
+  const Endpoint endpoint{config.unix_socket_path, -1};
+  std::string full_journal;
+  std::string ref_report;
+  {
+    Server server(std::move(config));
+    ASSERT_TRUE(server.start().ok());
+    auto client = Client::connect(endpoint);
+    ASSERT_TRUE(client.ok());
+    for (int i = 0; i < 3; ++i) {
+      auto resp = client->submit_row(submit_row(2 + i, 600.0 * (i + 1)));
+      ASSERT_TRUE(resp.ok());
+      ASSERT_TRUE(resp->ok()) << resp->payload;
+    }
+    full_journal = read_file_or_empty(journal_path);
+    auto snap = client->snapshot();
+    ASSERT_TRUE(snap.ok());
+    ASSERT_TRUE(snap->ok()) << snap->payload;
+    ASSERT_TRUE(client->drain().ok());
+    ASSERT_TRUE(client->shutdown().ok());
+    server.wait();
+    ref_report = server.report_text();
+    ASSERT_FALSE(ref_report.empty());
+  }
+  write_file(journal_path, full_journal);
+  const std::string snap_bytes = read_file_or_empty(snap_path);
+  ASSERT_FALSE(snap_bytes.empty());
+  {
+    ServerConfig restart = tiny_server_config("snapcrash", 0.0);
+    restart.restore = true;
+    Server server(std::move(restart));
+    EXPECT_FALSE(server.start().ok());
+    EXPECT_EQ(read_file_or_empty(journal_path), full_journal);
+    EXPECT_EQ(read_file_or_empty(snap_path), snap_bytes);
+  }
+  std::remove(journal_path.c_str());
+  {
+    ServerConfig restart = tiny_server_config("snapcrash", 0.0);
+    restart.restore = true;
+    Server server(std::move(restart));
+    ASSERT_TRUE(server.start().ok());
+    auto client = Client::connect(endpoint);
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client->drain().ok());
+    ASSERT_TRUE(client->shutdown().ok());
+    server.wait();
+    EXPECT_EQ(server.report_text(), ref_report);
+  }
+  for (const std::string& path :
+       {journal_path, journal_path + ".report", snap_path}) {
+    std::remove(path.c_str());
+  }
+}
+
+TEST(Server, RestoreFailsWhenTheSnapshotDirectoryCannotBeRead) {
+  // An unreadable directory is not "no snapshot": falling back to the
+  // journal alone (or to a fresh session) could rebuild a session that
+  // lacks every job a compacted journal moved into a snapshot.
+  ServerConfig config = tiny_server_config("snapdir", 0.0);
+  const std::string not_a_dir = config.journal_path + ".file";
+  write_file(not_a_dir, "not a directory");
+  config.journal_path = not_a_dir + "/journal";
+  config.restore = true;
+  Server server(std::move(config));
+  const util::Status status = server.start();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, util::ErrorCode::kIoError)
+      << status.error().message;
+  std::remove(not_a_dir.c_str());
+}
+
+TEST(Server, RestoreShardRejectsATailEntryReusingAnId) {
+  // A post-snapshot entry for a job the restored session already holds
+  // (base job 1 here) would be injected twice: it is refused with an
+  // error before it can reach the engine's duplicate-id assert.
+  ServerConfig config = tiny_server_config("snapdup", 0.0);
+  const std::string journal_path = config.journal_path;
+  const std::string snap_path = journal_path + ".SNAP.1";
+  const Endpoint endpoint{config.unix_socket_path, -1};
+  {
+    Server server(std::move(config));
+    ASSERT_TRUE(server.start().ok());
+    auto client = Client::connect(endpoint);
+    ASSERT_TRUE(client.ok());
+    auto snap = client->snapshot();
+    ASSERT_TRUE(snap.ok());
+    ASSERT_TRUE(snap->ok()) << snap->payload;
+    ASSERT_TRUE(client->shutdown().ok());
+    server.wait();
+  }
+  auto snap = state::load_snapshot_file(snap_path);
+  ASSERT_TRUE(snap.ok()) << snap.error().message;
+  write_file(journal_path,
+             read_file_or_empty(journal_path) +
+                 format_submit_entry(snap->meta.virtual_time + 1.0, 1,
+                                     submit_row(2, 600.0)));
+  auto shard = restore_shard(snap_path, journal_path);
+  ASSERT_FALSE(shard.ok());
+  EXPECT_EQ(shard.error().code, util::ErrorCode::kParseError);
+  EXPECT_NE(shard.error().message.find("reuses an id"), std::string::npos)
+      << shard.error().message;
+  std::remove(journal_path.c_str());
+  std::remove((journal_path + ".report").c_str());
+  std::remove(snap_path.c_str());
+}
+
+TEST(Journal, ReplayRefusesEntriesTheEngineAbortsOn) {
+  // Each journal below would reach an engine or event-queue assert (exit
+  // 134) if it loaded; `coda_cli replay --journal` must return an error.
+  const std::string path =
+      "/tmp/coda_service_test_hostile_" +
+      std::to_string(static_cast<long long>(::getpid())) + ".journal";
+  const std::string header =
+      serialize_session_header(tiny_server_config("hostile", 0.0).session);
+  const std::string row = submit_row(2, 600.0);
+  const std::string entry = format_submit_entry(100.0, 5000, row);
+  const std::string cases[] = {
+      entry + entry,                              // a repeated S line
+      format_submit_entry(100.0, 1, row),         // reuses base job 1's id
+      "S -0x1p+4 5000 " + row + "\n",             // in the simulated past
+      "S inf 5000 " + row + "\n",                 // never due
+      "S nan 5000 " + row + "\n",
+  };
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    write_file(path, header + cases[i]);
+    auto replayed = replay_journal_file(path);
+    ASSERT_FALSE(replayed.ok()) << "case " << i;
+    EXPECT_EQ(replayed.error().code, util::ErrorCode::kParseError)
+        << "case " << i << ": " << replayed.error().message;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -141,6 +140,20 @@ TEST(Snapshot, FindLatestSnapshotPicksMaxSequence) {
   }
 }
 
+// "No snapshot" lets a restore fall back to the journal alone, so a
+// directory that cannot be read must be a different error.
+TEST(Snapshot, FindLatestSnapshotReportsAnUnreadableDirectory) {
+  const std::string file =
+      "/tmp/coda_state_test_notadir_" +
+      std::to_string(static_cast<long long>(::getpid()));
+  ASSERT_TRUE(write_file_durable(file, "not a directory").ok());
+  auto latest = find_latest_snapshot(file + "/journal.SNAP.");
+  ASSERT_FALSE(latest.ok());
+  EXPECT_EQ(latest.error().code, util::ErrorCode::kIoError)
+      << latest.error().message;
+  std::remove(file.c_str());
+}
+
 TEST(Snapshot, WriteFileDurableReplacesAtomically) {
   const std::string path =
       "/tmp/coda_state_test_durable_" +
@@ -180,39 +193,9 @@ TEST(Snapshot, SerializedStructSizeTripwires) {
 
 // ----------------------------------------- snapshot/restore determinism
 
-struct OfflineSession {
-  sim::PolicyScheduler scheduler;
-  std::unique_ptr<sim::ClusterEngine> engine;
-};
-
-OfflineSession start_session(sim::Policy policy,
-                             const sim::ExperimentConfig& config,
-                             const std::vector<workload::JobSpec>& trace) {
-  OfflineSession s;
-  s.scheduler = sim::make_policy_scheduler(policy, config);
-  s.engine = std::make_unique<sim::ClusterEngine>(config.engine,
-                                                  s.scheduler.scheduler.get());
-  s.engine->load_trace(trace);
-  sim::schedule_failures(s.engine.get(), config, config.horizon_s);
-  return s;
-}
-
-std::string finish_and_report(sim::Policy policy,
-                              const sim::ExperimentConfig& config,
-                              size_t submitted, sim::PolicyScheduler& ps,
-                              sim::ClusterEngine& engine) {
-  engine.run_until(config.horizon_s);
-  engine.drain(config.horizon_s + config.drain_slack_s);
-  return sim::serialize_report(
-      sim::build_report(policy, engine, submitted, config.horizon_s,
-                        ps.coda));
-}
-
 // Snapshot `session` at its current clock and rebuild it from the blob.
 util::Result<RestoredSession> snapshot_and_restore(
-    sim::Policy policy, const sim::ExperimentConfig& config,
-    const std::vector<workload::JobSpec>& trace,
-    const OfflineSession& session) {
+    const std::vector<workload::JobSpec>& trace, const sim::Session& session) {
   SnapshotMeta meta;
   meta.seq = 1;
   meta.virtual_time = session.engine->sim().now();
@@ -227,7 +210,11 @@ util::Result<RestoredSession> snapshot_and_restore(
     return parsed.error();
   }
   EXPECT_EQ(parsed->session_text, "offline");
-  return restore_session(*parsed, policy, config, trace);
+  return restore_session(*parsed, session.policy, session.config, trace);
+}
+
+std::string report_of(sim::Session& session) {
+  return sim::serialize_report(session.finish());
 }
 
 TEST(Snapshot, RestoreAtRandomCutsReproducesReportBytes) {
@@ -263,12 +250,12 @@ TEST(Snapshot, RestoreAtRandomCutsReproducesReportBytes) {
     }
 
     // Twin A runs straight through; twin B is cut mid-flight.
-    OfflineSession uninterrupted = start_session(policy, config, trace);
-    OfflineSession cut = start_session(policy, config, trace);
+    sim::Session uninterrupted = sim::Session::start(policy, trace, config);
+    sim::Session cut = sim::Session::start(policy, trace, config);
     const double cut_vt = rng.uniform(0.0, config.horizon_s);
     cut.engine->run_until(cut_vt);
 
-    auto restored = snapshot_and_restore(policy, config, trace, cut);
+    auto restored = snapshot_and_restore(trace, cut);
     ASSERT_TRUE(restored.ok())
         << "iter " << iter << " cut_vt " << cut_vt << ": "
         << restored.error().message;
@@ -276,14 +263,9 @@ TEST(Snapshot, RestoreAtRandomCutsReproducesReportBytes) {
     EXPECT_EQ(restored->engine->sim().dispatched(),
               cut.engine->sim().dispatched());
 
-    const std::string want = finish_and_report(
-        policy, config, trace.size(), uninterrupted.scheduler,
-        *uninterrupted.engine);
-    const std::string got =
-        finish_and_report(policy, config, trace.size(), restored->scheduler,
-                          *restored->engine);
-    EXPECT_EQ(got, want) << "iter " << iter << " policy "
-                         << sim::to_string(policy) << " cut_vt " << cut_vt;
+    EXPECT_EQ(report_of(*restored), report_of(uninterrupted))
+        << "iter " << iter << " policy " << sim::to_string(policy)
+        << " cut_vt " << cut_vt;
   }
 }
 
@@ -304,26 +286,18 @@ TEST(Snapshot, RestoreDuringDrainReproducesReportBytes) {
   config.failures.node_mtbf_s = 1800.0;
   config.failures.outage_s = 300.0;
 
-  OfflineSession uninterrupted = start_session(sim::Policy::kCoda, config,
-                                               trace);
-  OfflineSession cut = start_session(sim::Policy::kCoda, config, trace);
+  sim::Session uninterrupted =
+      sim::Session::start(sim::Policy::kCoda, trace, config);
+  sim::Session cut = sim::Session::start(sim::Policy::kCoda, trace, config);
   // Both twins run the same 600s past the horizon (periodics keep ticking
   // under run_until; only drain() stops with the last job) — the cut twin
   // is then snapshotted inside that window.
   uninterrupted.engine->run_until(config.horizon_s + 600.0);
   cut.engine->run_until(config.horizon_s + 600.0);
 
-  auto restored =
-      snapshot_and_restore(sim::Policy::kCoda, config, trace, cut);
+  auto restored = snapshot_and_restore(trace, cut);
   ASSERT_TRUE(restored.ok()) << restored.error().message;
-
-  const std::string want = finish_and_report(
-      sim::Policy::kCoda, config, trace.size(), uninterrupted.scheduler,
-      *uninterrupted.engine);
-  const std::string got = finish_and_report(
-      sim::Policy::kCoda, config, trace.size(), restored->scheduler,
-      *restored->engine);
-  EXPECT_EQ(got, want);
+  EXPECT_EQ(report_of(*restored), report_of(uninterrupted));
 }
 
 TEST(Snapshot, RestoreThenLiveInjectionMatchesDirectInjection) {
@@ -353,29 +327,21 @@ TEST(Snapshot, RestoreThenLiveInjectionMatchesDirectInjection) {
   auto with_extra = trace;
   with_extra.push_back(extra);
 
-  OfflineSession uninterrupted =
-      start_session(sim::Policy::kDrf, config, trace);
-  OfflineSession cut = start_session(sim::Policy::kDrf, config, trace);
+  sim::Session uninterrupted =
+      sim::Session::start(sim::Policy::kDrf, trace, config);
+  sim::Session cut = sim::Session::start(sim::Policy::kDrf, trace, config);
   const double cut_vt = 1200.0;
   uninterrupted.engine->run_until(cut_vt);
   cut.engine->run_until(cut_vt);
 
   // Restore against the trace that includes the future injection — the
   // service builds this list from the embedded journal + tail.
-  auto restored =
-      snapshot_and_restore(sim::Policy::kDrf, config, with_extra, cut);
+  auto restored = snapshot_and_restore(with_extra, cut);
   ASSERT_TRUE(restored.ok()) << restored.error().message;
 
-  uninterrupted.engine->inject(extra, inject_t);
-  restored->engine->inject(extra, inject_t);
-
-  const std::string want = finish_and_report(
-      sim::Policy::kDrf, config, trace.size() + 1, uninterrupted.scheduler,
-      *uninterrupted.engine);
-  const std::string got = finish_and_report(
-      sim::Policy::kDrf, config, trace.size() + 1, restored->scheduler,
-      *restored->engine);
-  EXPECT_EQ(got, want);
+  uninterrupted.inject(extra, inject_t);
+  restored->inject(extra, inject_t);
+  EXPECT_EQ(report_of(*restored), report_of(uninterrupted));
 }
 
 TEST(Snapshot, RestoreRejectsUnknownJobIds) {
@@ -391,7 +357,8 @@ TEST(Snapshot, RestoreRejectsUnknownJobIds) {
   config.horizon_s = trace_cfg.duration_s;
   config.engine.cluster.node_count = 4;
 
-  OfflineSession session = start_session(sim::Policy::kFifo, config, trace);
+  sim::Session session =
+      sim::Session::start(sim::Policy::kFifo, trace, config);
   session.engine->run_until(600.0);
 
   SnapshotMeta meta;

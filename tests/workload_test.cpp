@@ -307,6 +307,20 @@ TEST(TraceIo, RejectsMalformedNumbersWithRowContext) {
   replace_once(bad, "11.000", "-11.000");  // negative submit_time
   EXPECT_FALSE(trace_from_csv(bad).ok());
 
+  // A submit time that is never due would abort the replay's event queue.
+  // A SUBMIT row's (ignored) submit_time parses the same way.
+  for (const char* never : {"inf", "nan"}) {
+    bad = good;
+    replace_once(bad, "11.000", never);
+    parsed = trace_from_csv(bad);
+    ASSERT_FALSE(parsed.ok()) << never;
+    EXPECT_NE(parsed.error().message.find("submit_time"), std::string::npos)
+        << parsed.error().message;
+    std::string row = job_to_csv_row(distinctive_gpu_spec());
+    replace_once(row, "11.000", never);
+    EXPECT_FALSE(job_from_csv_row(row).ok()) << never;
+  }
+
   bad = good;
   replace_once(bad, "567.0", "1e999999");  // out of double range
   EXPECT_FALSE(trace_from_csv(bad).ok());
@@ -331,6 +345,14 @@ TEST(TraceIo, RejectsSemanticallyInvalidJobs) {
   auto bad_ckpt = distinctive_cpu_spec();
   bad_ckpt.checkpoint_interval_s = -600.0;
   EXPECT_FALSE(trace_from_csv(trace_to_csv({bad_ckpt})).ok());
+
+  // A repeated id would abort the replay at the engine's duplicate-job
+  // assert.
+  parsed = trace_from_csv(
+      trace_to_csv({distinctive_gpu_spec(), distinctive_gpu_spec()}));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error().message.find("row 2"), std::string::npos)
+      << parsed.error().message;
 }
 
 TEST(TraceIo, CheckpointFieldsRoundTrip) {
