@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sched/scheduler.h"
 #include "state/serde.h"
 #include "util/assert.h"
 
@@ -291,8 +292,7 @@ void AdaptiveCpuAllocator::finish(cluster::JobId job) {
 void AdaptiveCpuAllocator::save_state(state::Writer* w) const {
   w->line("alloc_sessions", sessions_.size());
   for (const auto& [job, s] : sessions_) {
-    w->line("as", job, static_cast<int>(s.phase), s.current, s.steps,
-            s.start_util, s.best_cores, s.best_util, s.good_high, s.bad_low);
+    w->line("as", job, fields(s));
   }
 }
 
@@ -305,26 +305,18 @@ void AdaptiveCpuAllocator::load_state(
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("as");
     const cluster::JobId job = r->u64();
-    auto spec_it = specs.find(job);
-    if (spec_it == specs.end()) {
-      r->fail("tuning session references unknown job " + std::to_string(job));
+    const workload::JobSpec* spec = sched::spec_of(r, specs, job);
+    if (spec == nullptr) {
       return;
     }
     Session s;
-    s.spec = spec_it->second;
-    const int phase = r->i32();
-    if (phase < 0 || phase > static_cast<int>(Phase::kDone)) {
-      r->fail("tuning session has invalid phase " + std::to_string(phase));
+    s.spec = *spec;
+    r->read(fields(s));
+    if (s.phase < Phase::kProbeStart || s.phase > Phase::kDone) {
+      r->fail("tuning session has invalid phase " +
+              std::to_string(static_cast<int>(s.phase)));
       return;
     }
-    s.phase = static_cast<Phase>(phase);
-    s.current = r->i32();
-    s.steps = r->i32();
-    s.start_util = r->f64();
-    s.best_cores = r->i32();
-    s.best_util = r->f64();
-    s.good_high = r->i32();
-    s.bad_low = r->i32();
     sessions_[job] = std::move(s);
   }
 }

@@ -11,6 +11,7 @@
 #include <optional>
 
 #include "coda/history.h"
+#include "util/fields.h"
 #include "workload/job.h"
 
 namespace coda::state {
@@ -124,6 +125,12 @@ class AdaptiveCpuAllocator {
     // kDescend / kBinaryAscend bookkeeping.
     int good_high = 0;     // known-good core count above
     int bad_low = 0;       // known-bad core count below
+
+    // An `as` row after the job id.
+    friend auto fields(util::FieldsOf<Session> auto& s) {
+      return std::tie(s.phase, s.current, s.steps, s.start_util,
+                      s.best_cores, s.best_util, s.good_high, s.bad_low);
+    }
   };
 
   std::optional<int> transition(Session& s, double util);

@@ -22,6 +22,7 @@
 #include "perfmodel/train_perf.h"
 #include "sched/placement.h"
 #include "sched/scheduler.h"
+#include "util/fields.h"
 
 namespace coda::core {
 
@@ -79,6 +80,12 @@ class CodaScheduler : public sched::Scheduler {
     int start_cpus = 0;
     int final_cpus = 0;
     int profile_steps = 0;
+
+    // Snapshot `oc`/`poc` rows and report tuning-outcome rows.
+    friend auto fields(util::FieldsOf<TuningOutcome> auto& o) {
+      return std::tie(o.job, o.model, o.requested_cpus, o.start_cpus,
+                      o.final_cpus, o.profile_steps);
+    }
   };
   const std::vector<TuningOutcome>& tuning_outcomes() const {
     return tuning_outcomes_;
@@ -131,6 +138,13 @@ class CodaScheduler : public sched::Scheduler {
     bool cross_borrower = false;   // 1-GPU job running on a 4-GPU node
     uint64_t generation = 0;       // invalidates stale tuning timers
     bool tuning_active = false;
+
+    // An `rg` row between the job id and the leg count; the placement
+    // follows as `rgp` rows.
+    friend auto fields(util::FieldsOf<RunningGpu> auto& g) {
+      return std::tie(g.cores_per_node, g.four_array_job, g.cross_borrower,
+                      g.generation, g.tuning_active);
+    }
   };
 
   struct RunningCpu {
@@ -139,6 +153,11 @@ class CodaScheduler : public sched::Scheduler {
     int cores = 0;
     int borrowed_reserved = 0;     // cores taken from the GPU reservation
     uint64_t start_seq = 0;        // LIFO eviction order
+
+    // An `rc` row after the job id.
+    friend auto fields(util::FieldsOf<RunningCpu> auto& c) {
+      return std::tie(c.node, c.cores, c.borrowed_reserved, c.start_seq);
+    }
   };
 
   bool is_four_gpu_job(const workload::JobSpec& spec) const;

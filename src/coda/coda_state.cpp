@@ -13,39 +13,6 @@
 
 namespace coda::core {
 
-namespace {
-
-const workload::JobSpec* spec_of(state::Reader* r,
-                                 const sched::SpecMap& specs,
-                                 cluster::JobId id) {
-  auto it = specs.find(id);
-  if (it == specs.end()) {
-    r->fail("CODA state references unknown job " + std::to_string(id));
-    return nullptr;
-  }
-  return &it->second;
-}
-
-void save_outcome(state::Writer* w, const char* key,
-                  const CodaScheduler::TuningOutcome& o) {
-  w->line(key, o.job, static_cast<int>(o.model), o.requested_cpus,
-          o.start_cpus, o.final_cpus, o.profile_steps);
-}
-
-CodaScheduler::TuningOutcome load_outcome(state::Reader* r, const char* key) {
-  CodaScheduler::TuningOutcome o;
-  r->expect(key);
-  o.job = r->u64();
-  o.model = static_cast<perfmodel::ModelId>(r->i32());
-  o.requested_cpus = r->i32();
-  o.start_cpus = r->i32();
-  o.final_cpus = r->i32();
-  o.profile_steps = r->i32();
-  return o;
-}
-
-}  // namespace
-
 void CodaScheduler::save_state(state::Writer* w) const {
   Scheduler::save_state(w);
 
@@ -71,24 +38,23 @@ void CodaScheduler::save_state(state::Writer* w) const {
 
   w->line("running_gpu", running_gpu_.size());
   for (const auto& [id, r] : running_gpu_) {
-    w->line("rg", id, r.cores_per_node, r.four_array_job, r.cross_borrower,
-            r.generation, r.tuning_active, r.placement.nodes.size());
+    w->line("rg", id, fields(r), r.placement.nodes.size());
     for (const auto& np : r.placement.nodes) {
-      w->line("rgp", np.node, np.cpus, np.gpus);
+      w->line("rgp", fields(np));
     }
   }
   w->line("running_cpu", running_cpu_.size());
   for (const auto& [id, r] : running_cpu_) {
-    w->line("rc", id, r.node, r.cores, r.borrowed_reserved, r.start_seq);
+    w->line("rc", id, fields(r));
   }
 
   w->line("tuning_outcomes", tuning_outcomes_.size());
   for (const TuningOutcome& o : tuning_outcomes_) {
-    save_outcome(w, "oc", o);
+    w->line("oc", fields(o));
   }
   w->line("pending_outcomes", pending_outcomes_.size());
   for (const auto& [job, o] : pending_outcomes_) {
-    save_outcome(w, "poc", o);
+    w->line("poc", fields(o));
   }
 
   w->line("coda_nodes", cpu_jobs_by_node_.size());
@@ -102,9 +68,7 @@ void CodaScheduler::save_state(state::Writer* w) const {
 
   w->line("history", history_.records().size());
   for (const HistoryRecord& rec : history_.records()) {
-    w->line("hist", rec.tenant, static_cast<int>(rec.category),
-            static_cast<int>(rec.model), rec.nodes, rec.gpus_per_node,
-            rec.optimal_cores);
+    w->line("hist", fields(rec));
   }
 
   allocator_.save_state(w);
@@ -118,14 +82,10 @@ void CodaScheduler::load_state(state::Reader* r,
   Scheduler::load_state(r, specs);
 
   r->expect("coda_reservation");
-  reserved_cores_ = r->i32();
-  four_array_nodes_ = r->i32();
+  r->read(reserved_cores_, four_array_nodes_);
   r->expect("coda_counters");
-  cross_borrower_count_ = r->i32();
-  preemptions_ = r->i32();
-  migrations_ = r->i32();
-  next_seq_ = r->u64();
-  next_generation_ = r->u64();
+  r->read(cross_borrower_count_, preemptions_, migrations_, next_seq_,
+          next_generation_);
 
   const auto load_array = [r, &specs](const char* key, ArrayState* array) {
     array->queues.clear();
@@ -137,22 +97,24 @@ void CodaScheduler::load_state(state::Reader* r,
     const uint64_t usages = r->u64();
     for (uint64_t i = 0; i < queues && r->ok(); ++i) {
       r->expect("aq");
-      const cluster::TenantId tenant =
-          static_cast<cluster::TenantId>(r->u64());
+      cluster::TenantId tenant = 0;
+      uint64_t k = 0;
+      r->read(tenant, k);
       auto& queue = array->queues[tenant];
-      const uint64_t k = r->u64();
       for (uint64_t j = 0; j < k && r->ok(); ++j) {
         r->expect("aj");
-        if (const workload::JobSpec* spec = spec_of(r, specs, r->u64())) {
+        if (const workload::JobSpec* spec =
+                sched::spec_of(r, specs, r->u64())) {
           queue.push_back(*spec);
         }
       }
     }
     for (uint64_t i = 0; i < usages && r->ok(); ++i) {
       r->expect("au");
-      const cluster::TenantId tenant =
-          static_cast<cluster::TenantId>(r->u64());
-      array->usage[tenant] = r->i32();
+      cluster::TenantId tenant = 0;
+      int used = 0;
+      r->read(tenant, used);
+      array->usage[tenant] = used;
     }
   };
   load_array("cpu_array", &cpu_array_);
@@ -165,25 +127,17 @@ void CodaScheduler::load_state(state::Reader* r,
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("rg");
     const cluster::JobId id = r->u64();
-    const workload::JobSpec* spec = spec_of(r, specs, id);
+    const workload::JobSpec* spec = sched::spec_of(r, specs, id);
     if (spec == nullptr) {
       return;
     }
     RunningGpu rg;
     rg.spec = *spec;
-    rg.cores_per_node = r->i32();
-    rg.four_array_job = r->b();
-    rg.cross_borrower = r->b();
-    rg.generation = r->u64();
-    rg.tuning_active = r->b();
-    const uint64_t np = r->u64();
+    uint64_t np = 0;
+    r->read(fields(rg), np);
     for (uint64_t j = 0; j < np && r->ok(); ++j) {
       r->expect("rgp");
-      sched::NodePlacement p;
-      p.node = static_cast<cluster::NodeId>(r->u64());
-      p.cpus = r->i32();
-      p.gpus = r->i32();
-      rg.placement.nodes.push_back(p);
+      r->read(fields(rg.placement.nodes.emplace_back()));
     }
     running_gpu_[id] = std::move(rg);
   }
@@ -194,16 +148,13 @@ void CodaScheduler::load_state(state::Reader* r,
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("rc");
     const cluster::JobId id = r->u64();
-    const workload::JobSpec* spec = spec_of(r, specs, id);
+    const workload::JobSpec* spec = sched::spec_of(r, specs, id);
     if (spec == nullptr) {
       return;
     }
     RunningCpu rc;
     rc.spec = *spec;
-    rc.node = static_cast<cluster::NodeId>(r->u64());
-    rc.cores = r->i32();
-    rc.borrowed_reserved = r->i32();
-    rc.start_seq = r->u64();
+    r->read(fields(rc));
     running_cpu_[id] = std::move(rc);
   }
 
@@ -211,13 +162,16 @@ void CodaScheduler::load_state(state::Reader* r,
   n = r->u64();
   tuning_outcomes_.clear();
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
-    tuning_outcomes_.push_back(load_outcome(r, "oc"));
+    r->expect("oc");
+    r->read(fields(tuning_outcomes_.emplace_back()));
   }
   r->expect("pending_outcomes");
   n = r->u64();
   pending_outcomes_.clear();
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
-    TuningOutcome o = load_outcome(r, "poc");
+    TuningOutcome o;
+    r->expect("poc");
+    r->read(fields(o));
     pending_outcomes_[o.job] = o;
   }
 
@@ -233,10 +187,9 @@ void CodaScheduler::load_state(state::Reader* r,
       r->fail("per-node rows out of order");
       return;
     }
-    gpu_cores_on_node_[node] = r->i32();
-    borrowed_on_node_[node] = r->i32();
-    cross_borrowers_on_node_[node] = r->i32();
-    const uint64_t k = r->u64();
+    uint64_t k = 0;
+    r->read(gpu_cores_on_node_[node], borrowed_on_node_[node],
+            cross_borrowers_on_node_[node], k);
     cpu_jobs_by_node_[node].clear();
     for (uint64_t j = 0; j < k && r->ok(); ++j) {
       r->expect("nj");
@@ -251,12 +204,7 @@ void CodaScheduler::load_state(state::Reader* r,
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("hist");
     HistoryRecord rec;
-    rec.tenant = static_cast<cluster::TenantId>(r->u64());
-    rec.category = static_cast<perfmodel::ModelCategory>(r->i32());
-    rec.model = static_cast<perfmodel::ModelId>(r->i32());
-    rec.nodes = r->i32();
-    rec.gpus_per_node = r->i32();
-    rec.optimal_cores = r->i32();
+    r->read(fields(rec));
     history_.record(rec);
   }
 

@@ -9,32 +9,25 @@
 namespace coda::core {
 
 void ContentionEliminator::save_state(state::Writer* w) const {
-  w->line("elim_stats", stats_.checks, stats_.nodes_over_threshold,
-          stats_.mba_throttles, stats_.core_halvings, stats_.releases);
+  w->line("elim_stats", fields(stats_));
   w->line("elim_throttled", throttled_.size());
   for (const auto& [job, rec] : throttled_) {
-    w->line("et", job, rec.node, rec.via_mba, rec.original_cores);
+    w->line("et", job, fields(rec));
   }
 }
 
 void ContentionEliminator::load_state(state::Reader* r) {
   r->expect("elim_stats");
-  stats_.checks = r->i32();
-  stats_.nodes_over_threshold = r->i32();
-  stats_.mba_throttles = r->i32();
-  stats_.core_halvings = r->i32();
-  stats_.releases = r->i32();
+  r->read(fields(stats_));
   r->expect("elim_throttled");
   const uint64_t n = r->u64();
   throttled_.clear();
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("et");
-    const cluster::JobId job = r->u64();
+    cluster::JobId job = 0;
     ThrottleRecord rec;
-    rec.node = static_cast<cluster::NodeId>(r->u64());
-    rec.via_mba = r->b();
-    rec.original_cores = r->i32();
-    if (r->ok() && rec.node >= env_->cluster->node_count()) {
+    if (r->read(job, fields(rec)) &&
+        rec.node >= env_->cluster->node_count()) {
       r->fail("throttle record on an unknown node");
       break;
     }

@@ -17,6 +17,7 @@
 #include "perfmodel/train_perf.h"
 #include "sched/scheduler.h"
 #include "telemetry/mbm.h"
+#include "util/fields.h"
 
 namespace coda::state {
 class Writer;
@@ -48,6 +49,12 @@ struct EliminatorStats {
   int mba_throttles = 0;
   int core_halvings = 0;
   int releases = 0;  // caps cleared / cores restored (extension)
+
+  // Snapshot `elim_stats` rows and the report's `eliminator` row.
+  friend auto fields(util::FieldsOf<EliminatorStats> auto& s) {
+    return std::tie(s.checks, s.nodes_over_threshold, s.mba_throttles,
+                    s.core_halvings, s.releases);
+  }
 };
 
 class ContentionEliminator {
@@ -118,6 +125,11 @@ class ContentionEliminator {
     cluster::NodeId node = 0;
     bool via_mba = false;
     int original_cores = 0;  // core-halving path only
+
+    // An `et` row after the job id.
+    friend auto fields(util::FieldsOf<ThrottleRecord> auto& t) {
+      return std::tie(t.node, t.via_mba, t.original_cores);
+    }
   };
 
   EliminatorConfig config_;

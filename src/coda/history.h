@@ -12,6 +12,7 @@
 #include "cluster/resources.h"
 #include "perfmodel/dnn_model.h"
 #include "perfmodel/train_perf.h"
+#include "util/fields.h"
 
 namespace coda::core {
 
@@ -22,6 +23,12 @@ struct HistoryRecord {
   int nodes = 1;
   int gpus_per_node = 1;
   int optimal_cores = 1;  // per node, as converged by the allocator
+
+  // Snapshot `hist` rows.
+  friend auto fields(util::FieldsOf<HistoryRecord> auto& h) {
+    return std::tie(h.tenant, h.category, h.model, h.nodes, h.gpus_per_node,
+                    h.optimal_cores);
+  }
 };
 
 class HistoryLog {

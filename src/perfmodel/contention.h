@@ -15,6 +15,7 @@
 
 #include "cluster/node.h"
 #include "perfmodel/train_perf.h"
+#include "util/fields.h"
 
 namespace coda::perfmodel {
 
@@ -44,6 +45,12 @@ struct JobContention {
   double achieved_bw_gbps = 0.0;   // what MBM would report for this job
   ContentionFactors factors;       // feed into TrainPerf for GPU jobs
   double cpu_rate_factor = 1.0;    // progress multiplier for CPU jobs
+
+  // Engine `rj` rows.
+  friend auto fields(util::FieldsOf<JobContention> auto& c) {
+    return std::tie(c.job, c.achieved_bw_gbps, c.factors.prep_inflation,
+                    c.factors.gpu_inflation, c.cpu_rate_factor);
+  }
 };
 
 // Node-wide outcome.
@@ -53,6 +60,12 @@ struct NodeContentionReport {
   double llc_pressure = 0.0;       // sum(llc_mb) / node LLC
   double pcie_total_gbps = 0.0;
   std::vector<JobContention> jobs; // same order as the input footprints
+
+  // An engine `rep` row between the node id and the job count.
+  friend auto fields(util::FieldsOf<NodeContentionReport> auto& r) {
+    return std::tie(r.total_demand_gbps, r.mem_pressure, r.llc_pressure,
+                    r.pcie_total_gbps);
+  }
 };
 
 class NodeContentionModel {

@@ -11,10 +11,6 @@
 
 namespace coda::sched {
 
-namespace {
-
-// Looks up a job id from a serialized queue; poisons the reader when the
-// embedded session does not know the job (corrupt or mismatched snapshot).
 const workload::JobSpec* spec_of(state::Reader* r, const SpecMap& specs,
                                  cluster::JobId id) {
   auto it = specs.find(id);
@@ -24,8 +20,6 @@ const workload::JobSpec* spec_of(state::Reader* r, const SpecMap& specs,
   }
   return &it->second;
 }
-
-}  // namespace
 
 void Scheduler::save_state(state::Writer* w) const {
   // unordered_map: emit sorted by id so equal states serialize identically.
@@ -97,11 +91,11 @@ void DrfScheduler::load_state(state::Reader* r, const SpecMap& specs) {
   tenants_.clear();
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("ten");
-    const cluster::TenantId tenant = static_cast<cluster::TenantId>(r->u64());
+    cluster::TenantId tenant = 0;
+    r->read(tenant);
     TenantState& st = tenants_[tenant];
-    st.allocated.cpus = r->i32();
-    st.allocated.gpus = r->i32();
-    const uint64_t k = r->u64();
+    uint64_t k = 0;
+    r->read(st.allocated.cpus, st.allocated.gpus, k);
     for (uint64_t j = 0; j < k && r->ok(); ++j) {
       r->expect("tq");
       if (const workload::JobSpec* spec = spec_of(r, specs, r->u64())) {

@@ -21,6 +21,7 @@
 #include "simcore/event_tags.h"
 #include "simcore/simulator.h"
 #include "telemetry/mbm.h"
+#include "util/fields.h"
 #include "util/result.h"
 #include "workload/job.h"
 
@@ -36,11 +37,21 @@ namespace coda::sched {
 // supplies the specs).
 using SpecMap = std::map<cluster::JobId, workload::JobSpec>;
 
+// The spec of a job id read from serialized state; poisons `r` and returns
+// nullptr when the embedded session does not know the job.
+const workload::JobSpec* spec_of(state::Reader* r, const SpecMap& specs,
+                                 cluster::JobId id);
+
 // Where a job runs: one entry per node it occupies.
 struct NodePlacement {
   cluster::NodeId node = 0;
   int cpus = 0;
   int gpus = 0;
+
+  // Engine `place` rows and CODA `rgp` rows.
+  friend auto fields(util::FieldsOf<NodePlacement> auto& p) {
+    return std::tie(p.node, p.cpus, p.gpus);
+  }
 };
 
 // How a scheduler re-admits jobs evicted by node failures. Disabled by
@@ -200,10 +211,9 @@ class Scheduler {
   virtual void save_state(state::Writer* w) const;
   virtual void load_state(state::Reader* r, const SpecMap& specs);
 
-  // Re-posts one retry-backoff resubmission recorded in a snapshot manifest
-  // at its exact absolute simulated time. The closure matches the one
-  // retry_after_eviction posts, so the restored event dispatches
-  // identically.
+  // Posts one retry-backoff resubmission at absolute simulated time `t`:
+  // retry_after_eviction's backoff and a snapshot manifest's re-arm both
+  // post through here, so a restored event dispatches identically.
   void rearm_retry(double t, const workload::JobSpec& spec) {
     env_.sim->post_at(
         t,
@@ -241,13 +251,7 @@ class Scheduler {
     const double delay = std::min(
         retry_.backoff_base_s * std::ldexp(1.0, attempt - 1),
         retry_.backoff_max_s);
-    env_.sim->post_after(
-        delay,
-        [this, spec] {
-          submit(spec);
-          kick();
-        },
-        simcore::EventTag{simcore::kTagRetryResubmit, spec.id});
+    rearm_retry(env_.sim->now() + delay, spec);
     return false;
   }
 

@@ -4,6 +4,7 @@
 #include <cctype>
 
 #include "util/env.h"
+#include "util/parse.h"
 #include "util/strings.h"
 
 namespace coda::service {
@@ -34,27 +35,6 @@ std::string_view trim_view(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
-}
-
-// Strict non-negative integer parse on a view (digits only, no sign, no
-// surrounding junk); false on overflow or empty input.
-bool parse_uint_view(std::string_view s, uint64_t* out) {
-  if (s.empty() || s.size() > 20) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      return false;
-    }
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
 }
 
 std::string sanitize(std::string s) {
@@ -143,8 +123,8 @@ util::Result<Request> parse_request(std::string_view line) {
   }
   if (verb == "STATUS") {
     const std::string_view id_view = trim_view(rest);
-    uint64_t id = 0;
-    if (!parse_uint_view(id_view, &id)) {
+    unsigned long long id = 0;
+    if (util::parse_number(id_view, &id) != util::ParseStatus::kOk) {
       return util::Error{util::ErrorCode::kParseError,
                          "STATUS needs a job id"};
     }
@@ -178,8 +158,8 @@ util::Result<Envelope> parse_envelope(std::string_view line) {
     std::string_view value;
     std::string_view after;
     split_verb(tail, &value, &after);
-    uint64_t parsed = 0;
-    if (!parse_uint_view(value, &parsed)) {
+    unsigned long long parsed = 0;
+    if (util::parse_number(value, &parsed) != util::ParseStatus::kOk) {
       return util::Error{util::ErrorCode::kParseError,
                          std::string(head) + " needs an unsigned integer"};
     }
@@ -216,8 +196,9 @@ uint64_t tenant_of_csv_row(std::string_view csv_row) {
       csv_row.substr(first + 1, second == std::string_view::npos
                                     ? std::string_view::npos
                                     : second - first - 1));
-  uint64_t tenant = 0;
-  return parse_uint_view(field, &tenant) ? tenant : 0;
+  unsigned long long tenant = 0;  // parse_number writes it only on success
+  util::parse_number(field, &tenant);
+  return tenant;
 }
 
 std::string format_ok(const std::string& payload) {
@@ -262,8 +243,9 @@ util::Result<Response> parse_response(std::string_view line) {
       return util::Error{util::ErrorCode::kParseError,
                          "BUSY without retry-after-ms"};
     }
-    uint64_t ms = 0;
-    if (!parse_uint_view(rest.substr(kKey.size()), &ms)) {
+    unsigned long long ms = 0;
+    if (util::parse_number(rest.substr(kKey.size()), &ms) !=
+        util::ParseStatus::kOk) {
       return util::Error{util::ErrorCode::kParseError, "bad retry-after-ms"};
     }
     resp.kind = Response::Kind::kBusy;
@@ -281,8 +263,8 @@ util::Result<TaggedResponse> parse_tagged_response(std::string_view line) {
     std::string_view head;
     std::string_view rest;
     split_verb(body.substr(4), &head, &rest);
-    uint64_t cid = 0;
-    if (!parse_uint_view(head, &cid)) {
+    unsigned long long cid = 0;
+    if (util::parse_number(head, &cid) != util::ParseStatus::kOk) {
       return util::Error{util::ErrorCode::kParseError, "bad CID echo"};
     }
     tagged.has_cid = true;

@@ -110,19 +110,14 @@ void ClusterEngine::load_trace(const std::vector<workload::JobSpec>& trace) {
 }
 
 void ClusterEngine::inject(const workload::JobSpec& spec, double t) {
-  CODA_ASSERT_MSG(records_.count(spec.id) == 0, "duplicate job id injected");
-  JobRecord record;
-  record.spec = spec;
-  record.submit_time = t;
-  records_[spec.id] = std::move(record);
-  const cluster::JobId id = spec.id;
-  sim_.post_at(t, [this, id] { on_arrival(id); },
-               simcore::EventTag{simcore::kTagArrival, id});
+  auto [it, inserted] = records_.try_emplace(spec.id);
+  CODA_ASSERT_MSG(inserted, "duplicate job id injected");
+  it->second.spec = spec;
+  it->second.submit_time = t;
+  rearm_arrival(t, spec.id);
 }
 
 void ClusterEngine::rearm_arrival(double t, cluster::JobId id) {
-  CODA_ASSERT_MSG(records_.count(id) > 0,
-                  "re-arming an arrival for an unknown job");
   sim_.post_at(t, [this, id] { on_arrival(id); },
                simcore::EventTag{simcore::kTagArrival, id});
 }
@@ -279,24 +274,7 @@ util::Status ClusterEngine::stop_running_job(cluster::JobId id,
     }
   }
   job.finish_event.cancel();
-  std::vector<cluster::NodeId> affected;
-  for (const auto& np : job.placement.nodes) {
-    auto& list = jobs_on_node_[np.node];
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [id](const Resident& r) { return r.id == id; }),
-               list.end());
-    if (list.empty()) {
-      occupied_nodes_.erase(np.node);
-    }
-    auto release = cluster_.node(np.node).release(id);
-    CODA_ASSERT(release.ok());
-    affected.push_back(np.node);
-  }
-  mba_.clear_job(id);
-  running_.erase(it);
-  for (cluster::NodeId node : affected) {
-    mark_node_dirty(node);
-  }
+  detach_job(it);
   record.preempt_count += 1;
   pending_since_[id] = sim_.now();
   return util::Status::Ok();
@@ -408,8 +386,21 @@ void ClusterEngine::finish_job(cluster::JobId id) {
   record.busy_core_s += job.busy_core_s;
   record.busy_gpu_s += job.busy_gpu_s;
 
-  std::vector<cluster::NodeId> affected;
-  for (const auto& np : job.placement.nodes) {
+  detach_job(it);
+  remaining_work_.erase(id);
+  ++finished_count_;
+  event_log_.record(sim_.now(), EventKind::kFinish, id);
+  scheduler_->on_job_finished(record.spec);
+  scheduler_->kick();
+}
+
+void ClusterEngine::detach_job(
+    std::map<cluster::JobId, RunningJob>::iterator it) {
+  const cluster::JobId id = it->first;
+  // Moved out first: the legs outlive the RunningJob for the dirty marks.
+  const std::vector<sched::NodePlacement> legs =
+      std::move(it->second.placement.nodes);
+  for (const auto& np : legs) {
     auto& list = jobs_on_node_[np.node];
     list.erase(std::remove_if(list.begin(), list.end(),
                               [id](const Resident& r) { return r.id == id; }),
@@ -419,18 +410,12 @@ void ClusterEngine::finish_job(cluster::JobId id) {
     }
     auto release = cluster_.node(np.node).release(id);
     CODA_ASSERT(release.ok());
-    affected.push_back(np.node);
   }
   mba_.clear_job(id);
   running_.erase(it);
-  remaining_work_.erase(id);
-  ++finished_count_;
-  event_log_.record(sim_.now(), EventKind::kFinish, id);
-  for (cluster::NodeId node : affected) {
-    mark_node_dirty(node);
+  for (const auto& np : legs) {
+    mark_node_dirty(np.node);
   }
-  scheduler_->on_job_finished(record.spec);
-  scheduler_->kick();
 }
 
 void ClusterEngine::abandon_job(cluster::JobId id) {
@@ -719,15 +704,15 @@ void ClusterEngine::reschedule_finish(RunningJob& job) {
   job.finish_event.cancel();
   CODA_ASSERT(job.rate > 0.0);
   ++stats_.reschedules;
-  const double dt = job.remaining / job.rate;
-  const cluster::JobId id = job.id;
-  job.finish_event =
-      sim_.schedule_after(dt, [this, id] { finish_job(id); },
-                          simcore::EventTag{simcore::kTagJobFinish, id});
+  arm_finish(job, sim_.now() + job.remaining / job.rate);
 }
 
 void ClusterEngine::rearm_finish(double t, cluster::JobId id) {
-  RunningJob& job = running_.at(id);
+  arm_finish(running_.at(id), t);
+}
+
+void ClusterEngine::arm_finish(RunningJob& job, double t) {
+  const cluster::JobId id = job.id;
   job.finish_event =
       sim_.schedule_at(t, [this, id] { finish_job(id); },
                        simcore::EventTag{simcore::kTagJobFinish, id});

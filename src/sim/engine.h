@@ -25,6 +25,7 @@
 #include "telemetry/mba.h"
 #include "telemetry/mbm.h"
 #include "telemetry/metrics.h"
+#include "util/fields.h"
 #include "workload/job.h"
 
 namespace coda::state {
@@ -93,6 +94,16 @@ struct JobRecord {
   double end_to_end_latency() const {
     return finish_time >= 0.0 ? finish_time - submit_time : -1.0;
   }
+
+  // The lifecycle fields (all but the spec), in the order engine `rec`
+  // rows and report record rows carry them.
+  friend auto fields(util::FieldsOf<JobRecord> auto& r) {
+    return std::tie(r.submit_time, r.first_start_time, r.finish_time,
+                    r.queue_time_total, r.preempt_count, r.final_cpus,
+                    r.completed, r.evict_count, r.restart_count, r.abandoned,
+                    r.busy_core_s, r.busy_gpu_s, r.wasted_core_s,
+                    r.wasted_gpu_s);
+  }
 };
 
 class ClusterEngine : public telemetry::BandwidthSource,
@@ -146,6 +157,7 @@ class ClusterEngine : public telemetry::BandwidthSource,
     return records_;
   }
   size_t running_jobs() const { return running_.size(); }
+  bool is_running(cluster::JobId id) const { return running_.count(id) > 0; }
   size_t finished_jobs() const { return finished_count_; }
   size_t abandoned_jobs() const { return abandoned_count_; }
   const EventLog& event_log() const { return event_log_; }
@@ -159,6 +171,11 @@ class ClusterEngine : public telemetry::BandwidthSource,
     uint64_t reschedules = 0;          // finish events (re)scheduled
     uint64_t reschedules_skipped = 0;  // rate unchanged -> event kept
     uint64_t dirty_flushes = 0;        // dirty-set drains that did work
+
+    friend auto fields(util::FieldsOf<EngineStats> auto& s) {
+      return std::tie(s.node_recomputes, s.rate_updates, s.reschedules,
+                      s.reschedules_skipped, s.dirty_flushes);
+    }
   };
   const EngineStats& engine_stats() const { return stats_; }
 
@@ -197,7 +214,10 @@ class ClusterEngine : public telemetry::BandwidthSource,
                           const std::map<cluster::JobId,
                                          workload::JobSpec>& specs);
   // Re-arm helpers: re-post one pending simulator event recorded in a
-  // snapshot manifest at its exact absolute time.
+  // snapshot manifest at its exact absolute time. The live paths post
+  // through them too. The job or node must exist (restore_session checks
+  // manifest entries first): an arrival needs the job's record, a finish a
+  // running job.
   void rearm_arrival(double t, cluster::JobId id);
   void rearm_finish(double t, cluster::JobId id);
   void rearm_outage_fail(double t, cluster::NodeId node);
@@ -230,6 +250,20 @@ class ClusterEngine : public telemetry::BandwidthSource,
     double eval_iter = 0.0;
     double eval_util = 0.0;
     double eval_prep = 0.0;  // prep-stage time
+
+    // A `pstate` row after its node id. busy_cores is derived; the
+    // footprint's job is the owning RunningJob's id.
+    friend auto fields(util::FieldsOf<PerNodeState> auto& s) {
+      auto& fp = s.footprint;
+      return std::tie(s.cpus, fp.is_gpu_job, fp.mem_bw_gbps,
+                      fp.mem_bw_cap_gbps, fp.pcie_gbps, fp.llc_mb,
+                      fp.bw_latency_sensitivity, fp.bw_share_dependence,
+                      fp.llc_sensitivity, fp.bw_bound_fraction,
+                      s.factors.prep_inflation, s.factors.gpu_inflation,
+                      s.cpu_rate_factor, s.achieved_bw, s.eval_cpus,
+                      s.eval_prep_bits, s.eval_gpu_bits, s.eval_iter,
+                      s.eval_util, s.eval_prep);
+    }
   };
 
   struct RunningJob {
@@ -265,6 +299,14 @@ class ClusterEngine : public telemetry::BandwidthSource,
     double busy_gpu_s = 0.0;
     double ckpt_busy_core_s = 0.0;
     double ckpt_busy_gpu_s = 0.0;
+
+    // A `run` row between the id and the leg count; the placement and the
+    // legs follow as `place` and `pstate` rows.
+    friend auto fields(util::FieldsOf<RunningJob> auto& j) {
+      return std::tie(j.remaining, j.rate, j.last_update, j.gpu_util,
+                      j.ckpt_remaining, j.time_since_ckpt, j.busy_core_s,
+                      j.busy_gpu_s, j.ckpt_busy_core_s, j.ckpt_busy_gpu_s);
+    }
   };
 
   // Scheduler-facing callbacks (wired into SchedulerEnv).
@@ -277,6 +319,10 @@ class ClusterEngine : public telemetry::BandwidthSource,
 
   void on_arrival(cluster::JobId id);
   void finish_job(cluster::JobId id);
+  // The detach half of finish_job and stop_running_job: drops the job from
+  // its nodes' resident lists, releases its allocations and MBA caps,
+  // erases it, then marks its nodes dirty in placement order.
+  void detach_job(std::map<cluster::JobId, RunningJob>::iterator it);
   // Scheduler gave up on an evicted job (retry cap). Closes accounting.
   void abandon_job(cluster::JobId id);
 
@@ -317,6 +363,9 @@ class ClusterEngine : public telemetry::BandwidthSource,
   void set_pressure_floor(double floor);
   void advance_progress(RunningJob& job);
   void reschedule_finish(RunningJob& job);
+  // Posts the job's finish event at `t`: the one closure and tag behind
+  // reschedule_finish and rearm_finish.
+  void arm_finish(RunningJob& job, double t);
   double total_work_of(const workload::JobSpec& spec) const;
 
   void sample_metrics();
@@ -423,6 +472,11 @@ class ClusterEngine : public telemetry::BandwidthSource,
   size_t abandoned_count_ = 0;
   size_t submitted_count_ = 0;
   int node_failures_ = 0;
+  // The snapshot's `counts` row.
+  static auto counts(util::FieldsOf<ClusterEngine> auto& e) {
+    return std::tie(e.finished_count_, e.abandoned_count_, e.submitted_count_,
+                    e.node_failures_);
+  }
 };
 
 }  // namespace coda::sim

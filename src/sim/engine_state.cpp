@@ -28,21 +28,13 @@ void ClusterEngine::save_state(state::Writer* w) const {
   // sync with the allocations being serialized.
   ensure_synced();
 
-  const auto rng_state = noise_rng_.state();
-  w->line("rng", rng_state[0], rng_state[1], rng_state[2], rng_state[3]);
-  w->line("counts", finished_count_, abandoned_count_, submitted_count_,
-          node_failures_);
-  w->line("stats", stats_.node_recomputes, stats_.rate_updates,
-          stats_.reschedules, stats_.reschedules_skipped,
-          stats_.dirty_flushes);
+  w->line("rng", noise_rng_.state());
+  w->line("counts", counts(*this));
+  w->line("stats", fields(stats_));
 
   w->line("records", records_.size());
   for (const auto& [id, rec] : records_) {
-    w->line("rec", id, rec.submit_time, rec.first_start_time, rec.finish_time,
-            rec.queue_time_total, rec.preempt_count, rec.final_cpus,
-            rec.completed, rec.evict_count, rec.restart_count, rec.abandoned,
-            rec.busy_core_s, rec.busy_gpu_s, rec.wasted_core_s,
-            rec.wasted_gpu_s);
+    w->line("rec", id, fields(rec));
   }
 
   w->line("pending", pending_since_.size());
@@ -65,25 +57,14 @@ void ClusterEngine::save_state(state::Writer* w) const {
 
   w->line("running", running_.size());
   for (const auto& [id, job] : running_) {
-    w->line("run", id, job.remaining, job.rate, job.last_update, job.gpu_util,
-            job.ckpt_remaining, job.time_since_ckpt, job.busy_core_s,
-            job.busy_gpu_s, job.ckpt_busy_core_s, job.ckpt_busy_gpu_s,
-            job.placement.nodes.size());
+    w->line("run", id, fields(job), job.placement.nodes.size());
     // Placement order is semantic (nodes.front() names the lead node) —
     // serialized verbatim, separately from the sorted per-node state map.
     for (const auto& np : job.placement.nodes) {
-      w->line("place", np.node, np.cpus, np.gpus);
+      w->line("place", fields(np));
     }
     for (const auto& [node, st] : job.nodes) {
-      const perfmodel::ResourceFootprint& fp = st.footprint;
-      w->line("pstate", node, st.cpus, fp.is_gpu_job, fp.mem_bw_gbps,
-              fp.mem_bw_cap_gbps, fp.pcie_gbps, fp.llc_mb,
-              fp.bw_latency_sensitivity, fp.bw_share_dependence,
-              fp.llc_sensitivity, fp.bw_bound_fraction,
-              st.factors.prep_inflation, st.factors.gpu_inflation,
-              st.cpu_rate_factor, st.achieved_bw, st.eval_cpus,
-              st.eval_prep_bits, st.eval_gpu_bits, st.eval_iter, st.eval_util,
-              st.eval_prep);
+      w->line("pstate", node, fields(st));
     }
   }
 
@@ -98,11 +79,9 @@ void ClusterEngine::save_state(state::Writer* w) const {
 
   for (size_t n = 0; n < node_reports_.size(); ++n) {
     const perfmodel::NodeContentionReport& rep = node_reports_[n];
-    w->line("rep", n, rep.total_demand_gbps, rep.mem_pressure,
-            rep.llc_pressure, rep.pcie_total_gbps, rep.jobs.size());
+    w->line("rep", n, fields(rep), rep.jobs.size());
     for (const perfmodel::JobContention& jc : rep.jobs) {
-      w->line("rj", jc.job, jc.achieved_bw_gbps, jc.factors.prep_inflation,
-              jc.factors.gpu_inflation, jc.cpu_rate_factor);
+      w->line("rj", fields(jc));
     }
   }
 
@@ -125,7 +104,7 @@ void ClusterEngine::save_state(state::Writer* w) const {
 
   w->line("eventlog", event_log_.size());
   for (const Event& e : event_log_.events()) {
-    w->line("ev", e.t, static_cast<int>(e.kind), e.job, e.node, e.value);
+    w->line("ev", fields(e));
   }
 }
 
@@ -136,50 +115,27 @@ util::Status ClusterEngine::load_state(
                   "load_state requires a restore-mode engine with no trace");
 
   r->expect("rng");
-  std::array<uint64_t, 4> rng_state;
-  for (uint64_t& word : rng_state) {
-    word = r->u64();
-  }
+  std::array<uint64_t, 4> rng_state{};
+  r->read(rng_state);
   noise_rng_.set_state(rng_state);
 
   r->expect("counts");
-  finished_count_ = r->u64();
-  abandoned_count_ = r->u64();
-  submitted_count_ = r->u64();
-  node_failures_ = r->i32();
+  r->read(counts(*this));
   r->expect("stats");
-  stats_.node_recomputes = r->u64();
-  stats_.rate_updates = r->u64();
-  stats_.reschedules = r->u64();
-  stats_.reschedules_skipped = r->u64();
-  stats_.dirty_flushes = r->u64();
+  r->read(fields(stats_));
 
   r->expect("records");
   uint64_t n = r->u64();
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("rec");
     const cluster::JobId id = r->u64();
-    auto spec_it = specs.find(id);
-    if (spec_it == specs.end()) {
-      r->fail("engine record references unknown job " + std::to_string(id));
+    const workload::JobSpec* spec = sched::spec_of(r, specs, id);
+    if (spec == nullptr) {
       break;
     }
     JobRecord rec;
-    rec.spec = spec_it->second;
-    rec.submit_time = r->f64();
-    rec.first_start_time = r->f64();
-    rec.finish_time = r->f64();
-    rec.queue_time_total = r->f64();
-    rec.preempt_count = r->i32();
-    rec.final_cpus = r->i32();
-    rec.completed = r->b();
-    rec.evict_count = r->i32();
-    rec.restart_count = r->i32();
-    rec.abandoned = r->b();
-    rec.busy_core_s = r->f64();
-    rec.busy_gpu_s = r->f64();
-    rec.wasted_core_s = r->f64();
-    rec.wasted_gpu_s = r->f64();
+    rec.spec = *spec;
+    r->read(fields(rec));
     records_[id] = std::move(rec);
   }
 
@@ -214,10 +170,10 @@ util::Status ClusterEngine::load_state(
     cluster::Node& node = cluster_.node(static_cast<cluster::NodeId>(i));
     for (uint64_t j = 0; j < allocs && r->ok(); ++j) {
       r->expect("alloc");
-      const cluster::JobId job = r->u64();
-      const int cpus = r->i32();
-      const int gpus = r->i32();
-      if (!r->ok()) {
+      cluster::JobId job = 0;
+      int cpus = 0;
+      int gpus = 0;
+      if (!r->read(job, cpus, gpus)) {
         break;
       }
       if (auto status = node.allocate(job, cpus, gpus); !status.ok()) {
@@ -241,63 +197,47 @@ util::Status ClusterEngine::load_state(
     RunningJob job;
     job.id = id;
     job.spec = &rec_it->second.spec;  // stable: map node address
-    job.remaining = r->f64();
-    job.rate = r->f64();
-    job.last_update = r->f64();
-    job.gpu_util = r->f64();
-    job.ckpt_remaining = r->f64();
-    job.time_since_ckpt = r->f64();
-    job.busy_core_s = r->f64();
-    job.busy_gpu_s = r->f64();
-    job.ckpt_busy_core_s = r->f64();
-    job.ckpt_busy_gpu_s = r->f64();
-    const uint64_t np = r->u64();
-    if (r->ok() && np == 0) {
-      r->fail("running job without a placement: " + std::to_string(id));
+    uint64_t np = 0;
+    r->read(fields(job), np);
+    if (r->ok() && (np == 0 || np > cluster_.node_count())) {
+      r->fail("running job with " + std::to_string(np) +
+              " placement legs: " + std::to_string(id));
       break;
     }
-    job.placement.nodes.reserve(np);
-    job.nodes.reserve(np);
+    job.placement.nodes.resize(np);
+    job.nodes.resize(np);
     for (uint64_t j = 0; j < np && r->ok(); ++j) {
       r->expect("place");
-      sched::NodePlacement p;
-      p.node = static_cast<cluster::NodeId>(r->u64());
-      p.cpus = r->i32();
-      p.gpus = r->i32();
-      job.placement.nodes.push_back(p);
+      r->read(fields(job.placement.nodes[j]));
     }
-    for (uint64_t j = 0; j < np && r->ok(); ++j) {
+    for (auto& [node, st] : job.nodes) {
       r->expect("pstate");
-      const cluster::NodeId node = static_cast<cluster::NodeId>(r->u64());
-      PerNodeState st;
-      st.cpus = r->i32();
-      perfmodel::ResourceFootprint& fp = st.footprint;
-      fp.job = id;
-      fp.is_gpu_job = r->b();
-      fp.mem_bw_gbps = r->f64();
-      fp.mem_bw_cap_gbps = r->f64();
-      fp.pcie_gbps = r->f64();
-      fp.llc_mb = r->f64();
-      fp.bw_latency_sensitivity = r->f64();
-      fp.bw_share_dependence = r->f64();
-      fp.llc_sensitivity = r->f64();
-      fp.bw_bound_fraction = r->f64();
-      st.factors.prep_inflation = r->f64();
-      st.factors.gpu_inflation = r->f64();
-      st.cpu_rate_factor = r->f64();
-      st.achieved_bw = r->f64();
-      st.eval_cpus = r->i32();
-      st.eval_prep_bits = r->u64();
-      st.eval_gpu_bits = r->u64();
-      st.eval_iter = r->f64();
-      st.eval_util = r->f64();
-      st.eval_prep = r->f64();
-      job.nodes.emplace_back(node, st);
+      r->read(node, fields(st));
+      st.footprint.job = id;
     }
     // pstate rows were serialized in ascending node order, but sort anyway:
     // the flat vector's order is an invariant, not a serialization accident.
     std::sort(job.nodes.begin(), job.nodes.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
+    // Finishing or evicting the job releases its allocation on every
+    // placement node and recomputes every leg, so the placement must name
+    // exactly the legs' nodes, each in range and holding the job.
+    std::vector<cluster::NodeId> placed;
+    for (const sched::NodePlacement& p : job.placement.nodes) {
+      placed.push_back(p.node);
+    }
+    std::sort(placed.begin(), placed.end());
+    for (size_t j = 0; j < placed.size() && r->ok(); ++j) {
+      const cluster::NodeId node = placed[j];
+      if (node != job.nodes[j].first ||
+          (j > 0 && node == placed[j - 1]) ||
+          node >= cluster_.node_count() ||
+          !cluster_.node(node).hosts(id)) {
+        r->fail("running job " + std::to_string(id) +
+                " has a placement that disagrees with its legs or "
+                "allocations");
+      }
+    }
     // finish_event stays empty here; the snapshot manifest re-arms it via
     // rearm_finish at the exact serialized firing time.
     running_.emplace(id, std::move(job));
@@ -338,21 +278,12 @@ util::Status ClusterEngine::load_state(
       break;
     }
     perfmodel::NodeContentionReport& rep = node_reports_[node];
-    rep.total_demand_gbps = r->f64();
-    rep.mem_pressure = r->f64();
-    rep.llc_pressure = r->f64();
-    rep.pcie_total_gbps = r->f64();
-    const uint64_t k = r->u64();
+    uint64_t k = 0;
+    r->read(fields(rep), k);
     rep.jobs.clear();
     for (uint64_t j = 0; j < k && r->ok(); ++j) {
       r->expect("rj");
-      perfmodel::JobContention jc;
-      jc.job = r->u64();
-      jc.achieved_bw_gbps = r->f64();
-      jc.factors.prep_inflation = r->f64();
-      jc.factors.gpu_inflation = r->f64();
-      jc.cpu_rate_factor = r->f64();
-      rep.jobs.push_back(jc);
+      r->read(fields(rep.jobs.emplace_back()));
     }
   }
 
@@ -371,10 +302,14 @@ util::Status ClusterEngine::load_state(
   n = r->u64();
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("cap");
-    const cluster::NodeId node = static_cast<cluster::NodeId>(r->u64());
-    const cluster::JobId job = r->u64();
-    const double cap = r->f64();
-    if (!r->ok()) {
+    cluster::NodeId node = 0;
+    cluster::JobId job = 0;
+    double cap = 0.0;
+    if (!r->read(node, job, cap)) {
+      break;
+    }
+    if (node >= cluster_.node_count()) {
+      r->fail("MBA cap on an unknown node");
       break;
     }
     if (auto status = mba_.set_cap(node, job, cap); !status.ok()) {
@@ -411,11 +346,9 @@ util::Status ClusterEngine::load_state(
   }
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("ev");
-    const double t = r->f64();
-    const EventKind kind = static_cast<EventKind>(r->i32());
-    const cluster::JobId job = r->u64();
-    const int node = r->i32();
-    event_log_.record(t, kind, job, node, r->f64());
+    Event e;
+    r->read(fields(e));
+    event_log_.record(e.t, e.kind, e.job, e.node, e.value);
   }
 
   return r->status();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/resources.h"
+#include "util/fields.h"
 #include "util/result.h"
 
 namespace coda::sim {
@@ -35,6 +36,11 @@ struct Event {
   cluster::JobId job = 0;     // 0 for node-level events
   int node = -1;              // -1 when no single node applies
   double value = 0.0;         // cores, GB/s cap, ... by kind
+
+  // Snapshot `ev` rows.
+  friend auto fields(util::FieldsOf<Event> auto& e) {
+    return std::tie(e.t, e.kind, e.job, e.node, e.value);
+  }
 };
 
 class EventLog {

@@ -4,6 +4,7 @@
 
 #include "state/serde.h"
 #include "util/csv.h"
+#include "util/fields.h"
 #include "util/strings.h"
 
 namespace coda::sim {
@@ -160,44 +161,20 @@ void read_series(state::Reader& r, const char* name, util::TimeSeries* out) {
   }
 }
 
-void add_spec(state::Writer& w, const workload::JobSpec& spec) {
-  w.add(spec.id, spec.tenant, spec.kind, spec.submit_time, spec.model,
-        spec.train_config.nodes, spec.train_config.gpus_per_node,
-        spec.train_config.batch_size, spec.train_config.net_gbps,
-        spec.iterations, spec.requested_cpus, spec.hints.category_known,
-        spec.hints.pipelined, spec.hints.large_weights,
-        spec.hints.complex_prep, spec.cpu_cores, spec.cpu_work_core_s,
-        spec.mem_bw_gbps, spec.bw_bound_fraction, spec.llc_mb,
-        spec.user_facing, spec.checkpoint_interval_s,
-        spec.checkpoint_overhead_s);
+// The `counts` and `scalars` rows.
+auto counts(util::FieldsOf<ExperimentReport> auto& r) {
+  return std::tie(r.submitted, r.completed, r.events_dispatched,
+                  r.preemptions, r.migrations, r.abandoned, r.node_failures,
+                  r.evictions, r.restarts);
 }
 
-workload::JobSpec read_spec(state::Reader& r) {
-  workload::JobSpec spec;
-  spec.id = r.u64();
-  spec.tenant = static_cast<cluster::TenantId>(r.u64());
-  spec.kind = static_cast<workload::JobKind>(r.i32());
-  spec.submit_time = r.f64();
-  spec.model = static_cast<perfmodel::ModelId>(r.i32());
-  spec.train_config.nodes = r.i32();
-  spec.train_config.gpus_per_node = r.i32();
-  spec.train_config.batch_size = r.i32();
-  spec.train_config.net_gbps = r.f64();
-  spec.iterations = r.f64();
-  spec.requested_cpus = r.i32();
-  spec.hints.category_known = r.b();
-  spec.hints.pipelined = r.b();
-  spec.hints.large_weights = r.b();
-  spec.hints.complex_prep = r.b();
-  spec.cpu_cores = r.i32();
-  spec.cpu_work_core_s = r.f64();
-  spec.mem_bw_gbps = r.f64();
-  spec.bw_bound_fraction = r.f64();
-  spec.llc_mb = r.f64();
-  spec.user_facing = r.b();
-  spec.checkpoint_interval_s = r.f64();
-  spec.checkpoint_overhead_s = r.f64();
-  return spec;
+auto scalars(util::FieldsOf<ExperimentReport> auto& r) {
+  return std::tie(r.horizon_s, r.gpu_active_rate, r.gpu_util_active,
+                  r.gpu_util_overall, r.cpu_active_rate, r.cpu_util_active,
+                  r.frag_rate, r.frag_case2_rate, r.gpu_active_when_queued,
+                  r.frag_when_queued, r.queued_time_fraction, r.busy_gpu_s,
+                  r.busy_core_s, r.wasted_gpu_s, r.wasted_core_s,
+                  r.gpu_goodput, r.cpu_goodput);
 }
 
 }  // namespace
@@ -208,20 +185,9 @@ std::string serialize_report(const ExperimentReport& report) {
   w.reserve(256 + report.records.size() * 320);
   w.line(kMagic, kReportFormatVersion);
   w.line("scheduler", report.scheduler);
-  w.line("counts", report.submitted, report.completed,
-         report.events_dispatched, report.preemptions, report.migrations,
-         report.abandoned, report.node_failures, report.evictions,
-         report.restarts);
-  w.line("scalars", report.horizon_s, report.gpu_active_rate,
-         report.gpu_util_active, report.gpu_util_overall,
-         report.cpu_active_rate, report.cpu_util_active, report.frag_rate,
-         report.frag_case2_rate, report.gpu_active_when_queued,
-         report.frag_when_queued, report.queued_time_fraction,
-         report.busy_gpu_s, report.busy_core_s, report.wasted_gpu_s,
-         report.wasted_core_s, report.gpu_goodput, report.cpu_goodput);
-  const auto& elim = report.eliminator_stats;
-  w.line("eliminator", elim.checks, elim.nodes_over_threshold,
-         elim.mba_throttles, elim.core_halvings, elim.releases);
+  w.line("counts", counts(report));
+  w.line("scalars", scalars(report));
+  w.line("eliminator", fields(report.eliminator_stats));
 
   w.add("gpu_queue_times");
   add_doubles(w, report.gpu_queue_times);
@@ -239,19 +205,13 @@ std::string serialize_report(const ExperimentReport& report) {
 
   w.line("records", report.records.size());
   for (const auto& record : report.records) {
-    add_spec(w, record.spec);
-    w.add(record.submit_time, record.first_start_time, record.finish_time,
-          record.queue_time_total, record.preempt_count, record.final_cpus,
-          record.completed, record.evict_count, record.restart_count,
-          record.abandoned, record.busy_core_s, record.busy_gpu_s,
-          record.wasted_core_s, record.wasted_gpu_s);
+    w.add(fields(record.spec), fields(record));
     w.end_line();
   }
 
   w.line("tuning_outcomes", report.tuning_outcomes.size());
   for (const auto& outcome : report.tuning_outcomes) {
-    w.add(outcome.job, outcome.model, outcome.requested_cpus,
-          outcome.start_cpus, outcome.final_cpus, outcome.profile_steps);
+    w.add(fields(outcome));
     w.end_line();
   }
 
@@ -273,40 +233,11 @@ util::Result<ExperimentReport> deserialize_report(std::string_view text) {
   r.expect("scheduler");
   report.scheduler = std::string(r.token());
   r.expect("counts");
-  report.submitted = r.u64();
-  report.completed = r.u64();
-  report.events_dispatched = r.u64();
-  report.preemptions = r.i32();
-  report.migrations = r.i32();
-  report.abandoned = r.u64();
-  report.node_failures = r.i32();
-  report.evictions = r.i32();
-  report.restarts = r.i32();
+  r.read(counts(report));
   r.expect("scalars");
-  report.horizon_s = r.f64();
-  report.gpu_active_rate = r.f64();
-  report.gpu_util_active = r.f64();
-  report.gpu_util_overall = r.f64();
-  report.cpu_active_rate = r.f64();
-  report.cpu_util_active = r.f64();
-  report.frag_rate = r.f64();
-  report.frag_case2_rate = r.f64();
-  report.gpu_active_when_queued = r.f64();
-  report.frag_when_queued = r.f64();
-  report.queued_time_fraction = r.f64();
-  report.busy_gpu_s = r.f64();
-  report.busy_core_s = r.f64();
-  report.wasted_gpu_s = r.f64();
-  report.wasted_core_s = r.f64();
-  report.gpu_goodput = r.f64();
-  report.cpu_goodput = r.f64();
+  r.read(scalars(report));
   r.expect("eliminator");
-  auto& elim = report.eliminator_stats;
-  elim.checks = r.i32();
-  elim.nodes_over_threshold = r.i32();
-  elim.mba_throttles = r.i32();
-  elim.core_halvings = r.i32();
-  elim.releases = r.i32();
+  r.read(fields(report.eliminator_stats));
 
   r.expect("gpu_queue_times");
   read_doubles(r, &report.gpu_queue_times);
@@ -317,7 +248,8 @@ util::Result<ExperimentReport> deserialize_report(std::string_view text) {
   const uint64_t n_tenants = r.u64();
   for (uint64_t i = 0; i < n_tenants && r.ok(); ++i) {
     r.expect("tenant");
-    const auto tenant = static_cast<cluster::TenantId>(r.u64());
+    cluster::TenantId tenant = 0;
+    r.read(tenant);
     read_doubles(r, &report.queue_by_tenant[tenant]);
   }
 
@@ -326,23 +258,8 @@ util::Result<ExperimentReport> deserialize_report(std::string_view text) {
   report.records.reserve(std::min(n_records, kMaxReserve));
   for (uint64_t i = 0; i < n_records && r.ok(); ++i) {
     r.expect_row();
-    JobRecord record;
-    record.spec = read_spec(r);
-    record.submit_time = r.f64();
-    record.first_start_time = r.f64();
-    record.finish_time = r.f64();
-    record.queue_time_total = r.f64();
-    record.preempt_count = r.i32();
-    record.final_cpus = r.i32();
-    record.completed = r.b();
-    record.evict_count = r.i32();
-    record.restart_count = r.i32();
-    record.abandoned = r.b();
-    record.busy_core_s = r.f64();
-    record.busy_gpu_s = r.f64();
-    record.wasted_core_s = r.f64();
-    record.wasted_gpu_s = r.f64();
-    report.records.push_back(std::move(record));
+    JobRecord& record = report.records.emplace_back();
+    r.read(fields(record.spec), fields(record));
   }
 
   r.expect("tuning_outcomes");
@@ -350,14 +267,7 @@ util::Result<ExperimentReport> deserialize_report(std::string_view text) {
   report.tuning_outcomes.reserve(std::min(n_outcomes, kMaxReserve));
   for (uint64_t i = 0; i < n_outcomes && r.ok(); ++i) {
     r.expect_row();
-    core::CodaScheduler::TuningOutcome outcome;
-    outcome.job = r.u64();
-    outcome.model = static_cast<perfmodel::ModelId>(r.i32());
-    outcome.requested_cpus = r.i32();
-    outcome.start_cpus = r.i32();
-    outcome.final_cpus = r.i32();
-    outcome.profile_steps = r.i32();
-    report.tuning_outcomes.push_back(outcome);
+    r.read(fields(report.tuning_outcomes.emplace_back()));
   }
 
   read_series(r, "gpu_active", &report.gpu_active_series);

@@ -128,34 +128,37 @@ double Reader::f64() {
   return value;
 }
 
-uint64_t Reader::u64() {
+uint64_t Reader::u64(uint64_t max) {
   unsigned long long value = 0;
   const std::string_view tok = token();
   if (!failed_ && util::parse_number(tok, &value) != util::ParseStatus::kOk) {
     fail("bad unsigned token '" + std::string(tok) + "'");
     return 0;
   }
+  if (value > max) {
+    fail("integer " + std::string(tok) + " does not fit its field");
+    return 0;
+  }
   return value;
 }
 
-int64_t Reader::i64() {
+int64_t Reader::i64(int64_t min, int64_t max) {
   long long value = 0;
   const std::string_view tok = token();
   if (!failed_ && util::parse_number(tok, &value) != util::ParseStatus::kOk) {
     fail("bad integer token '" + std::string(tok) + "'");
     return 0;
   }
+  if (value < min || value > max) {
+    fail("integer " + std::string(tok) + " does not fit its field");
+    return 0;
+  }
   return value;
 }
 
 int Reader::i32() {
-  const int64_t value = i64();
-  if (value < std::numeric_limits<int>::min() ||
-      value > std::numeric_limits<int>::max()) {
-    fail("integer " + std::to_string(value) + " does not fit an int");
-    return 0;
-  }
-  return static_cast<int>(value);
+  return static_cast<int>(i64(std::numeric_limits<int>::min(),
+                              std::numeric_limits<int>::max()));
 }
 
 bool Reader::b() {

@@ -5,28 +5,39 @@
 // Format conventions: one record per '\n'-terminated line, a leading key
 // token followed by space-separated value tokens; doubles as C hexfloats
 // ("%a" — bit-exact round trips), bools as 0/1, integers in decimal. Numbers
-// parse through util/parse.h. Writer and Reader are symmetric: a section
-// written as a sequence of line() calls reads back as the same sequence of
-// expect()/value calls, and any mismatch (wrong key, missing token,
-// malformed number) poisons the Reader with a line-numbered error instead
-// of propagating garbage into a restored engine.
+// parse through util/parse.h. Rows are symmetric by construction: a record
+// lists its persisted members once, as fields(r) (util/fields.h), which
+// Writer writes and Reader::read fills. Any mismatch (wrong key, missing
+// token, malformed number, a value its field cannot hold) poisons the
+// Reader with a line-numbered error instead of propagating garbage into a
+// restored engine.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 
 #include "util/result.h"
 
 namespace coda::state {
+
+namespace detail {
+// std::tuple, std::pair, std::array: whatever std::apply unpacks.
+template <typename T>
+concept TupleLike = requires { std::tuple_size<T>::value; };
+}  // namespace detail
 
 class Writer {
  public:
   // Appends `key` followed by each value as a space-separated token and a
   // terminating newline. Value types: floating point -> hexfloat, bool ->
   // 0/1, signed/unsigned integers and enums -> decimal, string-ish ->
-  // verbatim token (must not contain whitespace or newlines).
+  // verbatim token (must not contain whitespace or newlines), a tuple-like
+  // (a record's fields(r), a std::array) -> each element in order.
   template <typename... Ts>
   void line(std::string_view key, Ts&&... values) {
     add(key, std::forward<Ts>(values)...);
@@ -70,7 +81,9 @@ class Writer {
   template <typename T>
   void put(T&& v) {
     using D = std::decay_t<T>;
-    if constexpr (std::is_same_v<D, bool>) {
+    if constexpr (detail::TupleLike<D>) {
+      std::apply([this](const auto&... e) { (put(e), ...); }, v);
+    } else if constexpr (std::is_same_v<D, bool>) {
       put_u64(v ? 1 : 0);
     } else if constexpr (std::is_floating_point_v<D>) {
       put_f64(static_cast<double>(v));
@@ -95,6 +108,7 @@ class Writer {
 //   if (!r.expect("magic")) ...            // next line, key must match
 //   uint64_t n = r.u64();                  // next token on the line
 //   for (size_t i = 0; i < n && r.ok(); ++i) { ... }
+//   r.read(id, fields(rec));               // typed tokens, left to right
 //   if (auto st = r.status(); !st.ok()) return st.error();
 //
 // After the first failure every getter returns a zero value and ok() is
@@ -116,13 +130,28 @@ class Reader {
   std::string_view key() const { return key_; }
 
   // Next whitespace-separated value token on the current line. Missing or
-  // malformed tokens poison the reader and return zero values.
+  // malformed tokens, and integers outside [min, max], poison the reader
+  // and return zero values.
   double f64();
-  uint64_t u64();
-  int64_t i64();
-  int i32();  // poisons when the value does not fit an int
+  uint64_t u64(uint64_t max = std::numeric_limits<uint64_t>::max());
+  int64_t i64(int64_t min = std::numeric_limits<int64_t>::min(),
+              int64_t max = std::numeric_limits<int64_t>::max());
+  int i32();  // i64 bounded to int
   bool b();
   std::string_view token();
+
+  // The typed read, mirror of Writer::put: fills each destination with the
+  // next token on the line, parsed by its type. Doubles and bools read as
+  // f64()/b(); any other integer or enum is range-checked against the
+  // destination (an enum against its underlying type), never narrowed; a
+  // std::string takes the token; a tuple-like (a record's fields(r), a
+  // std::array) reads element by element. The comma fold sequences the
+  // reads left to right. Returns ok().
+  template <typename... Ts>
+  bool read(Ts&&... out) {
+    (get(out), ...);
+    return ok();
+  }
 
   // Consumes exactly `n` raw bytes starting right after the current line's
   // newline (length-prefixed blob payload). Poisons on truncated input.
@@ -142,6 +171,28 @@ class Reader {
   void fail(const std::string& message);
 
  private:
+  template <typename T>
+  void get(T& out) {
+    if constexpr (detail::TupleLike<T>) {
+      std::apply([this](auto&... e) { (get(e), ...); }, out);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      out = b();
+    } else if constexpr (std::is_floating_point_v<T>) {
+      out = f64();
+    } else if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> v{};
+      get(v);
+      out = static_cast<T>(v);
+    } else if constexpr (std::is_unsigned_v<T>) {
+      out = static_cast<T>(u64(std::numeric_limits<T>::max()));
+    } else if constexpr (std::is_integral_v<T>) {
+      out = static_cast<T>(
+          i64(std::numeric_limits<T>::min(), std::numeric_limits<T>::max()));
+    } else {
+      out = T(token());
+    }
+  }
+
   std::string_view text_;
   size_t pos_ = 0;        // start of the unconsumed remainder
   std::string_view key_;  // first token of the current line

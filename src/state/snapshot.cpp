@@ -42,8 +42,7 @@ util::Result<std::string> capture_snapshot(const SnapshotMeta& meta,
 
   Writer w;
   w.line("CODA_SNAPSHOT", kVersion);
-  w.line("meta", meta.seq, meta.virtual_time, meta.dispatched, meta.accepted,
-         meta.next_auto_id);
+  w.line("meta", fields(meta));
   w.line("session_bytes", session_text.size());
   w.raw(session_text);
   engine.save_state(&w);
@@ -63,11 +62,7 @@ util::Result<Snapshot> parse_snapshot(std::string_view text) {
   }
   Snapshot snap;
   r.expect("meta");
-  snap.meta.seq = r.u64();
-  snap.meta.virtual_time = r.f64();
-  snap.meta.dispatched = r.u64();
-  snap.meta.accepted = r.u64();
-  snap.meta.next_auto_id = r.u64();
+  r.read(fields(snap.meta));
   r.expect("session_bytes");
   const uint64_t n = r.u64();
   snap.session_text = std::string(r.bytes(n));
@@ -121,33 +116,57 @@ util::Result<RestoredSession> restore_session(
 
   // Re-arm the manifest in serialized ((t, seq) ascending) order: the fresh
   // insertion sequences ascend with it, so relative order under time ties
-  // matches the captured queue.
+  // matches the captured queue. Each entry is checked first: an event in
+  // the simulated past, or one naming a job or node the restored state does
+  // not hold, would abort the engine when it is posted or when it fires.
   r.expect("manifest");
   const uint64_t n = r.u64();
+  sim::ClusterEngine& engine = *out.engine;
   for (uint64_t i = 0; i < n && r.ok(); ++i) {
     r.expect("event");
-    const double t = r.f64();
-    const uint32_t kind = static_cast<uint32_t>(r.u64());
-    const uint64_t a = r.u64();
-    const uint64_t b = r.u64();
-    if (!r.ok()) {
+    double t = 0.0;
+    uint32_t kind = 0;
+    uint64_t a = 0;
+    uint64_t b = 0;
+    if (!r.read(t, kind, a, b)) {
+      break;
+    }
+    if (!(t >= engine.sim().now())) {
+      r.fail("manifest event before the snapshot's virtual time");
       break;
     }
     switch (kind) {
       case simcore::kTagArrival:
-        out.engine->rearm_arrival(t, a);
+        if (engine.records().count(a) == 0) {
+          r.fail("arrival manifest entry references an unknown job");
+          break;
+        }
+        engine.rearm_arrival(t, a);
         break;
       case simcore::kTagJobFinish:
-        out.engine->rearm_finish(t, a);
+        if (!engine.is_running(a)) {
+          r.fail("finish manifest entry references a job that is not "
+                 "running");
+          break;
+        }
+        engine.rearm_finish(t, a);
         break;
       case simcore::kTagNodeFail:
-        out.engine->rearm_outage_fail(t, static_cast<cluster::NodeId>(a));
+      case simcore::kTagNodeRecover: {
+        if (a >= engine.cluster().node_count()) {
+          r.fail("outage manifest entry references an unknown node");
+          break;
+        }
+        const auto node = static_cast<cluster::NodeId>(a);
+        if (kind == simcore::kTagNodeFail) {
+          engine.rearm_outage_fail(t, node);
+        } else {
+          engine.rearm_outage_recover(t, node);
+        }
         break;
-      case simcore::kTagNodeRecover:
-        out.engine->rearm_outage_recover(t, static_cast<cluster::NodeId>(a));
-        break;
+      }
       case simcore::kTagMetricsTick:
-        out.engine->rearm_metrics_tick(t);
+        engine.rearm_metrics_tick(t);
         break;
       case simcore::kTagRetryResubmit: {
         auto it = specs.find(a);

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "sim/experiment.h"
+#include "util/fields.h"
 #include "util/result.h"
 
 namespace coda::state {
@@ -43,6 +44,12 @@ struct SnapshotMeta {
   // accepted so far and the daemon's next auto-assigned job id.
   uint64_t accepted = 0;
   uint64_t next_auto_id = 0;
+
+  // The container's `meta` row.
+  friend auto fields(util::FieldsOf<SnapshotMeta> auto& m) {
+    return std::tie(m.seq, m.virtual_time, m.dispatched, m.accepted,
+                    m.next_auto_id);
+  }
 };
 
 // A parsed snapshot container. `session_text` is the embedded journal;

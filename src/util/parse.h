@@ -1,7 +1,7 @@
 // The tree's one text -> number parser core. The persisted-text readers
 // (journal header, trace CSV, and state::serde for snapshots and report
-// blobs) and the knob readers (environment variables, example flags) all
-// parse numbers here, so they agree on what a number is:
+// blobs), the wire protocol and the knob readers (environment variables,
+// example flags) all parse numbers here, so they agree on what a number is:
 //
 //   * the whole text is the number: no leading whitespace, no trailing junk;
 //   * an out-of-range value is an error, never a clamped HUGE_VAL or
@@ -10,9 +10,6 @@
 //     only: no '+', and no sign at all for an unsigned value (strtoull
 //     would wrap "-1");
 //   * doubles accept anything strtod does, hexfloats included.
-//
-// (The wire protocol keeps its own digit-only parse_uint_view: a narrower
-// contract on the SUBMIT hot path.)
 #pragma once
 
 #include <limits>

@@ -11,6 +11,7 @@
 #include "cluster/resources.h"
 #include "perfmodel/dnn_model.h"
 #include "perfmodel/train_perf.h"
+#include "util/fields.h"
 
 namespace coda::workload {
 
@@ -80,6 +81,19 @@ struct JobSpec {
 
   // Short description used in logs and drill-down tables.
   std::string label() const;
+
+  // Every field, in the order report record rows carry them.
+  friend auto fields(util::FieldsOf<JobSpec> auto& s) {
+    auto& tc = s.train_config;
+    return std::tie(s.id, s.tenant, s.kind, s.submit_time, s.model, tc.nodes,
+                    tc.gpus_per_node, tc.batch_size, tc.net_gbps, s.iterations,
+                    s.requested_cpus, s.hints.category_known,
+                    s.hints.pipelined, s.hints.large_weights,
+                    s.hints.complex_prep, s.cpu_cores, s.cpu_work_core_s,
+                    s.mem_bw_gbps, s.bw_bound_fraction, s.llc_mb,
+                    s.user_facing, s.checkpoint_interval_s,
+                    s.checkpoint_overhead_s);
+  }
 };
 
 }  // namespace coda::workload

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "service/client.h"
+#include "service/event_loop.h"
 #include "service/journal.h"
 #include "service/mailbox.h"
 #include "service/protocol.h"
@@ -1163,6 +1164,28 @@ TEST(Server, TwoShardJournalsReplayAndMatchSingleShardRuns) {
   }
 }
 
+// One HTTP/1.0 exchange over the server's unix socket: sends `request`,
+// returns everything the server writes before it closes the connection.
+std::string http_exchange(const std::string& socket_path,
+                          const std::string& request) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  EXPECT_TRUE(::send(fd, request.data(), request.size(), 0) >= 0);
+  std::string body;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    body.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return body;
+}
+
 TEST(Server, HttpMetricsServedOnSameListener) {
   ServerConfig config = sharded_server_config("http", 2);
   config.journal_path.clear();
@@ -1170,27 +1193,8 @@ TEST(Server, HttpMetricsServedOnSameListener) {
   Server server(std::move(config));
   ASSERT_TRUE(server.start().ok());
 
-  auto scrape = [&socket_path](const std::string& request) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    EXPECT_EQ(
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    EXPECT_TRUE(::send(fd, request.data(), request.size(), 0) >= 0);
-    std::string body;
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-      body.append(buf, static_cast<size_t>(n));
-    }
-    ::close(fd);
-    return body;
-  };
-
-  const std::string resp = scrape("GET /metrics HTTP/1.0\r\n\r\n");
+  const std::string resp =
+      http_exchange(socket_path, "GET /metrics HTTP/1.0\r\n\r\n");
   EXPECT_EQ(resp.rfind("HTTP/1.0 200 OK", 0), 0u) << resp.substr(0, 80);
   EXPECT_NE(resp.find("application/openmetrics-text"), std::string::npos);
   // Serving-layer block plus one block per shard, labelled.
@@ -1204,11 +1208,81 @@ TEST(Server, HttpMetricsServedOnSameListener) {
   ASSERT_GE(resp.size(), tail.size());
   EXPECT_EQ(resp.substr(resp.size() - tail.size()), tail);
 
-  const std::string miss = scrape("GET /nope HTTP/1.0\r\n\r\n");
+  const std::string miss =
+      http_exchange(socket_path, "GET /nope HTTP/1.0\r\n\r\n");
   EXPECT_EQ(miss.rfind("HTTP/1.0 404", 0), 0u) << miss.substr(0, 80);
 
   server.request_shutdown();
   server.wait();
+}
+
+// The poll(2) fallback serves non-Linux builds and hosts where
+// epoll_create fails; CODA_SERVE_FORCE_POLL=1 selects it here so the same
+// protocol runs over it: CID-tagged SUBMIT and STATUS on two shards, a
+// metrics scrape, and DRAIN.
+TEST(Server, PollBackendServesATwoShardSession) {
+  struct ForcePoll {  // declared first: unset after the server is gone
+    ForcePoll() { ::setenv("CODA_SERVE_FORCE_POLL", "1", 1); }
+    ~ForcePoll() { ::unsetenv("CODA_SERVE_FORCE_POLL"); }
+  } force_poll;
+  EXPECT_FALSE(Poller().using_epoll());
+
+  ServerConfig config = sharded_server_config("poll", 2);
+  config.journal_path.clear();
+  const std::string socket_path = config.unix_socket_path;
+  Server server(std::move(config));
+  ASSERT_TRUE(server.start().ok());
+  auto client = Client::connect(Endpoint{socket_path, -1});
+  ASSERT_TRUE(client.ok());
+
+  // Both SUBMITs go out before either reply is read; CID k goes to shard k.
+  for (int k = 0; k < 2; ++k) {
+    ASSERT_TRUE(client
+                    ->send("CID " + std::to_string(k) + " SHARD " +
+                           std::to_string(k) + " SUBMIT " +
+                           submit_row(2 + k, 600.0))
+                    .ok());
+  }
+  std::vector<std::string> ids(2);
+  for (int i = 0; i < 2; ++i) {
+    auto tagged = client->recv_tagged();
+    ASSERT_TRUE(tagged.ok()) << tagged.error().message;
+    ASSERT_TRUE(tagged->has_cid);
+    ASSERT_LT(tagged->cid, 2u);
+    const std::string& payload = tagged->response.payload;
+    ASSERT_TRUE(tagged->response.ok()) << payload;
+    ASSERT_EQ(payload.rfind("id=", 0), 0u) << payload;
+    ids[tagged->cid] = payload.substr(3, payload.find(' ') - 3);
+  }
+  for (int k = 0; k < 2; ++k) {
+    const std::string cid = std::to_string(10 + k);
+    ASSERT_TRUE(client
+                    ->send("CID " + cid + " SHARD " + std::to_string(k) +
+                           " STATUS " + ids[static_cast<size_t>(k)])
+                    .ok());
+    auto tagged = client->recv_tagged();
+    ASSERT_TRUE(tagged.ok()) << tagged.error().message;
+    EXPECT_EQ(tagged->cid, 10u + static_cast<uint64_t>(k));
+    EXPECT_TRUE(tagged->response.ok()) << tagged->response.payload;
+    EXPECT_EQ(tagged->response.payload.rfind(
+                  "id=" + ids[static_cast<size_t>(k)] + " state=", 0),
+              0u)
+        << tagged->response.payload;
+  }
+
+  const std::string metrics =
+      http_exchange(socket_path, "GET /metrics HTTP/1.0\r\n\r\n");
+  EXPECT_EQ(metrics.rfind("HTTP/1.0 200 OK", 0), 0u) << metrics.substr(0, 80);
+  EXPECT_NE(metrics.find("coda_shard_virtual_time{shard=\"1\"}"),
+            std::string::npos);
+
+  auto drained = client->drain();
+  ASSERT_TRUE(drained.ok());
+  EXPECT_TRUE(drained->ok()) << drained->payload;
+  ASSERT_TRUE(client->shutdown().ok());
+  server.wait();
+  EXPECT_TRUE(server.drained());
+  EXPECT_NE(server.report_text(0), server.report_text(1));
 }
 
 // ------------------------------------------------- auth & snapshot/restore

@@ -7,16 +7,23 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "perfmodel/contention.h"
+#include "sched/scheduler.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
+#include "sim/report_cache.h"
 #include "sim/report_io.h"
+#include "simcore/event_tags.h"
 #include "state/serde.h"
 #include "state/snapshot.h"
 #include "util/rng.h"
@@ -98,6 +105,90 @@ TEST(Serde, ReaderPoisonsOnMissingTokenAndTruncatedBlob) {
   }
 }
 
+TEST(Serde, TypedReadChecksEachDestinationsRange) {
+  {
+    // At the limits: every destination takes its token, left to right.
+    Reader r(
+        "row 4294967295 4294967295 2147483647 -2147483648 1 3 0x1.8p+0\n");
+    ASSERT_TRUE(r.expect("row"));
+    cluster::NodeId node = 0;
+    cluster::TenantId tenant = 0;
+    int hi = 0;
+    int lo = 0;
+    bool flag = false;
+    perfmodel::ModelId model = perfmodel::ModelId::kAlexnet;
+    double x = 0.0;
+    EXPECT_TRUE(r.read(node, tenant, hi, lo, flag, model, x));
+    EXPECT_EQ(node, 4294967295u);
+    EXPECT_EQ(tenant, 4294967295u);
+    EXPECT_EQ(hi, 2147483647);
+    EXPECT_EQ(lo, -2147483647 - 1);
+    EXPECT_TRUE(flag);
+    EXPECT_EQ(model, static_cast<perfmodel::ModelId>(3));
+    EXPECT_EQ(x, 1.5);
+  }
+  // One past: the reader poisons instead of narrowing (4294967296 would
+  // wrap to node 0, 2147483648 to INT_MIN).
+  {
+    Reader r("v 4294967296\n");
+    ASSERT_TRUE(r.expect("v"));
+    cluster::NodeId node = 7;
+    EXPECT_FALSE(r.read(node));
+    EXPECT_EQ(node, 0u);
+  }
+  {
+    Reader r("v 4294967296\n");
+    ASSERT_TRUE(r.expect("v"));
+    cluster::TenantId tenant = 7;
+    EXPECT_FALSE(r.read(tenant));
+    EXPECT_NE(r.status().error().message.find("does not fit"),
+              std::string::npos);
+  }
+  {
+    Reader r("v 2147483648\n");
+    ASSERT_TRUE(r.expect("v"));
+    int value = 7;
+    EXPECT_FALSE(r.read(value));
+    EXPECT_EQ(value, 0);
+  }
+  {
+    Reader r("v -1\n");  // no sign on an unsigned destination
+    ASSERT_TRUE(r.expect("v"));
+    uint64_t value = 7;
+    EXPECT_FALSE(r.read(value));
+  }
+}
+
+TEST(Serde, FieldListsRoundTripThroughTheSameList) {
+  sim::JobRecord rec;
+  rec.submit_time = -0x1.91eb851eb851fp+1;
+  rec.first_start_time = 12.5;
+  rec.preempt_count = 3;
+  rec.completed = true;
+  rec.restart_count = -1;
+  rec.wasted_gpu_s = 1e300;
+  sched::NodePlacement place{4000000000u, 12, 4};
+  Writer w;
+  w.line("rec", uint64_t{9}, fields(rec));
+  w.line("place", fields(place));
+
+  Reader r(w.text());
+  sim::JobRecord rec_back;
+  sched::NodePlacement place_back;
+  uint64_t id = 0;
+  ASSERT_TRUE(r.expect("rec"));
+  EXPECT_TRUE(r.read(id, fields(rec_back)));
+  ASSERT_TRUE(r.expect("place"));
+  EXPECT_TRUE(r.read(fields(place_back)));
+  EXPECT_EQ(id, 9u);
+  EXPECT_TRUE(fields(rec_back) == fields(rec));
+  EXPECT_TRUE(fields(place_back) == fields(place));
+  // A short row poisons: the list wants every field.
+  Reader short_row("place 1 2\n");
+  ASSERT_TRUE(short_row.expect("place"));
+  EXPECT_FALSE(short_row.read(fields(place_back)));
+}
+
 // ------------------------------------------------------------- container
 
 TEST(Snapshot, ParseRejectsCorruptContainers) {
@@ -174,11 +265,11 @@ TEST(Snapshot, WriteFileDurableReplacesAtomically) {
 
 // ------------------------------------------------------ sizeof tripwires
 //
-// save_state/load_state enumerate these structs field by field. Growing
-// one without teaching the serializer silently drops the new field from
+// save_state/load_state walk these structs' fields(r) lists. Growing one
+// without adding the new member to its list silently drops it from
 // snapshots — restored sessions would diverge. If a size below changes,
-// update sim/engine_state.cpp (and the scheduler/state serializers) AND
-// this expectation in the same commit.
+// update the struct's fields(r) list AND this expectation in the same
+// commit.
 
 TEST(Snapshot, SerializedStructSizeTripwires) {
   EXPECT_EQ(sizeof(sim::JobRecord), 224u);
@@ -189,6 +280,85 @@ TEST(Snapshot, SerializedStructSizeTripwires) {
   EXPECT_EQ(sizeof(perfmodel::NodeContentionReport), 56u);
   EXPECT_EQ(sizeof(util::TimePoint), 16u);
   EXPECT_EQ(sizeof(SnapshotMeta), 40u);
+}
+
+// ------------------------------------------------------ pinned blob bytes
+
+// Captures FIFO, DRF and CODA sessions at 75% of a 2-day horizon with
+// every row-producing mechanism on (noise, MBA, retries, node outages, the
+// event log), and pins each blob's size and digest: a codec change that
+// moves a byte of any row fails here. The key census makes sure the three
+// blobs exercise every row the engine, the schedulers and the container
+// write, so the pin covers each of them.
+TEST(Snapshot, PinnedBlobDigests) {
+  auto trace_cfg = sim::standard_week_trace(2);
+  trace_cfg.duration_s = 2.0 * 86400.0;
+  trace_cfg.cpu_jobs /= 3;
+  trace_cfg.gpu_jobs /= 3;
+  const auto trace = workload::TraceGenerator(trace_cfg).generate();
+  sim::ExperimentConfig config;
+  config.horizon_s = trace_cfg.duration_s;
+  config.engine.cluster.node_count = 80;
+  config.engine.cluster.mba_fraction = 0.5;
+  config.engine.util_noise_stddev = 0.05;
+  config.engine.record_events = true;
+  config.coda.eliminator.release_when_calm = false;
+  config.retry.enabled = true;
+  config.failures.node_mtbf_s = 7200.0;
+  config.failures.outage_s = 600.0;
+  config.failures.seed = 11;
+
+  struct Pin {
+    sim::Policy policy;
+    size_t size;
+    const char* digest;
+  };
+  const Pin pins[] = {
+      {sim::Policy::kFifo, 2953288u, "5d9069a72f85cf8e"},
+      {sim::Policy::kDrf, 2953728u, "5942f3abf96b7206"},
+      {sim::Policy::kCoda, 3598118u, "91d1ebcb9b62d8c8"},
+  };
+  std::set<std::string> keys;
+  for (const Pin& pin : pins) {
+    sim::Session session = sim::Session::start(pin.policy, trace, config);
+    session.engine->run_until(0.75 * config.horizon_s);
+    SnapshotMeta meta;
+    meta.seq = 1;
+    meta.virtual_time = session.engine->sim().now();
+    meta.dispatched = session.engine->sim().dispatched();
+    auto blob = capture_snapshot(meta, "", *session.engine,
+                                 *session.scheduler.scheduler);
+    ASSERT_TRUE(blob.ok()) << blob.error().message;
+    sim::CacheKeyHasher h;
+    h.mix(*blob);
+    EXPECT_EQ(blob->size(), pin.size) << sim::to_string(pin.policy);
+    EXPECT_EQ(h.hex(), pin.digest) << sim::to_string(pin.policy);
+    size_t pos = 0;
+    while (pos < blob->size()) {
+      const size_t eol = blob->find('\n', pos);
+      const std::string line = blob->substr(pos, eol - pos);
+      keys.insert(line.substr(0, line.find(' ')));
+      pos = eol == std::string::npos ? blob->size() : eol + 1;
+    }
+  }
+  for (const char* key :
+       {"CODA_SNAPSHOT", "meta", "session_bytes", "manifest", "event", "END",
+        // engine
+        "rng", "counts", "stats", "records", "rec", "pending", "pend",
+        "remaining", "rem", "nodes", "node", "alloc", "running", "run",
+        "place", "pstate", "res", "rid", "rep", "rj", "mba", "cap",
+        "counters", "ctr", "series", "ser", "pt", "eventlog", "ev",
+        // base scheduler, FIFO, DRF
+        "retry_evictions", "evx", "fifo_queue", "fq", "fifo_gpu_pending",
+        "drf_tenants", "ten", "tq", "drf_gpu_pending",
+        // CODA, its allocator and its eliminator
+        "coda_reservation", "coda_counters", "cpu_array", "four_gpu_array",
+        "one_gpu_array", "aq", "aj", "au", "running_gpu", "rg", "rgp",
+        "running_cpu", "rc", "tuning_outcomes", "oc", "pending_outcomes",
+        "poc", "coda_nodes", "nv", "nj", "history", "hist", "alloc_sessions",
+        "as", "elim_stats", "elim_throttled", "et"}) {
+    EXPECT_EQ(keys.count(key), 1u) << "no blob carries a '" << key << "' row";
+  }
 }
 
 // ----------------------------------------- snapshot/restore determinism
@@ -342,6 +512,196 @@ TEST(Snapshot, RestoreThenLiveInjectionMatchesDirectInjection) {
   uninterrupted.inject(extra, inject_t);
   restored->inject(extra, inject_t);
   EXPECT_EQ(report_of(*restored), report_of(uninterrupted));
+}
+
+// --------------------------------------------------- hostile snapshots
+//
+// Edited snapshots the restored engine cannot run. Restore must refuse each
+// with an error; accepting one ends in an abort later (when the manifest is
+// re-armed, when an event fires, or when the session finishes).
+
+struct CutSession {
+  sim::Policy policy = sim::Policy::kFifo;
+  std::vector<workload::JobSpec> trace;
+  sim::ExperimentConfig config;
+  std::string blob;
+};
+
+// An 8-node session with node outages, snapshotted 20 minutes in: the blob
+// holds running jobs (`place` rows) and a manifest with arrivals, finishes
+// and outages.
+CutSession cut_session(sim::Policy policy) {
+  CutSession cut;
+  cut.policy = policy;
+  auto trace_cfg = sim::standard_week_trace(5);
+  trace_cfg.duration_s = 2.0 * 3600.0;
+  trace_cfg.cpu_jobs = 40;
+  trace_cfg.gpu_jobs = 20;
+  cut.trace = workload::TraceGenerator(trace_cfg).generate();
+  cut.config.horizon_s = trace_cfg.duration_s;
+  cut.config.drain_slack_s = 86400.0;
+  cut.config.engine.cluster.node_count = 8;
+  cut.config.failures.node_mtbf_s = 1800.0;
+  cut.config.failures.outage_s = 300.0;
+  sim::Session session = sim::Session::start(policy, cut.trace, cut.config);
+  session.engine->run_until(1200.0);
+  SnapshotMeta meta;
+  meta.seq = 1;
+  meta.virtual_time = session.engine->sim().now();
+  meta.dispatched = session.engine->sim().dispatched();
+  auto blob = capture_snapshot(meta, "", *session.engine,
+                               *session.scheduler.scheduler);
+  EXPECT_TRUE(blob.ok()) << blob.error().message;
+  cut.blob = blob.ok() ? *blob : std::string();
+  return cut;
+}
+
+// Rewrites the first row whose tokens `edit` accepts (and edits in place);
+// empty when no row matches.
+std::string edit_row(
+    const std::string& blob,
+    const std::function<bool(std::vector<std::string>*)>& edit) {
+  for (size_t pos = 0; pos < blob.size();) {
+    const size_t end = std::min(blob.find('\n', pos), blob.size());
+    std::vector<std::string> tokens;
+    std::string token;
+    std::istringstream line(blob.substr(pos, end - pos));
+    while (line >> token) {
+      tokens.push_back(token);
+    }
+    if (!tokens.empty() && edit(&tokens)) {
+      std::string row;
+      for (const std::string& t : tokens) {
+        row += (row.empty() ? "" : " ") + t;
+      }
+      return blob.substr(0, pos) + row + blob.substr(end);
+    }
+    pos = end + 1;
+  }
+  return std::string();
+}
+
+// Sets token `index` of the first `key` row whose token `match_index`
+// equals `match` (any row of that key when `match` is empty).
+std::string set_token(const std::string& blob, const std::string& key,
+                      size_t index, const std::string& value,
+                      size_t match_index = 0, const std::string& match = "") {
+  return edit_row(blob, [&](std::vector<std::string>* t) {
+    if ((*t)[0] != key || t->size() <= std::max(index, match_index) ||
+        (!match.empty() && (*t)[match_index] != match)) {
+      return false;
+    }
+    (*t)[index] = value;
+    return true;
+  });
+}
+
+// Restores `blob` and, when the restore accepts it, runs the session to
+// its end.
+util::Status restore_and_finish(const CutSession& cut,
+                                const std::string& blob) {
+  auto parsed = parse_snapshot(blob);
+  if (!parsed.ok()) {
+    return parsed.error();
+  }
+  auto restored =
+      restore_session(*parsed, cut.policy, cut.config, cut.trace);
+  if (!restored.ok()) {
+    return restored.error();
+  }
+  restored->finish();
+  return util::Status::Ok();
+}
+
+TEST(Snapshot, RestoreRefusesAPlacementOffTheCluster) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  ASSERT_TRUE(restore_and_finish(cut, cut.blob).ok());  // unedited: runs
+  const std::string blob = set_token(cut.blob, "place", 1, "999");
+  ASSERT_FALSE(blob.empty());
+  EXPECT_FALSE(restore_and_finish(cut, blob).ok());
+}
+
+TEST(Snapshot, RestoreRefusesAPlacementMovedOffItsAllocation) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const std::string blob = set_token(cut.blob, "place", 1, "1", 1, "0");
+  ASSERT_FALSE(blob.empty());
+  EXPECT_FALSE(restore_and_finish(cut, blob).ok());
+}
+
+// A leg count no cluster holds is refused before anything is sized by it.
+TEST(Snapshot, RestoreRefusesARunningJobWithMoreLegsThanNodes) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const std::string blob = set_token(cut.blob, "run", 12, "1000000000000");
+  ASSERT_FALSE(blob.empty());
+  EXPECT_FALSE(restore_and_finish(cut, blob).ok());
+}
+
+TEST(Snapshot, RestoreRefusesAManifestEventBeforeTheCut) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const std::string blob = set_token(cut.blob, "event", 1, "0x0p+0");
+  ASSERT_FALSE(blob.empty());
+  EXPECT_FALSE(restore_and_finish(cut, blob).ok());
+}
+
+TEST(Snapshot, RestoreRefusesAFinishForAJobThatIsNotRunning) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const std::string blob =
+      set_token(cut.blob, "event", 3, "999999", 2,
+                std::to_string(simcore::kTagJobFinish));
+  ASSERT_FALSE(blob.empty());
+  EXPECT_FALSE(restore_and_finish(cut, blob).ok());
+}
+
+TEST(Snapshot, RestoreRefusesAnArrivalForAnUnknownJob) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const std::string blob =
+      set_token(cut.blob, "event", 3, "999999", 2,
+                std::to_string(simcore::kTagArrival));
+  ASSERT_FALSE(blob.empty());
+  EXPECT_FALSE(restore_and_finish(cut, blob).ok());
+}
+
+TEST(Snapshot, RestoreRefusesAnOutageOnAnUnknownNode) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const std::string blob =
+      set_token(cut.blob, "event", 3, "999", 2,
+                std::to_string(simcore::kTagNodeFail));
+  ASSERT_FALSE(blob.empty());
+  EXPECT_FALSE(restore_and_finish(cut, blob).ok());
+}
+
+TEST(Snapshot, RestoreRefusesAnMbaCapOnAnUnknownNode) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const size_t at = cut.blob.find("\nmba 0\n");
+  ASSERT_NE(at, std::string::npos);
+  std::string blob = cut.blob;
+  blob.replace(at, 7, "\nmba 1\ncap 999 1 0x1p+0\n");
+  EXPECT_FALSE(restore_and_finish(cut, blob).ok());
+}
+
+// The row's node id is range-checked as read: 4294967297 is not node 1.
+TEST(Snapshot, RestoreRefusesAThrottleRecordPastTheNodeIdRange) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  const auto throttled = [&cut](const std::string& node) {
+    return edit_row(cut.blob, [&node](std::vector<std::string>* t) {
+      if ((*t)[0] != "elim_throttled") {
+        return false;
+      }
+      (*t)[1] = std::to_string(std::stoull((*t)[1]) + 1) +
+                "\net 999999 " + node + " 1 0";
+      return true;
+    });
+  };
+  auto parsed = parse_snapshot(throttled("1"));
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  EXPECT_TRUE(
+      restore_session(*parsed, cut.policy, cut.config, cut.trace).ok());
+  parsed = parse_snapshot(throttled("4294967297"));
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  auto refused = restore_session(*parsed, cut.policy, cut.config, cut.trace);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.error().message.find("does not fit"), std::string::npos)
+      << refused.error().message;
 }
 
 TEST(Snapshot, RestoreRejectsUnknownJobIds) {
