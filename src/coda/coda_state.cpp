@@ -7,9 +7,15 @@
 // snapshot's embedded session (SpecMap). The history log is rebuilt by
 // replaying record() in record order — its running aggregates fold
 // bit-identically in that order (see history.h).
+#include <cstdint>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "coda/coda_scheduler.h"
 #include "state/serde.h"
 #include "util/assert.h"
+#include "util/strings.h"
 
 namespace coda::core {
 
@@ -121,6 +127,16 @@ void CodaScheduler::load_state(state::Reader* r,
   load_array("four_gpu_array", &four_gpu_array_);
   load_array("one_gpu_array", &one_gpu_array_);
 
+  // Every node a running job names indexes the per-node vectors below, so
+  // one off the cluster is refused as read.
+  const size_t nodes = cpu_jobs_by_node_.size();
+  const auto on_cluster = [r, nodes](cluster::NodeId node, const char* row) {
+    if (node >= nodes) {
+      r->fail(std::string(row) + " row names a node off the cluster");
+    }
+    return node < nodes;
+  };
+
   r->expect("running_gpu");
   uint64_t n = r->u64();
   running_gpu_.clear();
@@ -137,7 +153,10 @@ void CodaScheduler::load_state(state::Reader* r,
     r->read(fields(rg), np);
     for (uint64_t j = 0; j < np && r->ok(); ++j) {
       r->expect("rgp");
-      r->read(fields(rg.placement.nodes.emplace_back()));
+      auto& leg = rg.placement.nodes.emplace_back();
+      if (r->read(fields(leg)) && !on_cluster(leg.node, "rgp")) {
+        return;
+      }
     }
     running_gpu_[id] = std::move(rg);
   }
@@ -154,7 +173,9 @@ void CodaScheduler::load_state(state::Reader* r,
     }
     RunningCpu rc;
     rc.spec = *spec;
-    r->read(fields(rc));
+    if (r->read(fields(rc)) && !on_cluster(rc.node, "rc")) {
+      return;
+    }
     running_cpu_[id] = std::move(rc);
   }
 
@@ -175,12 +196,36 @@ void CodaScheduler::load_state(state::Reader* r,
     pending_outcomes_[o.job] = o;
   }
 
+  // The per-node rows restate what the rg/rc rows imply (only the order of
+  // a node's CPU jobs is their own). A row that disagrees would trip the
+  // accounting asserts once a job leaves, so it is refused.
+  if (!r->ok()) {
+    return;  // a row read short may hold a node no check has seen
+  }
+  // 64-bit sums: the rows' ints are read unchecked, and adding them up in
+  // int could overflow.
+  std::vector<int64_t> gpu_cores(nodes, 0);
+  std::vector<int64_t> borrowed(nodes, 0);
+  std::vector<int64_t> cross_borrowers(nodes, 0);
+  std::vector<uint64_t> cpu_jobs(nodes, 0);
+  for (const auto& [id, rg] : running_gpu_) {
+    for (const auto& leg : rg.placement.nodes) {
+      gpu_cores[leg.node] += leg.cpus;
+      cross_borrowers[leg.node] += rg.cross_borrower ? 1 : 0;
+    }
+  }
+  for (const auto& [id, rc] : running_cpu_) {
+    borrowed[rc.node] += rc.borrowed_reserved;
+    ++cpu_jobs[rc.node];
+  }
+
   r->expect("coda_nodes");
   n = r->u64();
-  if (r->ok() && n != cpu_jobs_by_node_.size()) {
+  if (r->ok() && n != nodes) {
     r->fail("snapshot node count does not match the attached cluster");
     return;
   }
+  std::set<cluster::JobId> listed;
   for (uint64_t node = 0; node < n && r->ok(); ++node) {
     r->expect("nv");
     if (r->u64() != node && r->ok()) {
@@ -190,10 +235,29 @@ void CodaScheduler::load_state(state::Reader* r,
     uint64_t k = 0;
     r->read(gpu_cores_on_node_[node], borrowed_on_node_[node],
             cross_borrowers_on_node_[node], k);
+    if (r->ok() && (gpu_cores_on_node_[node] != gpu_cores[node] ||
+                    borrowed_on_node_[node] != borrowed[node] ||
+                    cross_borrowers_on_node_[node] != cross_borrowers[node] ||
+                    k != cpu_jobs[node])) {
+      r->fail(util::strfmt("nv row of node %llu disagrees with the running "
+                           "jobs on it",
+                           static_cast<unsigned long long>(node)));
+      return;
+    }
     cpu_jobs_by_node_[node].clear();
     for (uint64_t j = 0; j < k && r->ok(); ++j) {
       r->expect("nj");
-      cpu_jobs_by_node_[node].push_back(r->u64());
+      const cluster::JobId job = r->u64();
+      const auto it = running_cpu_.find(job);
+      if (r->ok() && (it == running_cpu_.end() || it->second.node != node ||
+                      !listed.insert(job).second)) {
+        r->fail(util::strfmt("nj row %llu is not one of node %llu's CPU "
+                             "jobs",
+                             static_cast<unsigned long long>(job),
+                             static_cast<unsigned long long>(node)));
+        return;
+      }
+      cpu_jobs_by_node_[node].push_back(job);
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
 
 #include "util/env.h"
 #include "util/parse.h"
@@ -58,28 +59,40 @@ util::Result<util::ErrorCode> code_from_string(const std::string& name) {
                      "unknown error code '" + name + "'"};
 }
 
+// What follows a verb's name on the request line.
+enum class ArgShape {
+  kNone,    // nothing
+  kToken,   // a non-empty token, trimmed (AUTH)
+  kCsvRow,  // the rest of the line, verbatim (SUBMIT)
+  kJobId,   // an unsigned job id, trimmed (STATUS)
+};
+
+struct VerbSpec {
+  const char* name;
+  Verb verb;
+  ArgShape arg;
+};
+
+// Every verb once, with its wire name and argument shape.
+constexpr VerbSpec kVerbs[] = {
+    {"PING", Verb::kPing, ArgShape::kNone},
+    {"SUBMIT", Verb::kSubmit, ArgShape::kCsvRow},
+    {"STATUS", Verb::kStatus, ArgShape::kJobId},
+    {"CLUSTER", Verb::kCluster, ArgShape::kNone},
+    {"METRICS", Verb::kMetrics, ArgShape::kNone},
+    {"DRAIN", Verb::kDrain, ArgShape::kNone},
+    {"SHUTDOWN", Verb::kShutdown, ArgShape::kNone},
+    {"AUTH", Verb::kAuth, ArgShape::kToken},
+    {"SNAPSHOT", Verb::kSnapshot, ArgShape::kNone},
+};
+
 }  // namespace
 
 const char* to_string(Verb verb) {
-  switch (verb) {
-    case Verb::kPing:
-      return "PING";
-    case Verb::kSubmit:
-      return "SUBMIT";
-    case Verb::kStatus:
-      return "STATUS";
-    case Verb::kCluster:
-      return "CLUSTER";
-    case Verb::kMetrics:
-      return "METRICS";
-    case Verb::kDrain:
-      return "DRAIN";
-    case Verb::kShutdown:
-      return "SHUTDOWN";
-    case Verb::kAuth:
-      return "AUTH";
-    case Verb::kSnapshot:
-      return "SNAPSHOT";
+  for (const VerbSpec& spec : kVerbs) {
+    if (spec.verb == verb) {
+      return spec.name;
+    }
   }
   return "?";
 }
@@ -88,53 +101,48 @@ util::Result<Request> parse_request(std::string_view line) {
   std::string_view verb;
   std::string_view rest;
   split_verb(trim_view(line), &verb, &rest);
+  const VerbSpec* spec = std::find_if(
+      std::begin(kVerbs), std::end(kVerbs),
+      [verb](const VerbSpec& s) { return verb == s.name; });
+  if (spec == std::end(kVerbs)) {
+    return util::Error{util::ErrorCode::kParseError,
+                       "unknown verb '" + std::string(verb) + "'"};
+  }
+  const auto refuse = [spec](const char* why) {
+    return util::Error{util::ErrorCode::kParseError,
+                       std::string(spec->name) + " " + why};
+  };
   Request req;
-  if (verb == "PING" || verb == "CLUSTER" || verb == "METRICS" ||
-      verb == "SNAPSHOT" || verb == "DRAIN" || verb == "SHUTDOWN") {
-    if (!rest.empty()) {
-      return util::Error{util::ErrorCode::kParseError,
-                         std::string(verb) + " takes no argument"};
+  req.verb = spec->verb;
+  switch (spec->arg) {
+    case ArgShape::kNone:
+      if (!rest.empty()) {
+        return refuse("takes no argument");
+      }
+      break;
+    case ArgShape::kToken:
+      req.arg = std::string(trim_view(rest));
+      if (req.arg.empty()) {
+        return refuse("needs a token");
+      }
+      break;
+    case ArgShape::kCsvRow:
+      if (rest.empty()) {
+        return refuse("needs a CSV job row");
+      }
+      req.arg = std::string(rest);
+      break;
+    case ArgShape::kJobId: {
+      req.arg = std::string(trim_view(rest));
+      unsigned long long id = 0;
+      if (util::parse_number(req.arg, &id) != util::ParseStatus::kOk) {
+        return refuse("needs a job id");
+      }
+      req.job_id = id;
+      break;
     }
-    req.verb = verb == "PING"       ? Verb::kPing
-               : verb == "CLUSTER"  ? Verb::kCluster
-               : verb == "METRICS"  ? Verb::kMetrics
-               : verb == "SNAPSHOT" ? Verb::kSnapshot
-               : verb == "DRAIN"    ? Verb::kDrain
-                                    : Verb::kShutdown;
-    return req;
   }
-  if (verb == "AUTH") {
-    const std::string_view token = trim_view(rest);
-    if (token.empty()) {
-      return util::Error{util::ErrorCode::kParseError, "AUTH needs a token"};
-    }
-    req.verb = Verb::kAuth;
-    req.arg = std::string(token);
-    return req;
-  }
-  if (verb == "SUBMIT") {
-    if (rest.empty()) {
-      return util::Error{util::ErrorCode::kParseError,
-                         "SUBMIT needs a CSV job row"};
-    }
-    req.verb = Verb::kSubmit;
-    req.arg = std::string(rest);
-    return req;
-  }
-  if (verb == "STATUS") {
-    const std::string_view id_view = trim_view(rest);
-    unsigned long long id = 0;
-    if (util::parse_number(id_view, &id) != util::ParseStatus::kOk) {
-      return util::Error{util::ErrorCode::kParseError,
-                         "STATUS needs a job id"};
-    }
-    req.verb = Verb::kStatus;
-    req.arg = std::string(id_view);
-    req.job_id = id;
-    return req;
-  }
-  return util::Error{util::ErrorCode::kParseError,
-                     "unknown verb '" + std::string(verb) + "'"};
+  return req;
 }
 
 util::Result<Envelope> parse_envelope(std::string_view line) {

@@ -18,6 +18,7 @@
 #include <limits>
 #include <map>
 #include <unordered_map>
+#include <utility>
 
 #include "service/restore.h"
 #include "sim/report_io.h"
@@ -55,45 +56,31 @@ void write_line_best_effort(int fd, const std::string& line) {
   (void)::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL);
 }
 
-std::string http_response(int status, const char* reason,
-                          const std::string& content_type,
-                          const std::string& body) {
-  std::string resp = util::strfmt("HTTP/1.0 %d %s\r\n", status, reason);
-  if (!content_type.empty()) {
-    resp += "Content-Type: " + content_type + "\r\n";
-  }
-  resp += util::strfmt("Content-Length: %zu\r\n", body.size());
-  resp += "Connection: close\r\n\r\n";
-  resp += body;
-  return resp;
-}
-
 constexpr const char* kOpenMetricsType =
     "application/openmetrics-text; version=1.0.0; charset=utf-8";
 
-std::string shard_journal_path(const ServerConfig& config, int shard) {
-  if (config.journal_path.empty()) {
-    return std::string();
-  }
-  if (config.limits.shards == 1) {
-    return config.journal_path;
-  }
-  return util::strfmt("%s.shard%d", config.journal_path.c_str(), shard);
-}
+// The ServeCounters members GET /metrics exposes, in exposition order,
+// after the connections_active gauge.
+constexpr std::pair<const char*, uint64_t ServeCounters::*>
+    kServeCounterMetrics[] = {
+        {"coda_serve_connections_accepted_total",
+         &ServeCounters::conn_accepted},
+        {"coda_serve_connections_rejected_total",
+         &ServeCounters::conn_rejected},
+        {"coda_serve_connections_dropped_total", &ServeCounters::conn_dropped},
+        {"coda_serve_accept_errors_total", &ServeCounters::accept_errors},
+        {"coda_serve_commands_routed_total", &ServeCounters::commands_routed},
+        {"coda_serve_busy_rejections_total", &ServeCounters::busy_rejections},
+};
 
-std::string shard_report_path(const ServerConfig& config, int shard) {
-  if (config.limits.shards == 1) {
-    if (!config.report_path.empty()) {
-      return config.report_path;
-    }
-    return config.journal_path.empty() ? std::string()
-                                       : config.journal_path + ".report";
+// Shard k's file under a ServerConfig path stem: the stem itself with one
+// shard, `<stem>.shard<k>` with more (see ServerConfig::journal_path).
+std::string shard_file(const ServerConfig& config, const std::string& stem,
+                       int shard) {
+  if (stem.empty() || config.limits.shards == 1) {
+    return stem;
   }
-  if (!config.report_path.empty()) {
-    return util::strfmt("%s.shard%d", config.report_path.c_str(), shard);
-  }
-  const std::string journal = shard_journal_path(config, shard);
-  return journal.empty() ? std::string() : journal + ".report";
+  return util::strfmt("%s.shard%d", stem.c_str(), shard);
 }
 
 // The session shard `k` starts with. With --restore it is rebuilt from the
@@ -101,8 +88,8 @@ std::string shard_report_path(const ServerConfig& config, int shard) {
 // whole journal replayed from t=0. Only a shard with neither file starts
 // fresh: a recovery that fails, or a snapshot directory that cannot be
 // read, is an error, not a fresh start.
-util::Result<ShardSession> load_shard(const ServerConfig& config, int k) {
-  const std::string journal_path = shard_journal_path(config, k);
+util::Result<ShardSession> load_shard(const ServerConfig& config, int k,
+                                      const std::string& journal_path) {
   if (!config.restore || journal_path.empty()) {
     return start_shard(JournalSession{config.session, {}});
   }
@@ -160,18 +147,9 @@ ServiceLimits ServiceLimits::from_env() {
   return limits;
 }
 
-// Fan-out state for DRAIN/SHUTDOWN/GET-metrics without a SHARD prefix: one
-// slot per shard, combined into a single reply by whoever finishes last.
-struct Server::Broadcast {
-  enum class Kind { kDrain = 0, kShutdown, kHttpMetrics };
-  Kind kind = Kind::kDrain;
-  std::mutex mu;
-  std::vector<std::string> parts;
-  size_t remaining = 0;
-};
-
-struct Server::Command {
-  Request request;
+// Where a command's reply goes, fixed when the I/O thread reads the
+// request and carried unchanged to the completion that answers it.
+struct Server::ReplySlot {
   uint64_t conn_id = 0;
   // Reply-order slot for requests without a CID (see Conn). Unused (0) for
   // CID-tagged requests, which are delivered on completion.
@@ -179,22 +157,27 @@ struct Server::Command {
   bool has_cid = false;
   uint64_t cid = 0;
   bool http = false;  // reply is an HTTP body, not a protocol line
-  int shard = 0;
-  std::shared_ptr<Broadcast> broadcast;  // null = unicast
+};
+
+// Fan-out state for bare DRAIN, SHUTDOWN and GET /metrics (`verb` is
+// kMetrics): one part per shard, combined into a single reply by whoever
+// finishes last.
+struct Server::Broadcast {
+  Verb verb = Verb::kDrain;
+  std::mutex mu;
+  std::vector<std::string> parts;
+  size_t remaining = 0;
+};
+
+struct Server::Command {
+  Request request;
+  ReplySlot to;
+  std::shared_ptr<Broadcast> broadcast = nullptr;  // null = unicast
 };
 
 struct Server::Completion {
-  uint64_t conn_id = 0;
-  uint64_t ordered_seq = 0;
-  bool has_cid = false;
-  uint64_t cid = 0;
-  bool http = false;
-  std::string line;  // protocol line, or the HTTP body when http
-
-  // The reply slot `cmd` is answered in, without its line.
-  static Completion to(const Command& cmd) {
-    return {cmd.conn_id, cmd.ordered_seq, cmd.has_cid, cmd.cid, cmd.http, {}};
-  }
+  ReplySlot to;
+  std::string line;  // protocol line, or the HTTP body when to.http
 };
 
 // Per-connection bookkeeping, owned exclusively by the I/O thread.
@@ -230,6 +213,10 @@ struct Server::Conn {
 // then only the shard's thread touches.
 struct Server::Shard {
   int index = 0;
+  // Resolved from the ServerConfig stems by start(); empty when the shard
+  // journals nothing or writes no report.
+  std::string journal_path;
+  std::string report_path;
   std::unique_ptr<Mailbox<Command>> mailbox;
   std::thread thread;
   // Set by the shard's thread at drain; Server::drained() reads it.
@@ -256,7 +243,7 @@ struct Server::Shard {
     workload::JobSpec spec;
     std::string csv_row;  // verbatim row; spec.submit_time is its vt
     bool journaled = false;
-    Command cmd;  // reply routing (request payload unused)
+    ReplySlot to;
   };
   std::vector<StagedSubmit> staged;
 };
@@ -315,12 +302,17 @@ util::Status Server::start() {
   const int n_shards = config_.limits.shards;
   shards_.clear();
   for (int k = 0; k < n_shards; ++k) {
-    auto session = load_shard(config_, k);
+    auto shard = std::make_unique<Shard>();
+    shard->index = k;
+    shard->journal_path = shard_file(config_, config_.journal_path, k);
+    shard->report_path = shard_file(config_, config_.report_path, k);
+    if (shard->report_path.empty() && !shard->journal_path.empty()) {
+      shard->report_path = shard->journal_path + ".report";
+    }
+    auto session = load_shard(config_, k, shard->journal_path);
     if (!session.ok()) {
       return session.error();
     }
-    auto shard = std::make_unique<Shard>();
-    shard->index = k;
     shard->mailbox = std::make_unique<Mailbox<Command>>(
         static_cast<size_t>(config_.limits.admission_capacity));
     shard->session = std::move(*session);
@@ -428,6 +420,11 @@ ServeCounters Server::counters() const {
   return counters_;
 }
 
+void Server::count(uint64_t ServeCounters::*counter, uint64_t n) {
+  std::lock_guard<std::mutex> lock(counter_mu_);
+  counters_.*counter += n;
+}
+
 void Server::wait() {
   if (!started_) {
     return;
@@ -453,7 +450,6 @@ void Server::wait() {
 // --------------------------------------------------------- engine threads
 
 util::Result<std::string> Server::take_snapshot(Shard& shard) {
-  const std::string journal_path = shard_journal_path(config_, shard.index);
   const auto t0 = SteadyClock::now();
   sim::ClusterEngine& engine = *shard.session.sim.engine;
   state::SnapshotMeta meta;
@@ -469,7 +465,7 @@ util::Result<std::string> Server::take_snapshot(Shard& shard) {
     return blob.error();
   }
   const std::string snap_path =
-      util::strfmt("%s.SNAP.%llu", journal_path.c_str(),
+      util::strfmt("%s.SNAP.%llu", shard.journal_path.c_str(),
                    static_cast<unsigned long long>(meta.seq));
   // The snapshot reaches disk (fsync inside) before the journal loses a
   // byte, and JournalWriter::open then replaces the journal with its
@@ -483,7 +479,7 @@ util::Result<std::string> Server::take_snapshot(Shard& shard) {
   }
   const uint64_t old_bytes = shard.journal.bytes();
   shard.journal.close();
-  auto reopened = JournalWriter::open(journal_path, shard.session.spec);
+  auto reopened = JournalWriter::open(shard.journal_path, shard.session.spec);
   if (!reopened.ok()) {
     shard.journal_failed = true;
     return util::Error{reopened.error().code,
@@ -544,12 +540,12 @@ void Server::maybe_auto_snapshot(Shard& shard) {
 
 void Server::engine_main(Shard& shard) {
   shard.last_snap_vt = shard.session.resume_vt;
-  const std::string journal_path = shard_journal_path(config_, shard.index);
-  if (!journal_path.empty()) {
+  if (!shard.journal_path.empty()) {
     // A recovered journal is appended to; only a fresh session truncates.
-    auto journal = config_.restore && state::file_exists(journal_path)
-                       ? JournalWriter::open_append(journal_path)
-                       : JournalWriter::open(journal_path, shard.session.spec);
+    auto journal =
+        config_.restore && state::file_exists(shard.journal_path)
+            ? JournalWriter::open_append(shard.journal_path)
+            : JournalWriter::open(shard.journal_path, shard.session.spec);
     if (journal.ok()) {
       shard.journal = std::move(*journal);
       shard.journal.set_fsync(config_.journal_fsync);
@@ -602,39 +598,37 @@ void Server::engine_main(Shard& shard) {
       }
     }
 
-    batch.clear();
-    done.clear();
     shard.mailbox->drain_until(&batch, deadline);
-    // Answer every drained command even if one of them is SHUTDOWN: a
-    // command whose completion never reaches the I/O thread would leave
-    // its client blocked forever.
-    for (auto& cmd : batch) {
-      handle_command(shard, cmd, &done);
-    }
-    commit_staged(shard, &done);
-    post_completions(&done);
+    serve_batch(shard, &batch, &done);
   }
 
   // Graceful exit: finish the session even on SIGTERM so the journal's
   // report exists, then answer everything still queued. Closing the
   // mailbox first makes late try_push fail (-> ERR shutting-down at the
   // I/O thread), so no command can slip in after the final sweep and hang
-  // its client.
-  done.clear();
-  commit_staged(shard, &done);  // loop exited between batches; normally empty
+  // its client. Every batch ends committed, so nothing is staged here.
   if (!shard.drained) {
     do_drain(shard);
   }
   shard.mailbox->close();
-  batch.clear();
   shard.mailbox->drain(&batch);
-  for (auto& cmd : batch) {
-    handle_command(shard, cmd, &done);
-  }
-  commit_staged(shard, &done);
-  post_completions(&done);
+  serve_batch(shard, &batch, &done);
   engines_running_.fetch_sub(1);
   wakeup_.notify();
+}
+
+// Answers a drained batch: every command, then one group commit for the
+// SUBMITs among them, then the replies go to the I/O thread. Every command
+// is answered even if one of them is SHUTDOWN: a command whose completion
+// never reaches the I/O thread would leave its client blocked forever.
+void Server::serve_batch(Shard& shard, std::vector<Command>* batch,
+                         std::vector<Completion>* done) {
+  for (auto& cmd : *batch) {
+    handle_command(shard, cmd, done);
+  }
+  batch->clear();
+  commit_staged(shard, done);
+  post_completions(done);
 }
 
 void Server::post_completions(std::vector<Completion>* done) {
@@ -651,61 +645,47 @@ void Server::post_completions(std::vector<Completion>* done) {
   wakeup_.notify();
 }
 
-// Completes this shard's slot of a fan-out command; the last shard to
-// finish composes the combined reply (and, for SHUTDOWN, flips the global
-// stop flag — every shard has acknowledged by then).
-void Server::finish_broadcast(Command& cmd, std::string part,
+// Completes shard `shard`'s part of a fan-out answered in slot `to`; the
+// last shard to finish composes the combined reply (and, for SHUTDOWN,
+// flips the global stop flag — every shard has acknowledged by then).
+void Server::finish_broadcast(Broadcast& b, const ReplySlot& to, int shard,
+                              std::string part,
                               std::vector<Completion>* done) {
-  Broadcast& b = *cmd.broadcast;
   bool last = false;
   {
     std::lock_guard<std::mutex> lock(b.mu);
-    b.parts[static_cast<size_t>(cmd.shard)] = std::move(part);
+    b.parts[static_cast<size_t>(shard)] = std::move(part);
     last = --b.remaining == 0;
   }
   if (!last) {
     return;
   }
-  Completion c = Completion::to(cmd);
-  switch (b.kind) {
-    case Broadcast::Kind::kDrain: {
-      std::string joined;
-      for (size_t i = 0; i < b.parts.size(); ++i) {
-        if (i > 0) {
-          joined += " | ";
-        }
-        joined += b.parts[i];
-      }
-      c.line = format_ok(joined);
+  Completion c{to, {}};
+  switch (b.verb) {
+    case Verb::kDrain:
+      c.line = format_ok(util::join(b.parts, " | "));
       break;
-    }
-    case Broadcast::Kind::kShutdown:
+    case Verb::kShutdown:
       c.line = format_ok("bye");
+      request_shutdown();
       break;
-    case Broadcast::Kind::kHttpMetrics: {
-      for (auto& p : b.parts) {
-        c.line += p;
-      }
+    default:  // kMetrics: the HTTP body, one block per shard
+      c.line = util::join(b.parts, "");
       break;
-    }
   }
   done->push_back(std::move(c));
-  if (b.kind == Broadcast::Kind::kShutdown) {
-    stop_.store(true);
-    wakeup_.notify();
-  }
 }
 
 void Server::do_drain(Shard& shard) {
   const sim::ExperimentReport report = shard.session.sim.finish();
   std::string text = sim::serialize_report(report);
 
-  const std::string report_path = shard_report_path(config_, shard.index);
-  if (!report_path.empty()) {
-    std::ofstream out(report_path, std::ios::binary);
+  if (!shard.report_path.empty()) {
+    std::ofstream out(shard.report_path, std::ios::binary);
     out << text;
     if (!out) {
-      CODA_LOG_ERROR("failed to write report to %s", report_path.c_str());
+      CODA_LOG_ERROR("failed to write report to %s",
+                     shard.report_path.c_str());
     }
   }
   if (shard.journal.is_open()) {
@@ -718,8 +698,8 @@ void Server::do_drain(Shard& shard) {
       "shard=%d drained completed=%zu submitted=%zu abandoned=%zu vt=%.1f%s%s",
       shard.index, report.completed, report.submitted, report.abandoned,
       shard.session.sim.engine->sim().now(),
-      report_path.empty() ? "" : " report=",
-      report_path.c_str());
+      shard.report_path.empty() ? "" : " report=",
+      shard.report_path.c_str());
   {
     std::lock_guard<std::mutex> lock(report_mu_);
     report_texts_[static_cast<size_t>(shard.index)] = std::move(text);
@@ -746,7 +726,7 @@ void Server::commit_staged(Shard& shard, std::vector<Completion>* done) {
     }
   }
   for (auto& staged : shard.staged) {
-    Completion c = Completion::to(staged.cmd);
+    Completion c{staged.to, {}};
     if (staged.journaled && flush_failed) {
       c.line = format_err(util::ErrorCode::kIoError,
                           "journal flush failed; submission not accepted");
@@ -771,10 +751,15 @@ void Server::handle_command(Shard& shard, Command& cmd,
   const Request& req = cmd.request;
   const sim::ClusterEngine& engine = *shard.session.sim.engine;
   auto reply = [&](std::string line) {
-    Completion c = Completion::to(cmd);
-    c.line = std::move(line);
-    done->push_back(std::move(c));
+    done->push_back(Completion{cmd.to, std::move(line)});
   };
+  // Every verb but SUBMIT (which stages) and PING (which reads only the
+  // clock, and a commit does not move it) sees the SUBMITs staged earlier
+  // in this batch: their journal entries become durable and their jobs
+  // join the engine first.
+  if (req.verb != Verb::kSubmit && req.verb != Verb::kPing) {
+    commit_staged(shard, done);
+  }
 
   switch (req.verb) {
     case Verb::kPing: {
@@ -840,8 +825,8 @@ void Server::handle_command(Shard& shard, Command& cmd,
       staged.spec = std::move(*spec);
       staged.spec.id = id;
       staged.spec.submit_time = vt;
-      staged.csv_row = req.arg;
-      staged.cmd = cmd;
+      staged.csv_row = std::move(cmd.request.arg);
+      staged.to = cmd.to;
       shard.staged.push_back(std::move(staged));
       // Reserves the id for the next auto-numbered SUBMIT of this batch.
       shard.session.next_auto_id = std::max(shard.session.next_auto_id, id + 1);
@@ -849,7 +834,6 @@ void Server::handle_command(Shard& shard, Command& cmd,
     }
 
     case Verb::kStatus: {
-      commit_staged(shard, done);  // same-batch SUBMITs must be visible
       const auto& records = engine.records();
       auto it = records.find(req.job_id);
       if (it == records.end()) {
@@ -873,7 +857,6 @@ void Server::handle_command(Shard& shard, Command& cmd,
     }
 
     case Verb::kCluster: {
-      commit_staged(shard, done);
       const auto& cluster = engine.cluster();
       reply(format_ok(util::strfmt(
           "shard=%d vt=%.3f nodes=%zu cpus=%d/%d gpus=%d/%d running=%zu "
@@ -886,8 +869,7 @@ void Server::handle_command(Shard& shard, Command& cmd,
     }
 
     case Verb::kMetrics: {
-      commit_staged(shard, done);
-      if (cmd.http) {
+      if (cmd.to.http) {
         // One OpenMetrics block per shard; the I/O thread prepends the
         // serving-layer block and appends the EOF marker.
         const std::string labels = util::strfmt("shard=\"%d\"", shard.index);
@@ -899,7 +881,8 @@ void Server::handle_command(Shard& shard, Command& cmd,
         block += util::strfmt("# TYPE coda_shard_drained gauge\n"
                               "coda_shard_drained{%s} %d\n",
                               labels.c_str(), shard.drained ? 1 : 0);
-        finish_broadcast(cmd, std::move(block), done);
+        finish_broadcast(*cmd.broadcast, cmd.to, shard.index,
+                         std::move(block), done);
         break;
       }
       const std::string snap =
@@ -912,17 +895,12 @@ void Server::handle_command(Shard& shard, Command& cmd,
     }
 
     case Verb::kSnapshot: {
-      // Same-batch SUBMITs become part of the snapshot (and their journal
-      // entries durable) before the capture.
-      commit_staged(shard, done);
       if (shard.drained) {
         reply(format_err(util::ErrorCode::kFailedPrecondition,
                          "session drained; nothing live to snapshot"));
         break;
       }
-      const std::string journal_path =
-          shard_journal_path(config_, shard.index);
-      if (journal_path.empty()) {
+      if (shard.journal_path.empty()) {
         reply(format_err(util::ErrorCode::kFailedPrecondition,
                          "snapshots require a journal (--journal)"));
         break;
@@ -949,12 +927,12 @@ void Server::handle_command(Shard& shard, Command& cmd,
       break;
 
     case Verb::kDrain: {
-      commit_staged(shard, done);
       if (!shard.drained) {
         do_drain(shard);
       }
       if (cmd.broadcast) {
-        finish_broadcast(cmd, shard.drain_summary, done);
+        finish_broadcast(*cmd.broadcast, cmd.to, shard.index,
+                         shard.drain_summary, done);
       } else {
         reply(format_ok(shard.drain_summary));
       }
@@ -962,17 +940,11 @@ void Server::handle_command(Shard& shard, Command& cmd,
     }
 
     case Verb::kShutdown:
-      // The drain itself happens after the serving loop exits (every shard
-      // sees stop_ and finishes through the same do_drain path); the reply
-      // only acknowledges the order, exactly like SIGTERM.
-      commit_staged(shard, done);
-      if (cmd.broadcast) {
-        finish_broadcast(cmd, "bye", done);
-      } else {
-        stop_.store(true);
-        wakeup_.notify();
-        reply(format_ok("bye"));
-      }
+      // Always a fan-out (route_command). The drain itself happens after
+      // the serving loop exits (every shard sees stop_ and finishes through
+      // the same do_drain path); the reply only acknowledges the order,
+      // exactly like SIGTERM.
+      finish_broadcast(*cmd.broadcast, cmd.to, shard.index, "bye", done);
       break;
   }
 }
@@ -1020,42 +992,23 @@ void Server::io_main() {
         continue;
       }
       if (ev.writable) {
-        conn_writable(conn);
+        flush_conn(conn);
       }
       if (ev.hangup && !ev.readable && !ev.writable) {
         conn.dead = true;
       }
     }
 
-    // Hand this tick's parsed commands to the shards, one batch per shard.
+    // Hand this tick's parsed commands to the shards, one batch per shard,
+    // and deliver everything the shards completed since the last tick.
     flush_route_pending();
-
-    // Deliver everything the shards completed since the last tick.
-    io.ready.clear();
-    {
-      std::lock_guard<std::mutex> lock(completion_mu_);
-      io.ready.swap(completions_);
-    }
-    for (const Completion& c : io.ready) {
-      auto it = io.conns.find(c.conn_id);
-      if (it == io.conns.end()) {
-        continue;  // connection died with commands in flight
-      }
-      Conn& conn = *it->second;
-      if (conn.inflight > 0) {
-        --conn.inflight;
-      }
-      deliver(conn, c);
-    }
+    deliver_completions();
 
     // One flush pass over every live connection: everything the tick
     // enqueued (completions above, local replies during event handling)
     // goes out in a single send(2) per connection.
     for (const auto& [id, conn] : io.conns) {
-      if (!conn->dead) {
-        try_flush(*conn);
-        maybe_finish_conn(*conn);
-      }
+      flush_conn(*conn);
     }
 
     // Sweep connections marked dead during this tick.
@@ -1075,22 +1028,34 @@ void Server::io_main() {
       // (the closed mailboxes reject the whole batch), then drain the
       // completion queue one last time, flush, and leave.
       flush_route_pending();
-      io.ready.clear();
-      {
-        std::lock_guard<std::mutex> lock(completion_mu_);
-        io.ready.swap(completions_);
-      }
-      for (const Completion& c : io.ready) {
-        auto it = io.conns.find(c.conn_id);
-        if (it != io.conns.end() && !it->second->dead) {
-          deliver(*it->second, c);
-        }
-      }
+      deliver_completions();
       final_flush_and_close();
       break;
     }
   }
   io_.reset();
+}
+
+// Hands every completion posted since the last call to its connection; one
+// whose connection died with commands in flight is dropped.
+void Server::deliver_completions() {
+  IoState& io = *io_;
+  io.ready.clear();
+  {
+    std::lock_guard<std::mutex> lock(completion_mu_);
+    io.ready.swap(completions_);
+  }
+  for (const Completion& c : io.ready) {
+    auto it = io.conns.find(c.to.conn_id);
+    if (it == io.conns.end()) {
+      continue;
+    }
+    Conn& conn = *it->second;
+    if (conn.inflight > 0) {
+      --conn.inflight;
+    }
+    deliver(conn, c);
+  }
 }
 
 void Server::accept_ready() {
@@ -1101,8 +1066,7 @@ void Server::accept_ready() {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
         return;
       }
-      std::lock_guard<std::mutex> lock(counter_mu_);
-      ++counters_.accept_errors;
+      count(&ServeCounters::accept_errors);
       return;
     }
     if (io.conns.size() >=
@@ -1111,14 +1075,12 @@ void Server::accept_ready() {
       // (BUSY + counter) instead of lingering in the kernel backlog.
       write_line_best_effort(fd, format_busy(config_.limits.retry_after_ms));
       ::close(fd);
-      std::lock_guard<std::mutex> lock(counter_mu_);
-      ++counters_.conn_rejected;
+      count(&ServeCounters::conn_rejected);
       continue;
     }
     if (!set_nonblocking(fd)) {
       ::close(fd);
-      std::lock_guard<std::mutex> lock(counter_mu_);
-      ++counters_.accept_errors;
+      count(&ServeCounters::accept_errors);
       continue;
     }
     if (config_.unix_socket_path.empty()) {
@@ -1133,14 +1095,10 @@ void Server::accept_ready() {
     conn->id = io.next_conn_id++;
     if (!io.poller.add(fd, conn->id, true, false)) {
       ::close(fd);
-      std::lock_guard<std::mutex> lock(counter_mu_);
-      ++counters_.accept_errors;
+      count(&ServeCounters::accept_errors);
       continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(counter_mu_);
-      ++counters_.conn_accepted;
-    }
+    count(&ServeCounters::conn_accepted);
     io.conns.emplace(conn->id, std::move(conn));
   }
 }
@@ -1172,24 +1130,23 @@ void Server::conn_readable(Conn& conn) {
                  format_err(util::ErrorCode::kInvalidArgument,
                             "line exceeds per-connection limit"));
     conn.read_closed = true;
-    {
-      std::lock_guard<std::mutex> lock(counter_mu_);
-      ++counters_.conn_dropped;
-    }
-    try_flush(conn);
-    maybe_finish_conn(conn);
-    return;
+    count(&ServeCounters::conn_dropped);
   }
-  try_flush(conn);
-  maybe_finish_conn(conn);
+  flush_conn(conn);
 }
 
-void Server::conn_writable(Conn& conn) {
+// Writes what the connection has queued, then closes it if it is done.
+void Server::flush_conn(Conn& conn) {
   try_flush(conn);
   maybe_finish_conn(conn);
 }
 
 void Server::process_line(Conn& conn, std::string_view line) {
+  // A connection that opens with `GET ` speaks HTTP from then on.
+  if (line.substr(0, 4) == "GET " && conn.next_ordered_seq == 0 &&
+      conn.inflight == 0) {
+    conn.http = true;
+  }
   if (conn.http) {
     handle_http_line(conn, line);
     return;
@@ -1197,15 +1154,9 @@ void Server::process_line(Conn& conn, std::string_view line) {
   if (line.empty()) {
     return;
   }
-  if (line.substr(0, 4) == "GET " && conn.next_ordered_seq == 0 &&
-      conn.inflight == 0) {
-    conn.http = true;
-    handle_http_line(conn, line);
-    return;
-  }
   auto env = parse_envelope(line);
   if (!env.ok()) {
-    local_reply(conn, conn.next_ordered_seq++, false, 0,
+    local_reply(conn, ReplySlot{conn.id, conn.next_ordered_seq++},
                 format_err(env.error().code, env.error().message));
     return;
   }
@@ -1230,63 +1181,51 @@ void Server::handle_http_line(Conn& conn, std::string_view line) {
     }
   }
   if (path != "/metrics") {
-    conn.outbuf += http_response(404, "Not Found", "text/plain",
-                                 "only /metrics is served\n");
-    conn.http_sent = true;
-    update_write_interest(conn);
+    http_reply(conn, "404 Not Found", "text/plain",
+               "only /metrics is served\n");
     return;
   }
   // HTTP/1.0 scrapes cannot carry the protocol's AUTH exchange; with a
   // token configured the scrape endpoint is simply closed off.
   if (!config_.auth_token.empty()) {
-    conn.outbuf += http_response(401, "Unauthorized", "text/plain",
-                                 "authentication required\n");
-    conn.http_sent = true;
-    update_write_interest(conn);
+    http_reply(conn, "401 Unauthorized", "text/plain",
+               "authentication required\n");
     return;
   }
   // Fan the scrape out to every shard; the last one composes the body.
+  fan_out(conn, ReplySlot{.conn_id = conn.id, .http = true}, Verb::kMetrics);
+}
+
+// Sends the bare `verb` (DRAIN, SHUTDOWN, or an HTTP scrape's METRICS) to
+// every shard as one command answered once in slot `to`. A shard whose
+// mailbox refuses it (full or closed) has its part completed here as
+// unavailable, so the fan-in still converges; that reply is posted like a
+// shard's and delivered later in this tick.
+void Server::fan_out(Conn& conn, const ReplySlot& to, Verb verb) {
   auto broadcast = std::make_shared<Broadcast>();
-  broadcast->kind = Broadcast::Kind::kHttpMetrics;
+  broadcast->verb = verb;
   broadcast->parts.resize(shards_.size());
   broadcast->remaining = shards_.size();
   conn.inflight += 1;
-  bool any_pushed = false;
+  std::vector<Completion> done;
   for (auto& shard : shards_) {
-    Command cmd;
-    cmd.request.verb = Verb::kMetrics;
-    cmd.conn_id = conn.id;
-    cmd.http = true;
-    cmd.shard = shard->index;
-    cmd.broadcast = broadcast;
-    if (shard->mailbox->try_push(std::move(cmd))) {
-      any_pushed = true;
-    } else {
-      Command failed;
-      failed.conn_id = conn.id;
-      failed.http = true;
-      failed.shard = shard->index;
-      failed.broadcast = broadcast;
-      std::vector<Completion> done;
-      finish_broadcast(failed,
-                       util::strfmt("# shard %d unavailable\n", shard->index),
-                       &done);
-      for (Completion& c : done) {
-        if (conn.inflight > 0) {
-          --conn.inflight;
-        }
-        deliver(conn, c);
-      }
+    if (!shard->mailbox->try_push(Command{Request{verb, {}}, to, broadcast})) {
+      finish_broadcast(
+          *broadcast, to, shard->index,
+          util::strfmt(to.http ? "# shard %d unavailable\n"
+                               : "shard=%d unavailable",
+                       shard->index),
+          &done);
     }
   }
-  (void)any_pushed;
+  post_completions(&done);
 }
 
 void Server::route_command(Conn& conn, Envelope env) {
   const int n_shards = static_cast<int>(shards_.size());
   const Verb verb = env.request.verb;
-  const uint64_t ordered_seq =
-      env.has_cid ? 0 : conn.next_ordered_seq++;
+  const ReplySlot to{conn.id, env.has_cid ? 0 : conn.next_ordered_seq++,
+                     env.has_cid, env.cid};
 
   // AUTH is connection state: resolved here, never routed to a shard.
   // With no configured token it is an accepted no-op, so clients can send
@@ -1294,12 +1233,10 @@ void Server::route_command(Conn& conn, Envelope env) {
   if (verb == Verb::kAuth) {
     if (config_.auth_token.empty() || env.request.arg == config_.auth_token) {
       conn.authed = true;
-      local_reply(conn, ordered_seq, env.has_cid, env.cid,
-                  format_ok("authenticated"));
+      local_reply(conn, to, format_ok("authenticated"));
     } else {
-      local_reply(conn, ordered_seq, env.has_cid, env.cid,
-                  format_err(util::ErrorCode::kPermissionDenied,
-                             "bad auth token"));
+      local_reply(conn, to, format_err(util::ErrorCode::kPermissionDenied,
+                                       "bad auth token"));
     }
     return;
   }
@@ -1307,23 +1244,21 @@ void Server::route_command(Conn& conn, Envelope env) {
   // Refused commands never reach a shard — an unauthenticated client
   // cannot even fill a mailbox slot.
   if (!config_.auth_token.empty() && !conn.authed && verb != Verb::kPing) {
-    local_reply(conn, ordered_seq, env.has_cid, env.cid,
-                format_err(util::ErrorCode::kPermissionDenied,
-                           "authenticate with AUTH <token>"));
+    local_reply(conn, to, format_err(util::ErrorCode::kPermissionDenied,
+                                     "authenticate with AUTH <token>"));
     return;
   }
 
   if (env.shard >= n_shards) {
-    local_reply(conn, ordered_seq, env.has_cid, env.cid,
+    local_reply(conn, to,
                 format_err(util::ErrorCode::kInvalidArgument,
                            util::strfmt("shard %d out of range (0..%d)",
                                         env.shard, n_shards - 1)));
     return;
   }
   if (stop_.load()) {
-    local_reply(conn, ordered_seq, env.has_cid, env.cid,
-                format_err(util::ErrorCode::kFailedPrecondition,
-                           "server shutting down"));
+    local_reply(conn, to, format_err(util::ErrorCode::kFailedPrecondition,
+                                     "server shutting down"));
     return;
   }
 
@@ -1333,47 +1268,8 @@ void Server::route_command(Conn& conn, Envelope env) {
   // one connection reaches the shard in that order.
   if (verb == Verb::kShutdown || (verb == Verb::kDrain && env.shard < 0)) {
     flush_route_pending();
-    auto broadcast = std::make_shared<Broadcast>();
-    broadcast->kind = verb == Verb::kShutdown ? Broadcast::Kind::kShutdown
-                                              : Broadcast::Kind::kDrain;
-    broadcast->parts.resize(static_cast<size_t>(n_shards));
-    broadcast->remaining = static_cast<size_t>(n_shards);
-    conn.inflight += 1;
-    for (auto& shard : shards_) {
-      Command cmd;
-      cmd.request = env.request;
-      cmd.conn_id = conn.id;
-      cmd.ordered_seq = ordered_seq;
-      cmd.has_cid = env.has_cid;
-      cmd.cid = env.cid;
-      cmd.shard = shard->index;
-      cmd.broadcast = broadcast;
-      if (!shard->mailbox->try_push(std::move(cmd))) {
-        // This shard cannot take the command (full or closed); complete
-        // its slot from here so the fan-in still converges.
-        Command failed;
-        failed.conn_id = conn.id;
-        failed.ordered_seq = ordered_seq;
-        failed.has_cid = env.has_cid;
-        failed.cid = env.cid;
-        failed.shard = shard->index;
-        failed.broadcast = broadcast;
-        std::vector<Completion> done;
-        finish_broadcast(
-            failed, util::strfmt("shard=%d unavailable", shard->index),
-            &done);
-        for (Completion& c : done) {
-          if (conn.inflight > 0) {
-            --conn.inflight;
-          }
-          deliver(conn, c);
-        }
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(counter_mu_);
-      ++counters_.commands_routed;
-    }
+    fan_out(conn, to, verb);
+    count(&ServeCounters::commands_routed);
     return;
   }
 
@@ -1387,16 +1283,9 @@ void Server::route_command(Conn& conn, Envelope env) {
                                static_cast<uint64_t>(n_shards))
             : 0;
   }
-  Command cmd;
-  cmd.request = std::move(env.request);
-  cmd.conn_id = conn.id;
-  cmd.ordered_seq = ordered_seq;
-  cmd.has_cid = env.has_cid;
-  cmd.cid = env.cid;
-  cmd.shard = shard_index;
   conn.inflight += 1;
   io_->route_pending[static_cast<size_t>(shard_index)].push_back(
-      std::move(cmd));
+      Command{std::move(env.request), to});
 }
 
 // Pushes this tick's per-shard command batches, each under one mailbox
@@ -1417,7 +1306,7 @@ void Server::flush_route_pending() {
       const bool stopping = stop_.load() || shards_[k]->mailbox->closed();
       for (size_t i = accepted; i < pending.size(); ++i) {
         Command& cmd = pending[i];
-        auto it = io.conns.find(cmd.conn_id);
+        auto it = io.conns.find(cmd.to.conn_id);
         if (it == io.conns.end()) {
           continue;
         }
@@ -1428,85 +1317,62 @@ void Server::flush_route_pending() {
         if (stopping) {
           // Terminating, not overloaded: a BUSY here would invite the
           // client to retry against a server that will never answer.
-          local_reply(conn, cmd.ordered_seq, cmd.has_cid, cmd.cid,
+          local_reply(conn, cmd.to,
                       format_err(util::ErrorCode::kFailedPrecondition,
                                  "server shutting down"));
         } else {
           // Admission queue full: explicit backpressure, never unbounded
           // buffering.
-          local_reply(conn, cmd.ordered_seq, cmd.has_cid, cmd.cid,
-                      format_busy(config_.limits.retry_after_ms));
+          local_reply(conn, cmd.to, format_busy(config_.limits.retry_after_ms));
           ++busy;
         }
       }
     }
     pending.clear();
   }
-  if (routed > 0 || busy > 0) {
-    std::lock_guard<std::mutex> lock(counter_mu_);
-    counters_.commands_routed += routed;
-    counters_.busy_rejections += busy;
+  if (routed > 0) {
+    count(&ServeCounters::commands_routed, routed);
+  }
+  if (busy > 0) {
+    count(&ServeCounters::busy_rejections, busy);
   }
 }
 
 // Immediate reply produced by the I/O thread itself (parse error, BUSY,
 // shutdown refusals). Runs through the same ordering machinery as engine
 // completions so pipelined clients still see request-order replies.
-void Server::local_reply(Conn& conn, uint64_t ordered_seq, bool has_cid,
-                         uint64_t cid, std::string line) {
-  Completion c;
-  c.conn_id = conn.id;
-  c.ordered_seq = ordered_seq;
-  c.has_cid = has_cid;
-  c.cid = cid;
-  c.line = std::move(line);
-  deliver(conn, c);
+void Server::local_reply(Conn& conn, const ReplySlot& to,
+                         std::string line) {
+  deliver(conn, Completion{to, std::move(line)});
 }
 
 void Server::deliver(Conn& conn, const Completion& completion) {
   if (conn.dead) {
     return;
   }
-  if (completion.http) {
+  if (completion.to.http) {
     // The completion body is the concatenated per-shard blocks; prepend
     // the serving-layer block and close the exposition.
     const ServeCounters snap = counters();
-    std::string body;
-    body += "# TYPE coda_serve_connections_active gauge\n";
-    body += util::strfmt("coda_serve_connections_active %zu\n",
-                         io_ ? io_->conns.size() : size_t{0});
-    body += "# TYPE coda_serve_connections_accepted_total counter\n";
-    body += util::strfmt("coda_serve_connections_accepted_total %llu\n",
-                         static_cast<unsigned long long>(snap.conn_accepted));
-    body += "# TYPE coda_serve_connections_rejected_total counter\n";
-    body += util::strfmt("coda_serve_connections_rejected_total %llu\n",
-                         static_cast<unsigned long long>(snap.conn_rejected));
-    body += "# TYPE coda_serve_connections_dropped_total counter\n";
-    body += util::strfmt("coda_serve_connections_dropped_total %llu\n",
-                         static_cast<unsigned long long>(snap.conn_dropped));
-    body += "# TYPE coda_serve_accept_errors_total counter\n";
-    body += util::strfmt("coda_serve_accept_errors_total %llu\n",
-                         static_cast<unsigned long long>(snap.accept_errors));
-    body += "# TYPE coda_serve_commands_routed_total counter\n";
-    body += util::strfmt("coda_serve_commands_routed_total %llu\n",
-                         static_cast<unsigned long long>(snap.commands_routed));
-    body += "# TYPE coda_serve_busy_rejections_total counter\n";
-    body += util::strfmt("coda_serve_busy_rejections_total %llu\n",
-                         static_cast<unsigned long long>(snap.busy_rejections));
+    std::string body = util::strfmt(
+        "# TYPE coda_serve_connections_active gauge\n"
+        "coda_serve_connections_active %zu\n",
+        io_ ? io_->conns.size() : size_t{0});
+    for (const auto& [name, member] : kServeCounterMetrics) {
+      body += util::strfmt("# TYPE %s counter\n%s %llu\n", name, name,
+                           static_cast<unsigned long long>(snap.*member));
+    }
     body += completion.line;
     body += "# EOF\n";
-    conn.outbuf += http_response(200, "OK", kOpenMetricsType, body);
-    conn.http_sent = true;
-    try_flush(conn);
-    maybe_finish_conn(conn);
+    http_reply(conn, "200 OK", kOpenMetricsType, body);
     return;
   }
-  if (completion.has_cid) {
+  if (completion.to.has_cid) {
     // Correlated reply: written the moment it completes, even if plain
     // requests sent earlier are still in flight on another shard.
-    enqueue_line(conn, true, completion.cid, completion.line);
+    enqueue_line(conn, true, completion.to.cid, completion.line);
   } else {
-    conn.pending_ordered[completion.ordered_seq] = completion.line;
+    conn.pending_ordered[completion.to.ordered_seq] = completion.line;
     flush_ordered(conn);
   }
   // No flush here: replies only accumulate in the outbuf. io_main flushes
@@ -1532,8 +1398,7 @@ void Server::enqueue_line(Conn& conn, bool has_cid, uint64_t cid,
   const size_t pending = conn.outbuf.size() - conn.outoff;
   if (pending + line.size() > kMaxOutbufBytes) {
     conn.dead = true;
-    std::lock_guard<std::mutex> lock(counter_mu_);
-    ++counters_.conn_dropped;
+    count(&ServeCounters::conn_dropped);
     return;
   }
   if (has_cid) {
@@ -1573,6 +1438,19 @@ void Server::try_flush(Conn& conn) {
     conn.outbuf.erase(0, conn.outoff);
     conn.outoff = 0;
   }
+  update_write_interest(conn);
+}
+
+// Queues the connection's one HTTP/1.0 response; maybe_finish_conn closes
+// the connection once it is flushed.
+void Server::http_reply(Conn& conn, const char* status,
+                        const char* content_type, const std::string& body) {
+  conn.outbuf += util::strfmt(
+      "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %zu\r\n"
+      "Connection: close\r\n\r\n",
+      status, content_type, body.size());
+  conn.outbuf += body;
+  conn.http_sent = true;
   update_write_interest(conn);
 }
 

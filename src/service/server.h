@@ -101,7 +101,7 @@ struct ServerConfig {
   ServiceLimits limits;
 };
 
-// Monotonic serving-layer counters, visible in METRICS and GET /metrics.
+// Monotonic serving-layer counters, visible in GET /metrics.
 // `conn_rejected` is the accept-queue overflow signal: connections the
 // daemon turned away with BUSY because max_connections was reached.
 struct ServeCounters {
@@ -150,10 +150,13 @@ class Server {
   struct Command;
   struct Completion;
   struct Conn;
+  struct ReplySlot;
   struct Shard;
 
   void io_main();
   void engine_main(Shard& shard);
+  void serve_batch(Shard& shard, std::vector<Command>* batch,
+                   std::vector<Completion>* done);
   void handle_command(Shard& shard, Command& cmd,
                       std::vector<Completion>* done);
   void commit_staged(Shard& shard, std::vector<Completion>* done);
@@ -162,25 +165,29 @@ class Server {
   // the automatic between-batches trigger.
   util::Result<std::string> take_snapshot(Shard& shard);
   void maybe_auto_snapshot(Shard& shard);
-  void finish_broadcast(Command& cmd, std::string part,
-                        std::vector<Completion>* done);
+  void finish_broadcast(Broadcast& b, const ReplySlot& to, int shard,
+                        std::string part, std::vector<Completion>* done);
   void do_drain(Shard& shard);
   void post_completions(std::vector<Completion>* done);
+  void count(uint64_t ServeCounters::*counter, uint64_t n = 1);
 
   // ---- I/O-thread helpers (only ever called from io_main) ----
   void accept_ready();
   void flush_route_pending();
+  void deliver_completions();
   void conn_readable(Conn& conn);
-  void conn_writable(Conn& conn);
+  void flush_conn(Conn& conn);
   void process_line(Conn& conn, std::string_view line);
   void route_command(Conn& conn, Envelope env);
-  void local_reply(Conn& conn, uint64_t ordered_seq, bool has_cid,
-                   uint64_t cid, std::string line);
+  void fan_out(Conn& conn, const ReplySlot& to, Verb verb);
+  void local_reply(Conn& conn, const ReplySlot& to, std::string line);
   void deliver(Conn& conn, const Completion& completion);
   void flush_ordered(Conn& conn);
   void enqueue_line(Conn& conn, bool has_cid, uint64_t cid,
                     const std::string& line);
   void try_flush(Conn& conn);
+  void http_reply(Conn& conn, const char* status, const char* content_type,
+                  const std::string& body);
   void update_write_interest(Conn& conn);
   void drop_conn(uint64_t conn_id);
   void maybe_finish_conn(Conn& conn);

@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "coda/coda_scheduler.h"
@@ -117,11 +119,17 @@ util::Result<RestoredSession> restore_session(
   // Re-arm the manifest in serialized ((t, seq) ascending) order: the fresh
   // insertion sequences ascend with it, so relative order under time ties
   // matches the captured queue. Each entry is checked first: an event in
-  // the simulated past, or one naming a job or node the restored state does
-  // not hold, would abort the engine when it is posted or when it fires.
+  // the simulated past, one naming a job or node the restored state does
+  // not hold, or a second live entry for one key would abort the engine
+  // (or silently run twice) when it is posted or when it fires.
   r.expect("manifest");
   const uint64_t n = r.u64();
   sim::ClusterEngine& engine = *out.engine;
+  // One live entry per key: a job's arrival, finish or retry, each periodic
+  // tick, and a tuning tick's (job, generation); a migrated job leaves a
+  // stale tuning tick of its old generation behind. Outages are not keyed:
+  // schedule_failures posts a node's whole outage schedule up front.
+  std::set<std::tuple<uint32_t, uint64_t, uint64_t>> live;
   for (uint64_t i = 0; i < n && r.ok(); ++i) {
     r.expect("event");
     double t = 0.0;
@@ -133,6 +141,18 @@ util::Result<RestoredSession> restore_session(
     }
     if (!(t >= engine.sim().now())) {
       r.fail("manifest event before the snapshot's virtual time");
+      break;
+    }
+    const bool per_job = kind == simcore::kTagArrival ||
+                         kind == simcore::kTagJobFinish ||
+                         kind == simcore::kTagRetryResubmit ||
+                         kind == simcore::kTagTuningTick;
+    if (kind != simcore::kTagNodeFail && kind != simcore::kTagNodeRecover &&
+        !live.emplace(kind, per_job ? a : 0,
+                      kind == simcore::kTagTuningTick ? b : 0)
+             .second) {
+      r.fail(util::strfmt("manifest repeats a live entry (kind %u, %llu)",
+                          kind, static_cast<unsigned long long>(a)));
       break;
     }
     switch (kind) {

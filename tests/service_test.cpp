@@ -9,12 +9,17 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/client.h"
@@ -31,6 +36,7 @@
 #include "util/env.h"
 #include "util/parse.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "workload/trace_gen.h"
 #include "workload/trace_io.h"
 
@@ -174,6 +180,46 @@ TEST(Protocol, RequestParsing) {
   EXPECT_FALSE(parse_request("STATUS").ok());    // missing id
   EXPECT_FALSE(parse_request("STATUS abc").ok());
   EXPECT_FALSE(parse_request("PING extra").ok());
+
+  // Every verb's name parses back to it; the argument-taking verbs get one.
+  const std::pair<Verb, const char*> verbs[] = {
+      {Verb::kPing, ""},       {Verb::kSubmit, " 0,1,cpu"},
+      {Verb::kStatus, " 7"},   {Verb::kCluster, ""},
+      {Verb::kMetrics, ""},    {Verb::kDrain, ""},
+      {Verb::kShutdown, ""},   {Verb::kAuth, " secret"},
+      {Verb::kSnapshot, ""},
+  };
+  ASSERT_EQ(std::size(verbs), static_cast<size_t>(Verb::kSnapshot) + 1);
+  const auto error_of = [](const std::string& line) {
+    auto req = parse_request(line);
+    EXPECT_FALSE(req.ok()) << line;
+    if (req.ok()) {
+      return std::string();
+    }
+    EXPECT_EQ(req.error().code, util::ErrorCode::kParseError) << line;
+    return req.error().message;
+  };
+  for (const auto& [verb, arg] : verbs) {
+    const std::string name = to_string(verb);
+    auto req = parse_request(name + arg);
+    ASSERT_TRUE(req.ok()) << name << ": " << req.error().message;
+    EXPECT_EQ(req->verb, verb) << name;
+    if (*arg == '\0') {
+      EXPECT_EQ(error_of(name + " extra"), name + " takes no argument");
+    }
+    // Verbs are case-sensitive: the lower-case spelling is unknown.
+    std::string lower = name;
+    for (char& c : lower) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    EXPECT_EQ(error_of(lower + arg), "unknown verb '" + lower + "'");
+  }
+  EXPECT_EQ(error_of("AUTH"), "AUTH needs a token");
+  EXPECT_EQ(error_of("AUTH   "), "AUTH needs a token");
+  EXPECT_EQ(error_of("SUBMIT"), "SUBMIT needs a CSV job row");
+  EXPECT_EQ(error_of("STATUS"), "STATUS needs a job id");
+  EXPECT_EQ(error_of("STATUS abc"), "STATUS needs a job id");
+  EXPECT_EQ(error_of("FROB 1"), "unknown verb 'FROB'");
 }
 
 TEST(Protocol, ResponseRoundTrip) {
@@ -1037,6 +1083,149 @@ TEST(Protocol, EnvelopeParsing) {
   EXPECT_FALSE(parse_envelope("CID 7").ok());                 // no request
 }
 
+// A seeded mutation loop over the wire path. Recorded request lines are
+// cut, spliced, bit-flipped and padded into oversized numbers and lines,
+// then framed whole and in random chunks (LineReader::feed_views), parsed
+// as envelopes, routed by tenant and parsed as job rows; mutated replies go
+// through parse_tagged_response. Under the sanitizer lanes the point is
+// that no input crashes or trips UB; here, that every chunking frames the
+// same lines and every recorded line still parses.
+TEST(Protocol, SeededMutationsOfWireBytesParseSafely) {
+  std::vector<std::string> requests = {
+      "PING",          "CID 7 PING",  "SHARD 1 CID 2 STATUS 42",
+      "STATUS 18446744073709551615",  "AUTH secret",
+      "CLUSTER",       "METRICS",     "SNAPSHOT",
+      "DRAIN",         "SHARD 0 DRAIN", "SHUTDOWN",
+  };
+  auto trace_cfg = sim::standard_week_trace(3);
+  trace_cfg.duration_s = 3600.0;
+  trace_cfg.cpu_jobs = 4;
+  trace_cfg.gpu_jobs = 4;
+  for (const auto& job : workload::TraceGenerator(trace_cfg).generate()) {
+    const std::string row = workload::job_to_csv_row(job);
+    requests.push_back("SUBMIT " + row);
+    requests.push_back("CID " + std::to_string(job.id) + " SHARD 3 SUBMIT " +
+                       row);
+  }
+  for (const std::string& line : requests) {
+    auto env = parse_envelope(line);
+    ASSERT_TRUE(env.ok()) << line << ": " << env.error().message;
+    if (env->request.verb == Verb::kSubmit) {
+      EXPECT_TRUE(workload::job_from_csv_row(env->request.arg).ok()) << line;
+    }
+  }
+  // HTTP lines ride the same framing; the protocol parser refuses them.
+  std::vector<std::string> inputs = requests;
+  inputs.push_back("GET /metrics HTTP/1.0");
+  inputs.push_back("Host: localhost");
+  const std::vector<std::string> replies = {
+      format_ok("id=3 vt=1.500"),
+      "CID 9 " + format_ok("pong shard=0 vt=0.000"),
+      format_err(util::ErrorCode::kNotFound, "unknown job 7"),
+      "CID 1 " + format_err(util::ErrorCode::kParseError, "bad row"),
+      format_busy(100),
+      "CID 18446744073709551615 " + format_busy(5),
+  };
+  for (const std::string& line : replies) {
+    EXPECT_TRUE(parse_tagged_response(line).ok()) << line;
+  }
+
+  constexpr size_t kMaxLine = 512;
+  // How far the mutated inputs got: each stage must be reached.
+  int poisoned = 0;
+  int refused = 0;
+  int mutated_rows = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Rng rng(seed);
+    const auto below = [&rng](size_t n) {  // uniform in [0, n]
+      return static_cast<size_t>(rng.uniform_int(0, static_cast<int64_t>(n)));
+    };
+    const auto pick = [&below](const std::vector<std::string>& from) {
+      return from[below(from.size() - 1)];
+    };
+    const auto mutate = [&](std::string s,
+                            const std::vector<std::string>& from) {
+      switch (rng.uniform_int(0, 4)) {
+        case 0:  // cut
+          s.resize(below(s.size()));
+          break;
+        case 1: {  // splice with another recording
+          const std::string other = pick(from);
+          s = s.substr(0, below(s.size())) + other.substr(below(other.size()));
+          break;
+        }
+        case 2:  // bit flips
+          for (int64_t k = rng.uniform_int(1, 4); k > 0 && !s.empty(); --k) {
+            s[below(s.size() - 1)] ^=
+                static_cast<char>(1 << rng.uniform_int(0, 7));
+          }
+          break;
+        case 3:  // an oversized number
+          s.insert(below(s.size()),
+                   std::string(static_cast<size_t>(rng.uniform_int(20, 400)),
+                               '9'));
+          break;
+        default:  // padded past the line limit
+          s += std::string(kMaxLine + below(64), s.empty() ? 'x' : s.back());
+          break;
+      }
+      return s;
+    };
+
+    for (int i = 0; i < 2000; ++i) {
+      std::string stream;
+      for (int64_t k = rng.uniform_int(1, 6); k > 0; --k) {
+        std::string line = pick(inputs);
+        if (rng.bernoulli(0.7)) {
+          line = mutate(std::move(line), inputs);
+        }
+        stream += line + (rng.bernoulli(0.2) ? "\r\n" : "\n");
+      }
+
+      LineReader whole(kMaxLine);
+      std::vector<std::string> lines;
+      const bool whole_ok = whole.feed(stream.data(), stream.size(), &lines);
+      LineReader chunked(kMaxLine);
+      std::vector<std::string> chunk_lines;
+      bool chunked_ok = true;
+      for (size_t off = 0; off < stream.size() && chunked_ok;) {
+        const size_t n = std::min<size_t>(1 + below(63), stream.size() - off);
+        chunked_ok = chunked.feed_views(
+            stream.data() + off, n,
+            [&chunk_lines](std::string_view l) { chunk_lines.emplace_back(l); });
+        off += n;
+      }
+      ASSERT_EQ(chunk_lines, lines) << "seed " << seed << " stream " << i;
+      ASSERT_EQ(chunked_ok, whole_ok) << "seed " << seed << " stream " << i;
+      poisoned += whole_ok ? 0 : 1;
+
+      for (const std::string& line : lines) {
+        auto env = parse_envelope(line);
+        const bool recorded = std::find(requests.begin(), requests.end(),
+                                        line) != requests.end();
+        EXPECT_TRUE(env.ok() || !recorded) << line;
+        if (!env.ok()) {
+          EXPECT_EQ(env.error().code, util::ErrorCode::kParseError) << line;
+          ++refused;
+          continue;
+        }
+        if (env->request.verb == Verb::kSubmit) {
+          (void)tenant_of_csv_row(env->request.arg);
+          const auto job = workload::job_from_csv_row(env->request.arg);
+          EXPECT_TRUE(job.ok() || !recorded) << line;
+          mutated_rows += recorded ? 0 : 1;
+        }
+      }
+      const auto reply = parse_tagged_response(mutate(pick(replies), replies));
+      EXPECT_TRUE(reply.ok() || reply.error().code ==
+                                    util::ErrorCode::kParseError);
+    }
+  }
+  EXPECT_GT(poisoned, 0);
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(mutated_rows, 0);
+}
+
 TEST(Mailbox, BatchPushAcceptsPrefixUpToCapacity) {
   Mailbox<int> box(4);
   std::vector<int> batch{1, 2, 3, 4, 5, 6};
@@ -1207,6 +1396,55 @@ TEST(Server, HttpMetricsServedOnSameListener) {
   const std::string tail = "# EOF\n";
   ASSERT_GE(resp.size(), tail.size());
   EXPECT_EQ(resp.substr(resp.size() - tail.size()), tail);
+
+  // Line by line: the serving-layer block (seven metrics, in this order),
+  // then one block per shard, each closing on its drained gauge, then EOF.
+  const size_t body_at = resp.find("\r\n\r\n");
+  ASSERT_NE(body_at, std::string::npos);
+  std::vector<std::string> lines;
+  std::istringstream body(resp.substr(body_at + 4));
+  for (std::string line; std::getline(body, line);) {
+    lines.push_back(line);
+  }
+  const std::pair<const char*, const char*> serving[] = {
+      {"coda_serve_connections_active", "gauge"},
+      {"coda_serve_connections_accepted_total", "counter"},
+      {"coda_serve_connections_rejected_total", "counter"},
+      {"coda_serve_connections_dropped_total", "counter"},
+      {"coda_serve_accept_errors_total", "counter"},
+      {"coda_serve_commands_routed_total", "counter"},
+      {"coda_serve_busy_rejections_total", "counter"},
+  };
+  size_t at = 0;
+  for (const auto& [name, type] : serving) {
+    ASSERT_LT(at + 1, lines.size());
+    EXPECT_EQ(lines[at], std::string("# TYPE ") + name + " " + type);
+    const std::string prefix = std::string(name) + " ";
+    ASSERT_EQ(lines[at + 1].rfind(prefix, 0), 0u) << lines[at + 1];
+    unsigned long long value = 0;
+    EXPECT_EQ(util::parse_number(lines[at + 1].substr(prefix.size()), &value),
+              util::ParseStatus::kOk)
+        << lines[at + 1];
+    at += 2;
+  }
+  for (int shard = 0; shard < 2; ++shard) {
+    const std::string label = util::strfmt("{shard=\"%d\"} ", shard);
+    bool closed = false;
+    while (!closed) {
+      ASSERT_LT(at + 1, lines.size()) << "shard " << shard;
+      const std::string& type_line = lines[at];
+      const std::string& value_line = lines[at + 1];
+      ASSERT_EQ(type_line.rfind("# TYPE coda_", 0), 0u) << type_line;
+      const std::string name =
+          type_line.substr(7, type_line.find(' ', 7) - 7);
+      EXPECT_EQ(type_line, "# TYPE " + name + " gauge");
+      EXPECT_EQ(value_line.rfind(name + label, 0), 0u) << value_line;
+      closed = name == "coda_shard_drained";
+      at += 2;
+    }
+  }
+  ASSERT_EQ(at + 1, lines.size());
+  EXPECT_EQ(lines[at], "# EOF");
 
   const std::string miss =
       http_exchange(socket_path, "GET /nope HTTP/1.0\r\n\r\n");

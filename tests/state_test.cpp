@@ -704,6 +704,163 @@ TEST(Snapshot, RestoreRefusesAThrottleRecordPastTheNodeIdRange) {
       << refused.error().message;
 }
 
+// CODA's running-job rows name nodes, and its per-node rows restate what
+// those rows imply. Each edit below makes them disagree with the cluster
+// or with each other; restored anyway, such a session can crash or abort
+// (a node off the cluster indexes past the per-node vectors, a short
+// borrowed count trips the accounting assert).
+
+// The message restore (or the run after it) refuses `blob` with; empty
+// when the session restores and runs to its end.
+std::string refusal(const CutSession& cut, const std::string& blob) {
+  const util::Status status = restore_and_finish(cut, blob);
+  return status.ok() ? std::string() : status.error().message;
+}
+
+TEST(Snapshot, RestoreRefusesACodaCpuJobOffTheCluster) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  ASSERT_TRUE(restore_and_finish(cut, cut.blob).ok());  // unedited: runs
+  const std::string blob = set_token(cut.blob, "rc", 2, "999");
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("rc row names a node off the cluster"),
+            std::string::npos);
+}
+
+TEST(Snapshot, RestoreRefusesACodaGpuLegOffTheCluster) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  const std::string blob = set_token(cut.blob, "rgp", 1, "999");
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("rgp row names a node off the cluster"),
+            std::string::npos);
+}
+
+TEST(Snapshot, RestoreRefusesAPerNodeCpuJobWithoutItsRow) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  const std::string blob = set_token(cut.blob, "nj", 1, "999999");
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("nj row 999999 is not one of"),
+            std::string::npos);
+}
+
+// Node 0's `nv` row counts fewer borrowed cores than its CPU jobs hold.
+TEST(Snapshot, RestoreRefusesABorrowedCountBelowItsCpuJobs) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  const std::string blob = set_token(cut.blob, "nv", 3, "0", 1, "0");
+  ASSERT_FALSE(blob.empty());
+  ASSERT_NE(blob, cut.blob);  // the cut has borrowed cores on node 0
+  EXPECT_NE(refusal(cut, blob).find("nv row of node 0 disagrees"),
+            std::string::npos);
+}
+
+TEST(Snapshot, RestoreRefusesGpuCoresThePerNodeRowMiscounts) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  const std::string blob = edit_row(cut.blob, [](std::vector<std::string>* t) {
+    if ((*t)[0] != "nv" || (*t)[2] == "0") {
+      return false;
+    }
+    (*t)[2] = std::to_string(std::stoi((*t)[2]) - 1);
+    return true;
+  });
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("disagrees with the running jobs"),
+            std::string::npos);
+}
+
+// Repeats the first manifest entry of `kind` (both rows turned into `as`
+// when given) and counts the copy in the manifest header.
+std::string repeat_event(const std::string& blob, uint32_t kind,
+                         uint32_t as = 0) {
+  const std::string out =
+      edit_row(blob, [kind, as](std::vector<std::string>* t) {
+        if ((*t)[0] != "event" || t->size() != 5 ||
+            (*t)[2] != std::to_string(kind)) {
+          return false;
+        }
+        if (as != 0) {
+          (*t)[2] = std::to_string(as);
+        }
+        (*t)[4] += "\nevent " + (*t)[1] + " " + (*t)[2] + " " + (*t)[3] +
+                   " " + (*t)[4];
+        return true;
+      });
+  return out.empty() ? out : edit_row(out, [](std::vector<std::string>* t) {
+    if ((*t)[0] != "manifest") {
+      return false;
+    }
+    (*t)[1] = std::to_string(std::stoull((*t)[1]) + 1);
+    return true;
+  });
+}
+
+// The manifest holds at most one live entry per key: a second finish would
+// abort in finish_job, a second arrival in the policy's start_job, and a
+// second periodic tick would silently tick twice.
+TEST(Snapshot, RestoreRefusesASecondFinishForOneJob) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const std::string blob = repeat_event(cut.blob, simcore::kTagJobFinish);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("repeats a live entry"), std::string::npos);
+}
+
+TEST(Snapshot, RestoreRefusesASecondArrivalForOneJob) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const std::string blob = repeat_event(cut.blob, simcore::kTagArrival);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("repeats a live entry"), std::string::npos);
+}
+
+// The cut holds no retry, so an arrival's row stands in for one.
+TEST(Snapshot, RestoreRefusesASecondRetryForOneJob) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const std::string blob = repeat_event(cut.blob, simcore::kTagArrival,
+                                        simcore::kTagRetryResubmit);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("repeats a live entry"), std::string::npos);
+}
+
+TEST(Snapshot, RestoreRefusesASecondMetricsTick) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const std::string blob = repeat_event(cut.blob, simcore::kTagMetricsTick);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("repeats a live entry"), std::string::npos);
+}
+
+TEST(Snapshot, RestoreRefusesASecondEliminatorTick) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  const std::string blob =
+      repeat_event(cut.blob, simcore::kTagEliminatorTick);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("repeats a live entry"), std::string::npos);
+}
+
+TEST(Snapshot, RestoreRefusesASecondReservationTick) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  const std::string blob =
+      repeat_event(cut.blob, simcore::kTagReservationTick);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("repeats a live entry"), std::string::npos);
+}
+
+// Tuning ticks are keyed by (job, generation): a second tick of another
+// generation is the stale timer a migration leaves behind and restores;
+// a second tick of the same generation is refused.
+TEST(Snapshot, RestoreRefusesASecondTuningTickOfOneGeneration) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  const std::string same = repeat_event(cut.blob, simcore::kTagTuningTick);
+  ASSERT_FALSE(same.empty());
+  EXPECT_NE(refusal(cut, same).find("repeats a live entry"), std::string::npos);
+  const std::string stale = edit_row(same, [](std::vector<std::string>* t) {
+    if ((*t)[0] != "event" ||
+        (*t)[2] != std::to_string(simcore::kTagTuningTick)) {
+      return false;
+    }
+    (*t)[4] = std::to_string(std::stoull((*t)[4]) + 1000);
+    return true;
+  });
+  ASSERT_FALSE(stale.empty());
+  EXPECT_EQ(refusal(cut, stale), "");
+}
+
 TEST(Snapshot, RestoreRejectsUnknownJobIds) {
   // A snapshot referencing a job id absent from the supplied trace means
   // the embedded session and the state section disagree — fail loudly
