@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "flag_parse.h"
@@ -208,7 +209,7 @@ int cmd_bench(const service::Endpoint& endpoint, const FlagMap& flags) {
   options.connections = flag_int(flags, "connections", 4, 1);
   options.duration_s = flag_double(flags, "duration", 5.0, 0.0);
   options.rate = flag_double(flags, "rate", 0.0, 0.0);
-  options.request_line = flag_or(flags, "request", "PING");
+  options.request_line = flag_or(flags, "request", options.request_line);
   options.pipeline = flag_int(flags, "pipeline", 1, 1);
   options.shards = flag_int(flags, "shards", 0, 0);
   options.auth_token = flag_or(flags, "auth-token", "");
@@ -277,43 +278,32 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  // `--shard K` pins the command to engine shard K via the wire prefix;
-  // without it the server applies its default routing (and fans DRAIN /
-  // SHUTDOWN out to every shard).
-  std::string prefix;
-  if (flags.count("shard") > 0) {
-    prefix = "SHARD " + std::to_string(flag_int(flags, "shard", 0, 0)) + " ";
+  // Every other subcommand is a wire verb spelt in lower case: upper-cased,
+  // it is the verb's name ('?' stands in for any other byte, so "PING"
+  // names nothing). AUTH is the --auth-token flag, not a subcommand.
+  std::string wire_name = verb;
+  for (char& c : wire_name) {
+    c = c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : '?';
   }
-  if (verb == "ping") {
-    return print_response(client->call(prefix + "PING"));
+  const std::optional<service::Verb> wire = service::verb_named(wire_name);
+  if (!wire.has_value() || *wire == service::Verb::kAuth) {
+    usage();
+    return 2;
   }
-  if (verb == "submit") {
-    return print_response(
-        client->call(prefix + "SUBMIT " + build_submit_row(flags)));
-  }
-  if (verb == "status") {
+  std::string arg;
+  if (*wire == service::Verb::kSubmit) {
+    arg = build_submit_row(flags);
+  } else if (*wire == service::Verb::kStatus) {
     if (flags.count("id") == 0) {
       std::fprintf(stderr, "status needs --id N\n");
       return 2;
     }
-    return print_response(client->call(
-        prefix + "STATUS " + std::to_string(flag_int(flags, "id", 0, 0))));
+    arg = std::to_string(flag_int(flags, "id", 0, 0));
   }
-  if (verb == "cluster") {
-    return print_response(client->call(prefix + "CLUSTER"));
-  }
-  if (verb == "metrics") {
-    return print_response(client->call(prefix + "METRICS"));
-  }
-  if (verb == "snapshot") {
-    return print_response(client->call(prefix + "SNAPSHOT"));
-  }
-  if (verb == "drain") {
-    return print_response(client->call(prefix + "DRAIN"));
-  }
-  if (verb == "shutdown") {
-    return print_response(client->call(prefix + "SHUTDOWN"));
-  }
-  usage();
-  return 2;
+  // `--shard K` pins the command to engine shard K via the wire prefix;
+  // without it the server applies its default routing (and fans DRAIN /
+  // SHUTDOWN out to every shard).
+  const int shard =
+      flags.count("shard") > 0 ? flag_int(flags, "shard", 0, 0) : -1;
+  return print_response(client->call(*wire, arg, shard));
 }

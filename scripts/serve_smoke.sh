@@ -69,8 +69,11 @@ echo "==> driving the session (port $port)"
 "$CTL" ping --port "$port" --shard 0 | grep -q 'shard=0'
 "$CTL" ping --port "$port" --shard 1 | grep -q 'shard=1'
 "$CTL" submit --port "$port" --kind cpu --cores 4 --work 900
-"$CTL" submit --port "$port" --kind gpu --model resnet50 --iters 1500
+gpu_id=$("$CTL" submit --port "$port" --kind gpu --model resnet50 \
+         --iters 1500 | sed -n 's/^OK id=\([0-9]*\) .*/\1/p')
+[ -n "$gpu_id" ] || { echo "submit printed no job id" >&2; exit 1; }
 "$CTL" submit --port "$port" --kind cpu --cores 2 --work 120 --user-facing 1
+"$CTL" status --port "$port" --id "$gpu_id" | grep -q "^OK id=$gpu_id state="
 "$CTL" cluster --port "$port"
 "$CTL" metrics --port "$port" --shard 1 >/dev/null
 

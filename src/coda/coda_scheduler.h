@@ -98,6 +98,7 @@ class CodaScheduler : public sched::Scheduler {
   }
   std::optional<sched::Scheduler::PendingGpuDemand> min_pending_gpu_demand()
       const override;
+  bool queued(cluster::JobId id) const override;
   int reclaimable_cpus(cluster::NodeId node) const override;
   int preemptions() const { return preemptions_; }
   int migrations() const { return migrations_; }

@@ -284,4 +284,18 @@ void CodaScheduler::load_state(state::Reader* r,
   refresh_all_cpu_bias();
 }
 
+bool CodaScheduler::queued(cluster::JobId id) const {
+  for (const ArrayState* array :
+       {&cpu_array_, &four_gpu_array_, &one_gpu_array_}) {
+    for (const auto& [tenant, queue] : array->queues) {
+      for (const workload::JobSpec& spec : queue) {
+        if (spec.id == id) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace coda::core

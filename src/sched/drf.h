@@ -30,6 +30,7 @@ class DrfScheduler : public Scheduler {
   size_t pending_jobs() const override { return pending(); }
   size_t pending_gpu_jobs() const override { return gpu_pending_; }
   std::optional<PendingGpuDemand> min_pending_gpu_demand() const override;
+  bool queued(cluster::JobId id) const override;
   // Current dominant share of one tenant (tests / Fig. 12 analysis).
   double dominant_share(cluster::TenantId tenant) const;
 

@@ -36,6 +36,7 @@ class FifoScheduler : public Scheduler {
   size_t pending_jobs() const override { return queue_.size(); }
   size_t pending_gpu_jobs() const override { return gpu_pending_; }
   std::optional<PendingGpuDemand> min_pending_gpu_demand() const override;
+  bool queued(cluster::JobId id) const override;
 
   void save_state(state::Writer* w) const override;
   void load_state(state::Reader* r, const SpecMap& specs) override;

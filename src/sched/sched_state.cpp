@@ -1,5 +1,5 @@
 // Snapshot (de)serialization for the base Scheduler and the FIFO/DRF
-// baselines. Queue contents are written as job-id sequences in queue order;
+// baselines, and the queue lookup restore checks retries against. Queue contents are written as job-id sequences in queue order;
 // load_state rehydrates the full JobSpecs from the snapshot's embedded
 // session (SpecMap), so specs are stored exactly once per session.
 #include <algorithm>
@@ -105,6 +105,26 @@ void DrfScheduler::load_state(state::Reader* r, const SpecMap& specs) {
   }
   r->expect("drf_gpu_pending");
   gpu_pending_ = r->u64();
+}
+
+bool FifoScheduler::queued(cluster::JobId id) const {
+  for (const workload::JobSpec& spec : queue_) {
+    if (spec.id == id) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool DrfScheduler::queued(cluster::JobId id) const {
+  for (const auto& [tenant, state] : tenants_) {
+    for (const workload::JobSpec& spec : state.queue) {
+      if (spec.id == id) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 }  // namespace coda::sched

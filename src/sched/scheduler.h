@@ -193,6 +193,10 @@ class Scheduler {
   };
   virtual std::optional<PendingGpuDemand> min_pending_gpu_demand() const = 0;
 
+  // Whether job `id` waits in this policy's queue. restore_session refuses
+  // a retry for a queued job, whose resubmission would queue it twice.
+  virtual bool queued(cluster::JobId /*id*/) const { return false; }
+
   // CPU cores on `node` this policy could reclaim on demand for a GPU job
   // (CODA's preemptible borrowers). Idle GPUs next to reclaimable cores are
   // not fragmented — a pending GPU job would trigger the eviction. Baselines

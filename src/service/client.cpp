@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <thread>
 #include <unordered_map>
@@ -115,49 +114,15 @@ util::Result<Client> Client::connect(const Endpoint& endpoint) {
 }
 
 util::Result<Response> Client::call(const std::string& request_line) {
-  if (fd_ < 0) {
-    return util::Error{util::ErrorCode::kFailedPrecondition,
-                       "client is not connected"};
+  if (auto sent = send(request_line); !sent.ok()) {
+    return sent.error();
   }
-  const std::string framed = request_line + "\n";
-  if (!write_all(fd_, framed.data(), framed.size())) {
-    return sys_error("send");
+  // Responses arrive strictly in request order.
+  auto line = read_line();
+  if (!line.ok()) {
+    return line.error();
   }
-  // Responses arrive strictly in request order; pending_lines_ holds any
-  // lines a previous oversized read already framed.
-  while (pending_lines_.empty()) {
-    char buf[4096];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n == 0) {
-      return util::Error{util::ErrorCode::kIoError,
-                         "server closed the connection"};
-    }
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return sys_error("recv");
-    }
-    if (!reader_.feed(buf, static_cast<size_t>(n), &pending_lines_)) {
-      return util::Error{util::ErrorCode::kParseError,
-                         "response line too long"};
-    }
-  }
-  std::string line = std::move(pending_lines_.front());
-  pending_lines_.erase(pending_lines_.begin());
-  return parse_response(line);
-}
-
-util::Status Client::send(const std::string& request_line) {
-  if (fd_ < 0) {
-    return util::Error{util::ErrorCode::kFailedPrecondition,
-                       "client is not connected"};
-  }
-  const std::string framed = request_line + "\n";
-  if (!write_all(fd_, framed.data(), framed.size())) {
-    return sys_error("send");
-  }
-  return util::Status::Ok();
+  return parse_response(*line);
 }
 
 util::Status Client::send_framed(const std::string& data) {
@@ -172,6 +137,14 @@ util::Status Client::send_framed(const std::string& data) {
 }
 
 util::Result<TaggedResponse> Client::recv_tagged() {
+  auto line = read_line();
+  if (!line.ok()) {
+    return line.error();
+  }
+  return parse_tagged_response(*line);
+}
+
+util::Result<std::string> Client::read_line() {
   if (fd_ < 0) {
     return util::Error{util::ErrorCode::kFailedPrecondition,
                        "client is not connected"};
@@ -196,12 +169,7 @@ util::Result<TaggedResponse> Client::recv_tagged() {
   }
   std::string line = std::move(pending_lines_.front());
   pending_lines_.erase(pending_lines_.begin());
-  return parse_tagged_response(line);
-}
-
-util::Result<Response> Client::status(uint64_t job_id) {
-  return call(util::strfmt("STATUS %llu",
-                           static_cast<unsigned long long>(job_id)));
+  return line;
 }
 
 // ------------------------------------------------------------- bench mode
@@ -218,12 +186,10 @@ util::Result<BenchReport> run_bench(const Endpoint& endpoint,
   }
   struct WorkerStats {
     size_t sent = 0;
-    size_t ok = 0;
     size_t busy = 0;
     size_t errors = 0;
-    std::vector<double> latencies_ms;
-    // Parallel per-shard latency buckets (index = SHARD prefix used);
-    // everything lands in bucket 0 when no prefixes are in play.
+    // Latencies and OK replies per shard bucket (index = SHARD prefix
+    // used); everything lands in bucket 0 when no prefixes are in play.
     std::vector<std::vector<double>> shard_latencies_ms;
     std::vector<size_t> shard_ok;
   };
@@ -263,7 +229,6 @@ util::Result<BenchReport> run_bench(const Endpoint& endpoint,
     threads.emplace_back([&, w] {
       WorkerStats& s = stats[static_cast<size_t>(w)];
       Client& client = clients[static_cast<size_t>(w)];
-      s.latencies_ms.reserve(1 << 16);
       s.shard_latencies_ms.resize(static_cast<size_t>(n_buckets));
       s.shard_ok.assign(static_cast<size_t>(n_buckets), 0);
 
@@ -306,21 +271,14 @@ util::Result<BenchReport> run_bench(const Endpoint& endpoint,
                 std::chrono::duration<double>(1.0 / per_conn_rate));
           }
           const uint64_t cid = next_cid++;
-          const int bucket =
+          const int shard =
               options.shards > 0
                   ? static_cast<int>(cid % static_cast<uint64_t>(n_buckets))
-                  : 0;
-          char prefix[48];
-          int n = std::snprintf(prefix, sizeof(prefix), "CID %llu ",
-                                static_cast<unsigned long long>(cid));
-          batch.append(prefix, static_cast<size_t>(n));
-          if (options.shards > 0) {
-            n = std::snprintf(prefix, sizeof(prefix), "SHARD %d ", bucket);
-            batch.append(prefix, static_cast<size_t>(n));
-          }
+                  : -1;
+          append_prefix(&batch, cid, shard);
           batch += options.request_line;
           batch += '\n';
-          batched.emplace_back(cid, bucket);
+          batched.emplace_back(cid, std::max(shard, 0));
         }
         if (!batched.empty()) {
           // One timestamp for the window: the commands hit the wire
@@ -357,11 +315,9 @@ util::Result<BenchReport> run_bench(const Endpoint& endpoint,
                 .count();
         const size_t bucket = static_cast<size_t>(it->second.bucket);
         inflight.erase(it);
-        s.latencies_ms.push_back(ms);
         s.shard_latencies_ms[bucket].push_back(ms);
         switch (tagged->response.kind) {
           case Response::Kind::kOk:
-            ++s.ok;
             ++s.shard_ok[bucket];
             break;
           case Response::Kind::kBusy:
@@ -387,16 +343,15 @@ util::Result<BenchReport> run_bench(const Endpoint& endpoint,
   std::vector<size_t> bucket_ok(static_cast<size_t>(n_buckets), 0);
   for (const auto& s : stats) {
     report.sent += s.sent;
-    report.ok += s.ok;
     report.busy += s.busy;
     report.errors += s.errors;
-    all_latencies.insert(all_latencies.end(), s.latencies_ms.begin(),
-                         s.latencies_ms.end());
     for (size_t b = 0; b < s.shard_latencies_ms.size(); ++b) {
-      bucket_latencies[b].insert(bucket_latencies[b].end(),
-                                 s.shard_latencies_ms[b].begin(),
-                                 s.shard_latencies_ms[b].end());
+      const std::vector<double>& ms = s.shard_latencies_ms[b];
+      all_latencies.insert(all_latencies.end(), ms.begin(), ms.end());
+      bucket_latencies[b].insert(bucket_latencies[b].end(), ms.begin(),
+                                 ms.end());
       bucket_ok[b] += s.shard_ok[b];
+      report.ok += s.shard_ok[b];
     }
   }
   report.wall_s = wall;

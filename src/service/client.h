@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/protocol.h"
@@ -34,6 +35,10 @@ class Client {
 
   // Sends one request line and blocks for the matching response line.
   util::Result<Response> call(const std::string& request_line);
+  util::Result<Response> call(Verb verb, std::string_view arg = {},
+                              int shard = -1) {
+    return call(format_request(verb, arg, shard));
+  }
 
   // ---- pipelined API ----
   // send() writes a framed request line without waiting; recv_tagged()
@@ -42,7 +47,9 @@ class Client {
   // keep many in flight and match replies as they complete, including
   // out-of-order completions across shards. Do not interleave with call(),
   // which assumes strict request-order replies.
-  util::Status send(const std::string& request_line);
+  util::Status send(const std::string& request_line) {
+    return send_framed(request_line + "\n");
+  }
   // Writes pre-framed bytes (caller supplies the '\n' after every line) in
   // one syscall — the load generator batches a whole pipeline window this
   // way instead of paying a send(2) per command.
@@ -50,21 +57,26 @@ class Client {
   util::Result<TaggedResponse> recv_tagged();
 
   // Convenience verbs.
-  util::Result<Response> ping() { return call("PING"); }
+  util::Result<Response> ping() { return call(Verb::kPing); }
   util::Result<Response> auth(const std::string& token) {
-    return call("AUTH " + token);
+    return call(Verb::kAuth, token);
   }
-  util::Result<Response> snapshot() { return call("SNAPSHOT"); }
+  util::Result<Response> snapshot() { return call(Verb::kSnapshot); }
   util::Result<Response> submit_row(const std::string& csv_row) {
-    return call("SUBMIT " + csv_row);
+    return call(Verb::kSubmit, csv_row);
   }
-  util::Result<Response> status(uint64_t job_id);
-  util::Result<Response> cluster() { return call("CLUSTER"); }
-  util::Result<Response> metrics() { return call("METRICS"); }
-  util::Result<Response> drain() { return call("DRAIN"); }
-  util::Result<Response> shutdown() { return call("SHUTDOWN"); }
+  util::Result<Response> status(uint64_t job_id) {
+    return call(Verb::kStatus, std::to_string(job_id));
+  }
+  util::Result<Response> cluster() { return call(Verb::kCluster); }
+  util::Result<Response> metrics() { return call(Verb::kMetrics); }
+  util::Result<Response> drain() { return call(Verb::kDrain); }
+  util::Result<Response> shutdown() { return call(Verb::kShutdown); }
 
  private:
+  // The next response line: a previous read may already have framed it.
+  util::Result<std::string> read_line();
+
   int fd_ = -1;
   LineReader reader_{1 << 20};
   std::vector<std::string> pending_lines_;
@@ -81,7 +93,7 @@ struct BenchOptions {
   double rate = 0.0;
   // Request line every worker repeats; PING measures the pure
   // mailbox/engine round trip.
-  std::string request_line = "PING";
+  std::string request_line = format_request(Verb::kPing);
   // Outstanding CID-tagged requests per connection. 1 = classic
   // request/response; larger depths pipeline and measure the event loop
   // rather than the RTT.

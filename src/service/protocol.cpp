@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <iterator>
 
-#include "util/env.h"
 #include "util/parse.h"
 #include "util/strings.h"
 
@@ -69,52 +69,101 @@ enum class ArgShape {
 
 struct VerbSpec {
   const char* name;
-  Verb verb;
   ArgShape arg;
 };
 
-// Every verb once, with its wire name and argument shape.
+// Every verb once, indexed by Verb, with its wire name and argument shape.
 constexpr VerbSpec kVerbs[] = {
-    {"PING", Verb::kPing, ArgShape::kNone},
-    {"SUBMIT", Verb::kSubmit, ArgShape::kCsvRow},
-    {"STATUS", Verb::kStatus, ArgShape::kJobId},
-    {"CLUSTER", Verb::kCluster, ArgShape::kNone},
-    {"METRICS", Verb::kMetrics, ArgShape::kNone},
-    {"DRAIN", Verb::kDrain, ArgShape::kNone},
-    {"SHUTDOWN", Verb::kShutdown, ArgShape::kNone},
-    {"AUTH", Verb::kAuth, ArgShape::kToken},
-    {"SNAPSHOT", Verb::kSnapshot, ArgShape::kNone},
+    {"PING", ArgShape::kNone},
+    {"SUBMIT", ArgShape::kCsvRow},
+    {"STATUS", ArgShape::kJobId},
+    {"CLUSTER", ArgShape::kNone},
+    {"METRICS", ArgShape::kNone},
+    {"DRAIN", ArgShape::kNone},
+    {"SHUTDOWN", ArgShape::kNone},
+    {"AUTH", ArgShape::kToken},
+    {"SNAPSHOT", ArgShape::kNone},
 };
+static_assert(std::size(kVerbs) == static_cast<size_t>(Verb::kSnapshot) + 1);
+
+const VerbSpec& spec_of(Verb verb) {
+  CODA_ASSERT(static_cast<size_t>(verb) < std::size(kVerbs));
+  return kVerbs[static_cast<size_t>(verb)];
+}
+
+// Reads the `CID n` / `SHARD k` prefixes (any order, each at most once)
+// off the front of `*rest`: a request's envelope, or a reply's CID echo.
+util::Status read_prefix(std::string_view* rest, Envelope* env) {
+  bool saw_cid = false;
+  bool saw_shard = false;
+  while (true) {
+    std::string_view head;
+    std::string_view tail;
+    split_verb(*rest, &head, &tail);
+    const bool is_cid = head == "CID";
+    const bool is_shard = head == "SHARD";
+    if (!is_cid && !is_shard) {
+      break;
+    }
+    if ((is_cid && saw_cid) || (is_shard && saw_shard)) {
+      return util::Error{util::ErrorCode::kParseError,
+                         "duplicate " + std::string(head) + " prefix"};
+    }
+    std::string_view value;
+    std::string_view after;
+    split_verb(tail, &value, &after);
+    unsigned long long parsed = 0;
+    if (util::parse_number(value, &parsed) != util::ParseStatus::kOk) {
+      return util::Error{util::ErrorCode::kParseError,
+                         std::string(head) + " needs an unsigned integer"};
+    }
+    if (is_cid) {
+      saw_cid = true;
+      env->has_cid = true;
+      env->cid = parsed;
+    } else {
+      saw_shard = true;
+      if (parsed > 1'000'000) {
+        return util::Error{util::ErrorCode::kParseError,
+                           "SHARD index out of range"};
+      }
+      env->shard = static_cast<int>(parsed);
+    }
+    *rest = after;
+  }
+  return util::Status::Ok();
+}
 
 }  // namespace
 
-const char* to_string(Verb verb) {
-  for (const VerbSpec& spec : kVerbs) {
-    if (spec.verb == verb) {
-      return spec.name;
+const char* to_string(Verb verb) { return spec_of(verb).name; }
+
+std::optional<Verb> verb_named(std::string_view name) {
+  for (size_t i = 0; i < std::size(kVerbs); ++i) {
+    if (name == kVerbs[i].name) {
+      return static_cast<Verb>(i);
     }
   }
-  return "?";
+  return std::nullopt;
 }
 
 util::Result<Request> parse_request(std::string_view line) {
   std::string_view verb;
   std::string_view rest;
   split_verb(trim_view(line), &verb, &rest);
-  const VerbSpec* spec = std::find_if(
-      std::begin(kVerbs), std::end(kVerbs),
-      [verb](const VerbSpec& s) { return verb == s.name; });
-  if (spec == std::end(kVerbs)) {
+  const std::optional<Verb> named = verb_named(verb);
+  if (!named.has_value()) {
     return util::Error{util::ErrorCode::kParseError,
                        "unknown verb '" + std::string(verb) + "'"};
   }
-  const auto refuse = [spec](const char* why) {
+  const VerbSpec& spec = spec_of(*named);
+  const auto refuse = [&spec](const char* why) {
     return util::Error{util::ErrorCode::kParseError,
-                       std::string(spec->name) + " " + why};
+                       std::string(spec.name) + " " + why};
   };
   Request req;
-  req.verb = spec->verb;
-  switch (spec->arg) {
+  req.verb = *named;
+  switch (spec.arg) {
     case ArgShape::kNone:
       if (!rest.empty()) {
         return refuse("takes no argument");
@@ -148,42 +197,8 @@ util::Result<Request> parse_request(std::string_view line) {
 util::Result<Envelope> parse_envelope(std::string_view line) {
   Envelope env;
   std::string_view rest = trim_view(line);
-  bool saw_cid = false;
-  bool saw_shard = false;
-  while (true) {
-    std::string_view head;
-    std::string_view tail;
-    split_verb(rest, &head, &tail);
-    const bool is_cid = head == "CID";
-    const bool is_shard = head == "SHARD";
-    if (!is_cid && !is_shard) {
-      break;
-    }
-    if ((is_cid && saw_cid) || (is_shard && saw_shard)) {
-      return util::Error{util::ErrorCode::kParseError,
-                         "duplicate " + std::string(head) + " prefix"};
-    }
-    std::string_view value;
-    std::string_view after;
-    split_verb(tail, &value, &after);
-    unsigned long long parsed = 0;
-    if (util::parse_number(value, &parsed) != util::ParseStatus::kOk) {
-      return util::Error{util::ErrorCode::kParseError,
-                         std::string(head) + " needs an unsigned integer"};
-    }
-    if (is_cid) {
-      saw_cid = true;
-      env.has_cid = true;
-      env.cid = parsed;
-    } else {
-      saw_shard = true;
-      if (parsed > 1'000'000) {
-        return util::Error{util::ErrorCode::kParseError,
-                           "SHARD index out of range"};
-      }
-      env.shard = static_cast<int>(parsed);
-    }
-    rest = after;
+  if (auto read = read_prefix(&rest, &env); !read.ok()) {
+    return read.error();
   }
   auto req = parse_request(rest);
   if (!req.ok()) {
@@ -191,6 +206,31 @@ util::Result<Envelope> parse_envelope(std::string_view line) {
   }
   env.request = std::move(*req);
   return env;
+}
+
+void append_prefix(std::string* out, std::optional<uint64_t> cid,
+                   int shard) {
+  char buf[64];
+  int n = cid.has_value() ? std::snprintf(buf, sizeof(buf), "CID %llu ",
+                                          static_cast<unsigned long long>(*cid))
+                          : 0;
+  if (shard >= 0) {
+    n += std::snprintf(buf + n, sizeof(buf) - n, "SHARD %d ", shard);
+  }
+  out->append(buf, static_cast<size_t>(n));
+}
+
+std::string format_request(Verb verb, std::string_view arg, int shard,
+                           std::optional<uint64_t> cid) {
+  const VerbSpec& spec = spec_of(verb);
+  std::string line;
+  append_prefix(&line, cid, shard);
+  line += spec.name;
+  if (spec.arg != ArgShape::kNone) {
+    line += ' ';
+    line += arg;
+  }
+  return line;
 }
 
 uint64_t tenant_of_csv_row(std::string_view csv_row) {
@@ -265,26 +305,16 @@ util::Result<Response> parse_response(std::string_view line) {
 }
 
 util::Result<TaggedResponse> parse_tagged_response(std::string_view line) {
-  TaggedResponse tagged;
+  Envelope echo;  // a reply's prefix is at most its CID
   std::string_view body = line;
-  if (body.substr(0, 4) == "CID ") {
-    std::string_view head;
-    std::string_view rest;
-    split_verb(body.substr(4), &head, &rest);
-    unsigned long long cid = 0;
-    if (util::parse_number(head, &cid) != util::ParseStatus::kOk) {
-      return util::Error{util::ErrorCode::kParseError, "bad CID echo"};
-    }
-    tagged.has_cid = true;
-    tagged.cid = cid;
-    body = rest;
+  if (!read_prefix(&body, &echo).ok() || echo.shard >= 0) {
+    return util::Error{util::ErrorCode::kParseError, "bad CID echo"};
   }
   auto resp = parse_response(body);
   if (!resp.ok()) {
     return resp.error();
   }
-  tagged.response = std::move(*resp);
-  return tagged;
+  return TaggedResponse{std::move(*resp), echo.has_cid, echo.cid};
 }
 
 bool LineReader::feed(const char* data, size_t n,

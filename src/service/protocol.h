@@ -53,6 +53,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -100,6 +101,19 @@ struct Envelope {
 // Parses the optional `CID n` / `SHARD k` prefixes (any order, each at
 // most once) followed by the request itself.
 util::Result<Envelope> parse_envelope(std::string_view line);
+
+// Appends the prefix `[CID n ][SHARD k ]` to `out` in place: CID when `cid`
+// is set, SHARD when `shard` >= 0. codad's reply CID echo is the same.
+void append_prefix(std::string* out, std::optional<uint64_t> cid,
+                   int shard = -1);
+
+// The request line `[CID n ][SHARD k ]VERB[ arg]` parse_envelope reads, no
+// newline, from the verb table: `arg` follows only a verb that takes one.
+std::string format_request(Verb verb, std::string_view arg = {}, int shard = -1,
+                           std::optional<uint64_t> cid = std::nullopt);
+
+// The verb whose wire name is `name` (case-sensitive), if any.
+std::optional<Verb> verb_named(std::string_view name);
 
 // Extracts the tenant id from a SUBMIT csv row without a full JobSpec
 // parse (column 2 of the trace_io layout). Returns 0 on malformed rows —

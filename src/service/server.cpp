@@ -1402,10 +1402,7 @@ void Server::enqueue_line(Conn& conn, bool has_cid, uint64_t cid,
     return;
   }
   if (has_cid) {
-    char prefix[32];
-    const int n = std::snprintf(prefix, sizeof(prefix), "CID %llu ",
-                                static_cast<unsigned long long>(cid));
-    conn.outbuf.append(prefix, static_cast<size_t>(n));
+    append_prefix(&conn.outbuf, cid);
   }
   conn.outbuf += line;
   conn.outbuf += '\n';

@@ -158,6 +158,10 @@ class ClusterEngine : public telemetry::BandwidthSource,
   }
   size_t running_jobs() const { return running_.size(); }
   bool is_running(cluster::JobId id) const { return running_.count(id) > 0; }
+  // Arrived and not running: queued, or waiting out a retry backoff.
+  bool is_pending(cluster::JobId id) const {
+    return pending_since_.count(id) > 0;
+  }
   size_t finished_jobs() const { return finished_count_; }
   size_t abandoned_jobs() const { return abandoned_count_; }
   const EventLog& event_log() const { return event_log_; }
@@ -216,8 +220,8 @@ class ClusterEngine : public telemetry::BandwidthSource,
   // Re-arm helpers: re-post one pending simulator event recorded in a
   // snapshot manifest at its exact absolute time. The live paths post
   // through them too. The job or node must exist (restore_session checks
-  // manifest entries first): an arrival needs the job's record, a finish a
-  // running job.
+  // manifest entries first): an arrival needs the record of a job that has
+  // not arrived yet, a finish a running job.
   void rearm_arrival(double t, cluster::JobId id);
   void rearm_finish(double t, cluster::JobId id);
   void rearm_outage_fail(double t, cluster::NodeId node);

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include <unistd.h>
 
@@ -18,32 +19,6 @@ namespace coda::sim {
 namespace {
 
 constexpr const char* kCacheMagic = "CODA_REPORT_CACHE";
-
-void mix_spec(CacheKeyHasher& h, const workload::JobSpec& spec) {
-  h.mix(spec.id);
-  h.mix(static_cast<uint64_t>(spec.tenant));
-  h.mix(static_cast<int>(spec.kind));
-  h.mix(spec.submit_time);
-  h.mix(static_cast<int>(spec.model));
-  h.mix(spec.train_config.nodes);
-  h.mix(spec.train_config.gpus_per_node);
-  h.mix(spec.train_config.batch_size);
-  h.mix(spec.train_config.net_gbps);
-  h.mix(spec.iterations);
-  h.mix(spec.requested_cpus);
-  h.mix(spec.hints.category_known);
-  h.mix(spec.hints.pipelined);
-  h.mix(spec.hints.large_weights);
-  h.mix(spec.hints.complex_prep);
-  h.mix(spec.cpu_cores);
-  h.mix(spec.cpu_work_core_s);
-  h.mix(spec.mem_bw_gbps);
-  h.mix(spec.bw_bound_fraction);
-  h.mix(spec.llc_mb);
-  h.mix(spec.user_facing);
-  h.mix(spec.checkpoint_interval_s);
-  h.mix(spec.checkpoint_overhead_s);
-}
 
 }  // namespace
 
@@ -82,7 +57,8 @@ std::string experiment_cache_key(Policy policy,
 #undef CODA_MIX_FIELD
   h.mix(trace.size());
   for (const auto& spec : trace) {
-    mix_spec(h, spec);
+    std::apply([&h](const auto&... field) { (h.mix(field), ...); },
+               fields(spec));
   }
   return h.hex();
 }

@@ -34,6 +34,15 @@ class CacheKeyHasher {
   void mix(E v) {
     mix(static_cast<int64_t>(v));
   }
+  // Any other integer widens to 64 bits too (a TenantId, say).
+  template <typename I, std::enable_if_t<std::is_integral_v<I>, int> = 0>
+  void mix(I v) {
+    if constexpr (std::is_signed_v<I>) {
+      mix(static_cast<int64_t>(v));
+    } else {
+      mix(static_cast<uint64_t>(v));
+    }
+  }
   void mix(double v);
   void mix(const std::string& s);
 
@@ -45,7 +54,8 @@ class CacheKeyHasher {
 };
 
 // Key for one (policy, trace, config) replay. Hashes every JobSpec in the
-// trace, every ExperimentConfig field (the CODA_EXPERIMENT_CONFIG_FIELDS
+// trace through fields(JobSpec), the list snapshots and reports persist,
+// every ExperimentConfig field (the CODA_EXPERIMENT_CONFIG_FIELDS
 // table in sim/experiment.h) and kReportFormatVersion.
 std::string experiment_cache_key(Policy policy,
                                  const std::vector<workload::JobSpec>& trace,

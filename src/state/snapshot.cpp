@@ -116,53 +116,74 @@ util::Result<RestoredSession> restore_session(
   out.submitted = out.engine->records().size();
   out.scheduler.scheduler->load_state(&r, specs);
 
-  // Re-arm the manifest in serialized ((t, seq) ascending) order: the fresh
-  // insertion sequences ascend with it, so relative order under time ties
-  // matches the captured queue. Each entry is checked first: an event in
-  // the simulated past, one naming a job or node the restored state does
-  // not hold, or a second live entry for one key would abort the engine
-  // (or silently run twice) when it is posted or when it fires.
+  // The manifest, read twice. First its shape, on a copy of the reader:
+  // every event at or after the snapshot's virtual time, and at most one
+  // live entry per key. Then each entry against the restored state,
+  // re-armed in serialized ((t, seq) ascending) order: the fresh insertion
+  // sequences ascend with it, so relative order under time ties matches
+  // the captured queue. An event in the simulated past, a second live
+  // entry for one key, or one naming a job or node the restored state does
+  // not hold (or holds in another state) would abort the engine (or
+  // silently run twice) when it is posted or when it fires.
   r.expect("manifest");
   const uint64_t n = r.u64();
   sim::ClusterEngine& engine = *out.engine;
-  // One live entry per key: a job's arrival, finish or retry, each periodic
-  // tick, and a tuning tick's (job, generation); a migrated job leaves a
-  // stale tuning tick of its old generation behind. Outages are not keyed:
-  // schedule_failures posts a node's whole outage schedule up front.
-  std::set<std::tuple<uint32_t, uint64_t, uint64_t>> live;
-  for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    r.expect("event");
-    double t = 0.0;
-    uint32_t kind = 0;
-    uint64_t a = 0;
-    uint64_t b = 0;
-    if (!r.read(t, kind, a, b)) {
-      break;
+  double t = 0.0;
+  uint32_t kind = 0;
+  uint64_t a = 0;
+  uint64_t b = 0;
+  const auto next_event = [&](Reader& from) {
+    return from.expect("event") && from.read(t, kind, a, b);
+  };
+  {
+    // One live entry per key: a job's arrival, finish or retry, each periodic
+    // tick, and a tuning tick's (job, generation); a migrated job leaves a
+    // stale tuning tick of its old generation behind. Outages are not keyed:
+    // schedule_failures posts a node's whole outage schedule up front.
+    std::set<std::tuple<uint32_t, uint64_t, uint64_t>> live;
+    Reader shape = r;
+    for (uint64_t i = 0; i < n && next_event(shape); ++i) {
+      if (!(t >= engine.sim().now())) {
+        shape.fail("manifest event before the snapshot's virtual time");
+        break;
+      }
+      const bool per_job = kind == simcore::kTagArrival ||
+                           kind == simcore::kTagJobFinish ||
+                           kind == simcore::kTagRetryResubmit ||
+                           kind == simcore::kTagTuningTick;
+      if (kind != simcore::kTagNodeFail && kind != simcore::kTagNodeRecover &&
+          !live.emplace(kind, per_job ? a : 0,
+                        kind == simcore::kTagTuningTick ? b : 0)
+               .second) {
+        shape.fail(util::strfmt("manifest repeats a live entry (kind %u, %llu)",
+                                kind, static_cast<unsigned long long>(a)));
+        break;
+      }
     }
-    if (!(t >= engine.sim().now())) {
-      r.fail("manifest event before the snapshot's virtual time");
-      break;
+    if (auto status = shape.status(); !status.ok()) {
+      return status.error();
     }
-    const bool per_job = kind == simcore::kTagArrival ||
-                         kind == simcore::kTagJobFinish ||
-                         kind == simcore::kTagRetryResubmit ||
-                         kind == simcore::kTagTuningTick;
-    if (kind != simcore::kTagNodeFail && kind != simcore::kTagNodeRecover &&
-        !live.emplace(kind, per_job ? a : 0,
-                      kind == simcore::kTagTuningTick ? b : 0)
-             .second) {
-      r.fail(util::strfmt("manifest repeats a live entry (kind %u, %llu)",
-                          kind, static_cast<unsigned long long>(a)));
-      break;
-    }
+  }
+  for (uint64_t i = 0; i < n && r.ok() && next_event(r); ++i) {
     switch (kind) {
-      case simcore::kTagArrival:
-        if (engine.records().count(a) == 0) {
+      case simcore::kTagArrival: {
+        const auto rec = engine.records().find(a);
+        if (rec == engine.records().end()) {
           r.fail("arrival manifest entry references an unknown job");
+          break;
+        }
+        // A job arrives once. One that is pending or running, or has
+        // started, completed or been abandoned, already arrived.
+        if (engine.is_pending(a) || engine.is_running(a) ||
+            rec->second.first_start_time >= 0.0 || rec->second.completed ||
+            rec->second.abandoned) {
+          r.fail("arrival manifest entry references a job that already "
+                 "arrived");
           break;
         }
         engine.rearm_arrival(t, a);
         break;
+      }
       case simcore::kTagJobFinish:
         if (!engine.is_running(a)) {
           r.fail("finish manifest entry references a job that is not "
@@ -192,6 +213,14 @@ util::Result<RestoredSession> restore_session(
         auto it = specs.find(a);
         if (it == specs.end()) {
           r.fail("retry manifest entry references an unknown job");
+          break;
+        }
+        // A retry resubmits a job in retry backoff: evicted back to
+        // pending, not running, and not yet in the policy's queue.
+        if (!engine.is_pending(a) || engine.is_running(a) ||
+            out.scheduler.scheduler->queued(a)) {
+          r.fail("retry manifest entry references a job not in retry "
+                 "backoff");
           break;
         }
         out.scheduler.scheduler->rearm_retry(t, it->second);

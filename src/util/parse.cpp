@@ -63,6 +63,9 @@ Error not_a(const std::string& text, ParseStatus status, const char* what) {
 ParseStatus parse_number(std::string_view text, long long* out) {
   return parse_integer(text, out);
 }
+ParseStatus parse_number(std::string_view text, int* out) {
+  return parse_integer(text, out);
+}
 ParseStatus parse_number(std::string_view text, unsigned long long* out) {
   return parse_integer(text, out);
 }

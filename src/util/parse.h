@@ -27,6 +27,7 @@ enum class ParseStatus { kOk, kMalformed, kOutOfRange };
 // string_view is copied to a stack buffer, and refused past 63 chars; the
 // std::string overload parses in place, with no length limit.
 ParseStatus parse_number(std::string_view text, long long* out);
+ParseStatus parse_number(std::string_view text, int* out);
 ParseStatus parse_number(std::string_view text, unsigned long long* out);
 ParseStatus parse_number(std::string_view text, double* out);
 ParseStatus parse_number(const std::string& text, double* out);

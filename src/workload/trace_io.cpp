@@ -1,12 +1,14 @@
 #include "workload/trace_io.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 #include <unordered_set>
 
-#include "util/csv.h"
 #include "util/parse.h"
 #include "util/strings.h"
 
@@ -14,7 +16,7 @@ namespace coda::workload {
 
 namespace {
 
-const std::vector<std::string> kColumns = {
+constexpr std::array<const char*, 22> kColumns = {
     "id",        "tenant",      "kind",       "submit_time",
     "model",     "nodes",       "gpus_per_node", "batch_size",
     "iterations", "requested_cpus", "hint_category", "hint_pipelined",
@@ -33,210 +35,196 @@ util::Result<perfmodel::ModelId> model_from_string(const std::string& name) {
                      "unknown model name '" + name + "'"};
 }
 
-util::Error field_error(size_t row, const char* column,
-                        const std::string& value, const char* why) {
-  return util::Error{
-      util::ErrorCode::kParseError,
-      util::strfmt("trace row %zu: column '%s' value '%s' %s", row + 1,
-                   column, value.c_str(), why)};
-}
+// One data row's fields. read() stores one parsed column in its
+// destination, or records the row's error and returns false, so a run of
+// reads is one && chain that stops at the first bad field.
+struct Row {
+  size_t index = 0;  // among the data rows
+  std::array<std::string_view, kColumns.size()> field;
+  util::Error error;
 
-// Checked replacements for the old atoi/strtod calls, which silently turned
-// malformed fields into 0 (a GPU job with 0 nodes/GPUs would "load" fine).
-// Each one demands the whole field parse and rejects range overflow.
-template <typename T>
-util::Result<T> parse_field(const std::string& s, size_t row,
-                            const char* column, const char* what) {
-  T v{};
-  switch (util::parse_number(s, &v)) {
-    case util::ParseStatus::kOk:
-      return v;
-    case util::ParseStatus::kOutOfRange:
-      return field_error(row, column, s, "is out of range");
-    case util::ParseStatus::kMalformed:
-      break;
+  util::Error refuse(size_t column, const char* why) const {
+    return util::Error{
+        util::ErrorCode::kParseError,
+        util::strfmt("trace row %zu: column '%s' value '%.*s' %s", index + 1,
+                     kColumns[column], static_cast<int>(field[column].size()),
+                     field[column].data(), why)};
   }
-  return field_error(row, column, s, s.empty() ? "is empty" : what);
-}
-
-util::Result<long long> parse_int(const std::string& s, size_t row,
-                                  const char* column) {
-  return parse_field<long long>(s, row, column, "is not an integer");
-}
-
-util::Result<double> parse_real(const std::string& s, size_t row,
-                                const char* column) {
-  return parse_field<double>(s, row, column, "is not a number");
-}
-
-util::Result<bool> parse_flag(const std::string& s, size_t row,
-                              const char* column) {
-  if (s == "1") {
-    return true;
-  }
-  if (s == "0") {
+  bool fail(size_t column, const char* why) {
+    error = refuse(column, why);
     return false;
   }
-  return field_error(row, column, s, "is not 0 or 1");
+
+  // Checked replacements for the old atoi/strtod calls, which silently
+  // turned malformed fields into 0 (a GPU job with 0 nodes/GPUs would
+  // "load" fine). Each one demands the whole field parse and rejects range
+  // overflow, an int column's value outside int included. A double parses
+  // through the std::string overload, which has no length limit.
+  template <typename T>
+  bool read(size_t column, T* out) {
+    switch (util::parse_number(std::string(field[column]), out)) {
+      case util::ParseStatus::kOk:
+        return true;
+      case util::ParseStatus::kOutOfRange:
+        return fail(column, "is out of range");
+      case util::ParseStatus::kMalformed:
+        break;
+    }
+    return fail(column, field[column].empty()          ? "is empty"
+                        : std::is_same_v<T, double> ? "is not a number"
+                                                    : "is not an integer");
+  }
+  bool read(size_t column, bool* out) {
+    if (field[column] != "1" && field[column] != "0") {
+      return fail(column, "is not 0 or 1");
+    }
+    *out = field[column] == "1";
+    return true;
+  }
+};
+
+// A line's content: one trailing '\r' dropped, and nothing at all for a
+// blank line (only spaces, tabs and '\r'), which readers skip.
+std::string_view content(std::string_view line) {
+  if (!line.empty() && line.back() == '\r') {
+    line.remove_suffix(1);
+  }
+  return line.find_first_not_of(" \t\r") == std::string_view::npos
+             ? std::string_view()
+             : line;
+}
+
+// Parses data row number `index` (0-based) of a trace whose earlier rows
+// hold `ids` (none when null).
+util::Result<JobSpec> parse_row(std::string_view line, size_t index,
+                                std::unordered_set<cluster::JobId>* ids) {
+  Row row{index, {}, {}};
+  size_t n = 0;  // fields seen
+  for (size_t begin = 0; begin <= line.size(); ++n) {
+    const size_t comma = std::min(line.find(',', begin), line.size());
+    if (n < row.field.size()) {
+      row.field[n] = line.substr(begin, comma - begin);
+    }
+    begin = comma + 1;
+  }
+  if (n != kColumns.size()) {
+    return util::Error{
+        util::ErrorCode::kParseError,
+        util::strfmt("trace row %zu has %zu fields, header has %zu",
+                     index + 1, n, kColumns.size())};
+  }
+  JobSpec j;
+  long long id = 0;
+  long long tenant = 0;
+  perfmodel::TrainConfig& tc = j.train_config;
+  if (!(row.read(0, &id) && row.read(1, &tenant) &&
+        row.read(3, &j.submit_time) && row.read(5, &tc.nodes) &&
+        row.read(6, &tc.gpus_per_node) && row.read(7, &tc.batch_size) &&
+        row.read(8, &j.iterations) && row.read(9, &j.requested_cpus) &&
+        row.read(10, &j.hints.category_known) &&
+        row.read(11, &j.hints.pipelined) &&
+        row.read(12, &j.hints.large_weights) &&
+        row.read(13, &j.hints.complex_prep) && row.read(14, &j.cpu_cores) &&
+        row.read(15, &j.cpu_work_core_s) && row.read(16, &j.mem_bw_gbps) &&
+        row.read(17, &j.bw_bound_fraction) && row.read(18, &j.llc_mb) &&
+        row.read(19, &j.user_facing) &&
+        row.read(20, &j.checkpoint_interval_s) &&
+        row.read(21, &j.checkpoint_overhead_s))) {
+    return row.error;
+  }
+  if (row.field[2] == "gpu") {
+    j.kind = JobKind::kGpuTraining;
+  } else if (row.field[2] == "cpu") {
+    j.kind = JobKind::kCpu;
+  } else {
+    return util::Error{util::ErrorCode::kParseError,
+                       "unknown job kind '" + std::string(row.field[2]) + "'"};
+  }
+  // A CPU row's model column is not read.
+  if (j.is_gpu_job()) {
+    auto model = model_from_string(std::string(row.field[4]));
+    if (!model.ok()) {
+      return model.error();
+    }
+    j.model = *model;
+  }
+  // Range and semantic checks, in column order: a job that parses must also
+  // be runnable. The old atoi-based reader accepted "gpu job on 0 nodes"
+  // rows wholesale.
+  const bool gpu = j.is_gpu_job();
+  const struct {
+    bool failed;
+    size_t column;
+    const char* why;
+  } checks[] = {
+      {id < 0, 0, "is negative"},
+      {tenant < 0 || tenant > std::numeric_limits<cluster::TenantId>::max(),
+       1, "is out of range"},
+      {!std::isfinite(j.submit_time) || j.submit_time < 0.0, 3,
+       "must be finite and >= 0"},
+      {gpu && tc.nodes < 1, 5, "must be >= 1 for a gpu job"},
+      {gpu && tc.gpus_per_node < 1, 6, "must be >= 1 for a gpu job"},
+      {tc.batch_size < 0, 7, "is negative"},
+      {gpu && j.iterations < 0.0, 8, "is negative"},
+      {gpu && j.requested_cpus < 1, 9, "must be >= 1"},
+      {!gpu && j.cpu_cores < 1, 14, "must be >= 1 for a cpu job"},
+      {!gpu && j.cpu_work_core_s < 0.0, 15, "is negative"},
+      {!gpu && j.mem_bw_gbps < 0.0, 16, "is negative"},
+      {j.checkpoint_interval_s < 0.0, 20, "is negative"},
+      {j.checkpoint_overhead_s < 0.0, 21, "is negative"},
+  };
+  for (const auto& check : checks) {
+    if (check.failed) {
+      return row.refuse(check.column, check.why);
+    }
+  }
+  j.id = static_cast<cluster::JobId>(id);
+  j.tenant = static_cast<cluster::TenantId>(tenant);
+  if (ids != nullptr && !ids->insert(j.id).second) {
+    return row.refuse(0, "repeats an earlier row's id");
+  }
+  return j;
 }
 
 }  // namespace
 
 std::string trace_to_csv(const std::vector<JobSpec>& trace) {
-  util::CsvDocument doc;
-  doc.header = kColumns;
-  doc.rows.reserve(trace.size());
+  std::string out = trace_csv_header() + "\n";
   for (const auto& j : trace) {
-    doc.rows.push_back({
-        util::strfmt("%llu", static_cast<unsigned long long>(j.id)),
-        util::strfmt("%u", j.tenant),
-        to_string(j.kind),
-        util::strfmt("%.3f", j.submit_time),
-        perfmodel::to_string(j.model),
-        util::strfmt("%d", j.train_config.nodes),
-        util::strfmt("%d", j.train_config.gpus_per_node),
-        util::strfmt("%d", j.train_config.batch_size),
-        util::strfmt("%.1f", j.iterations),
-        util::strfmt("%d", j.requested_cpus),
-        j.hints.category_known ? "1" : "0",
-        j.hints.pipelined ? "1" : "0",
-        j.hints.large_weights ? "1" : "0",
-        j.hints.complex_prep ? "1" : "0",
-        util::strfmt("%d", j.cpu_cores),
-        util::strfmt("%.3f", j.cpu_work_core_s),
-        util::strfmt("%.3f", j.mem_bw_gbps),
-        util::strfmt("%.3f", j.bw_bound_fraction),
-        util::strfmt("%.3f", j.llc_mb),
-        j.user_facing ? "1" : "0",
-        util::strfmt("%.3f", j.checkpoint_interval_s),
-        util::strfmt("%.3f", j.checkpoint_overhead_s),
-    });
+    out += job_to_csv_row(j) + "\n";
   }
-  return util::to_csv(doc);
+  return out;
 }
 
 util::Result<std::vector<JobSpec>> trace_from_csv(const std::string& text) {
-  auto doc = util::parse_csv(text);
-  if (!doc.ok()) {
-    return doc.error();
-  }
-  if (doc->header != kColumns) {
-    return util::Error{util::ErrorCode::kParseError,
-                       "trace CSV header does not match expected columns"};
-  }
+  const std::string header = trace_csv_header();
+  bool saw_header = false;
   std::vector<JobSpec> trace;
-  trace.reserve(doc->rows.size());
   std::unordered_set<cluster::JobId> ids;
-  for (size_t r = 0; r < doc->rows.size(); ++r) {
-    const auto& row = doc->rows[r];
-    JobSpec j;
-#define CODA_PARSE(result_expr, target)       \
-  do {                                        \
-    auto parsed_ = (result_expr);             \
-    if (!parsed_.ok()) return parsed_.error(); \
-    target = *parsed_;                        \
-  } while (0)
-    long long id = 0;
-    CODA_PARSE(parse_int(row[0], r, "id"), id);
-    if (id < 0) {
-      return field_error(r, "id", row[0], "is negative");
+  for (size_t begin = 0; begin < text.size();) {
+    const size_t end = std::min(text.find('\n', begin), text.size());
+    const std::string_view line =
+        content(std::string_view(text).substr(begin, end - begin));
+    begin = end + 1;
+    if (line.empty()) {
+      continue;
     }
-    j.id = static_cast<cluster::JobId>(id);
-    if (!ids.insert(j.id).second) {
-      return field_error(r, "id", row[0], "repeats an earlier row's id");
-    }
-    long long tenant = 0;
-    CODA_PARSE(parse_int(row[1], r, "tenant"), tenant);
-    if (tenant < 0 || tenant > std::numeric_limits<cluster::TenantId>::max()) {
-      return field_error(r, "tenant", row[1], "is out of range");
-    }
-    j.tenant = static_cast<cluster::TenantId>(tenant);
-    if (row[2] == "gpu") {
-      j.kind = JobKind::kGpuTraining;
-    } else if (row[2] == "cpu") {
-      j.kind = JobKind::kCpu;
-    } else {
-      return util::Error{util::ErrorCode::kParseError,
-                         "unknown job kind '" + row[2] + "'"};
-    }
-    CODA_PARSE(parse_real(row[3], r, "submit_time"), j.submit_time);
-    if (!std::isfinite(j.submit_time) || j.submit_time < 0.0) {
-      return field_error(r, "submit_time", row[3], "must be finite and >= 0");
-    }
-    if (j.kind == JobKind::kGpuTraining) {
-      auto model = model_from_string(row[4]);
-      if (!model.ok()) {
-        return model.error();
+    if (!saw_header) {
+      if (line != header) {
+        return util::Error{util::ErrorCode::kParseError,
+                           "trace CSV header does not match expected columns"};
       }
-      j.model = *model;
+      saw_header = true;
+      continue;
     }
-    long long tmp = 0;
-    CODA_PARSE(parse_int(row[5], r, "nodes"), tmp);
-    j.train_config.nodes = static_cast<int>(tmp);
-    CODA_PARSE(parse_int(row[6], r, "gpus_per_node"), tmp);
-    j.train_config.gpus_per_node = static_cast<int>(tmp);
-    CODA_PARSE(parse_int(row[7], r, "batch_size"), tmp);
-    j.train_config.batch_size = static_cast<int>(tmp);
-    if (j.train_config.batch_size < 0) {
-      return field_error(r, "batch_size", row[7], "is negative");
+    auto job = parse_row(line, trace.size(), &ids);
+    if (!job.ok()) {
+      return job.error();
     }
-    CODA_PARSE(parse_real(row[8], r, "iterations"), j.iterations);
-    CODA_PARSE(parse_int(row[9], r, "requested_cpus"), tmp);
-    j.requested_cpus = static_cast<int>(tmp);
-    CODA_PARSE(parse_flag(row[10], r, "hint_category"),
-               j.hints.category_known);
-    CODA_PARSE(parse_flag(row[11], r, "hint_pipelined"), j.hints.pipelined);
-    CODA_PARSE(parse_flag(row[12], r, "hint_weights"),
-               j.hints.large_weights);
-    CODA_PARSE(parse_flag(row[13], r, "hint_prep"), j.hints.complex_prep);
-    CODA_PARSE(parse_int(row[14], r, "cpu_cores"), tmp);
-    j.cpu_cores = static_cast<int>(tmp);
-    CODA_PARSE(parse_real(row[15], r, "cpu_work_core_s"), j.cpu_work_core_s);
-    CODA_PARSE(parse_real(row[16], r, "mem_bw_gbps"), j.mem_bw_gbps);
-    CODA_PARSE(parse_real(row[17], r, "bw_bound_fraction"),
-               j.bw_bound_fraction);
-    CODA_PARSE(parse_real(row[18], r, "llc_mb"), j.llc_mb);
-    CODA_PARSE(parse_flag(row[19], r, "user_facing"), j.user_facing);
-    CODA_PARSE(parse_real(row[20], r, "ckpt_interval_s"),
-               j.checkpoint_interval_s);
-    CODA_PARSE(parse_real(row[21], r, "ckpt_overhead_s"),
-               j.checkpoint_overhead_s);
-#undef CODA_PARSE
-    // Semantic checks: a job that parses must also be runnable. The old
-    // atoi-based reader accepted "gpu job on 0 nodes" rows wholesale.
-    if (j.is_gpu_job()) {
-      if (j.train_config.nodes < 1) {
-        return field_error(r, "nodes", row[5], "must be >= 1 for a gpu job");
-      }
-      if (j.train_config.gpus_per_node < 1) {
-        return field_error(r, "gpus_per_node", row[6],
-                           "must be >= 1 for a gpu job");
-      }
-      if (j.iterations < 0.0) {
-        return field_error(r, "iterations", row[8], "is negative");
-      }
-      if (j.requested_cpus < 1) {
-        return field_error(r, "requested_cpus", row[9], "must be >= 1");
-      }
-    } else {
-      if (j.cpu_cores < 1) {
-        return field_error(r, "cpu_cores", row[14],
-                           "must be >= 1 for a cpu job");
-      }
-      if (j.cpu_work_core_s < 0.0) {
-        return field_error(r, "cpu_work_core_s", row[15], "is negative");
-      }
-      if (j.mem_bw_gbps < 0.0) {
-        return field_error(r, "mem_bw_gbps", row[16], "is negative");
-      }
-    }
-    if (j.checkpoint_interval_s < 0.0) {
-      return field_error(r, "ckpt_interval_s", row[20], "is negative");
-    }
-    if (j.checkpoint_overhead_s < 0.0) {
-      return field_error(r, "ckpt_overhead_s", row[21], "is negative");
-    }
-    trace.push_back(j);
+    trace.push_back(*job);
+  }
+  if (!saw_header) {
+    return util::Error{util::ErrorCode::kParseError, "CSV input is empty"};
   }
   return trace;
 }
@@ -267,29 +255,35 @@ util::Result<std::vector<JobSpec>> load_trace(const std::string& path) {
   return trace_from_csv(buf.str());
 }
 
-std::string trace_csv_header() { return util::join(kColumns, ","); }
+std::string trace_csv_header() {
+  return util::join({kColumns.begin(), kColumns.end()}, ",");
+}
 
-std::string job_to_csv_row(const JobSpec& job) {
-  const std::string text = trace_to_csv({job});
-  // trace_to_csv emits "header\nrow\n"; strip both delimiters.
-  const size_t nl = text.find('\n');
-  std::string row = text.substr(nl + 1);
-  if (!row.empty() && row.back() == '\n') {
-    row.pop_back();
-  }
-  return row;
+std::string job_to_csv_row(const JobSpec& j) {
+  const perfmodel::TrainConfig& tc = j.train_config;
+  return util::strfmt(
+      "%llu,%u,%s,%.3f,%s,%d,%d,%d,%.1f,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%.3f,"
+      "%.3f,%d,%.3f,%.3f",
+      static_cast<unsigned long long>(j.id), j.tenant, to_string(j.kind),
+      j.submit_time, perfmodel::to_string(j.model), tc.nodes,
+      tc.gpus_per_node, tc.batch_size, j.iterations, j.requested_cpus,
+      j.hints.category_known, j.hints.pipelined, j.hints.large_weights,
+      j.hints.complex_prep, j.cpu_cores, j.cpu_work_core_s, j.mem_bw_gbps,
+      j.bw_bound_fraction, j.llc_mb, j.user_facing, j.checkpoint_interval_s,
+      j.checkpoint_overhead_s);
 }
 
 util::Result<JobSpec> job_from_csv_row(const std::string& row) {
-  auto parsed = trace_from_csv(trace_csv_header() + "\n" + row + "\n");
-  if (!parsed.ok()) {
-    return parsed.error();
+  if (row.find('\n') != std::string::npos) {
+    return util::Error{util::ErrorCode::kParseError,
+                       "a job row cannot hold a newline"};
   }
-  if (parsed->size() != 1) {
+  const std::string_view line = content(row);
+  if (line.empty()) {
     return util::Error{util::ErrorCode::kParseError,
                        "expected exactly one CSV row"};
   }
-  return (*parsed)[0];
+  return parse_row(line, 0, nullptr);
 }
 
 }  // namespace coda::workload

@@ -32,11 +32,13 @@ util::Result<std::vector<JobSpec>> load_trace(const std::string& path);
 // The canonical header line ("id,tenant,kind,...", no trailing newline).
 std::string trace_csv_header();
 
-// Serializes one job as a single CSV row (no header, no newline).
+// Serializes one job as a single CSV row (no header, no newline): each
+// row of trace_to_csv.
 std::string job_to_csv_row(const JobSpec& job);
 
-// Parses a single CSV row with the canonical columns. Same strict
-// validation as trace_from_csv.
+// Parses a single CSV row with the canonical columns: each data line of
+// trace_from_csv, with the same strict validation. A row holding '\n' is
+// refused (neither the wire nor the journal can deliver one).
 util::Result<JobSpec> job_from_csv_row(const std::string& row);
 
 }  // namespace coda::workload

@@ -117,6 +117,37 @@ TEST(ReportCacheKey, SensitiveToEveryInput) {
   EXPECT_EQ(base, experiment_cache_key(Policy::kCoda, trace, cfg));
 }
 
+// Keys of a fixed trace and config, recorded when the key still hashed
+// each JobSpec member by hand. It now walks fields(JobSpec), the list
+// snapshots and reports use, widening each value as before, so the keys
+// must not move. The appended job sets every field off its default.
+TEST(ReportCacheKey, PinnedForAFixedTraceAndConfig) {
+  auto trace = tiny_trace(5);
+  workload::JobSpec every;
+  every.id = 18446744073709551615ull;
+  every.tenant = 4294967295u;
+  every.kind = workload::JobKind::kGpuTraining;
+  every.submit_time = 14399.5;
+  every.model = perfmodel::ModelId::kWavenet;
+  every.train_config = perfmodel::TrainConfig{2, 4, 48, 3.5};
+  every.iterations = 1234.5;
+  every.requested_cpus = 9;
+  every.hints = workload::UserHints{false, true, true, true};
+  every.cpu_cores = 5;
+  every.cpu_work_core_s = 77.25;
+  every.mem_bw_gbps = 7.5;
+  every.bw_bound_fraction = 0.85;
+  every.llc_mb = 9.6;
+  every.user_facing = true;
+  every.checkpoint_interval_s = 1800.0;
+  every.checkpoint_overhead_s = 12.25;
+  trace.push_back(every);
+  EXPECT_EQ(experiment_cache_key(Policy::kCoda, trace, tiny_config()),
+            "b68decef4430cf3a");
+  EXPECT_EQ(experiment_cache_key(Policy::kFifo, {every}, ExperimentConfig{}),
+            "f43794e2a12083c5");
+}
+
 TEST(ReportCache, MissThenStoreThenHit) {
   TempCacheDir dir("coda_report_cache_test_hit");
   ReportCache cache(dir.path().string());

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -1083,6 +1084,73 @@ TEST(Protocol, EnvelopeParsing) {
   EXPECT_FALSE(parse_envelope("CID 7").ok());                 // no request
 }
 
+// The client side builds every request line through format_request. Each
+// verb under each envelope must give the line the client code used to
+// spell by hand (Client's convenience verbs, coda_ctl's `SHARD k ` prefix,
+// run_bench's `CID n SHARD k ` prefix) and parse back to the verb,
+// argument, CID and shard it was built from.
+TEST(Protocol, RequestLinesRoundTrip) {
+  struct Case {
+    Verb verb;
+    const char* arg;
+    const char* line;
+  };
+  const Case cases[] = {
+      {Verb::kPing, "", "PING"},
+      {Verb::kSubmit,
+       "0,0,cpu,0.000,Alexnet,1,1,0,0.0,1,1,0,0,0,4,900.000,1.000,0.000,"
+       "2.000,0,0.000,0.000",
+       "SUBMIT 0,0,cpu,0.000,Alexnet,1,1,0,0.0,1,1,0,0,0,4,900.000,1.000,"
+       "0.000,2.000,0,0.000,0.000"},
+      {Verb::kStatus, "18446744073709551615", "STATUS 18446744073709551615"},
+      {Verb::kCluster, "", "CLUSTER"},
+      {Verb::kMetrics, "", "METRICS"},
+      {Verb::kDrain, "", "DRAIN"},
+      {Verb::kShutdown, "", "SHUTDOWN"},
+      {Verb::kAuth, "secret", "AUTH secret"},
+      {Verb::kSnapshot, "", "SNAPSHOT"},
+  };
+  ASSERT_EQ(std::size(cases), static_cast<size_t>(Verb::kSnapshot) + 1);
+  struct Prefix {
+    std::optional<uint64_t> cid;
+    int shard;
+    const char* text;
+  };
+  const Prefix prefixes[] = {
+      {std::nullopt, -1, ""},
+      {7, -1, "CID 7 "},
+      {std::nullopt, 3, "SHARD 3 "},
+      {18446744073709551615ull, 0, "CID 18446744073709551615 SHARD 0 "},
+  };
+  for (const Case& c : cases) {
+    for (const Prefix& p : prefixes) {
+      const std::string line = format_request(c.verb, c.arg, p.shard, p.cid);
+      EXPECT_EQ(line, std::string(p.text) + c.line);
+      auto env = parse_envelope(line);
+      ASSERT_TRUE(env.ok()) << line << ": " << env.error().message;
+      EXPECT_EQ(env->request.verb, c.verb) << line;
+      EXPECT_EQ(env->request.arg, c.arg) << line;
+      EXPECT_EQ(env->has_cid, p.cid.has_value()) << line;
+      EXPECT_EQ(env->cid, p.cid.value_or(0)) << line;
+      EXPECT_EQ(env->shard, p.shard) << line;
+    }
+    EXPECT_EQ(verb_named(to_string(c.verb)), c.verb);
+  }
+  // A verb that takes no argument drops one; names are case-sensitive.
+  EXPECT_EQ(format_request(Verb::kPing, "extra"), "PING");
+  EXPECT_EQ(verb_named("ping"), std::nullopt);
+  EXPECT_EQ(verb_named("FROB"), std::nullopt);
+  // codad's CID echo on a reply is the same prefix.
+  std::string reply;
+  append_prefix(&reply, 9);
+  reply += format_ok("pong");
+  auto tagged = parse_tagged_response(reply);
+  ASSERT_TRUE(tagged.ok()) << reply;
+  EXPECT_EQ(reply, "CID 9 OK pong");
+  EXPECT_TRUE(tagged->has_cid);
+  EXPECT_EQ(tagged->cid, 9u);
+}
+
 // A seeded mutation loop over the wire path. Recorded request lines are
 // cut, spliced, bit-flipped and padded into oversized numbers and lines,
 // then framed whole and in random chunks (LineReader::feed_views), parsed
@@ -1637,6 +1705,45 @@ TEST(Server, SnapshotRequiresJournal) {
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->kind, Response::Kind::kErr);
   EXPECT_EQ(resp->code, util::ErrorCode::kFailedPrecondition);
+  ASSERT_TRUE(client->shutdown().ok());
+  server.wait();
+}
+
+// A SUBMIT whose int column lies outside int is refused. The row parser
+// used to cast the value to int, so 4294967297 nodes loaded as a 1-node
+// gang.
+TEST(Server, SubmitRefusesAnIntColumnOutsideInt) {
+  ServerConfig config = tiny_server_config("intrange", 0.0);
+  config.journal_path.clear();
+  const Endpoint endpoint{config.unix_socket_path, -1};
+  Server server(std::move(config));
+  ASSERT_TRUE(server.start().ok());
+  auto client = Client::connect(endpoint);
+  ASSERT_TRUE(client.ok());
+  workload::JobSpec gang;
+  gang.id = 9001;
+  gang.kind = workload::JobKind::kGpuTraining;
+  gang.model = perfmodel::ModelId::kResnet50;
+  gang.iterations = 100.0;
+  gang.requested_cpus = 2;
+  const std::string row = workload::job_to_csv_row(gang);
+  const std::string one_node = "9001,0,gpu,0.000,Resnet50,1,";
+  ASSERT_EQ(row.rfind(one_node, 0), 0u) << row;
+  auto refused = client->submit_row("9001,0,gpu,0.000,Resnet50,4294967297," +
+                                    row.substr(one_node.size()));
+  ASSERT_TRUE(refused.ok());
+  EXPECT_EQ(refused->kind, Response::Kind::kErr);
+  EXPECT_EQ(refused->code, util::ErrorCode::kParseError);
+  EXPECT_NE(refused->payload.find(
+                "column 'nodes' value '4294967297' is out of range"),
+            std::string::npos)
+      << refused->payload;
+  auto status = client->status(9001);
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status->code, util::ErrorCode::kNotFound) << status->payload;
+  auto accepted = client->submit_row(row);
+  ASSERT_TRUE(accepted.ok());
+  EXPECT_TRUE(accepted->ok()) << accepted->payload;
   ASSERT_TRUE(client->shutdown().ok());
   server.wait();
 }

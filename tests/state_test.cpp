@@ -527,10 +527,10 @@ struct CutSession {
   std::string blob;
 };
 
-// An 8-node session with node outages, snapshotted 20 minutes in: the blob
-// holds running jobs (`place` rows) and a manifest with arrivals, finishes
-// and outages.
-CutSession cut_session(sim::Policy policy) {
+// An 8-node session with node outages, snapshotted 20 minutes in (or at
+// `cut_vt`): the blob holds running jobs (`place` rows) and a manifest
+// with arrivals, finishes and outages.
+CutSession cut_session(sim::Policy policy, double cut_vt = 1200.0) {
   CutSession cut;
   cut.policy = policy;
   auto trace_cfg = sim::standard_week_trace(5);
@@ -544,7 +544,7 @@ CutSession cut_session(sim::Policy policy) {
   cut.config.failures.node_mtbf_s = 1800.0;
   cut.config.failures.outage_s = 300.0;
   sim::Session session = sim::Session::start(policy, cut.trace, cut.config);
-  session.engine->run_until(1200.0);
+  session.engine->run_until(cut_vt);
   SnapshotMeta meta;
   meta.seq = 1;
   meta.virtual_time = session.engine->sim().now();
@@ -816,6 +816,142 @@ TEST(Snapshot, RestoreRefusesASecondRetryForOneJob) {
                                         simcore::kTagRetryResubmit);
   ASSERT_FALSE(blob.empty());
   EXPECT_NE(refusal(cut, blob).find("repeats a live entry"), std::string::npos);
+}
+
+// An arrival needs a job that has not arrived yet, and a retry a job in
+// retry backoff: pending, not running and not in the policy's queue.
+// Otherwise the resubmission hands the policy a job it is already running
+// or queueing, or one the engine never marked pending, and the session
+// aborts when the policy starts it.
+
+// Token `index` of the first `key` row whose token `match_index` equals
+// `match` (any row of that key when `match` is empty); empty when there is
+// none.
+std::string token_of(const std::string& blob, const std::string& key,
+                     size_t index, size_t match_index = 0,
+                     const std::string& match = "") {
+  std::string out;
+  edit_row(blob, [&](std::vector<std::string>* t) {
+    if (out.empty() && (*t)[0] == key &&
+        t->size() > std::max(index, match_index) &&
+        (match.empty() || (*t)[match_index] == match)) {
+      out = (*t)[index];
+    }
+    return false;
+  });
+  return out;
+}
+
+// Turns the first arrival in the manifest into an entry of `kind` for job
+// `id`.
+std::string repoint_arrival(const std::string& blob, uint32_t kind,
+                            const std::string& id) {
+  return edit_row(blob, [&](std::vector<std::string>* t) {
+    if ((*t)[0] != "event" || t->size() != 5 ||
+        (*t)[2] != std::to_string(simcore::kTagArrival)) {
+      return false;
+    }
+    (*t)[2] = std::to_string(kind);
+    (*t)[3] = id;
+    return true;
+  });
+}
+
+TEST(Snapshot, RestoreRefusesAnArrivalForARunningJob) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const std::string running = token_of(cut.blob, "run", 1);
+  ASSERT_FALSE(running.empty());
+  const std::string blob =
+      repoint_arrival(cut.blob, simcore::kTagArrival, running);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("already arrived"), std::string::npos)
+      << refusal(cut, blob);
+}
+
+// The arrival's own job, never arrived, gets a retry instead.
+TEST(Snapshot, RestoreRefusesARetryForAJobThatNeverArrived) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const std::string arriving = token_of(
+      cut.blob, "event", 3, 2, std::to_string(simcore::kTagArrival));
+  ASSERT_FALSE(arriving.empty());
+  const std::string blob =
+      repoint_arrival(cut.blob, simcore::kTagRetryResubmit, arriving);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("not in retry backoff"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+TEST(Snapshot, RestoreRefusesARetryForARunningJob) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const std::string running = token_of(cut.blob, "run", 1);
+  ASSERT_FALSE(running.empty());
+  const std::string blob =
+      repoint_arrival(cut.blob, simcore::kTagRetryResubmit, running);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("not in retry backoff"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+// FIFO holds no queue 20 minutes in; 90 minutes in it queues two jobs.
+TEST(Snapshot, RestoreRefusesARetryForAJobThePolicyQueued) {
+  const CutSession cut = cut_session(sim::Policy::kFifo, 5400.0);
+  const std::string queued = token_of(cut.blob, "fq", 1);
+  ASSERT_FALSE(queued.empty());
+  const std::string blob =
+      repoint_arrival(cut.blob, simcore::kTagRetryResubmit, queued);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("not in retry backoff"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+// What the checks above must keep restoring: a job a node failure evicted,
+// waiting out its retry backoff. Each policy's session is cut at the first
+// five-minute mark whose manifest holds a retry, and the restored session
+// finishes with the uninterrupted session's report bytes.
+TEST(Snapshot, RestoreKeepsARetryInBackoff) {
+  auto trace_cfg = sim::standard_week_trace(5);
+  trace_cfg.duration_s = 2.0 * 3600.0;
+  trace_cfg.cpu_jobs = 40;
+  trace_cfg.gpu_jobs = 20;
+  const auto trace = workload::TraceGenerator(trace_cfg).generate();
+  sim::ExperimentConfig config;
+  config.horizon_s = trace_cfg.duration_s;
+  config.drain_slack_s = 86400.0;
+  config.engine.cluster.node_count = 8;
+  config.failures.node_mtbf_s = 1800.0;
+  config.failures.outage_s = 300.0;
+  config.retry.enabled = true;
+  config.retry.backoff_base_s = 600.0;
+  config.retry.max_retries = 3;
+  for (sim::Policy policy :
+       {sim::Policy::kFifo, sim::Policy::kDrf, sim::Policy::kCoda}) {
+    sim::Session uninterrupted = sim::Session::start(policy, trace, config);
+    sim::Session cut = sim::Session::start(policy, trace, config);
+    bool retry_in_flight = false;
+    for (double t = 300.0; t <= config.horizon_s && !retry_in_flight;
+         t += 300.0) {
+      cut.engine->run_until(t);
+      SnapshotMeta meta;
+      meta.virtual_time = cut.engine->sim().now();
+      meta.dispatched = cut.engine->sim().dispatched();
+      auto blob = capture_snapshot(meta, "", *cut.engine,
+                                   *cut.scheduler.scheduler);
+      ASSERT_TRUE(blob.ok()) << blob.error().message;
+      retry_in_flight =
+          !token_of(*blob, "event", 3, 2,
+                    std::to_string(simcore::kTagRetryResubmit))
+               .empty();
+    }
+    ASSERT_TRUE(retry_in_flight) << sim::to_string(policy);
+    auto restored = snapshot_and_restore(trace, cut);
+    ASSERT_TRUE(restored.ok())
+        << sim::to_string(policy) << ": " << restored.error().message;
+    EXPECT_EQ(report_of(*restored), report_of(uninterrupted))
+        << sim::to_string(policy);
+  }
 }
 
 TEST(Snapshot, RestoreRefusesASecondMetricsTick) {

@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <numbers>
+#include <tuple>
 
+#include "sim/report_cache.h"
+#include "util/rng.h"
 #include "workload/tenant.h"
 #include "workload/trace_gen.h"
 #include "workload/trace_io.h"
@@ -368,6 +371,394 @@ TEST(TraceIo, CheckpointFieldsRoundTrip) {
   EXPECT_TRUE((*parsed)[0].checkpointing());
   EXPECT_DOUBLE_EQ((*parsed)[1].checkpoint_interval_s, 0.0);
   EXPECT_FALSE((*parsed)[1].checkpointing());
+}
+
+// ---------------------------------------------------- pinned trace bytes
+//
+// Journals embed trace_to_csv text and job_to_csv_row rows, and replay
+// re-parses them, so both directions are pinned: the bytes written, and
+// the accept/reject outcome and values read back for a list of edge rows.
+// The values are compared bit for bit through fields(JobSpec).
+
+// FNV-1a over every fields(JobSpec) value: integers, enums and bools
+// widened to 64 bits, doubles by bit pattern (so -0.0 differs from 0.0).
+std::string spec_digest(const JobSpec& spec) {
+  sim::CacheKeyHasher h;
+  std::apply([&h](const auto&... field) { (h.mix(field), ...); },
+             fields(spec));
+  return h.hex();
+}
+
+std::string trace_digest(const std::vector<JobSpec>& trace) {
+  sim::CacheKeyHasher h;
+  for (const JobSpec& spec : trace) {
+    h.mix(spec_digest(spec));
+  }
+  return h.hex();
+}
+
+std::string text_digest(const std::string& text) {
+  sim::CacheKeyHasher h;
+  h.mix(text);
+  return h.hex();
+}
+
+// Every field off its default, for the row pins.
+JobSpec every_field_gpu_spec() {
+  JobSpec g = distinctive_gpu_spec();
+  g.id = 18446744073709551615ull;
+  g.tenant = 4294967295u;
+  g.model = perfmodel::ModelId::kWavenet;
+  g.train_config = perfmodel::TrainConfig{2, 4, 48};
+  g.submit_time = 86399.9995;
+  g.iterations = 12345.65;
+  g.requested_cpus = 9;
+  g.hints = UserHints{false, true, true, true};
+  g.checkpoint_interval_s = 1800.0;
+  g.checkpoint_overhead_s = 12.25;
+  return g;
+}
+
+JobSpec every_field_cpu_spec() {
+  JobSpec c = distinctive_cpu_spec();
+  c.submit_time = 0.0004;
+  c.cpu_cores = 12;
+  c.cpu_work_core_s = 1e6 / 3.0;
+  c.mem_bw_gbps = 7.5;
+  c.bw_bound_fraction = 0.85;
+  c.llc_mb = 9.6;
+  c.user_facing = true;
+  c.checkpoint_interval_s = 600.0;
+  c.checkpoint_overhead_s = 0.5;
+  return c;
+}
+
+TEST(TraceIo, PinnedRowAndTraceBytes) {
+  EXPECT_EQ(job_to_csv_row(distinctive_gpu_spec()),
+            "1,3,gpu,11.000,Resnet50,1,2,0,567.0,4,1,0,0,0,1,0.000,0.000,"
+            "0.000,0.000,0,0.000,0.000");
+  EXPECT_EQ(job_to_csv_row(distinctive_cpu_spec()),
+            "2,16,cpu,13.000,Alexnet,1,1,0,0.0,1,1,0,0,0,6,789.000,21.000,"
+            "0.000,0.000,0,0.000,0.000");
+  EXPECT_EQ(job_to_csv_row(every_field_gpu_spec()),
+            "18446744073709551615,4294967295,gpu,86400.000,Wavenet,2,4,48,"
+            "12345.6,9,0,1,1,1,1,0.000,0.000,0.000,0.000,0,1800.000,"
+            "12.250");
+  EXPECT_EQ(job_to_csv_row(every_field_cpu_spec()),
+            "2,16,cpu,0.000,Alexnet,1,1,0,0.0,1,1,0,0,0,12,333333.333,"
+            "7.500,0.850,9.600,1,600.000,0.500");
+  EXPECT_EQ(trace_csv_header(),
+            "id,tenant,kind,submit_time,model,nodes,gpus_per_node,"
+            "batch_size,iterations,requested_cpus,hint_category,"
+            "hint_pipelined,hint_weights,hint_prep,cpu_cores,"
+            "cpu_work_core_s,mem_bw_gbps,bw_bound_fraction,llc_mb,"
+            "user_facing,ckpt_interval_s,ckpt_overhead_s");
+
+  // A 2-day standard trace and a wide-gang scale profile: the whole
+  // document, every row on its own, and what parsing the document yields.
+  struct Pin {
+    const char* name;
+    std::vector<JobSpec> trace;
+    size_t csv_bytes;
+    const char* csv_digest;
+    const char* rows_digest;
+    const char* parsed_digest;
+  };
+  const Pin pins[] = {
+      {"standard", TraceGenerator(small_config()).generate(), 468306,
+       "e36efbfc017efbc9", "e3f543acb13d0db1", "1c2d76acf3acfa98"},
+      {"scale",
+       TraceGenerator(scale_profile(10000, 600, 400, 3600.0)).generate(),
+       91822, "eb976746c6c8407d", "60051a9a3e8db3fc", "412fcb17d721fb95"},
+  };
+  for (const Pin& pin : pins) {
+    const std::string csv = trace_to_csv(pin.trace);
+    sim::CacheKeyHasher rows;
+    for (const JobSpec& spec : pin.trace) {
+      rows.mix(job_to_csv_row(spec));
+    }
+    auto parsed = trace_from_csv(csv);
+    ASSERT_TRUE(parsed.ok()) << pin.name << ": " << parsed.error().message;
+    EXPECT_EQ(csv.size(), pin.csv_bytes) << pin.name;
+    EXPECT_EQ(text_digest(csv), pin.csv_digest) << pin.name;
+    EXPECT_EQ(rows.hex(), pin.rows_digest) << pin.name;
+    EXPECT_EQ(trace_digest(*parsed), pin.parsed_digest) << pin.name;
+  }
+}
+
+// Row `base` with column `column` replaced by `value`.
+std::string col(const std::string& base, size_t column,
+                const std::string& value) {
+  size_t begin = 0;
+  for (size_t k = 0; k < column; ++k) {
+    begin = base.find(',', begin) + 1;
+  }
+  const size_t end = std::min(base.find(',', begin), base.size());
+  return base.substr(0, begin) + value + base.substr(end);
+}
+
+// Edge rows with the outcome and values job_from_csv_row gives each one:
+// `digest` is spec_digest of the accepted job, "" marks a refused row. A
+// `narrowed` row holds an int column value outside int: trace_io used to
+// cast it to int and load the job with `digest`; it now refuses the row
+// as out of range. Every row must read the same as a one-row trace.
+TEST(TraceIo, EdgeRowsKeepTheirOutcomeAndValues) {
+  const std::string gpu = job_to_csv_row(distinctive_gpu_spec());
+  const std::string cpu = job_to_csv_row(distinctive_cpu_spec());
+  struct Edge {
+    const char* label;
+    std::string row;
+    const char* digest;
+    bool narrowed = false;
+  };
+  const std::string zeros67(67, '0');
+  const Edge edges[] = {
+      {"gpu", gpu, "4ac80df0446e265c"},
+      {"cpu", cpu, "4d85a1df8e0fd78f"},
+      {"gpu CR", gpu + "\r", "4ac80df0446e265c"},
+      {"gpu CR CR", gpu + "\r\r", ""},
+      {"empty", "", ""},
+      {"blank", " \t", ""},
+      {"21 fields", gpu.substr(0, gpu.rfind(',')), ""},
+      {"23 fields", gpu + ",0", ""},
+      {"70-char submit_time", col(gpu, 3, "11." + zeros67), "4ac80df0446e265c"},
+      {"70-char iterations", col(gpu, 8, "567.0" + zeros67.substr(1)),
+       "4ac80df0446e265c"},
+      {"hexfloat submit_time", col(gpu, 3, "0x1.6p+3"), "4ac80df0446e265c"},
+      {"inf submit_time", col(gpu, 3, "inf"), ""},
+      {"nan submit_time", col(gpu, 3, "nan"), ""},
+      {"nan iterations", col(gpu, 8, "nan"), "2580d0938200af68"},
+      {"leading zeros", col(col(cpu, 14, "007"), 3, "013.0"),
+       "8315ff5c9e6fd13e"},
+      {"-0 id", col(gpu, 0, "-0"), "b84812365b6e7eed"},
+      {"-0 submit_time", col(gpu, 3, "-0"), "a496161108234cfe"},
+      {"+1 id", col(gpu, 0, "+1"), ""},
+      {"space before id", " " + gpu, ""},
+      {"unknown model on a cpu row", col(cpu, 4, "NotAModel"),
+       "4d85a1df8e0fd78f"},
+      {"empty model on a cpu row", col(cpu, 4, ""), "4d85a1df8e0fd78f"},
+      {"unknown model on a gpu row", col(gpu, 4, "NotAModel"), ""},
+      {"flag 2", col(gpu, 11, "2"), ""},
+      // Each int column at INT_MAX, INT_MAX + 1 and 2^32 + 1.
+      {"gpu id 2147483647", col(gpu, 0, "2147483647"), "f4271c023df8e059"},
+      {"gpu id 2147483648", col(gpu, 0, "2147483648"), "864f249252a2d86d"},
+      {"gpu id 4294967297", col(gpu, 0, "4294967297"), "ec67ac6b93f0bd3d"},
+      {"cpu id 2147483647", col(cpu, 0, "2147483647"), "0a12fea0dab64d85"},
+      {"cpu id 2147483648", col(cpu, 0, "2147483648"), "37ec28aa531b4719"},
+      {"cpu id 4294967297", col(cpu, 0, "4294967297"), "b63082662dcd1209"},
+      {"gpu tenant 2147483647", col(gpu, 1, "2147483647"), "d8aaae1133c769ef"},
+      {"gpu tenant 2147483648", col(gpu, 1, "2147483648"), "0933574b6b897073"},
+      {"gpu tenant 4294967297", col(gpu, 1, "4294967297"), ""},
+      {"cpu tenant 2147483647", col(cpu, 1, "2147483647"), "eeb85c42fc927ffb"},
+      {"cpu tenant 2147483648", col(cpu, 1, "2147483648"), "6f3a519d85dbda1f"},
+      {"cpu tenant 4294967297", col(cpu, 1, "4294967297"), ""},
+      {"gpu nodes 2147483647", col(gpu, 5, "2147483647"), "77c62bbdfc7b2571"},
+      {"gpu nodes 2147483648", col(gpu, 5, "2147483648"), ""},
+      {"gpu nodes 4294967297", col(gpu, 5, "4294967297"), "4ac80df0446e265c",
+       true},
+      {"cpu nodes 2147483647", col(cpu, 5, "2147483647"), "2a10d55217d9a12a"},
+      {"cpu nodes 2147483648", col(cpu, 5, "2147483648"), "322f954c646e75ea",
+       true},
+      {"cpu nodes 4294967297", col(cpu, 5, "4294967297"), "4d85a1df8e0fd78f",
+       true},
+      {"gpu gpus_per_node 2147483647", col(gpu, 6, "2147483647"),
+       "1e87330e75bf8906"},
+      {"gpu gpus_per_node 2147483648", col(gpu, 6, "2147483648"), ""},
+      {"gpu gpus_per_node 4294967297", col(gpu, 6, "4294967297"),
+       "dbac9c4d1b959873", true},
+      {"cpu gpus_per_node 2147483647", col(cpu, 6, "2147483647"),
+       "bc08b9cbe15d838a"},
+      {"cpu gpus_per_node 2147483648", col(cpu, 6, "2147483648"),
+       "dc6b9cbb986f1b4a", true},
+      {"cpu gpus_per_node 4294967297", col(cpu, 6, "4294967297"),
+       "4d85a1df8e0fd78f", true},
+      {"gpu batch_size 2147483647", col(gpu, 7, "2147483647"),
+       "968308b6b176fe20"},
+      {"gpu batch_size 2147483648", col(gpu, 7, "2147483648"), ""},
+      {"gpu batch_size 4294967297", col(gpu, 7, "4294967297"),
+       "64f29345f9f0468d", true},
+      {"cpu batch_size 2147483647", col(cpu, 7, "2147483647"),
+       "62cf5b6c3d42a2ab"},
+      {"cpu batch_size 2147483648", col(cpu, 7, "2147483648"), ""},
+      {"cpu batch_size 4294967297", col(cpu, 7, "4294967297"),
+       "03f348a07cc4193e", true},
+      {"gpu requested_cpus 2147483647", col(gpu, 9, "2147483647"),
+       "ee93d984bb15d974"},
+      {"gpu requested_cpus 2147483648", col(gpu, 9, "2147483648"), ""},
+      {"gpu requested_cpus 4294967297", col(gpu, 9, "4294967297"),
+       "a4218d0bba0ab279", true},
+      {"cpu requested_cpus 2147483647", col(cpu, 9, "2147483647"),
+       "924e9a918de4990a"},
+      {"cpu requested_cpus 2147483648", col(cpu, 9, "2147483648"),
+       "687b9a90cdfbb54a", true},
+      {"cpu requested_cpus 4294967297", col(cpu, 9, "4294967297"),
+       "4d85a1df8e0fd78f", true},
+      {"gpu cpu_cores 2147483647", col(gpu, 14, "2147483647"),
+       "b4c07c89e3dbf679"},
+      {"gpu cpu_cores 2147483648", col(gpu, 14, "2147483648"),
+       "c003e4dda075a0b9", true},
+      {"gpu cpu_cores 4294967297", col(gpu, 14, "4294967297"),
+       "4ac80df0446e265c", true},
+      {"cpu cpu_cores 2147483647", col(cpu, 14, "2147483647"),
+       "74867b751ad4168d"},
+      {"cpu cpu_cores 2147483648", col(cpu, 14, "2147483648"), ""},
+      {"cpu cpu_cores 4294967297", col(cpu, 14, "4294967297"),
+       "04c3f421e5daf818", true},
+  };
+  const std::string header = trace_csv_header();
+  for (const Edge& edge : edges) {
+    const auto parsed = job_from_csv_row(edge.row);
+    if (edge.narrowed) {
+      ASSERT_FALSE(parsed.ok()) << edge.label;
+      EXPECT_NE(parsed.error().message.find("is out of range"),
+                std::string::npos)
+          << edge.label << ": " << parsed.error().message;
+    } else if (*edge.digest == '\0') {
+      EXPECT_FALSE(parsed.ok()) << edge.label;
+    } else {
+      ASSERT_TRUE(parsed.ok()) << edge.label << ": " << parsed.error().message;
+      EXPECT_EQ(spec_digest(*parsed), edge.digest) << edge.label;
+    }
+    const auto as_trace = trace_from_csv(header + "\n" + edge.row);
+    EXPECT_EQ(as_trace.ok() && as_trace->size() == 1, parsed.ok())
+        << edge.label;
+    if (parsed.ok() && as_trace.ok() && as_trace->size() == 1) {
+      EXPECT_EQ(spec_digest(as_trace->front()), spec_digest(*parsed))
+          << edge.label;
+    }
+  }
+
+  // Whole documents: blank and CRLF lines, and the header line itself.
+  struct Text {
+    const char* label;
+    std::string text;
+    bool ok;
+    size_t jobs;
+    const char* digest;  // trace_digest of the parsed jobs
+  };
+  const Text texts[] = {
+      {"plain", header + "\n" + gpu + "\n" + cpu + "\n", true, 2,
+       "a55e6b8a9574bcaf"},
+      {"crlf", header + "\r\n" + gpu + "\r\n" + cpu + "\r\n", true, 2,
+       "a55e6b8a9574bcaf"},
+      {"blank lines",
+       "\n \n" + header + "\n\n" + gpu + "\n \t\r\n\r\n" + cpu, true, 2,
+       "a55e6b8a9574bcaf"},
+      {"header only", header, true, 0, "cbf29ce484222325"},
+      {"bare CR lines", header + "\n\r\n" + gpu + "\r\n\r", true, 1,
+       "51ab64df1c927c2a"},
+      {"empty", "", false, 0, ""},
+      {"header CR CR", header + "\r\r\n" + gpu, false, 0, ""},
+      {"space before header", " " + header + "\n" + gpu, false, 0, ""},
+      {"row CR CR", header + "\n" + gpu + "\r\r\n", false, 0, ""},
+  };
+  for (const Text& t : texts) {
+    const auto parsed = trace_from_csv(t.text);
+    ASSERT_EQ(parsed.ok(), t.ok) << t.label;
+    if (parsed.ok()) {
+      EXPECT_EQ(parsed->size(), t.jobs) << t.label;
+      EXPECT_EQ(trace_digest(*parsed), t.digest) << t.label;
+    }
+  }
+}
+
+// A seeded mutation loop over single rows and whole trace documents.
+// Recorded rows are cut, spliced, bit-flipped and padded with oversized
+// numbers and lines. Under the sanitizer lanes the point is that no input
+// crashes or trips UB; here, that a row without '\n' reads the same on
+// its own as it does as a one-row trace, and that a parsed trace
+// re-serializes to a fixed point after one round.
+TEST(TraceIo, SeededMutationsOfRowsAndTracesParseSafely) {
+  auto cfg = small_config(3);
+  cfg.cpu_jobs = 6;
+  cfg.gpu_jobs = 6;
+  std::vector<std::string> rows;
+  for (const JobSpec& job : TraceGenerator(cfg).generate()) {
+    rows.push_back(job_to_csv_row(job));
+  }
+  for (const JobSpec& job : {distinctive_gpu_spec(), every_field_gpu_spec(),
+                             every_field_cpu_spec()}) {
+    rows.push_back(job_to_csv_row(job));
+  }
+  const std::string header = trace_csv_header();
+  int accepted = 0;
+  int refused = 0;
+  int documents = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Rng rng(seed);
+    const auto below = [&rng](size_t n) {  // uniform in [0, n]
+      return static_cast<size_t>(rng.uniform_int(0, static_cast<int64_t>(n)));
+    };
+    const auto pick = [&] { return rows[below(rows.size() - 1)]; };
+    const auto mutate = [&](std::string s) {
+      switch (rng.uniform_int(0, 4)) {
+        case 0:  // cut
+          s.resize(below(s.size()));
+          break;
+        case 1: {  // splice with another recording
+          const std::string other = pick();
+          s = s.substr(0, below(s.size())) + other.substr(below(other.size()));
+          break;
+        }
+        case 2:  // bit flips
+          for (int64_t k = rng.uniform_int(1, 4); k > 0 && !s.empty(); --k) {
+            s[below(s.size() - 1)] ^=
+                static_cast<char>(1 << rng.uniform_int(0, 7));
+          }
+          break;
+        case 3:  // an oversized number
+          s.insert(below(s.size()),
+                   std::string(static_cast<size_t>(rng.uniform_int(20, 400)),
+                               rng.bernoulli(0.5) ? '9' : '0'));
+          break;
+        default:  // an oversized line
+          s += std::string(4096 + below(4096), s.empty() ? ',' : s.back());
+          break;
+      }
+      return s;
+    };
+
+    for (int i = 0; i < 1000; ++i) {
+      std::string row = pick();
+      for (int64_t k = rng.uniform_int(0, 2); k > 0; --k) {
+        row = mutate(std::move(row));
+      }
+      const auto alone = job_from_csv_row(row);
+      if (row.find('\n') != std::string::npos) {
+        EXPECT_FALSE(alone.ok());
+      } else {
+        const auto as_trace = trace_from_csv(header + "\n" + row);
+        ASSERT_EQ(alone.ok(), as_trace.ok() && as_trace->size() == 1) << row;
+        if (alone.ok()) {
+          EXPECT_EQ(spec_digest(*alone), spec_digest(as_trace->front()))
+              << row;
+        }
+      }
+      (alone.ok() ? accepted : refused) += 1;
+
+      std::string text = rng.bernoulli(0.1) ? mutate(header) : header;
+      for (int64_t k = rng.uniform_int(0, 4); k > 0; --k) {
+        text += (rng.bernoulli(0.2) ? "\r\n" : "\n") +
+                (rng.bernoulli(0.3) ? mutate(pick()) : pick());
+      }
+      if (rng.bernoulli(0.3)) {
+        text = mutate(std::move(text));
+      }
+      const auto trace = trace_from_csv(text);
+      if (!trace.ok()) {
+        EXPECT_EQ(trace.error().code, util::ErrorCode::kParseError);
+        continue;
+      }
+      const std::string once = trace_to_csv(*trace);
+      const auto again = trace_from_csv(once);
+      ASSERT_TRUE(again.ok()) << once << again.error().message;
+      EXPECT_EQ(trace_to_csv(*again), once);
+      ++documents;
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(documents, 0);
 }
 
 TEST(JobSpec, LabelsAndHelpers) {
