@@ -2,7 +2,7 @@
 //
 //   coda_ctl ping    --socket /tmp/coda.sock
 //   coda_ctl submit  --socket /tmp/coda.sock --kind cpu --cores 4 --work 1200
-//   coda_ctl submit  --port 7070 --kind gpu --model resnet50 --iters 5000
+//   coda_ctl submit  --port 7070 --kind gpu --model Resnet50 --iters 5000
 //   coda_ctl status  --socket /tmp/coda.sock --id 17
 //   coda_ctl cluster --socket /tmp/coda.sock
 //   coda_ctl metrics --socket /tmp/coda.sock
@@ -10,12 +10,9 @@
 //   coda_ctl snapshot --socket /tmp/coda.sock [--shard K]
 //   coda_ctl restore-check --snapshot FILE.SNAP.3 [--journal FILE]
 //   coda_ctl bench   --port 7070 --connections 8 --duration 5 [--rate 20000]
-#include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -56,6 +53,7 @@ void usage() {
       "     cpu: --cores N --work CORE_SECONDS [--bw GBPS] [--llc MB]\n"
       "          [--user-facing 1]\n"
       "     gpu: --model NAME --iters N [--nodes N] [--gpus N] [--batch N]\n"
+      "          (NAME exactly as the model table spells it, e.g. Resnet50)\n"
       "          [--cpus N]\n"
       "          [--hint-category-unknown 1] [--hint-pipelined 1]\n"
       "          [--hint-large-weights 1] [--hint-complex-prep 1]\n"
@@ -96,30 +94,19 @@ std::string build_submit_row(const FlagMap& flags) {
   const std::string kind = flag_or(flags, "kind", "cpu");
   if (kind == "gpu") {
     job.kind = workload::JobKind::kGpuTraining;
-    const std::string model_name = flag_or(flags, "model", "Resnet50");
-    bool found = false;
-    for (perfmodel::ModelId m : perfmodel::kAllModels) {
-      const char* name = perfmodel::model_params(m).name;
-      if (model_name.size() == std::strlen(name) &&
-          std::equal(model_name.begin(), model_name.end(), name,
-                     [](char a, char b) {
-                       return std::tolower(static_cast<unsigned char>(a)) ==
-                              std::tolower(static_cast<unsigned char>(b));
-                     })) {
-        job.model = m;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "unknown model '%s'; known models:",
-                   model_name.c_str());
+    // The lookup trace and SUBMIT rows use, so a name this accepts is one
+    // the daemon accepts.
+    const auto model =
+        workload::model_from_string(flag_or(flags, "model", "Resnet50"));
+    if (!model.ok()) {
+      std::fprintf(stderr, "%s; known models:", model.error().message.c_str());
       for (perfmodel::ModelId m : perfmodel::kAllModels) {
-        std::fprintf(stderr, " %s", perfmodel::model_params(m).name);
+        std::fprintf(stderr, " %s", perfmodel::to_string(m));
       }
       std::fprintf(stderr, "\n");
       std::exit(2);
     }
+    job.model = *model;
     job.train_config.nodes = flag_int(flags, "nodes", 1, 1);
     job.train_config.gpus_per_node = flag_int(flags, "gpus", 1, 1);
     job.train_config.batch_size = flag_int(flags, "batch", 64, 1);

@@ -69,9 +69,17 @@ echo "==> driving the session (port $port)"
 "$CTL" ping --port "$port" --shard 0 | grep -q 'shard=0'
 "$CTL" ping --port "$port" --shard 1 | grep -q 'shard=1'
 "$CTL" submit --port "$port" --kind cpu --cores 4 --work 900
-gpu_id=$("$CTL" submit --port "$port" --kind gpu --model resnet50 \
+gpu_id=$("$CTL" submit --port "$port" --kind gpu --model Resnet50 \
          --iters 1500 | sed -n 's/^OK id=\([0-9]*\) .*/\1/p')
 [ -n "$gpu_id" ] || { echo "submit printed no job id" >&2; exit 1; }
+# Model names match exactly, as in trace and SUBMIT rows: a wrong-case name
+# is refused before anything is sent, with the known names listed.
+if "$CTL" submit --port "$port" --kind gpu --model resnet50 --iters 10 \
+     2>"$workdir/model.err"; then
+  echo "submit accepted the model name 'resnet50'" >&2
+  exit 1
+fi
+grep -q 'known models:.* Resnet50' "$workdir/model.err"
 "$CTL" submit --port "$port" --kind cpu --cores 2 --work 120 --user-facing 1
 "$CTL" status --port "$port" --id "$gpu_id" | grep -q "^OK id=$gpu_id state="
 "$CTL" cluster --port "$port"
@@ -129,7 +137,7 @@ fi
 "$CTL" submit --port "$port2" --auth-token "$token" \
        --kind cpu --cores 4 --work 900
 "$CTL" submit --port "$port2" --auth-token "$token" \
-       --kind gpu --model resnet50 --iters 1500
+       --kind gpu --model Resnet50 --iters 1500
 
 echo "==> mid-session snapshot, one more submit, then kill -9"
 "$CTL" snapshot --port "$port2" --auth-token "$token" | grep -q 'seq=1'
@@ -168,7 +176,7 @@ journal3="$workdir/auto.journal"
 daemon_pid=$!
 port4=$(wait_for_port "$workdir/codad4.log")
 "$CTL" submit --port "$port4" --kind cpu --cores 4 --work 900
-"$CTL" submit --port "$port4" --kind gpu --model resnet50 --iters 1500
+"$CTL" submit --port "$port4" --kind gpu --model Resnet50 --iters 1500
 
 echo "==> waiting for an automatic snapshot + journal truncation"
 snap=""
@@ -199,7 +207,7 @@ journal4="$workdir/nosnap.journal"
 daemon_pid=$!
 port5=$(wait_for_port "$workdir/codad5.log")
 "$CTL" submit --port "$port5" --kind cpu --cores 4 --work 900
-"$CTL" submit --port "$port5" --kind gpu --model resnet50 --iters 1500
+"$CTL" submit --port "$port5" --kind gpu --model Resnet50 --iters 1500
 "$CTL" submit --port "$port5" --kind cpu --cores 2 --work 600
 kill -9 "$daemon_pid" 2>/dev/null || true
 wait "$daemon_pid" 2>/dev/null || true

@@ -94,11 +94,14 @@ void PlacementIndex::reset(int max_gpus, int max_cpus, size_t node_count) {
   key_gpus_.assign(node_count, 0);
   key_cpus_.assign(node_count, 0);
   bias_.assign(node_count, 0);
+  row_words_ = (static_cast<size_t>(max_cpus) + kWordBits) / kWordBits;
+  occupied_.assign(static_cast<size_t>(max_gpus + 1) * row_words_, 0);
   for (NodeId id = 0; id < node_count; ++id) {
     buckets_[bucket_of(0, 0)].insert(id);
     cpu_marginal_[0].insert(id);
     adjusted_[0].insert(id);
   }
+  set_occupied(0, 0, node_count > 0);
   ++generation_;
   ++stats_.rebuilds;
 }
@@ -112,8 +115,16 @@ void PlacementIndex::node_changed(NodeId id, int free_gpus, int free_cpus) {
   if (kg == free_gpus && kc == free_cpus) {
     return;
   }
-  buckets_[bucket_of(kg, kc)].erase(id);
-  buckets_[bucket_of(free_gpus, free_cpus)].insert(id);
+  IdBitmap& from = buckets_[bucket_of(kg, kc)];
+  from.erase(id);
+  if (from.empty()) {
+    set_occupied(kg, kc, false);
+  }
+  IdBitmap& to = buckets_[bucket_of(free_gpus, free_cpus)];
+  to.insert(id);
+  if (to.count() == 1) {
+    set_occupied(free_gpus, free_cpus, true);
+  }
   if (kc != free_cpus) {
     cpu_marginal_[kc].erase(id);
     cpu_marginal_[free_cpus].insert(id);
@@ -142,6 +153,15 @@ void PlacementIndex::set_cpu_bias(NodeId id, int bias) {
   }
 }
 
+void PlacementIndex::set_occupied(int free_gpus, int free_cpus,
+                                  bool occupied) {
+  const auto c = static_cast<size_t>(free_cpus);
+  uint64_t& word = occupied_[static_cast<size_t>(free_gpus) * row_words_ +
+                             c / kWordBits];
+  const uint64_t bit = 1ULL << (c % kWordBits);
+  word = occupied ? (word | bit) : (word & ~bit);
+}
+
 size_t PlacementIndex::collect_best_fit(int gpus, int cpus, IdRange range,
                                         size_t want,
                                         std::vector<NodeId>* out) const {
@@ -150,18 +170,25 @@ size_t PlacementIndex::collect_best_fit(int gpus, int cpus, IdRange range,
   if (gpus > max_gpus_ || cpus > max_cpus_) {
     return 0;
   }
+  // Rows ascend in free GPUs and each row's set bits ascend in free cores:
+  // the buckets visited are the non-empty ones of the full grid walk, in
+  // the same order.
+  const size_t first_word = static_cast<size_t>(cpus) / kWordBits;
+  const uint64_t first_mask = ~0ULL << (static_cast<size_t>(cpus) % kWordBits);
   size_t appended = 0;
   for (int g = gpus; g <= max_gpus_ && appended < want; ++g) {
-    for (int c = cpus; c <= max_cpus_ && appended < want; ++c) {
-      const IdBitmap& b = buckets_[bucket_of(g, c)];
-      if (b.empty()) {
-        continue;
-      }
-      NodeId id = b.next_at_least(range.lo);
-      while (id < range.hi && appended < want) {
-        out->push_back(id);
-        ++appended;
-        id = b.next_at_least(id + 1);
+    const uint64_t* row = &occupied_[static_cast<size_t>(g) * row_words_];
+    for (size_t w = first_word; w < row_words_ && appended < want; ++w) {
+      uint64_t bits = row[w] & (w == first_word ? first_mask : ~0ULL);
+      for (; bits != 0 && appended < want; bits &= bits - 1) {
+        const int c = static_cast<int>(w * kWordBits) + std::countr_zero(bits);
+        const IdBitmap& b = buckets_[bucket_of(g, c)];
+        NodeId id = b.next_at_least(range.lo);
+        while (id < range.hi && appended < want) {
+          out->push_back(id);
+          ++appended;
+          id = b.next_at_least(id + 1);
+        }
       }
     }
   }

@@ -1,14 +1,15 @@
 // Incrementally maintained free-resource index over the cluster's nodes.
 //
 // Every node lives in exactly one bucket of an exact (free_gpus, free_cpus)
-// grid; each bucket is a two-level bitmap over node ids. Node mutations
-// (allocate / resize / release / failure) re-bucket the node in O(1) word
-// operations, and best-fit placement queries walk buckets in the scheduler's
-// exact preference order — fewest free GPUs, then fewest free cores, then
-// lowest node id — instead of scanning all N nodes. The index is pure derived
-// state: it is rebuilt from the nodes on construction and restore, carries a
-// generation counter for failed-shape dedup in the schedulers, and is never
-// serialized.
+// grid; each bucket is a two-level bitmap over node ids, and each row of the
+// grid (one free_gpus value) has a bitmask of its non-empty buckets. Node
+// mutations (allocate / resize / release / failure) re-bucket the node in
+// O(1) word operations, and best-fit placement queries walk the non-empty
+// buckets in the scheduler's exact preference order — fewest free GPUs, then
+// fewest free cores, then lowest node id — instead of scanning all N nodes.
+// The index is pure derived state: it is rebuilt from the nodes on
+// construction and restore, carries a generation counter the schedulers'
+// failed-shape memos key on, and is never serialized itself.
 //
 // Two side tables ride along for the CODA CPU array:
 //   - a marginal free_cpus table (any GPU state) answering the borrow-path
@@ -53,8 +54,12 @@ class IdBitmap {
 
 class PlacementIndex {
  public:
-  // Live-only query/maintenance counters (never serialized; restores and
-  // snapshots must stay byte-identical to the linear-scan implementation).
+  // Query/maintenance counters. They are not part of the index's state,
+  // but they do reach snapshots: the engine republishes them as the
+  // `placement_index_probes` / `placement_index_rebuilds` gauges on every
+  // metrics tick, and its save_state writes those as `ctr` rows. A search
+  // change that keeps every decision therefore still moves the probe row
+  // (Snapshot.PinnedBlobDigests also pins each blob with it masked).
   struct Stats {
     uint64_t probes = 0;    // placement/count/candidate queries answered
     uint64_t rebuilds = 0;  // full reset()s (construction, restore replay)
@@ -125,9 +130,16 @@ class PlacementIndex {
     return adj > 0 ? adj : 0;
   }
 
+  // Marks bucket (g, c) non-empty or empty in row g's occupancy mask.
+  void set_occupied(int free_gpus, int free_cpus, bool occupied);
+
   int max_gpus_ = 0;
   int max_cpus_ = 0;
   std::vector<IdBitmap> buckets_;       // (free_gpus, free_cpus) grid
+  // One bit per bucket, row by row: bit c of row g is set iff bucket (g, c)
+  // holds a node, so a search skips empty buckets a word at a time.
+  size_t row_words_ = 0;
+  std::vector<uint64_t> occupied_;
   std::vector<IdBitmap> cpu_marginal_;  // by free_cpus, any GPU state
   std::vector<IdBitmap> adjusted_;      // by max(0, free_cpus - bias)
   std::vector<int> key_gpus_;           // current bucket key per node

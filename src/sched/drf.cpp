@@ -83,15 +83,13 @@ void DrfScheduler::kick() {
   // round (no cross-tenant head-of-line blocking), but its own queue stays
   // FIFO.
   //
-  // Shapes that failed placement stay cached while the placement-index
-  // generation is unchanged: within a kick capacity only shrinks (rounds
-  // only start jobs), so a failure in one round still holds in the next,
-  // and a kick that begins with the cluster untouched since the last one
-  // inherits the previous kick's failures wholesale.
+  // A head whose request covers one that already failed is skipped without
+  // a search: within a kick capacity only shrinks (rounds only start jobs),
+  // so a failure in one round still holds in the next, and a kick that
+  // begins with the cluster untouched since the last one inherits the
+  // previous kick's failures wholesale.
   const auto& index = env_.cluster->placement_index();
-  if (index.generation() != failed_gen_) {
-    failed_shapes_.clear();
-  }
+  failed_.begin(index.generation());
   while (true) {
     // Order tenants with pending jobs by (dominant share, id).
     std::vector<cluster::TenantId> order;
@@ -110,25 +108,16 @@ void DrfScheduler::kick() {
                 return a < b;
               });
     bool started = false;
-    const auto already_failed = [this](const PlacementRequest& req) {
-      for (const auto& f : failed_shapes_) {
-        if (f.nodes == req.nodes && f.gpus_per_node == req.gpus_per_node &&
-            f.cpus_per_node == req.cpus_per_node) {
-          return true;
-        }
-      }
-      return false;
-    };
     for (cluster::TenantId id : order) {
       TenantState& state = tenants_[id];
       const workload::JobSpec& head = state.queue.front();
       const auto req = baseline_request(head);
-      if (already_failed(req)) {
+      if (failed_.refuses(req)) {
         continue;
       }
       auto placement = find_placement(*env_.cluster, req);
       if (!placement.has_value()) {
-        failed_shapes_.push_back(req);
+        failed_.add(req);
         continue;
       }
       const auto status = env_.start_job(head.id, *placement);
@@ -144,7 +133,7 @@ void DrfScheduler::kick() {
       break;  // shares changed; recompute the order
     }
     if (!started) {
-      failed_gen_ = index.generation();
+      failed_.end(index.generation());
       return;
     }
   }

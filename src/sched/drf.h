@@ -12,6 +12,7 @@
 #include <map>
 #include <vector>
 
+#include "sched/failed_shapes.h"
 #include "sched/placement.h"
 #include "sched/scheduler.h"
 
@@ -45,13 +46,10 @@ class DrfScheduler : public Scheduler {
 
   std::map<cluster::TenantId, TenantState> tenants_;
   size_t gpu_pending_ = 0;
-  // Request shapes that failed placement, valid while the cluster's
-  // placement-index generation stays at failed_gen_. Offer rounds within a
-  // kick only start jobs (capacity shrinks monotonically), so failures
-  // carry across rounds and — when nothing in the cluster changed — across
-  // whole kicks.
-  std::vector<PlacementRequest> failed_shapes_;
-  uint64_t failed_gen_ = ~0ULL;
+  // Failed requests. Offer rounds within a kick only start jobs, so
+  // failures carry across rounds and, when nothing in the cluster changed,
+  // across whole kicks.
+  FailedShapes failed_;
 };
 
 }  // namespace coda::sched

@@ -20,29 +20,6 @@ PlacementRequest baseline_request(const workload::JobSpec& spec) {
   return req;
 }
 
-namespace {
-
-// Best-fit score: prefer nodes that would be left with the fewest free GPUs,
-// then the fewest free cores (pack tightly, keep big holes open for big
-// jobs). Lower is better.
-struct Candidate {
-  const cluster::Node* node = nullptr;
-  int free_gpus_after = 0;
-  int free_cpus_after = 0;
-
-  bool operator<(const Candidate& other) const {
-    if (free_gpus_after != other.free_gpus_after) {
-      return free_gpus_after < other.free_gpus_after;
-    }
-    if (free_cpus_after != other.free_cpus_after) {
-      return free_cpus_after < other.free_cpus_after;
-    }
-    return node->id() < other.node->id();
-  }
-};
-
-}  // namespace
-
 std::optional<Placement> find_placement(const cluster::Cluster& cluster,
                                         const PlacementRequest& request) {
   return find_placement(cluster, request, IdRange{});
@@ -68,36 +45,6 @@ std::optional<Placement> find_placement(const cluster::Cluster& cluster,
   for (cluster::NodeId id : ids) {
     placement.nodes.push_back(
         NodePlacement{id, request.cpus_per_node, request.gpus_per_node});
-  }
-  return placement;
-}
-
-std::optional<Placement> find_placement(const cluster::Cluster& cluster,
-                                        const PlacementRequest& request,
-                                        const NodeFilter& filter) {
-  CODA_ASSERT(request.nodes >= 1);
-  CODA_ASSERT(request.cpus_per_node >= 1 || request.gpus_per_node >= 1);
-  // Rank every feasible node and take the best `nodes`; partial_sort picks
-  // the same prefix as a full sort because the order is total.
-  std::vector<Candidate> candidates;
-  for (const auto& node : cluster.nodes()) {
-    if (filter(node) &&
-        node.can_fit(request.cpus_per_node, request.gpus_per_node)) {
-      candidates.push_back(
-          Candidate{&node, node.free_gpus() - request.gpus_per_node,
-                    node.free_cpus() - request.cpus_per_node});
-    }
-  }
-  if (static_cast<int>(candidates.size()) < request.nodes) {
-    return std::nullopt;
-  }
-  std::partial_sort(candidates.begin(), candidates.begin() + request.nodes,
-                    candidates.end());
-  Placement placement;
-  for (int i = 0; i < request.nodes; ++i) {
-    placement.nodes.push_back(
-        NodePlacement{candidates[static_cast<size_t>(i)].node->id(),
-                      request.cpus_per_node, request.gpus_per_node});
   }
   return placement;
 }

@@ -5,7 +5,6 @@
 // differences come from the *scheduling policy*, not the packer.
 #pragma once
 
-#include <functional>
 #include <optional>
 
 #include "cluster/cluster.h"
@@ -13,9 +12,6 @@
 #include "workload/job.h"
 
 namespace coda::sched {
-
-// Restricts which nodes a search may use; return true to allow.
-using NodeFilter = std::function<bool(const cluster::Node&)>;
 
 // How many CPU cores a placement should give the job on each node.
 // For GPU jobs this is the paper's per-node core count (requested by the
@@ -44,12 +40,5 @@ std::optional<Placement> find_placement(const cluster::Cluster& cluster,
 std::optional<Placement> find_placement(const cluster::Cluster& cluster,
                                         const PlacementRequest& request,
                                         IdRange range);
-
-// Arbitrary-predicate variant: a linear scan over every node. It is the
-// reference the indexed overload above is tested against (pass a filter
-// for the same id range to get the identical answer).
-std::optional<Placement> find_placement(const cluster::Cluster& cluster,
-                                        const PlacementRequest& request,
-                                        const NodeFilter& filter);
 
 }  // namespace coda::sched

@@ -1,13 +1,20 @@
 // Snapshot (de)serialization for the base Scheduler and the FIFO/DRF
-// baselines, and the queue lookup restore checks retries against. Queue contents are written as job-id sequences in queue order;
-// load_state rehydrates the full JobSpecs from the snapshot's embedded
-// session (SpecMap), so specs are stored exactly once per session.
+// baselines, and the queue lookup restore checks retries against. Queue
+// contents are written as job-id sequences in queue order; load_state
+// rehydrates the full JobSpecs from the snapshot's embedded session
+// (SpecMap), so specs are stored exactly once per session. It refuses the
+// rows a policy would abort on later: a queued job that is running or
+// queued twice, a GPU-pending count the queues disagree with, and a DRF
+// tenant allocation that its running jobs do not hold.
 #include <algorithm>
+#include <set>
+#include <string>
 
 #include "sched/drf.h"
 #include "sched/fifo.h"
 #include "sched/scheduler.h"
 #include "state/serde.h"
+#include "util/strings.h"
 
 namespace coda::sched {
 
@@ -43,13 +50,57 @@ void Scheduler::load_state(state::Reader* r, const SpecMap& /*specs*/) {
   }
 }
 
+namespace {
+
+// Jobs holding an allocation on some node. A baseline policy's running
+// jobs are exactly these, and the engine has restored the nodes by the
+// time the policy's rows are read.
+std::set<cluster::JobId> jobs_on_nodes(const cluster::Cluster& cluster) {
+  std::set<cluster::JobId> jobs;
+  for (const cluster::Node& node : cluster.nodes()) {
+    for (const auto& [job, alloc] : node.allocations()) {
+      jobs.insert(job);
+    }
+  }
+  return jobs;
+}
+
+// The spec of one queue row, which joins `taken` (the running jobs and the
+// rows read so far), or nullptr with `r` poisoned when the job is already
+// in it: a job queued while running, or queued twice, starts twice.
+const workload::JobSpec* queued_spec(state::Reader* r, const SpecMap& specs,
+                                     std::set<cluster::JobId>* taken,
+                                     const char* row) {
+  const cluster::JobId id = r->u64();
+  const workload::JobSpec* spec = spec_of(r, specs, id);
+  if (spec != nullptr && !taken->insert(id).second) {
+    r->fail(util::strfmt("%s row %llu names a running or already queued job",
+                         row, static_cast<unsigned long long>(id)));
+    return nullptr;
+  }
+  return spec;
+}
+
+// Reads a `<key> n` row and checks n against the GPU jobs the queue rows
+// hold.
+void expect_gpu_pending(state::Reader* r, const char* key, size_t derived) {
+  r->expect(key);
+  const uint64_t n = r->u64();
+  if (r->ok() && n != derived) {
+    r->fail(util::strfmt("%s %llu but %zu GPU jobs are queued", key,
+                         static_cast<unsigned long long>(n), derived));
+  }
+}
+
+}  // namespace
+
 // ----------------------------------------------------------------- FIFO
 
 void FifoScheduler::save_state(state::Writer* w) const {
   Scheduler::save_state(w);
-  w->line("fifo_queue", queue_.size());
-  for (const workload::JobSpec& spec : queue_) {
-    w->line("fq", spec.id);
+  w->line("fifo_queue", size_);
+  for (uint32_t e = head_; e != kNil; e = entries_[e].next) {
+    w->line("fq", entries_[e].spec.id);
   }
   w->line("fifo_gpu_pending", gpu_pending_);
 }
@@ -58,15 +109,21 @@ void FifoScheduler::load_state(state::Reader* r, const SpecMap& specs) {
   Scheduler::load_state(r, specs);
   r->expect("fifo_queue");
   const uint64_t n = r->u64();
-  queue_.clear();
+  entries_.clear();
+  free_ = head_ = tail_ = window_last_ = kNil;
+  size_ = gpu_pending_ = 0;
+  back_order_ = front_order_ = 0;
+  shapes_.clear();
+  shape_ids_.clear();
+  first_shape_ = last_shape_ = kNil;
+  std::set<cluster::JobId> taken = jobs_on_nodes(*env_.cluster);
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("fq");
-    if (const workload::JobSpec* spec = spec_of(r, specs, r->u64())) {
-      queue_.push_back(*spec);
+    if (const workload::JobSpec* spec = queued_spec(r, specs, &taken, "fq")) {
+      push(*spec, /*front=*/false);
     }
   }
-  r->expect("fifo_gpu_pending");
-  gpu_pending_ = r->u64();
+  expect_gpu_pending(r, "fifo_gpu_pending", gpu_pending_);
 }
 
 // ------------------------------------------------------------------ DRF
@@ -89,6 +146,8 @@ void DrfScheduler::load_state(state::Reader* r, const SpecMap& specs) {
   r->expect("drf_tenants");
   const uint64_t n = r->u64();
   tenants_.clear();
+  gpu_pending_ = 0;
+  std::set<cluster::JobId> taken = jobs_on_nodes(*env_.cluster);
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("ten");
     cluster::TenantId tenant = 0;
@@ -98,18 +157,52 @@ void DrfScheduler::load_state(state::Reader* r, const SpecMap& specs) {
     r->read(st.allocated.cpus, st.allocated.gpus, k);
     for (uint64_t j = 0; j < k && r->ok(); ++j) {
       r->expect("tq");
-      if (const workload::JobSpec* spec = spec_of(r, specs, r->u64())) {
+      if (const workload::JobSpec* spec =
+              queued_spec(r, specs, &taken, "tq")) {
         st.queue.push_back(*spec);
+        gpu_pending_ += spec->is_gpu_job() ? 1 : 0;
       }
     }
   }
-  r->expect("drf_gpu_pending");
-  gpu_pending_ = r->u64();
+  expect_gpu_pending(r, "drf_gpu_pending", gpu_pending_);
+  if (!r->ok()) {
+    return;
+  }
+  // A tenant's allocation is what its running jobs hold on the nodes; a
+  // `ten` row that says otherwise would drive the share negative (or keep
+  // it high forever) once those jobs leave.
+  std::map<cluster::TenantId, cluster::ResourceVector> held;
+  for (const cluster::Node& node : env_.cluster->nodes()) {
+    for (const auto& [job, alloc] : node.allocations()) {
+      const workload::JobSpec* spec = spec_of(r, specs, job);
+      if (spec == nullptr) {
+        return;
+      }
+      held[spec->tenant] += cluster::ResourceVector{alloc.cpus, alloc.gpus};
+    }
+  }
+  for (const auto& [tenant, st] : tenants_) {
+    held.try_emplace(tenant);
+  }
+  for (const auto& [tenant, resources] : held) {
+    const auto it = tenants_.find(tenant);
+    const cluster::ResourceVector listed =
+        it == tenants_.end() ? cluster::ResourceVector{}
+                             : it->second.allocated;
+    if (listed != resources) {
+      r->fail(util::strfmt(
+          "ten row of tenant %llu holds %d cores and %d GPUs but its "
+          "running jobs hold %d and %d",
+          static_cast<unsigned long long>(tenant), listed.cpus, listed.gpus,
+          resources.cpus, resources.gpus));
+      return;
+    }
+  }
 }
 
 bool FifoScheduler::queued(cluster::JobId id) const {
-  for (const workload::JobSpec& spec : queue_) {
-    if (spec.id == id) {
+  for (uint32_t e = head_; e != kNil; e = entries_[e].next) {
+    if (entries_[e].spec.id == id) {
       return true;
     }
   }

@@ -1,63 +1,10 @@
 #include "util/csv.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "util/strings.h"
 
 namespace coda::util {
-
-Result<size_t> CsvDocument::column(const std::string& name) const {
-  for (size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) {
-      return i;
-    }
-  }
-  return Error{ErrorCode::kNotFound, "no CSV column named '" + name + "'"};
-}
-
-Result<CsvDocument> parse_csv(const std::string& text) {
-  CsvDocument doc;
-  std::istringstream in(text);
-  std::string line;
-  bool first = true;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    if (trim(line).empty()) {
-      continue;
-    }
-    auto fields = split(line, ',');
-    if (first) {
-      doc.header = std::move(fields);
-      first = false;
-      continue;
-    }
-    if (fields.size() != doc.header.size()) {
-      return Error{ErrorCode::kParseError,
-                   strfmt("CSV line %zu has %zu fields, header has %zu",
-                          line_no, fields.size(), doc.header.size())};
-    }
-    doc.rows.push_back(std::move(fields));
-  }
-  if (first) {
-    return Error{ErrorCode::kParseError, "CSV input is empty"};
-  }
-  return doc;
-}
-
-Result<CsvDocument> read_csv_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Error{ErrorCode::kIoError, "cannot open '" + path + "' for read"};
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_csv(buf.str());
-}
 
 std::string to_csv(const CsvDocument& doc) {
   std::string out = join(doc.header, ",") + "\n";

@@ -1,6 +1,8 @@
-// Minimal CSV reader/writer used for trace import/export. Only the subset we
-// need: comma separator, no quoting (trace fields are numeric or simple
-// identifiers), first row is a header.
+// Minimal CSV writer for reports, the event log and characterization
+// tables. Only the subset they need: comma separator, no quoting (fields
+// are numeric or simple identifiers), first row is a header. Nothing in the
+// simulator reads CSV back through it; traces have their own codec
+// (workload/trace_io.h).
 #pragma once
 
 #include <string>
@@ -13,17 +15,7 @@ namespace coda::util {
 struct CsvDocument {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
-
-  // Index of a header column; kNotFound error when absent.
-  Result<size_t> column(const std::string& name) const;
 };
-
-// Parses CSV text. Fails with kParseError if any row has a different field
-// count than the header.
-Result<CsvDocument> parse_csv(const std::string& text);
-
-// Reads and parses a CSV file; kIoError if unreadable.
-Result<CsvDocument> read_csv_file(const std::string& path);
 
 // Serializes a document (no escaping; callers must not embed commas).
 std::string to_csv(const CsvDocument& doc);

@@ -25,16 +25,6 @@ constexpr std::array<const char*, 22> kColumns = {
     "llc_mb",    "user_facing",
     "ckpt_interval_s", "ckpt_overhead_s"};
 
-util::Result<perfmodel::ModelId> model_from_string(const std::string& name) {
-  for (perfmodel::ModelId id : perfmodel::kAllModels) {
-    if (name == perfmodel::to_string(id)) {
-      return id;
-    }
-  }
-  return util::Error{util::ErrorCode::kParseError,
-                     "unknown model name '" + name + "'"};
-}
-
 // One data row's fields. read() stores one parsed column in its
 // destination, or records the row's error and returns false, so a run of
 // reads is one && chain that stops at the first bad field.
@@ -187,6 +177,16 @@ util::Result<JobSpec> parse_row(std::string_view line, size_t index,
 }
 
 }  // namespace
+
+util::Result<perfmodel::ModelId> model_from_string(const std::string& name) {
+  for (perfmodel::ModelId id : perfmodel::kAllModels) {
+    if (name == perfmodel::to_string(id)) {
+      return id;
+    }
+  }
+  return util::Error{util::ErrorCode::kParseError,
+                     "unknown model name '" + name + "'"};
+}
 
 std::string trace_to_csv(const std::vector<JobSpec>& trace) {
   std::string out = trace_csv_header() + "\n";

@@ -18,6 +18,11 @@ std::string trace_to_csv(const std::vector<JobSpec>& trace);
 // repeated id, or a submit time that is negative or not finite.
 util::Result<std::vector<JobSpec>> trace_from_csv(const std::string& text);
 
+// The model a trace or SUBMIT row names: the exact name of one of
+// perfmodel::kAllModels ("Resnet50", not "resnet50"); kParseError for any
+// other text.
+util::Result<perfmodel::ModelId> model_from_string(const std::string& name);
+
 // File-level convenience wrappers.
 util::Status save_trace(const std::string& path,
                         const std::vector<JobSpec>& trace);

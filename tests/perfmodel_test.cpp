@@ -5,10 +5,10 @@
 
 #include <map>
 
+#include "csv_read.h"
 #include "perfmodel/characterization.h"
 #include "perfmodel/dnn_model.h"
 #include "perfmodel/train_perf.h"
-#include "util/csv.h"
 #include "workload/heat.h"
 
 namespace coda::perfmodel {
@@ -350,7 +350,7 @@ TEST(Characterization, SavesCsvFiles) {
   ASSERT_TRUE(save_characterization_csv(dir).ok());
   for (const char* name :
        {"fig3_cores.csv", "fig5_fig6_summary.csv", "fig7_contention.csv"}) {
-    auto doc = util::read_csv_file(dir + "/" + name);
+    auto doc = test::read_csv_file(dir + "/" + name);
     ASSERT_TRUE(doc.ok()) << name;
     EXPECT_GT(doc->rows.size(), 8u) << name;
   }

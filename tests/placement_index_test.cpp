@@ -3,12 +3,11 @@
 // Drives a cluster through thousands of random mutations (allocate, resize,
 // release, failure toggles, CPU-bias updates) and checks after every step
 // that the indexed query paths return exactly what the linear scans return:
-// find_placement (IdRange overload) against its NodeFilter overload, and the
-// CODA side queries (best_adjusted_fit, best_free_cpu_fit, eviction
+// find_placement (IdRange overload) against the scan of scan_placement.h,
+// and the CODA side queries (best_adjusted_fit, best_free_cpu_fit, eviction
 // candidates, the fragmentation bucket sum) against brute-force
-// recomputation from the nodes. The index is pure
-// derived state — any divergence here is a maintenance bug, not a modelling
-// choice. End to end, report digests recorded from the linear-scan
+// recomputation from the nodes. The index is pure derived state — any
+// divergence here is a maintenance bug, not a modelling choice. End to end, report digests recorded from the linear-scan
 // schedulers pin whole replays.
 #include <gtest/gtest.h>
 
@@ -20,6 +19,7 @@
 
 #include "cluster/cluster.h"
 #include "sched/placement.h"
+#include "scan_placement.h"
 #include "sim/experiment.h"
 #include "sim/report_cache.h"
 #include "sim/report_io.h"
@@ -191,11 +191,12 @@ TEST(PlacementIndexProperty, RandomWalkMatchesLinearScan) {
       range.lo = std::min(a, b);
       range.hi = std::max(a, b);
     }
-    const sched::NodeFilter in_range = [range](const cluster::Node& node) {
+    const test::NodeFilter in_range = [range](const cluster::Node& node) {
       return node.id() >= range.lo && node.id() < range.hi;
     };
-    ASSERT_TRUE(placements_equal(sched::find_placement(cluster, req, range),
-                                 sched::find_placement(cluster, req, in_range)))
+    ASSERT_TRUE(placements_equal(
+        sched::find_placement(cluster, req, range),
+        test::find_placement_by_scan(cluster, req, in_range)))
         << "step " << step << " req={" << req.nodes << ","
         << req.gpus_per_node << "," << req.cpus_per_node << "} range=["
         << range.lo << "," << range.hi << ")";

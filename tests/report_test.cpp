@@ -2,12 +2,12 @@
 // report exporter.
 #include <gtest/gtest.h>
 
+#include "csv_read.h"
 #include "sched/fifo.h"
 #include "sim/engine.h"
 #include "sim/event_log.h"
 #include "sim/experiment.h"
 #include "sim/report_io.h"
-#include "util/csv.h"
 #include "workload/trace_gen.h"
 
 namespace coda::sim {
@@ -92,7 +92,7 @@ TEST(EventLog, SaveCsvRoundTrips) {
   log.record(2.5, EventKind::kBwCap, 8, 0, 25.5);
   const std::string path = testing::TempDir() + "/coda_events.csv";
   ASSERT_TRUE(log.save_csv(path).ok());
-  auto doc = util::read_csv_file(path);
+  auto doc = test::read_csv_file(path);
   ASSERT_TRUE(doc.ok());
   ASSERT_EQ(doc->rows.size(), 2u);
   EXPECT_EQ(doc->rows[0][1], "start");
@@ -172,23 +172,23 @@ TEST(ReportIo, SavesThreeCsvFiles) {
   const std::string dir = testing::TempDir();
   ASSERT_TRUE(save_report_csv(report, dir, "t").ok());
 
-  auto summary = util::read_csv_file(dir + "/t_summary.csv");
+  auto summary = test::read_csv_file(dir + "/t_summary.csv");
   ASSERT_TRUE(summary.ok());
   ASSERT_EQ(summary->rows.size(), 1u);
   EXPECT_EQ(summary->rows[0][0], "CODA");
   EXPECT_EQ(summary->rows[0][1], std::to_string(trace.size()));
-  ASSERT_TRUE(summary->column("gpu_goodput").ok());
+  ASSERT_TRUE(test::column(*summary, "gpu_goodput").ok());
 
-  auto series = util::read_csv_file(dir + "/t_series.csv");
+  auto series = test::read_csv_file(dir + "/t_series.csv");
   ASSERT_TRUE(series.ok());
   EXPECT_EQ(series->rows.size(), report.gpu_active_series.size());
-  ASSERT_TRUE(series->column("gpu_util").ok());
+  ASSERT_TRUE(test::column(*series, "gpu_util").ok());
 
-  auto jobs = util::read_csv_file(dir + "/t_jobs.csv");
+  auto jobs = test::read_csv_file(dir + "/t_jobs.csv");
   ASSERT_TRUE(jobs.ok());
   EXPECT_EQ(jobs->rows.size(), trace.size());
-  ASSERT_TRUE(jobs->column("queue_s").ok());
-  ASSERT_TRUE(jobs->column("wasted_gpu_s").ok());
+  ASSERT_TRUE(test::column(*jobs, "queue_s").ok());
+  ASSERT_TRUE(test::column(*jobs, "wasted_gpu_s").ok());
 }
 
 TEST(ReportIo, FailsOnUnwritableDirectory) {

@@ -1,12 +1,23 @@
 // Tests for placement search and the FIFO/DRF baseline schedulers, driven
-// through a minimal fake engine environment.
+// through a minimal fake engine environment. The KickEquivalence suite runs
+// each baseline beside a test-local oracle that walks its queue entry by
+// entry with an exact-match failed-shape memo.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <deque>
+#include <list>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "scan_placement.h"
 #include "sched/drf.h"
 #include "sched/fifo.h"
 #include "sched/placement.h"
+#include "state/serde.h"
+#include "util/rng.h"
 
 namespace coda::sched {
 namespace {
@@ -36,10 +47,12 @@ workload::JobSpec cpu_job(cluster::JobId id, cluster::TenantId tenant,
 }
 
 // Minimal engine stand-in: start_job allocates directly on the cluster.
+// `cpu_only` CPU servers of `cores` cores follow the GPU nodes.
 class FakeEngine {
  public:
-  explicit FakeEngine(int nodes, int cores = 8, int gpus = 2)
-      : cluster_(make_config(nodes, cores, gpus)) {}
+  explicit FakeEngine(int nodes, int cores = 8, int gpus = 2,
+                      int cpu_only = 0)
+      : cluster_(make_config(nodes, cores, gpus, cpu_only)) {}
 
   SchedulerEnv env() {
     SchedulerEnv e;
@@ -54,6 +67,11 @@ class FakeEngine {
       }
       started_.push_back(id);
       placements_[id] = p;
+      std::string& log = start_log_.emplace_back(std::to_string(id) + ":");
+      for (const auto& np : p.nodes) {
+        log += " " + std::to_string(np.node) + "/" + std::to_string(np.cpus) +
+               "/" + std::to_string(np.gpus);
+      }
       return util::Status::Ok();
     };
     e.preempt_job = [this](cluster::JobId id, bool) {
@@ -70,22 +88,28 @@ class FakeEngine {
 
   cluster::Cluster& cluster() { return cluster_; }
   const std::vector<cluster::JobId>& started() const { return started_; }
+  // One "id: node/cpus/gpus ..." line per start, in start order.
+  const std::vector<std::string>& start_log() const { return start_log_; }
   const Placement& placement_of(cluster::JobId id) {
     return placements_.at(id);
   }
 
  private:
-  static cluster::ClusterConfig make_config(int nodes, int cores, int gpus) {
+  static cluster::ClusterConfig make_config(int nodes, int cores, int gpus,
+                                            int cpu_only) {
     cluster::ClusterConfig cfg;
     cfg.node_count = nodes;
     cfg.node.cores = cores;
     cfg.node.gpus = gpus;
+    cfg.cpu_only_node_count = cpu_only;
+    cfg.cpu_only_node.cores = cores;
     return cfg;
   }
 
   cluster::Cluster cluster_;
   simcore::Simulator sim_;
   std::vector<cluster::JobId> started_;
+  std::vector<std::string> start_log_;
   std::map<cluster::JobId, Placement> placements_;
 };
 
@@ -118,7 +142,7 @@ TEST(Placement, BestFitPacksTightest) {
 TEST(Placement, RespectsFilter) {
   FakeEngine engine(3);
   PlacementRequest req{1, 1, 1};
-  auto placement = find_placement(
+  auto placement = test::find_placement_by_scan(
       engine.cluster(), req,
       [](const cluster::Node& n) { return n.id() == 1; });
   ASSERT_TRUE(placement.has_value());
@@ -397,6 +421,395 @@ TEST(Drf, RetryAbandonStillReleasesAccounting) {
   EXPECT_EQ(abandoned, (std::vector<cluster::JobId>{1}));
   env.sim->run_all();
   EXPECT_EQ(engine.started().size(), 1u);
+}
+
+// --------------------------------------------------------- kick equivalence
+
+// A failed-shape memo that refuses only a request identical to one that
+// failed since the placement index's generation last moved.
+class ExactMemo {
+ public:
+  void begin(uint64_t generation) {
+    if (generation != generation_) {
+      failed_.clear();
+    }
+  }
+  void end(uint64_t generation) { generation_ = generation; }
+  bool refuses(const PlacementRequest& r) const {
+    for (const PlacementRequest& f : failed_) {
+      if (f.nodes == r.nodes && f.gpus_per_node == r.gpus_per_node &&
+          f.cpus_per_node == r.cpus_per_node) {
+        return true;
+      }
+    }
+    return false;
+  }
+  void add(const PlacementRequest& r) { failed_.push_back(r); }
+
+ private:
+  std::vector<PlacementRequest> failed_;
+  uint64_t generation_ = ~0ULL;
+};
+
+bool less_demand(const Scheduler::PendingGpuDemand& a,
+                 const Scheduler::PendingGpuDemand& b) {
+  return a.gpus_per_node < b.gpus_per_node ||
+         (a.gpus_per_node == b.gpus_per_node &&
+          a.cpus_per_node < b.cpus_per_node);
+}
+
+// The FIFO oracle: one std::list in queue order, and a kick that visits
+// every entry of the backfill window in turn.
+class ListWalkFifo : public Scheduler {
+ public:
+  explicit ListWalkFifo(int window) : window_(window) {}
+  const char* name() const override { return "FIFO"; }
+  void submit(const workload::JobSpec& spec) override {
+    queue_.push_back(spec);
+  }
+  void on_job_finished(const workload::JobSpec&) override {}
+  void on_job_evicted(const workload::JobSpec& spec) override {
+    queue_.push_front(spec);
+  }
+  void kick() override {
+    const auto& index = env_.cluster->placement_index();
+    memo_.begin(index.generation());
+    int examined = 0;
+    for (auto it = queue_.begin(); it != queue_.end() && examined < window_;
+         ++examined) {
+      const PlacementRequest request = baseline_request(*it);
+      if (memo_.refuses(request)) {
+        ++it;
+        continue;
+      }
+      auto placement = find_placement(*env_.cluster, request);
+      if (!placement.has_value()) {
+        memo_.add(request);
+        ++it;
+        continue;
+      }
+      EXPECT_TRUE(env_.start_job(it->id, *placement).ok());
+      it = queue_.erase(it);
+    }
+    memo_.end(index.generation());
+  }
+  size_t pending_jobs() const override { return queue_.size(); }
+  size_t pending_gpu_jobs() const override {
+    return static_cast<size_t>(
+        std::count_if(queue_.begin(), queue_.end(),
+                      [](const auto& spec) { return spec.is_gpu_job(); }));
+  }
+  std::optional<PendingGpuDemand> min_pending_gpu_demand() const override {
+    std::optional<PendingGpuDemand> best;
+    int examined = 0;
+    for (const auto& spec : queue_) {
+      if (examined++ >= window_) {
+        break;
+      }
+      if (!spec.is_gpu_job()) {
+        continue;
+      }
+      const PendingGpuDemand d{spec.train_config.gpus_per_node,
+                               std::max(1, spec.requested_cpus)};
+      if (!best || less_demand(d, *best)) {
+        best = d;
+      }
+    }
+    return best;
+  }
+  void save_state(state::Writer* w) const override {
+    Scheduler::save_state(w);
+    w->line("fifo_queue", queue_.size());
+    for (const auto& spec : queue_) {
+      w->line("fq", spec.id);
+    }
+    w->line("fifo_gpu_pending", pending_gpu_jobs());
+  }
+
+ private:
+  int window_;
+  std::list<workload::JobSpec> queue_;
+  ExactMemo memo_;
+};
+
+// The DRF oracle: DrfScheduler's progressive filling with the exact-match
+// memo.
+class ExactMemoDrf : public Scheduler {
+ public:
+  const char* name() const override { return "DRF"; }
+  void submit(const workload::JobSpec& spec) override {
+    tenants_[spec.tenant].queue.push_back(spec);
+  }
+  void on_job_finished(const workload::JobSpec& spec) override {
+    const auto req = baseline_request(spec);
+    tenants_.at(spec.tenant).allocated -= cluster::ResourceVector{
+        req.cpus_per_node * req.nodes, req.gpus_per_node * req.nodes};
+  }
+  void on_job_evicted(const workload::JobSpec& spec) override {
+    on_job_finished(spec);
+    tenants_[spec.tenant].queue.push_front(spec);
+  }
+  void kick() override {
+    const auto& index = env_.cluster->placement_index();
+    memo_.begin(index.generation());
+    const auto share = [this](cluster::TenantId t) {
+      const auto& alloc = tenants_.at(t).allocated;
+      return std::max(
+          static_cast<double>(alloc.cpus) / env_.cluster->total_cpus(),
+          static_cast<double>(alloc.gpus) / env_.cluster->total_gpus());
+    };
+    while (true) {
+      std::vector<cluster::TenantId> order;
+      for (const auto& [id, st] : tenants_) {
+        if (!st.queue.empty()) {
+          order.push_back(id);
+        }
+      }
+      std::sort(order.begin(), order.end(),
+                [&share](cluster::TenantId a, cluster::TenantId b) {
+                  const double sa = share(a);
+                  const double sb = share(b);
+                  return sa != sb ? sa < sb : a < b;
+                });
+      bool started = false;
+      for (cluster::TenantId id : order) {
+        Tenant& st = tenants_[id];
+        const workload::JobSpec head = st.queue.front();
+        const auto req = baseline_request(head);
+        if (memo_.refuses(req)) {
+          continue;
+        }
+        auto placement = find_placement(*env_.cluster, req);
+        if (!placement.has_value()) {
+          memo_.add(req);
+          continue;
+        }
+        EXPECT_TRUE(env_.start_job(head.id, *placement).ok());
+        st.allocated += cluster::ResourceVector{
+            req.cpus_per_node * req.nodes, req.gpus_per_node * req.nodes};
+        st.queue.pop_front();
+        started = true;
+        break;
+      }
+      if (!started) {
+        memo_.end(index.generation());
+        return;
+      }
+    }
+  }
+  size_t pending_jobs() const override {
+    size_t n = 0;
+    for (const auto& [id, st] : tenants_) {
+      n += st.queue.size();
+    }
+    return n;
+  }
+  size_t pending_gpu_jobs() const override {
+    size_t n = 0;
+    for (const auto& [id, st] : tenants_) {
+      n += static_cast<size_t>(
+          std::count_if(st.queue.begin(), st.queue.end(),
+                        [](const auto& spec) { return spec.is_gpu_job(); }));
+    }
+    return n;
+  }
+  std::optional<PendingGpuDemand> min_pending_gpu_demand() const override {
+    std::optional<PendingGpuDemand> best;
+    for (const auto& [id, st] : tenants_) {
+      if (st.queue.empty() || !st.queue.front().is_gpu_job()) {
+        continue;
+      }
+      const auto& spec = st.queue.front();
+      const PendingGpuDemand d{spec.train_config.gpus_per_node,
+                               std::max(1, spec.requested_cpus)};
+      if (!best || less_demand(d, *best)) {
+        best = d;
+      }
+    }
+    return best;
+  }
+  void save_state(state::Writer* w) const override {
+    Scheduler::save_state(w);
+    w->line("drf_tenants", tenants_.size());
+    for (const auto& [tenant, st] : tenants_) {
+      w->line("ten", tenant, st.allocated.cpus, st.allocated.gpus,
+              st.queue.size());
+      for (const workload::JobSpec& spec : st.queue) {
+        w->line("tq", spec.id);
+      }
+    }
+    w->line("drf_gpu_pending", pending_gpu_jobs());
+  }
+
+ private:
+  struct Tenant {
+    std::deque<workload::JobSpec> queue;
+    cluster::ResourceVector allocated;
+  };
+  std::map<cluster::TenantId, Tenant> tenants_;
+  ExactMemo memo_;
+};
+
+std::string state_of(const Scheduler& s) {
+  state::Writer w;
+  s.save_state(&w);
+  return w.take();
+}
+
+// Drives `subject` and `oracle`, each on its own copy of a small seeded
+// cluster (GPU nodes plus CPU-only servers), through one seeded sequence
+// of submits, finishes, evictions requeued at the head, and bare kicks.
+// After every step both must have made the same starts on the same nodes
+// and must agree on the pending counts, the pending GPU demand and every
+// byte of their saved state. Returns the longest queue seen.
+size_t run_side_by_side(uint64_t seed, Scheduler* subject, Scheduler* oracle,
+                        int steps) {
+  util::Rng rng(seed);
+  const int nodes = static_cast<int>(rng.uniform_int(1, 5));
+  const int cores = static_cast<int>(4 * rng.uniform_int(1, 4));
+  const int gpus = static_cast<int>(rng.uniform_int(1, 4));
+  const int cpu_only = static_cast<int>(rng.uniform_int(0, 2));
+  FakeEngine a(nodes, cores, gpus, cpu_only);
+  FakeEngine b(nodes, cores, gpus, cpu_only);
+  subject->attach(a.env());
+  oracle->attach(b.env());
+  std::map<cluster::JobId, workload::JobSpec> specs;
+  std::vector<cluster::JobId> running;
+  cluster::JobId next_id = 1;
+  size_t seen_starts = 0;
+  size_t longest = 0;
+  const auto kick = [&] {
+    subject->kick();
+    oracle->kick();
+  };
+  for (int step = 0; step < steps; ++step) {
+    const double op = rng.uniform();
+    if (op < 0.5 || running.empty()) {
+      for (int64_t k = rng.uniform_int(1, 3); k > 0; --k) {
+        const auto tenant =
+            static_cast<cluster::TenantId>(rng.uniform_int(0, 3));
+        workload::JobSpec spec =
+            rng.uniform() < 0.5
+                ? gpu_job(next_id, tenant,
+                          static_cast<int>(rng.uniform_int(1, gpus + 1)),
+                          static_cast<int>(rng.uniform_int(0, cores)))
+                : cpu_job(next_id, tenant,
+                          static_cast<int>(rng.uniform_int(1, cores + 1)));
+        if (spec.is_gpu_job() && rng.uniform() < 0.3) {
+          spec.train_config.nodes = static_cast<int>(rng.uniform_int(2, 3));
+        }
+        specs[next_id++] = spec;
+        subject->submit(spec);
+        oracle->submit(spec);
+      }
+      if (rng.uniform() < 0.8) {
+        kick();
+      }
+    } else if (op < 0.85) {
+      // A finish, or (one time in four) a node-failure eviction whose
+      // victim goes back to the head of the queue.
+      const size_t pick =
+          static_cast<size_t>(rng.uniform_int(0, running.size() - 1));
+      const cluster::JobId id = running[pick];
+      running.erase(running.begin() + static_cast<std::ptrdiff_t>(pick));
+      a.finish(id);
+      b.finish(id);
+      if (rng.uniform() < 0.25) {
+        subject->on_job_evicted(specs.at(id));
+        oracle->on_job_evicted(specs.at(id));
+      } else {
+        subject->on_job_finished(specs.at(id));
+        oracle->on_job_finished(specs.at(id));
+      }
+      kick();
+    } else {
+      kick();
+    }
+    EXPECT_EQ(a.start_log(), b.start_log())
+        << "seed " << seed << " step " << step;
+    for (; seen_starts < a.started().size(); ++seen_starts) {
+      running.push_back(a.started()[seen_starts]);
+    }
+    EXPECT_EQ(subject->pending_jobs(), oracle->pending_jobs());
+    EXPECT_EQ(subject->pending_gpu_jobs(), oracle->pending_gpu_jobs());
+    const auto da = subject->min_pending_gpu_demand();
+    const auto db = oracle->min_pending_gpu_demand();
+    EXPECT_EQ(da.has_value(), db.has_value()) << "step " << step;
+    if (da.has_value() && db.has_value()) {
+      EXPECT_EQ(da->gpus_per_node, db->gpus_per_node);
+      EXPECT_EQ(da->cpus_per_node, db->cpus_per_node);
+    }
+    EXPECT_EQ(state_of(*subject), state_of(*oracle))
+        << "seed " << seed << " step " << step;
+    if (::testing::Test::HasFailure()) {
+      return longest;
+    }
+    longest = std::max(longest, subject->pending_jobs());
+  }
+  return longest;
+}
+
+TEST(KickEquivalence, FifoMatchesTheListWalk) {
+  for (const int window : {1, 3, 256}) {
+    size_t longest = 0;
+    for (uint64_t seed = 1; seed <= 12 && !HasFailure(); ++seed) {
+      SCOPED_TRACE(::testing::Message() << "window " << window);
+      FifoScheduler fifo(window);
+      ListWalkFifo oracle(window);
+      const size_t queued = run_side_by_side(
+          seed * 7919 + static_cast<uint64_t>(window), &fifo, &oracle, 400);
+      longest = std::max(longest, queued);
+    }
+    // Some sequence queued more jobs than the window holds, so jobs
+    // crossed the window's end in both directions.
+    EXPECT_GT(longest, static_cast<size_t>(window)) << "window " << window;
+  }
+}
+
+TEST(KickEquivalence, DrfMatchesTheExactMemo) {
+  for (uint64_t seed = 1; seed <= 12 && !HasFailure(); ++seed) {
+    DrfScheduler drf;
+    ExactMemoDrf oracle;
+    run_side_by_side(seed * 104729, &drf, &oracle, 400);
+  }
+}
+
+// A request that needs at least as much as one that already failed, in
+// every field, is refused without a search: no index probe.
+TEST(KickEquivalence, ADominatedShapeCostsNoProbe) {
+  FakeEngine engine(1);  // 8 cores, 2 gpus
+  FifoScheduler fifo;
+  fifo.attach(engine.env());
+  fifo.submit(cpu_job(1, 0, 7));
+  fifo.kick();
+  ASSERT_EQ(engine.started().size(), 1u);
+  const auto probes = [&engine] {
+    return engine.cluster().placement_index().stats().probes;
+  };
+  fifo.submit(gpu_job(2, 0, 1, 2));  // 1 core left: fails, one probe
+  uint64_t before = probes();
+  fifo.kick();
+  EXPECT_EQ(probes(), before + 1);
+  fifo.submit(gpu_job(3, 0, 2, 4));  // covers job 2's shape: no probe
+  fifo.submit(cpu_job(4, 0, 3));     // a new shape: one probe
+  before = probes();
+  fifo.kick();
+  EXPECT_EQ(probes(), before + 1);
+  EXPECT_EQ(fifo.pending(), 3u);
+
+  DrfScheduler drf;
+  FakeEngine drf_engine(1);
+  drf.attach(drf_engine.env());
+  drf.submit(cpu_job(1, 0, 7));
+  drf.submit(gpu_job(2, 1, 1, 2));
+  drf.submit(gpu_job(3, 2, 2, 4));
+  const uint64_t drf_before =
+      drf_engine.cluster().placement_index().stats().probes;
+  drf.kick();
+  // Job 1 starts (one probe), job 2 fails (one probe), job 3 is refused.
+  EXPECT_EQ(drf_engine.cluster().placement_index().stats().probes,
+            drf_before + 2);
+  EXPECT_EQ(drf.pending(), 2u);
 }
 
 }  // namespace

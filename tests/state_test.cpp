@@ -284,12 +284,29 @@ TEST(Snapshot, SerializedStructSizeTripwires) {
 
 // ------------------------------------------------------ pinned blob bytes
 
+// The blob with the value of its `ctr placement_index_probes` row replaced
+// by "-". The engine republishes the placement index's probe count as that
+// counter, so a scheduler that makes the same decisions with fewer searches
+// moves that row and no other.
+std::string mask_probe_count(const std::string& blob) {
+  const std::string key = "\nctr placement_index_probes ";
+  const size_t at = blob.find(key);
+  EXPECT_NE(at, std::string::npos);
+  if (at == std::string::npos) {
+    return blob;
+  }
+  const size_t from = at + key.size();
+  return blob.substr(0, from) + "-" + blob.substr(blob.find('\n', from));
+}
+
 // Captures FIFO, DRF and CODA sessions at 75% of a 2-day horizon with
 // every row-producing mechanism on (noise, MBA, retries, node outages, the
 // event log), and pins each blob's size and digest: a codec change that
 // moves a byte of any row fails here. The key census makes sure the three
 // blobs exercise every row the engine, the schedulers and the container
-// write, so the pin covers each of them.
+// write, so the pin covers each of them. Each blob is pinned a second time
+// with its probe count masked: a search change that keeps every decision
+// moves only the full pin.
 TEST(Snapshot, PinnedBlobDigests) {
   auto trace_cfg = sim::standard_week_trace(2);
   trace_cfg.duration_s = 2.0 * 86400.0;
@@ -314,12 +331,18 @@ TEST(Snapshot, PinnedBlobDigests) {
     const char* digest;
   };
   const Pin pins[] = {
-      {sim::Policy::kFifo, 2953288u, "5d9069a72f85cf8e"},
-      {sim::Policy::kDrf, 2953728u, "5942f3abf96b7206"},
+      {sim::Policy::kFifo, 2953288u, "c9bfd5855174ad34"},
+      {sim::Policy::kDrf, 2953728u, "46965b5780415d22"},
       {sim::Policy::kCoda, 3598118u, "91d1ebcb9b62d8c8"},
   };
+  const Pin masked_pins[] = {
+      {sim::Policy::kFifo, 2953277u, "b8d1f4a124f647d2"},
+      {sim::Policy::kDrf, 2953717u, "b17e9c64d540b9cc"},
+      {sim::Policy::kCoda, 3598106u, "18818df50f430f6a"},
+  };
   std::set<std::string> keys;
-  for (const Pin& pin : pins) {
+  for (size_t i = 0; i < std::size(pins); ++i) {
+    const Pin& pin = pins[i];
     sim::Session session = sim::Session::start(pin.policy, trace, config);
     session.engine->run_until(0.75 * config.horizon_s);
     SnapshotMeta meta;
@@ -333,6 +356,13 @@ TEST(Snapshot, PinnedBlobDigests) {
     h.mix(*blob);
     EXPECT_EQ(blob->size(), pin.size) << sim::to_string(pin.policy);
     EXPECT_EQ(h.hex(), pin.digest) << sim::to_string(pin.policy);
+    const std::string masked = mask_probe_count(*blob);
+    sim::CacheKeyHasher hm;
+    hm.mix(masked);
+    EXPECT_EQ(masked_pins[i].policy, pin.policy);
+    EXPECT_EQ(masked.size(), masked_pins[i].size)
+        << sim::to_string(pin.policy);
+    EXPECT_EQ(hm.hex(), masked_pins[i].digest) << sim::to_string(pin.policy);
     size_t pos = 0;
     while (pos < blob->size()) {
       const size_t eol = blob->find('\n', pos);
@@ -903,6 +933,78 @@ TEST(Snapshot, RestoreRefusesARetryForAJobThePolicyQueued) {
       repoint_arrival(cut.blob, simcore::kTagRetryResubmit, queued);
   ASSERT_FALSE(blob.empty());
   EXPECT_NE(refusal(cut, blob).find("not in retry backoff"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+// The baseline queue rows restore refuses, each of which would abort the
+// restored session later: a queued job that is running or queued twice
+// starts twice, a DRF allocation that its tenant's running jobs do not
+// hold drives the share negative, and a GPU-pending count the queue
+// disagrees with wraps below zero. Both policies queue jobs 90 minutes in.
+TEST(Snapshot, RestoreRefusesAFifoQueueRowNamingARunningJob) {
+  const CutSession cut = cut_session(sim::Policy::kFifo, 5400.0);
+  ASSERT_TRUE(restore_and_finish(cut, cut.blob).ok());  // unedited: runs
+  const std::string running = token_of(cut.blob, "run", 1);
+  ASSERT_FALSE(running.empty());
+  const std::string blob = set_token(cut.blob, "fq", 1, running);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("names a running or already queued job"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+TEST(Snapshot, RestoreRefusesARepeatedFifoQueueRow) {
+  const CutSession cut = cut_session(sim::Policy::kFifo, 5400.0);
+  const std::string queued = token_of(cut.blob, "fq", 1);
+  ASSERT_FALSE(queued.empty());
+  const std::string blob =
+      edit_row(cut.blob, [&queued](std::vector<std::string>* t) {
+        if ((*t)[0] != "fifo_queue") {
+          return false;
+        }
+        (*t)[1] = std::to_string(std::stoull((*t)[1]) + 1) + "\nfq " + queued;
+        return true;
+      });
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("names a running or already queued job"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+TEST(Snapshot, RestoreRefusesADrfQueueRowNamingARunningJob) {
+  const CutSession cut = cut_session(sim::Policy::kDrf, 5400.0);
+  ASSERT_TRUE(restore_and_finish(cut, cut.blob).ok());  // unedited: runs
+  const std::string running = token_of(cut.blob, "run", 1);
+  ASSERT_FALSE(running.empty());
+  const std::string blob = set_token(cut.blob, "tq", 1, running);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("names a running or already queued job"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+TEST(Snapshot, RestoreRefusesADrfAllocationItsRunningJobsDoNotHold) {
+  const CutSession cut = cut_session(sim::Policy::kDrf, 5400.0);
+  const std::string blob = edit_row(cut.blob, [](std::vector<std::string>* t) {
+    if ((*t)[0] != "ten" || t->size() != 5 || (*t)[2] == "0") {
+      return false;
+    }
+    (*t)[2] = "0";
+    return true;
+  });
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("but its running jobs hold"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+TEST(Snapshot, RestoreRefusesAFifoGpuCountTheQueueDisagreesWith) {
+  const CutSession cut = cut_session(sim::Policy::kFifo, 5400.0);
+  ASSERT_EQ(token_of(cut.blob, "fifo_gpu_pending", 1), "2");
+  const std::string blob = set_token(cut.blob, "fifo_gpu_pending", 1, "0");
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("fifo_gpu_pending 0 but 2 GPU jobs"),
             std::string::npos)
       << refusal(cut, blob);
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "csv_read.h"
 #include "util/csv.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -293,27 +294,27 @@ TEST(Csv, RoundTrip) {
   CsvDocument doc;
   doc.header = {"a", "b"};
   doc.rows = {{"1", "2"}, {"3", "4"}};
-  auto parsed = parse_csv(to_csv(doc));
+  auto parsed = test::parse_csv(to_csv(doc));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->header, doc.header);
   EXPECT_EQ(parsed->rows, doc.rows);
 }
 
 TEST(Csv, RejectsRaggedRows) {
-  auto parsed = parse_csv("a,b\n1,2,3\n");
+  auto parsed = test::parse_csv("a,b\n1,2,3\n");
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.error().code, ErrorCode::kParseError);
 }
 
 TEST(Csv, RejectsEmptyInput) {
-  EXPECT_FALSE(parse_csv("").ok());
+  EXPECT_FALSE(test::parse_csv("").ok());
 }
 
 TEST(Csv, ColumnLookup) {
   CsvDocument doc;
   doc.header = {"x", "y"};
-  EXPECT_EQ(*doc.column("y"), 1u);
-  EXPECT_FALSE(doc.column("z").ok());
+  EXPECT_EQ(*test::column(doc, "y"), 1u);
+  EXPECT_FALSE(test::column(doc, "z").ok());
 }
 
 TEST(Csv, FileRoundTrip) {
@@ -322,10 +323,10 @@ TEST(Csv, FileRoundTrip) {
   doc.rows = {{"v"}};
   const std::string path = testing::TempDir() + "/coda_csv_test.csv";
   ASSERT_TRUE(write_csv_file(path, doc).ok());
-  auto loaded = read_csv_file(path);
+  auto loaded = test::read_csv_file(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->rows, doc.rows);
-  EXPECT_FALSE(read_csv_file("/nonexistent/coda.csv").ok());
+  EXPECT_FALSE(test::read_csv_file("/nonexistent/coda.csv").ok());
 }
 
 // ------------------------------------------------------------------- result
