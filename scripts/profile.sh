@@ -2,6 +2,10 @@
 # Hotspot profiler for the engine benches: builds an instrumented tree and
 # prints a ranked flat profile (top functions by self time) for each
 # requested bench binary, so "what dominates at 10k nodes" is one command.
+# The full reports stay in DIR/profiles: with gprof, <bench>.flat.txt and
+# <bench>.callgraph.txt (`gprof -b -q`). gprof can charge a compiler clone
+# (`[clone .isra.0]`) to the function placed before it, so check a flat
+# row's calls against its callers in the call graph before citing it.
 #
 # Usage: scripts/profile.sh [--build-dir DIR] [--top N] [bench ...]
 #   bench        bench targets to profile; default: bench_scale
@@ -64,6 +68,8 @@ export CODA_FAST="${CODA_FAST:-1}"
 
 workdir=$(mktemp -d /tmp/coda_profile.XXXXXX)
 trap 'rm -rf "$workdir"' EXIT
+reports="$BUILD_DIR/profiles"
+mkdir -p "$reports"
 
 for b in "${BENCHES[@]}"; do
   bin="$BUILD_DIR/bench/$b"
@@ -75,14 +81,18 @@ for b in "${BENCHES[@]}"; do
   if [[ "$USE_PERF" == "1" ]]; then
     perf record -o "$workdir/$b.perf" --quiet -- "$bin" > /dev/null
     perf report -i "$workdir/$b.perf" --stdio --percent-limit 0.2 \
-        > "$workdir/$b.txt" 2>/dev/null
-    awk -v top="$TOP" '!/^#/ && NF && n++ < top' "$workdir/$b.txt"
+        > "$reports/$b.txt" 2>/dev/null
+    awk -v top="$TOP" '!/^#/ && NF && n++ < top' "$reports/$b.txt"
+    echo "report: $reports/$b.txt"
   else
     # gprof writes gmon.out into the CWD of the profiled process.
     bin_abs=$(cd "$(dirname "$bin")" && pwd)/$(basename "$bin")
     (cd "$workdir" && "$bin_abs" > /dev/null 2>&1)
-    gprof -b -p "$bin_abs" "$workdir/gmon.out" > "$workdir/$b.txt"
-    head -n "$((TOP + 5))" "$workdir/$b.txt"
+    gprof -b -p "$bin_abs" "$workdir/gmon.out" > "$reports/$b.flat.txt"
+    gprof -b -q "$bin_abs" "$workdir/gmon.out" > "$reports/$b.callgraph.txt"
+    head -n "$((TOP + 5))" "$reports/$b.flat.txt"
+    echo "flat profile: $reports/$b.flat.txt"
+    echo "call graph:   $reports/$b.callgraph.txt"
     rm -f "$workdir/gmon.out"
   fi
 done

@@ -7,7 +7,7 @@
 namespace coda::cluster {
 
 namespace {
-constexpr size_t kWordBits = 64;
+constexpr size_t kWordBits = IdBitmap::kWordBits;
 }  // namespace
 
 void IdBitmap::reset(size_t capacity) {

@@ -20,6 +20,7 @@
 //     CPU array's non-borrow best-fit without re-deriving scheduler state.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -34,6 +35,7 @@ namespace coda::cluster {
 class IdBitmap {
  public:
   static constexpr NodeId kNone = 0xFFFFFFFFu;
+  static constexpr size_t kWordBits = 64;
 
   void reset(size_t capacity);
   void insert(NodeId id);
@@ -44,6 +46,22 @@ class IdBitmap {
 
   // Smallest member >= from, or kNone.
   NodeId next_at_least(NodeId from) const;
+
+  // Calls fn(id) for every member, in ascending order. The walk is inline
+  // and goes word by word (non-empty words found through the summary), so a
+  // member costs a few instructions rather than a next_at_least call. fn
+  // must not change this bitmap.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (size_t sw = 0; sw < summary_.size(); ++sw) {
+      for (uint64_t s = summary_[sw]; s != 0; s &= s - 1) {
+        const size_t w = sw * kWordBits + std::countr_zero(s);
+        for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+          fn(static_cast<NodeId>(w * kWordBits + std::countr_zero(bits)));
+        }
+      }
+    }
+  }
 
  private:
   std::vector<uint64_t> words_;

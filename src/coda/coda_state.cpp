@@ -93,7 +93,10 @@ void CodaScheduler::load_state(state::Reader* r,
   r->read(cross_borrower_count_, preemptions_, migrations_, next_seq_,
           next_generation_);
 
-  const auto load_array = [r, &specs](const char* key, ArrayState* array) {
+  // A queue row names a pending job, neither running nor queued elsewhere.
+  std::set<cluster::JobId> taken = jobs_on_nodes();
+  const auto load_array = [this, r, &specs, &taken](const char* key,
+                                                    ArrayState* array) {
     array->queues.clear();
     array->usage.clear();
     if (!r->expect(key)) {
@@ -110,7 +113,7 @@ void CodaScheduler::load_state(state::Reader* r,
       for (uint64_t j = 0; j < k && r->ok(); ++j) {
         r->expect("aj");
         if (const workload::JobSpec* spec =
-                sched::spec_of(r, specs, r->u64())) {
+                queued_spec(r, specs, &taken, "aj")) {
           queue.push_back(*spec);
         }
       }

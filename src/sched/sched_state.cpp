@@ -3,9 +3,10 @@
 // contents are written as job-id sequences in queue order; load_state
 // rehydrates the full JobSpecs from the snapshot's embedded session
 // (SpecMap), so specs are stored exactly once per session. It refuses the
-// rows a policy would abort on later: a queued job that is running or
-// queued twice, a GPU-pending count the queues disagree with, and a DRF
-// tenant allocation that its running jobs do not hold.
+// rows a policy would abort on later: a queued job that is running, queued
+// twice or not pending in the engine, a GPU-pending count the queues
+// disagree with, and a DRF tenant allocation that its running jobs do not
+// hold.
 #include <algorithm>
 #include <set>
 #include <string>
@@ -50,14 +51,9 @@ void Scheduler::load_state(state::Reader* r, const SpecMap& /*specs*/) {
   }
 }
 
-namespace {
-
-// Jobs holding an allocation on some node. A baseline policy's running
-// jobs are exactly these, and the engine has restored the nodes by the
-// time the policy's rows are read.
-std::set<cluster::JobId> jobs_on_nodes(const cluster::Cluster& cluster) {
+std::set<cluster::JobId> Scheduler::jobs_on_nodes() const {
   std::set<cluster::JobId> jobs;
-  for (const cluster::Node& node : cluster.nodes()) {
+  for (const cluster::Node& node : env_.cluster->nodes()) {
     for (const auto& [job, alloc] : node.allocations()) {
       jobs.insert(job);
     }
@@ -65,21 +61,29 @@ std::set<cluster::JobId> jobs_on_nodes(const cluster::Cluster& cluster) {
   return jobs;
 }
 
-// The spec of one queue row, which joins `taken` (the running jobs and the
-// rows read so far), or nullptr with `r` poisoned when the job is already
-// in it: a job queued while running, or queued twice, starts twice.
-const workload::JobSpec* queued_spec(state::Reader* r, const SpecMap& specs,
-                                     std::set<cluster::JobId>* taken,
-                                     const char* row) {
+const workload::JobSpec* Scheduler::queued_spec(
+    state::Reader* r, const SpecMap& specs, std::set<cluster::JobId>* taken,
+    const char* row) const {
   const cluster::JobId id = r->u64();
   const workload::JobSpec* spec = spec_of(r, specs, id);
-  if (spec != nullptr && !taken->insert(id).second) {
-    r->fail(util::strfmt("%s row %llu names a running or already queued job",
-                         row, static_cast<unsigned long long>(id)));
+  if (spec == nullptr) {
     return nullptr;
+  }
+  const auto refuse = [&](const char* what) {
+    r->fail(util::strfmt("%s row %llu names %s", row,
+                         static_cast<unsigned long long>(id), what));
+    return nullptr;
+  };
+  if (!taken->insert(id).second) {
+    return refuse("a running or already queued job");
+  }
+  if (!env_.is_pending(id)) {
+    return refuse("a job the engine does not hold as pending");
   }
   return spec;
 }
+
+namespace {
 
 // Reads a `<key> n` row and checks n against the GPU jobs the queue rows
 // hold.
@@ -116,7 +120,7 @@ void FifoScheduler::load_state(state::Reader* r, const SpecMap& specs) {
   shapes_.clear();
   shape_ids_.clear();
   first_shape_ = last_shape_ = kNil;
-  std::set<cluster::JobId> taken = jobs_on_nodes(*env_.cluster);
+  std::set<cluster::JobId> taken = jobs_on_nodes();
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("fq");
     if (const workload::JobSpec* spec = queued_spec(r, specs, &taken, "fq")) {
@@ -147,7 +151,7 @@ void DrfScheduler::load_state(state::Reader* r, const SpecMap& specs) {
   const uint64_t n = r->u64();
   tenants_.clear();
   gpu_pending_ = 0;
-  std::set<cluster::JobId> taken = jobs_on_nodes(*env_.cluster);
+  std::set<cluster::JobId> taken = jobs_on_nodes();
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("ten");
     cluster::TenantId tenant = 0;

@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -140,6 +141,11 @@ struct SchedulerEnv {
   // of a job's caps) without emitting spurious clear events.
   std::function<double(cluster::NodeId, cluster::JobId)> bw_cap;
 
+  // Whether the engine holds job `id` as pending: arrived, not running,
+  // and neither finished nor abandoned. Queued jobs are pending; load_state
+  // refuses a queue row naming any other job.
+  std::function<bool(cluster::JobId)> is_pending;
+
   // Permanently gives up on an evicted job whose retry budget is exhausted.
   // The engine closes the job's accounting and reports it as abandoned; the
   // scheduler must already have dropped it from its own queues.
@@ -258,6 +264,19 @@ class Scheduler {
     rearm_retry(env_.sim->now() + delay, spec);
     return false;
   }
+
+  // ---- load_state helpers ----
+  // The jobs holding an allocation on some node: once the engine has
+  // restored the nodes, exactly the running jobs.
+  std::set<cluster::JobId> jobs_on_nodes() const;
+  // Reads the job id of one queue row (`row` is its key) and returns the
+  // job's spec. Returns nullptr with `r` poisoned when queueing the job
+  // would start it twice or before it arrives: it is in `taken` (seed it
+  // with jobs_on_nodes(); every row read joins it), or the engine does not
+  // hold it as pending.
+  const workload::JobSpec* queued_spec(state::Reader* r, const SpecMap& specs,
+                                       std::set<cluster::JobId>* taken,
+                                       const char* row) const;
 
   SchedulerEnv env_;
   RetryPolicy retry_;

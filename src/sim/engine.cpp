@@ -83,6 +83,7 @@ ClusterEngine::ClusterEngine(const EngineConfig& config,
   env.bw_cap = [this](cluster::NodeId node, cluster::JobId id) {
     return mba_.cap(node, id);
   };
+  env.is_pending = [this](cluster::JobId id) { return is_pending(id); };
   env.abandon_job = [this](cluster::JobId id) { abandon_job(id); };
   scheduler_->attach(env);
 
@@ -206,6 +207,7 @@ util::Status ClusterEngine::start_job(cluster::JobId id,
   }
   std::sort(running.nodes.begin(), running.nodes.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  add_tick_cells(running);
   for (const auto& np : placement.nodes) {
     PerNodeState& st = *node_state(running, np.node);
     st.cpus = np.cpus;
@@ -412,6 +414,7 @@ void ClusterEngine::detach_job(
     CODA_ASSERT(release.ok());
   }
   mba_.clear_job(id);
+  tick_terms_.remove(id);
   running_.erase(it);
   for (const auto& np : legs) {
     mark_node_dirty(np.node);
@@ -573,13 +576,11 @@ void ClusterEngine::cache_node_telemetry(cluster::NodeId node) {
 void ClusterEngine::set_pressure_floor(double floor) {
   pressure_floor_ = floor;
   hot_nodes_.reset(cluster_.node_count());
-  for (cluster::NodeId id = occupied_nodes_.next_at_least(0);
-       id != cluster::IdBitmap::kNone;
-       id = occupied_nodes_.next_at_least(id + 1)) {
+  occupied_nodes_.for_each([&](cluster::NodeId id) {
     if (node_pressure_[id] >= floor) {
       hot_nodes_.insert(id);
     }
-  }
+  });
 }
 
 void ClusterEngine::advance_progress(RunningJob& job) {
@@ -671,17 +672,24 @@ void ClusterEngine::update_rate(RunningJob& job) {
   reschedule_finish(job);
 }
 
-void ClusterEngine::store_tick_terms(RunningJob& job) const {
+void ClusterEngine::add_tick_cells(RunningJob& job) {
+  job.tick_cells = tick_terms_.add(
+      job.id, job.spec->is_gpu_job() ? static_cast<uint32_t>(job.nodes.size())
+                                     : 1);
+}
+
+void ClusterEngine::store_tick_terms(RunningJob& job) {
   const workload::JobSpec& spec = *job.spec;
-  job.gpu_job = spec.is_gpu_job();
-  job.gpus = spec.total_gpus();
-  if (!job.gpu_job) {
-    PerNodeState& st = job.nodes.front().second;
-    st.busy_cores = st.cpus * st.cpu_rate_factor;
+  if (!spec.is_gpu_job()) {
+    const PerNodeState& st = job.nodes.front().second;
+    tick_terms_.set_cores(job.tick_cells, st.cpus * st.cpu_rate_factor,
+                          st.cpus);
     return;
   }
+  tick_terms_.set_gpu(job.tick_cells, job.gpu_util, spec.total_gpus());
   const double iter = 1.0 / job.rate;
-  for (auto& [node, st] : job.nodes) {
+  uint32_t cell = job.tick_cells;
+  for (const auto& [node, st] : job.nodes) {
     // update_rate has just synced the eval cache with (cpus, factors), so
     // the prep stage costs no model lookup here. The bit-compare fallback
     // covers a caller that did not; it returns the identical value.
@@ -696,7 +704,8 @@ void ClusterEngine::store_tick_terms(RunningJob& job) const {
         cached ? st.eval_prep
                : perf_.prep_time(spec.model, spec.train_config,
                                  std::max(1, st.cpus), st.factors);
-    st.busy_cores = st.cpus * std::min(1.0, prep / iter);
+    tick_terms_.set_cores(cell++, st.cpus * std::min(1.0, prep / iter),
+                          st.cpus);
   }
 }
 
@@ -762,13 +771,12 @@ void ClusterEngine::pressure_screen(size_t node_count,
   ensure_synced();
   ids->clear();
   out->clear();
-  for (cluster::NodeId id = hot_nodes_.next_at_least(0);
-       id != cluster::IdBitmap::kNone &&
-       id < static_cast<cluster::NodeId>(node_count);
-       id = hot_nodes_.next_at_least(id + 1)) {
-    ids->push_back(id);
-    out->push_back(node_pressure_[id]);
-  }
+  hot_nodes_.for_each([&](cluster::NodeId id) {
+    if (id < node_count) {
+      ids->push_back(id);
+      out->push_back(node_pressure_[id]);
+    }
+  });
 }
 
 double ClusterEngine::gpu_utilization(cluster::JobId job) const {
@@ -852,40 +860,20 @@ void ClusterEngine::sample_metrics() {
 
   // GPU utilization averaged over *active* GPUs (the paper's definition);
   // CPU utilization over active cores. The flush above brought every
-  // rate-update term current, so the tick only adds them up, in job-id,
-  // leg and node order.
-  double gpu_util_weighted = 0.0;
-  int active_gpus = 0;
-  double cpu_busy = 0.0;
-  int active_cores = 0;
-  for (const auto& [id, job] : running_) {
-    if (job.gpu_job) {
-      gpu_util_weighted += job.gpu_util * job.gpus;
-      active_gpus += job.gpus;
-      for (const auto& [node, st] : job.nodes) {
-        cpu_busy += st.busy_cores;
-        active_cores += st.cpus;
-      }
-    } else {
-      const auto& st = job.nodes.front().second;
-      cpu_busy += st.busy_cores;
-      active_cores += st.cpus;
-    }
-  }
+  // rate-update term current, so the tick only folds them, in job-id and
+  // leg order.
+  const TickTerms::Sums sums = tick_terms_.fold();
   series_.gpu_util_active->add(
-      t, active_gpus > 0 ? gpu_util_weighted / active_gpus : 0.0);
+      t, sums.gpus > 0 ? sums.gpu_weighted / sums.gpus : 0.0);
   series_.cpu_util_active->add(
-      t, active_cores > 0 ? cpu_busy / active_cores : 0.0);
+      t, sums.cores > 0 ? sums.busy_cores / sums.cores : 0.0);
 
   // Unoccupied nodes hold an empty report with mem_pressure exactly +0.0;
   // adding +0.0 never changes a non-negative sum's bits, so summing the
   // occupied nodes in ascending id order matches the old full-vector scan.
   double pressure = 0.0;
-  for (cluster::NodeId id = occupied_nodes_.next_at_least(0);
-       id != cluster::IdBitmap::kNone;
-       id = occupied_nodes_.next_at_least(id + 1)) {
-    pressure += node_mem_terms_[id];
-  }
+  occupied_nodes_.for_each(
+      [&](cluster::NodeId id) { pressure += node_mem_terms_[id]; });
   series_.mem_pressure->add(
       t, pressure / static_cast<double>(node_reports_.size()));
 

@@ -18,6 +18,7 @@
 #include "cluster/cluster.h"
 #include "perfmodel/contention.h"
 #include "sim/event_log.h"
+#include "sim/tick_terms.h"
 #include "util/rng.h"
 #include "perfmodel/train_perf.h"
 #include "sched/scheduler.h"
@@ -235,12 +236,6 @@ class ClusterEngine : public telemetry::BandwidthSource,
  private:
   struct PerNodeState {
     int cpus = 0;
-    // Busy cores on this leg, the metrics tick's cpu_util_active term:
-    // cpus * min(1, prep / iter) for a GPU job, cpus * cpu_rate_factor for a
-    // CPU job. Derived state: update_rate stores it on every rate update and
-    // load_state recomputes it, so the tick only adds it up. It sits beside
-    // `cpus`, the other field the tick reads, to share its cache line.
-    double busy_cores = 0.0;
     perfmodel::ResourceFootprint footprint;
     perfmodel::ContentionFactors factors;
     double cpu_rate_factor = 1.0;
@@ -255,8 +250,8 @@ class ClusterEngine : public telemetry::BandwidthSource,
     double eval_util = 0.0;
     double eval_prep = 0.0;  // prep-stage time
 
-    // A `pstate` row after its node id. busy_cores is derived; the
-    // footprint's job is the owning RunningJob's id.
+    // A `pstate` row after its node id. The footprint's job is the owning
+    // RunningJob's id.
     friend auto fields(util::FieldsOf<PerNodeState> auto& s) {
       auto& fp = s.footprint;
       return std::tie(s.cpus, fp.is_gpu_job, fp.mem_bw_gbps,
@@ -282,11 +277,8 @@ class ClusterEngine : public telemetry::BandwidthSource,
     // count afterwards, so those addresses stay stable.
     std::vector<std::pair<cluster::NodeId, PerNodeState>> nodes;
     double gpu_util = 0.0;     // cached, refreshed on every rate update
-    // spec->is_gpu_job() and spec->total_gpus(), stored by update_rate so
-    // the metrics tick never dereferences the spec. These three sit beside
-    // `nodes` so the tick reads one cache line of the job.
-    bool gpu_job = false;
-    int gpus = 0;
+    // The job's first cell in tick_terms_ (derived, never serialized).
+    uint32_t tick_cells = 0;
     double remaining = 0.0;    // iterations (GPU) or core-seconds (CPU)
     double rate = 0.0;         // per simulated second
     double last_update = 0.0;
@@ -356,9 +348,14 @@ class ClusterEngine : public telemetry::BandwidthSource,
     const_cast<ClusterEngine*>(this)->flush_dirty_nodes();
   }
   void update_rate(RunningJob& job);
-  // Stores the job's metrics-tick terms (gpu_job, gpus, every leg's
-  // busy_cores) from its current rate, cores and factors.
-  void store_tick_terms(RunningJob& job) const;
+  // Gives a job entering running_ its cells in tick_terms_: one per leg
+  // for a GPU job, one (the front leg) for a CPU job.
+  void add_tick_cells(RunningJob& job);
+  // Writes the job's tick_terms_ cells from its current rate, cores and
+  // factors: the GPU term, and every counted leg's busy cores (cpus *
+  // min(1, prep / iter) on a GPU leg, cpus * cpu_rate_factor for a CPU
+  // job) and cores.
+  void store_tick_terms(RunningJob& job);
   // Caches the node's pressure and mem-pressure term from its report and
   // files it in or out of hot_nodes_.
   void cache_node_telemetry(cluster::NodeId node);
@@ -398,6 +395,10 @@ class ClusterEngine : public telemetry::BandwidthSource,
   };
   // Jobs resident on each node (GPU jobs may appear on several nodes).
   std::vector<std::vector<Resident>> jobs_on_node_;
+  // The metrics tick's per-job terms, one table row per running job,
+  // written by store_tick_terms and folded in job-id order by
+  // sample_metrics.
+  TickTerms tick_terms_;
   // Ids with a non-empty resident list, maintained on the same transitions
   // as jobs_on_node_. After a flush, a node outside this set has an empty
   // contention report (mem-pressure term exactly +0.0), which lets the

@@ -240,7 +240,12 @@ util::Status ClusterEngine::load_state(
     }
     // finish_event stays empty here; the snapshot manifest re-arms it via
     // rearm_finish at the exact serialized firing time.
-    running_.emplace(id, std::move(job));
+    auto [it, inserted] = running_.emplace(id, std::move(job));
+    if (!inserted) {
+      r->fail("running job listed twice: " + std::to_string(id));
+      break;
+    }
+    add_tick_cells(it->second);
   }
 
   for (size_t node = 0; node < jobs_on_node_.size() && r->ok(); ++node) {

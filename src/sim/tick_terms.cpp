@@ -1,0 +1,85 @@
+#include "sim/tick_terms.h"
+
+#include <algorithm>
+
+#include "util/assert.h"
+
+namespace coda::sim {
+
+namespace {
+
+constexpr auto by_id = [](const auto& a, const auto& b) { return a.id < b.id; };
+
+}  // namespace
+
+uint32_t TickTerms::add(cluster::JobId id, uint32_t cells) {
+  CODA_ASSERT(cells > 0);
+  uint32_t first = 0;
+  if (cells < free_.size() && !free_[cells].empty()) {
+    first = free_[cells].back();
+    free_[cells].pop_back();
+    std::fill_n(cells_.begin() + first, cells, Cell{});
+  } else {
+    first = static_cast<uint32_t>(cells_.size());
+    cells_.resize(cells_.size() + cells);
+  }
+  added_.push_back(Entry{id, first, cells});
+  return first;
+}
+
+void TickTerms::remove(cluster::JobId id) {
+  const auto listed =
+      std::lower_bound(order_.begin(), order_.end(), Entry{id}, by_id);
+  if (listed != order_.end() && listed->id == id && listed->cells > 0) {
+    release(*listed);
+    listed->cells = 0;  // the next fold filters it out
+    ++dead_;
+    return;
+  }
+  const auto added = std::find_if(added_.begin(), added_.end(),
+                                  [id](const Entry& e) { return e.id == id; });
+  CODA_ASSERT_MSG(added != added_.end(), "removing a job not in the table");
+  release(*added);
+  *added = added_.back();
+  added_.pop_back();
+}
+
+void TickTerms::release(const Entry& entry) {
+  if (free_.size() <= entry.cells) {
+    free_.resize(entry.cells + 1);
+  }
+  free_[entry.cells].push_back(entry.first);
+}
+
+TickTerms::Sums TickTerms::fold() {
+  if (dead_ > 0) {
+    order_.erase(std::remove_if(order_.begin(), order_.end(),
+                                [](const Entry& e) { return e.cells == 0; }),
+                 order_.end());
+    dead_ = 0;
+  }
+  if (!added_.empty()) {
+    std::sort(added_.begin(), added_.end(), by_id);
+    merged_.resize(order_.size() + added_.size());
+    std::merge(order_.begin(), order_.end(), added_.begin(), added_.end(),
+               merged_.begin(), by_id);
+    order_.swap(merged_);
+    added_.clear();
+  }
+  // Cells without a GPU term add +0.0 and 0 to the GPU sums. That is
+  // exact: under round-to-nearest a sum that starts at +0.0 is never -0.0,
+  // and s + (+0.0) == s bit for bit for every other s.
+  Sums sums;
+  for (const Entry& e : order_) {
+    const Cell* c = cells_.data() + e.first;
+    for (uint32_t i = 0; i < e.cells; ++i) {
+      sums.gpu_weighted += c[i].gpu_weighted;
+      sums.gpus += c[i].gpus;
+      sums.busy_cores += c[i].busy_cores;
+      sums.cores += c[i].cores;
+    }
+  }
+  return sums;
+}
+
+}  // namespace coda::sim

@@ -230,6 +230,37 @@ TEST(PlacementIndexProperty, RandomWalkMatchesLinearScan) {
 // schedulers key their failed-shape dedup caches on it, so a missed bump
 // would let a stale "this shape cannot place" verdict suppress a feasible
 // placement.
+// IdBitmap::for_each visits exactly the members a next_at_least walk
+// finds, in the same ascending order, at capacities around the word and
+// summary boundaries, through inserts and erases.
+TEST(IdBitmap, ForEachVisitsTheIdsOfTheNextAtLeastWalk) {
+  util::Rng rng(11);
+  for (const size_t capacity : {0u, 1u, 63u, 64u, 65u, 10000u}) {
+    SCOPED_TRACE(capacity);
+    cluster::IdBitmap bitmap;
+    bitmap.reset(capacity);
+    for (int round = 0; round < 40; ++round) {
+      // Sparse rounds first, then denser ones.
+      const double p = round < 20 ? 0.02 : 0.6;
+      for (size_t id = 0; id < capacity; ++id) {
+        const auto n = static_cast<NodeId>(id);
+        if (rng.bernoulli(p) != bitmap.contains(n)) {
+          bitmap.contains(n) ? bitmap.erase(n) : bitmap.insert(n);
+        }
+      }
+      std::vector<NodeId> walked;
+      for (NodeId id = bitmap.next_at_least(0); id != cluster::IdBitmap::kNone;
+           id = bitmap.next_at_least(id + 1)) {
+        walked.push_back(id);
+      }
+      std::vector<NodeId> visited;
+      bitmap.for_each([&](NodeId id) { visited.push_back(id); });
+      ASSERT_EQ(visited, walked) << "round " << round;
+      EXPECT_EQ(visited.size(), bitmap.count());
+    }
+  }
+}
+
 TEST(PlacementIndexProperty, GenerationAdvancesOnObservableChanges) {
   Cluster cluster(mixed_cluster());
   PlacementIndex& index = cluster.placement_index();

@@ -747,6 +747,33 @@ std::string refusal(const CutSession& cut, const std::string& blob) {
   return status.ok() ? std::string() : status.error().message;
 }
 
+// A second copy of a running job's rows (run, place, pstate) would give the
+// job two places in the metrics tick's table.
+TEST(Snapshot, RestoreRefusesARunningJobListedTwice) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  const size_t run = cut.blob.find("\nrun ");
+  ASSERT_NE(run, std::string::npos);
+  size_t end = run + 1;
+  do {
+    end = cut.blob.find('\n', end) + 1;
+  } while (cut.blob.compare(end, 6, "place ") == 0 ||
+           cut.blob.compare(end, 7, "pstate ") == 0);
+  const std::string block = cut.blob.substr(run + 1, end - run - 1);
+  std::string blob = cut.blob;
+  blob.insert(end, block);
+  blob = edit_row(blob, [](std::vector<std::string>* t) {
+    if ((*t)[0] != "running") {
+      return false;
+    }
+    (*t)[1] = std::to_string(std::stoull((*t)[1]) + 1);
+    return true;
+  });
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("running job listed twice"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
 TEST(Snapshot, RestoreRefusesACodaCpuJobOffTheCluster) {
   const CutSession cut = cut_session(sim::Policy::kCoda);
   ASSERT_TRUE(restore_and_finish(cut, cut.blob).ok());  // unedited: runs
@@ -1005,6 +1032,105 @@ TEST(Snapshot, RestoreRefusesAFifoGpuCountTheQueueDisagreesWith) {
   const std::string blob = set_token(cut.blob, "fifo_gpu_pending", 1, "0");
   ASSERT_FALSE(blob.empty());
   EXPECT_NE(refusal(cut, blob).find("fifo_gpu_pending 0 but 2 GPU jobs"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+// A queue row naming a job that has not arrived yet (its arrival is still
+// in the manifest) is refused under every policy. Restored, the policy
+// would start the job before it arrives, which aborts the engine, and the
+// arrival would then submit it a second time.
+
+// Adds a `<row> <id>` row after the first `key` row that `match` accepts,
+// and counts it in that row's token `count`.
+using RowMatch = std::function<bool(const std::vector<std::string>&)>;
+std::string queue_job(const std::string& blob, const std::string& key,
+                      size_t count, const std::string& row,
+                      const std::string& id,
+                      const RowMatch& match = nullptr) {
+  return edit_row(blob, [&](std::vector<std::string>* t) {
+    if ((*t)[0] != key || t->size() <= count || (match && !match(*t))) {
+      return false;
+    }
+    (*t)[count] = std::to_string(std::stoull((*t)[count]) + 1);
+    t->back() += "\n" + row + " " + id;
+    return true;
+  });
+}
+
+// The first CPU job whose arrival is still in the cut's manifest.
+workload::JobSpec first_arriving_cpu_job(const CutSession& cut) {
+  std::set<cluster::JobId> arriving;
+  edit_row(cut.blob, [&](std::vector<std::string>* t) {
+    if ((*t)[0] == "event" && t->size() == 5 &&
+        (*t)[2] == std::to_string(simcore::kTagArrival)) {
+      arriving.insert(std::stoull((*t)[3]));
+    }
+    return false;
+  });
+  for (const workload::JobSpec& spec : cut.trace) {
+    if (!spec.is_gpu_job() && arriving.count(spec.id) > 0) {
+      return spec;
+    }
+  }
+  ADD_FAILURE() << "no CPU job arrives after the cut";
+  return workload::JobSpec{};
+}
+
+TEST(Snapshot, RestoreRefusesAFifoQueueRowForAJobNotYetArrived) {
+  const CutSession cut = cut_session(sim::Policy::kFifo, 5400.0);
+  const workload::JobSpec job = first_arriving_cpu_job(cut);
+  const std::string blob =
+      queue_job(cut.blob, "fifo_queue", 1, "fq", std::to_string(job.id));
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find(
+                "names a job the engine does not hold as pending"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+TEST(Snapshot, RestoreRefusesADrfQueueRowForAJobNotYetArrived) {
+  const CutSession cut = cut_session(sim::Policy::kDrf, 5400.0);
+  const workload::JobSpec job = first_arriving_cpu_job(cut);
+  const std::string tenant = std::to_string(job.tenant);
+  const std::string blob =
+      queue_job(cut.blob, "ten", 4, "tq", std::to_string(job.id),
+                [&](const std::vector<std::string>& t) {
+                  return t[1] == tenant;
+                });
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find(
+                "names a job the engine does not hold as pending"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+// CODA writes its CPU array first, so the first `aq` row of the job's
+// tenant is that tenant's CPU queue.
+TEST(Snapshot, RestoreRefusesACodaQueueRowForAJobNotYetArrived) {
+  const CutSession cut = cut_session(sim::Policy::kCoda, 5400.0);
+  ASSERT_TRUE(restore_and_finish(cut, cut.blob).ok());  // unedited: runs
+  const workload::JobSpec job = first_arriving_cpu_job(cut);
+  const std::string tenant = std::to_string(job.tenant);
+  const std::string blob =
+      queue_job(cut.blob, "aq", 2, "aj", std::to_string(job.id),
+                [&](const std::vector<std::string>& t) {
+                  return t[1] == tenant;
+                });
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find(
+                "names a job the engine does not hold as pending"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+TEST(Snapshot, RestoreRefusesACodaQueueRowNamingARunningJob) {
+  const CutSession cut = cut_session(sim::Policy::kCoda, 5400.0);
+  const std::string running = token_of(cut.blob, "run", 1);
+  ASSERT_FALSE(running.empty());
+  const std::string blob = queue_job(cut.blob, "aq", 2, "aj", running);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("names a running or already queued job"),
             std::string::npos)
       << refusal(cut, blob);
 }
