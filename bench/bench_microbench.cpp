@@ -16,12 +16,15 @@ namespace {
 
 using namespace coda;
 
+// A slot-claiming kind (a finish): every push claims a pooled slot, the
+// one its cancellation handle names.
 void BM_EventQueuePushPop(benchmark::State& state) {
   util::Rng rng(1);
   for (auto _ : state) {
     simcore::EventQueue queue;
-    for (int i = 0; i < state.range(0); ++i) {
-      queue.push(rng.uniform(), [] {});
+    for (int64_t i = 0; i < state.range(0); ++i) {
+      queue.push(rng.uniform(),
+                 {simcore::kTagJobFinish, static_cast<uint64_t>(i)});
     }
     while (!queue.empty()) {
       benchmark::DoNotOptimize(queue.pop().t);
@@ -31,14 +34,15 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1000)->Arg(10000);
 
-// The handle-free fast path (post): no per-event control-block allocation.
+// A kind that claims no slot (an arrival): no handle, no pool traffic.
 // items_per_second here is the queue's raw events/sec ceiling.
 void BM_EventQueuePostPop(benchmark::State& state) {
   util::Rng rng(1);
   for (auto _ : state) {
     simcore::EventQueue queue;
-    for (int i = 0; i < state.range(0); ++i) {
-      queue.post(rng.uniform(), [] {});
+    for (int64_t i = 0; i < state.range(0); ++i) {
+      queue.push(rng.uniform(),
+                 {simcore::kTagArrival, static_cast<uint64_t>(i)});
     }
     while (!queue.empty()) {
       benchmark::DoNotOptimize(queue.pop().t);
@@ -48,17 +52,42 @@ void BM_EventQueuePostPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePostPop)->Arg(1000)->Arg(10000);
 
+// Counts arrivals and re-posts the tick one minute on, as the engine's
+// metrics tick does.
+class DispatchSink : public simcore::EventSink {
+ public:
+  explicit DispatchSink(simcore::Simulator* sim) : sim_(sim) {}
+  void on_event(const simcore::EventTag& tag) override {
+    ++handled;
+    if (tag.kind == simcore::kTagMetricsTick) {
+      sim_->schedule_at(sim_->now() + 60.0, tag);
+    }
+  }
+  int64_t handled = 0;
+
+ private:
+  simcore::Simulator* sim_;
+};
+
+// Dispatch through the sink table: range(0) arrivals a second apart, plus
+// a periodic kind that re-posts itself every 60 s.
 void BM_SimulatorDispatch(benchmark::State& state) {
+  int64_t events = 0;
   for (auto _ : state) {
     simcore::Simulator sim;
-    int counter = 0;
-    for (int i = 0; i < state.range(0); ++i) {
-      sim.schedule_at(static_cast<double>(i), [&counter] { ++counter; });
+    DispatchSink sink(&sim);
+    sim.register_sink(simcore::kTagArrival, &sink);
+    sim.register_sink(simcore::kTagMetricsTick, &sink);
+    for (int64_t i = 0; i < state.range(0); ++i) {
+      sim.schedule_at(static_cast<double>(i),
+                      {simcore::kTagArrival, static_cast<uint64_t>(i)});
     }
-    sim.run_all();
-    benchmark::DoNotOptimize(counter);
+    sim.schedule_at(60.0, {simcore::kTagMetricsTick});
+    sim.run_until(static_cast<double>(state.range(0) - 1));
+    benchmark::DoNotOptimize(sink.handled);
+    events += static_cast<int64_t>(sim.dispatched());
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(events);
 }
 BENCHMARK(BM_SimulatorDispatch)->Arg(10000);
 

@@ -86,41 +86,54 @@ void CodaScheduler::attach(const sched::SchedulerEnv& env) {
   total_borrowed_ = 0;
   refresh_all_cpu_bias();
 
-  // In restore mode the snapshot manifest re-arms both periodics at their
-  // exact next firing times (rearm_* below); scheduling them here too would
-  // double-tick.
-  if (config_.eliminator.enabled && !env_.defer_periodics) {
-    rearm_eliminator_tick(env_.sim->now() + config_.eliminator.check_period_s);
+  // Each periodic kind has a sink only while it runs, so a snapshot row of
+  // a disabled one has no owner and restore refuses it. In restore mode the
+  // snapshot manifest re-posts the periodics at their exact next firing
+  // times; posting them here too would tick twice.
+  const auto own = [this](uint32_t kind) {
+    CODA_ASSERT(env_.sim->register_sink(kind, this));
+  };
+  own(simcore::kTagTuningTick);
+  if (config_.eliminator.enabled) {
+    CODA_ASSERT(config_.eliminator.check_period_s > 0.0);
+    own(simcore::kTagEliminatorTick);
+    if (!env_.defer_periodics) {
+      env_.sim->schedule_at(
+          env_.sim->now() + config_.eliminator.check_period_s,
+          {simcore::kTagEliminatorTick});
+    }
   }
   if (config_.multi_array_enabled &&
-      config_.reservation_update_period_s > 0.0 && !env_.defer_periodics) {
-    rearm_reservation_tick(env_.sim->now() +
-                           config_.reservation_update_period_s);
+      config_.reservation_update_period_s > 0.0) {
+    own(simcore::kTagReservationTick);
+    if (!env_.defer_periodics) {
+      env_.sim->schedule_at(
+          env_.sim->now() + config_.reservation_update_period_s,
+          {simcore::kTagReservationTick});
+    }
   }
 }
 
-void CodaScheduler::rearm_eliminator_tick(double first) {
-  env_.sim->schedule_periodic_at(
-      first, config_.eliminator.check_period_s,
-      [this] {
-        eliminator_->check_all(
-            [this](cluster::JobId job) { return expected_utilization(job); });
-      },
-      simcore::EventTag{simcore::kTagEliminatorTick});
-}
-
-void CodaScheduler::rearm_reservation_tick(double first) {
-  env_.sim->schedule_periodic_at(
-      first, config_.reservation_update_period_s,
-      [this] { update_reservation_from_history(); },
-      simcore::EventTag{simcore::kTagReservationTick});
-}
-
-void CodaScheduler::rearm_tuning_tick(double t, cluster::JobId job,
-                                      uint64_t generation) {
-  env_.sim->schedule_at(
-      t, [this, job, generation] { on_tuning_tick(job, generation); },
-      simcore::EventTag{simcore::kTagTuningTick, job, generation});
+void CodaScheduler::on_event(const simcore::EventTag& tag) {
+  switch (tag.kind) {
+    case simcore::kTagEliminatorTick:
+      eliminator_->check_all(
+          [this](cluster::JobId job) { return expected_utilization(job); });
+      env_.sim->schedule_at(
+          env_.sim->now() + config_.eliminator.check_period_s, tag);
+      break;
+    case simcore::kTagReservationTick:
+      update_reservation_from_history();
+      env_.sim->schedule_at(
+          env_.sim->now() + config_.reservation_update_period_s, tag);
+      break;
+    case simcore::kTagTuningTick:
+      on_tuning_tick(tag.a, tag.b);
+      break;
+    default:
+      Scheduler::on_event(tag);
+      break;
+  }
 }
 
 bool CodaScheduler::is_four_gpu_job(const workload::JobSpec& spec) const {
@@ -656,8 +669,8 @@ void CodaScheduler::begin_tuning(cluster::JobId job) {
 
 void CodaScheduler::schedule_tuning_tick(cluster::JobId job,
                                          uint64_t generation) {
-  rearm_tuning_tick(env_.sim->now() + config_.allocator.profile_step_s, job,
-                    generation);
+  env_.sim->schedule_at(env_.sim->now() + config_.allocator.profile_step_s,
+                        {simcore::kTagTuningTick, job, generation});
 }
 
 void CodaScheduler::on_tuning_tick(cluster::JobId job, uint64_t generation) {

@@ -109,13 +109,9 @@ class CodaScheduler : public sched::Scheduler {
   // ---- snapshot support (src/state) ----
   void save_state(state::Writer* w) const override;
   void load_state(state::Reader* r, const sched::SpecMap& specs) override;
-  // Re-arm helpers: re-post one pending event recorded in a snapshot's
-  // manifest at its exact absolute time. The periodic ticks are re-armed as
-  // fresh chains whose first firing is the manifest time (attach() skipped
-  // scheduling them in restore mode — see SchedulerEnv::defer_periodics).
-  void rearm_eliminator_tick(double first);
-  void rearm_reservation_tick(double first);
-  void rearm_tuning_tick(double t, cluster::JobId job, uint64_t generation);
+  // The eliminator and reservation ticks (each re-posts itself one period
+  // on) and the tuning tick; the retry kind goes to Scheduler::on_event.
+  void on_event(const simcore::EventTag& tag) override;
 
  private:
   // Per-array tenant queues with DRF ordering by the array's dominant

@@ -22,6 +22,7 @@
 #include "simcore/event_tags.h"
 #include "simcore/simulator.h"
 #include "telemetry/mbm.h"
+#include "util/assert.h"
 #include "util/fields.h"
 #include "util/result.h"
 #include "workload/job.h"
@@ -97,10 +98,9 @@ struct SchedulerEnv {
   const cluster::Cluster* cluster = nullptr;
 
   // Snapshot-restore mode: attach() must NOT schedule its periodic events
-  // (eliminator checks, reservation updates). The restore path re-arms them
-  // at their exact next firing times from the snapshot manifest instead —
-  // a construct-then-cancel dance would leave a dead queue entry that still
-  // fires as a no-op and perturbs the dispatch count.
+  // (eliminator checks, reservation updates). The restore path re-posts
+  // them at their exact next firing times from the snapshot manifest
+  // instead; posting them here too would tick twice.
   bool defer_periodics = false;
 
   // Starts a pending job on the given placement. The engine validates and
@@ -146,20 +146,40 @@ struct SchedulerEnv {
   // refuses a queue row naming any other job.
   std::function<bool(cluster::JobId)> is_pending;
 
+  // The spec of a job the engine holds a record for: a retry resubmission
+  // carries only the job id.
+  std::function<const workload::JobSpec&(cluster::JobId)> job_spec;
+
   // Permanently gives up on an evicted job whose retry budget is exhausted.
   // The engine closes the job's accounting and reports it as abandoned; the
   // scheduler must already have dropped it from its own queues.
   std::function<void(cluster::JobId)> abandon_job;
 };
 
-class Scheduler {
+class Scheduler : public simcore::EventSink {
  public:
-  virtual ~Scheduler() = default;
+  ~Scheduler() override = default;
 
   virtual const char* name() const = 0;
 
-  // Called once by the engine before the run starts.
-  virtual void attach(const SchedulerEnv& env) { env_ = env; }
+  // Called once by the engine before the run starts. The policy registers
+  // itself as the sink of its event kinds here: the retry resubmission
+  // below, and CODA's ticks in its override. A wrapper that forwards
+  // attach() to an inner policy must not call this one too, or the inner
+  // policy's registration is refused.
+  virtual void attach(const SchedulerEnv& env) {
+    env_ = env;
+    CODA_ASSERT_MSG(
+        env_.sim->register_sink(simcore::kTagRetryResubmit, this),
+        "a second scheduler attached to one simulator");
+  }
+
+  // The retry resubmission's handler: the job's backoff ended, so it joins
+  // the queue through the normal submit() + kick() path.
+  void on_event(const simcore::EventTag& tag) override {
+    submit(env_.job_spec(tag.a));
+    kick();
+  }
 
   // A new job arrived. Implementations enqueue it; the engine calls kick()
   // right after.
@@ -221,19 +241,6 @@ class Scheduler {
   virtual void save_state(state::Writer* w) const;
   virtual void load_state(state::Reader* r, const SpecMap& specs);
 
-  // Posts one retry-backoff resubmission at absolute simulated time `t`:
-  // retry_after_eviction's backoff and a snapshot manifest's re-arm both
-  // post through here, so a restored event dispatches identically.
-  void rearm_retry(double t, const workload::JobSpec& spec) {
-    env_.sim->post_at(
-        t,
-        [this, spec] {
-          submit(spec);
-          kick();
-        },
-        simcore::EventTag{simcore::kTagRetryResubmit, spec.id});
-  }
-
   // Evictions survived so far by one job (0 if never evicted) — test hook.
   int eviction_count(cluster::JobId id) const {
     auto it = evictions_.find(id);
@@ -244,7 +251,7 @@ class Scheduler {
   // Routes an engine-forced eviction through the retry policy. Returns true
   // when the caller should requeue the job immediately (policy disabled).
   // Otherwise the job either resubmits itself after an exponential-backoff
-  // delay — through the implementation's normal submit()+kick() path — or,
+  // delay (a retry event, handled by on_event) or,
   // past the retry cap, is abandoned via env_.abandon_job.
   bool retry_after_eviction(const workload::JobSpec& spec) {
     if (!retry_.enabled) {
@@ -261,7 +268,8 @@ class Scheduler {
     const double delay = std::min(
         retry_.backoff_base_s * std::ldexp(1.0, attempt - 1),
         retry_.backoff_max_s);
-    rearm_retry(env_.sim->now() + delay, spec);
+    env_.sim->schedule_at(env_.sim->now() + delay,
+                          {simcore::kTagRetryResubmit, spec.id});
     return false;
   }
 

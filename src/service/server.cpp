@@ -11,11 +11,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -803,11 +801,12 @@ void Server::handle_command(Shard& shard, Command& cmd,
       }
       // Inject strictly after everything already dispatched and strictly
       // before everything still queued: the replay's pre-posted arrival
-      // lands at the same point of the event sequence. now() cannot move
-      // between staging and commit (no events run inside a batch), so the
-      // instant recorded here is the instant the job is injected at.
-      const double vt = std::nextafter(
-          engine.sim().now(), std::numeric_limits<double>::infinity());
+      // lands at the same point of the event sequence. The first SUBMIT of
+      // a batch may dispatch events queued at nextafter(now()); once one is
+      // staged nothing is queued that early, so now() cannot move between
+      // staging and commit and the instant recorded here is the instant
+      // the job is injected at.
+      const double vt = shard.session.sim.injection_instant();
       Shard::StagedSubmit staged;
       if (shard.journal.is_open()) {
         // Journal first (write-ahead): an unjournaled accepted job would

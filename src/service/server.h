@@ -24,9 +24,10 @@
 // around a sim::Session, the session run_experiment also builds and
 // finishes; journal replay and snapshot restore rebuild that ShardSession
 // itself (start_shard, restore_shard). An accepted SUBMIT is injected at
-// nextafter(now()), strictly after every event the shard has dispatched,
-// so a run that pre-posts it and a recovery that re-injects it at its
-// journaled instant dispatch the same events, and DRAIN's
+// Session::injection_instant(), strictly after every event the shard has
+// dispatched and strictly before every event still queued, so a run that
+// pre-posts it and a recovery that re-injects it at its journaled instant
+// dispatch the same events, and DRAIN's
 // Session::finish builds the same report bytes. tests/session_test.cpp
 // pins live == replay == restore.
 #pragma once

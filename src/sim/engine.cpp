@@ -31,12 +31,17 @@ ClusterEngine::ClusterEngine(const EngineConfig& config,
   footprints_scratch_.reserve(32);
   node_dirty_.assign(cluster_.node_count(), 0);
   dirty_nodes_.reserve(cluster_.node_count());
+  for (uint32_t kind :
+       {simcore::kTagArrival, simcore::kTagJobFinish, simcore::kTagNodeFail,
+        simcore::kTagNodeRecover, simcore::kTagMetricsTick}) {
+    CODA_ASSERT(sim_.register_sink(kind, this));
+  }
   if (config_.incremental_recompute) {
     // Drain the dirty set after every dispatched event: each event's
     // mutations happen at one simulated instant, so one recompute per
     // touched node at the end of the dispatch observes the same state the
     // eager path's last recompute would.
-    sim_.set_post_dispatch([this] { flush_dirty_nodes(); });
+    sim_.set_post_dispatch(this);
   }
 
   series_.gpu_active = &metrics_.series_mut("gpu_active_rate");
@@ -84,18 +89,47 @@ ClusterEngine::ClusterEngine(const EngineConfig& config,
     return mba_.cap(node, id);
   };
   env.is_pending = [this](cluster::JobId id) { return is_pending(id); };
+  env.job_spec = [this](cluster::JobId id) -> const workload::JobSpec& {
+    return records_.at(id).spec;
+  };
   env.abandon_job = [this](cluster::JobId id) { abandon_job(id); };
   scheduler_->attach(env);
 
+  CODA_ASSERT(config_.metrics_period_s > 0.0);
   if (!restore_mode) {
-    rearm_metrics_tick(config_.metrics_period_s);
+    sim_.schedule_at(config_.metrics_period_s, {simcore::kTagMetricsTick});
   }
 }
 
-void ClusterEngine::rearm_metrics_tick(double first) {
-  sim_.schedule_periodic_at(first, config_.metrics_period_s,
-                            [this] { sample_metrics(); },
-                            simcore::EventTag{simcore::kTagMetricsTick});
+void ClusterEngine::on_event(const simcore::EventTag& tag) {
+  switch (tag.kind) {
+    case simcore::kTagArrival:
+      on_arrival(tag.a);
+      break;
+    case simcore::kTagJobFinish:
+      finish_job(tag.a);
+      break;
+    case simcore::kTagNodeFail:
+      (void)fail_node(static_cast<cluster::NodeId>(tag.a));
+      break;
+    case simcore::kTagNodeRecover:
+      (void)recover_node(static_cast<cluster::NodeId>(tag.a));
+      break;
+    case simcore::kTagMetricsTick:
+      sample_metrics();
+      sim_.schedule_at(sim_.now() + config_.metrics_period_s, tag);
+      break;
+  }
+}
+
+void ClusterEngine::after_dispatch() { flush_dirty_nodes(); }
+
+void ClusterEngine::repost(double t, const simcore::EventTag& tag) {
+  if (tag.kind == simcore::kTagJobFinish) {
+    arm_finish(running_.at(tag.a), t);
+  } else {
+    sim_.schedule_at(t, tag);
+  }
 }
 
 ClusterEngine::~ClusterEngine() = default;
@@ -115,12 +149,7 @@ void ClusterEngine::inject(const workload::JobSpec& spec, double t) {
   CODA_ASSERT_MSG(inserted, "duplicate job id injected");
   it->second.spec = spec;
   it->second.submit_time = t;
-  rearm_arrival(t, spec.id);
-}
-
-void ClusterEngine::rearm_arrival(double t, cluster::JobId id) {
-  sim_.post_at(t, [this, id] { on_arrival(id); },
-               simcore::EventTag{simcore::kTagArrival, id});
+  sim_.schedule_at(t, {simcore::kTagArrival, spec.id});
 }
 
 void ClusterEngine::on_arrival(cluster::JobId id) {
@@ -275,7 +304,7 @@ util::Status ClusterEngine::stop_running_job(cluster::JobId id,
       remaining_work_.erase(id);
     }
   }
-  job.finish_event.cancel();
+  sim_.cancel(job.finish_event);
   detach_job(it);
   record.preempt_count += 1;
   pending_since_[id] = sim_.now();
@@ -361,18 +390,8 @@ util::Status ClusterEngine::recover_node(cluster::NodeId node_id) {
 void ClusterEngine::schedule_node_outage(cluster::NodeId node, double at,
                                          double outage_s) {
   CODA_ASSERT(outage_s > 0.0);
-  rearm_outage_fail(at, node);
-  rearm_outage_recover(at + outage_s, node);
-}
-
-void ClusterEngine::rearm_outage_fail(double t, cluster::NodeId node) {
-  sim_.post_at(t, [this, node] { (void)fail_node(node); },
-               simcore::EventTag{simcore::kTagNodeFail, node});
-}
-
-void ClusterEngine::rearm_outage_recover(double t, cluster::NodeId node) {
-  sim_.post_at(t, [this, node] { (void)recover_node(node); },
-               simcore::EventTag{simcore::kTagNodeRecover, node});
+  sim_.schedule_at(at, {simcore::kTagNodeFail, node});
+  sim_.schedule_at(at + outage_s, {simcore::kTagNodeRecover, node});
 }
 
 void ClusterEngine::finish_job(cluster::JobId id) {
@@ -665,7 +684,7 @@ void ClusterEngine::update_rate(RunningJob& job) {
   // the bulk of recompute work on uncontended nodes — entirely off the heap.
   // Exact equality, not epsilon: a rate that moved even one ulp must move
   // its event, or determinism across recompute orders is lost.
-  if (job.rate == old_rate && job.finish_event.pending()) {
+  if (job.rate == old_rate && sim_.pending(job.finish_event)) {
     ++stats_.reschedules_skipped;
     return;
   }
@@ -710,21 +729,14 @@ void ClusterEngine::store_tick_terms(RunningJob& job) {
 }
 
 void ClusterEngine::reschedule_finish(RunningJob& job) {
-  job.finish_event.cancel();
+  sim_.cancel(job.finish_event);
   CODA_ASSERT(job.rate > 0.0);
   ++stats_.reschedules;
   arm_finish(job, sim_.now() + job.remaining / job.rate);
 }
 
-void ClusterEngine::rearm_finish(double t, cluster::JobId id) {
-  arm_finish(running_.at(id), t);
-}
-
 void ClusterEngine::arm_finish(RunningJob& job, double t) {
-  const cluster::JobId id = job.id;
-  job.finish_event =
-      sim_.schedule_at(t, [this, id] { finish_job(id); },
-                       simcore::EventTag{simcore::kTagJobFinish, id});
+  job.finish_event = sim_.schedule_at(t, {simcore::kTagJobFinish, job.id});
 }
 
 // ----------------------------------------------------------------- probes

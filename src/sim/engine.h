@@ -108,13 +108,17 @@ struct JobRecord {
 };
 
 class ClusterEngine : public telemetry::BandwidthSource,
-                      public telemetry::GpuUtilSource {
+                      public telemetry::GpuUtilSource,
+                      public simcore::EventSink {
  public:
-  // `restore_mode` constructs the engine for state::restore_session: the
-  // metrics periodic is not scheduled here (the snapshot manifest re-arms
-  // it at its exact next firing time) and the scheduler's attach() sees
-  // SchedulerEnv::defer_periodics so its own periodics wait for re-arming
-  // too. A restore-mode engine must be populated via load_state before use.
+  // The engine registers itself as the sink of its five event kinds
+  // (arrival, finish, outage fail and recover, metrics tick), then attaches
+  // the scheduler, which registers its own. `restore_mode` constructs the
+  // engine for state::restore_session: the metrics tick is not scheduled
+  // here (the snapshot manifest re-posts it at its exact next firing time)
+  // and the scheduler's attach() sees SchedulerEnv::defer_periodics so its
+  // own periodics wait for the manifest too. A restore-mode engine must be
+  // populated via load_state before use.
   ClusterEngine(const EngineConfig& config, sched::Scheduler* scheduler,
                 bool restore_mode = false);
   ~ClusterEngine() override;
@@ -210,24 +214,21 @@ class ClusterEngine : public telemetry::BandwidthSource,
   // jobs with their exact progress/rate/eval-cache state, node allocations
   // and failure flags, contention reports, MBA caps, metrics, RNG stream
   // and the event log. Pending simulator events are NOT serialized here —
-  // they go into the snapshot's re-arm manifest (simulator pending_events).
+  // they go into the snapshot's manifest (simulator pending_events).
   void save_state(state::Writer* w) const;
   // Mirror image; `specs` maps job ids back to full JobSpecs (the engine
   // stores state by id). Requires a restore-mode-constructed engine with no
-  // trace loaded. The caller re-arms manifest events afterwards.
+  // trace loaded. The caller re-posts manifest events afterwards.
   util::Status load_state(state::Reader* r,
                           const std::map<cluster::JobId,
                                          workload::JobSpec>& specs);
-  // Re-arm helpers: re-post one pending simulator event recorded in a
-  // snapshot manifest at its exact absolute time. The live paths post
-  // through them too. The job or node must exist (restore_session checks
-  // manifest entries first): an arrival needs the record of a job that has
-  // not arrived yet, a finish a running job.
-  void rearm_arrival(double t, cluster::JobId id);
-  void rearm_finish(double t, cluster::JobId id);
-  void rearm_outage_fail(double t, cluster::NodeId node);
-  void rearm_outage_recover(double t, cluster::NodeId node);
-  void rearm_metrics_tick(double first);
+  // Re-posts one event of a snapshot manifest at its exact absolute time,
+  // whichever layer owns its kind: a finish through arm_finish, which
+  // stores its handle on the running job, any other kind straight into the
+  // queue. restore_session checks each entry first (a finish needs a
+  // running job, an arrival a job that has not arrived yet, a kind a
+  // registered sink).
+  void repost(double t, const simcore::EventTag& tag);
 
   // Mutable registry access for host-layer counters (the service daemon
   // accounts snapshot/restore operations next to the engine's own metrics).
@@ -313,6 +314,11 @@ class ClusterEngine : public telemetry::BandwidthSource,
   util::Status resize_job(cluster::JobId id, cluster::NodeId node,
                           int new_cpus);
 
+  // The engine's event kinds (see the constructor), and the dirty-node
+  // flush that runs after every dispatched event.
+  void on_event(const simcore::EventTag& tag) override;
+  void after_dispatch() override;
+
   void on_arrival(cluster::JobId id);
   void finish_job(cluster::JobId id);
   // The detach half of finish_job and stop_running_job: drops the job from
@@ -364,8 +370,8 @@ class ClusterEngine : public telemetry::BandwidthSource,
   void set_pressure_floor(double floor);
   void advance_progress(RunningJob& job);
   void reschedule_finish(RunningJob& job);
-  // Posts the job's finish event at `t`: the one closure and tag behind
-  // reschedule_finish and rearm_finish.
+  // Posts the job's finish event at `t` and stores its handle: the one
+  // place behind reschedule_finish and repost.
   void arm_finish(RunningJob& job, double t);
   double total_work_of(const workload::JobSpec& spec) const;
 

@@ -10,7 +10,7 @@
 //
 // Pending simulator events are NOT handled here: save_state captures a
 // quiescent engine (between dispatches, dirty nodes flushed) and the
-// snapshot's re-arm manifest re-posts events through the rearm_* helpers.
+// snapshot's manifest re-posts each event's tag through repost().
 #include <algorithm>
 #include <array>
 #include <string>
@@ -238,8 +238,8 @@ util::Status ClusterEngine::load_state(
                 "allocations");
       }
     }
-    // finish_event stays empty here; the snapshot manifest re-arms it via
-    // rearm_finish at the exact serialized firing time.
+    // finish_event stays empty here; the snapshot manifest re-posts the
+    // finish through repost() at the exact serialized firing time.
     auto [it, inserted] = running_.emplace(id, std::move(job));
     if (!inserted) {
       r->fail("running job listed twice: " + std::to_string(id));

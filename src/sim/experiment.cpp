@@ -1,6 +1,8 @@
 #include "sim/experiment.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "sched/drf.h"
 #include "sched/fifo.h"
@@ -108,6 +110,18 @@ Session Session::start(Policy policy,
 void Session::inject(const workload::JobSpec& spec, double t) {
   engine->inject(spec, t);
   ++submitted;
+}
+
+double Session::injection_instant() {
+  simcore::Simulator& sim = engine->sim();
+  for (;;) {
+    const double vt =
+        std::nextafter(sim.now(), std::numeric_limits<double>::infinity());
+    if (sim.next_event_time() > vt) {
+      return vt;
+    }
+    engine->run_until(vt);
+  }
 }
 
 ExperimentReport Session::finish() {

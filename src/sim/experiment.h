@@ -200,6 +200,14 @@ struct Session {
                        const ExperimentConfig& config);
   // Hands one more job to the engine, arriving at `t`.
   void inject(const workload::JobSpec& spec, double t);
+  // The instant a live submission is injected at: nextafter(now()), once
+  // every event queued at or before that instant has been dispatched
+  // (repeated until none is left). The job then arrives strictly after
+  // every dispatched event and strictly before every queued one, exactly
+  // where a replay that pre-posts its arrival dispatches it. With nothing
+  // queued that early it dispatches nothing, so a second call before the
+  // clock moves returns the same instant.
+  double injection_instant();
   // run_until(horizon) -> drain(horizon + drain_slack_s) -> build_report.
   ExperimentReport finish();
 };

@@ -6,15 +6,10 @@
 
 namespace coda::simcore {
 
-void EventQueue::push_entry(Entry entry) {
-  ++pool_->live_;
-  route(std::move(entry));
-}
-
-void EventQueue::route(Entry&& entry) {
+void EventQueue::route(const Entry& entry) {
   if (epoch_active_) {
     if (entry.t < near_end_) {
-      near_.push_back(std::move(entry));
+      near_.push_back(entry);
       std::push_heap(near_.begin(), near_.end(), Later{});
       return;
     }
@@ -37,53 +32,45 @@ void EventQueue::route(Entry&& entry) {
                  far_base_ + static_cast<SimTime>(idx + 1) * far_width_) {
         ++idx;
       }
-      far_[idx].push_back(std::move(entry));
+      far_[idx].push_back(entry);
       return;
     }
   }
-  overflow_.push_back(std::move(entry));
+  overflow_.push_back(entry);
 }
 
-EventHandle EventQueue::push(SimTime t, EventFn fn, EventTag tag) {
-  const uint32_t slot = pool_->alloc();
-  const uint64_t gen = pool_->generation(slot);
-  push_entry(Entry{t, next_seq_++, std::move(fn), slot, gen, tag});
-  return EventHandle(pool_, slot, gen);
+EventHandle EventQueue::push(SimTime t, EventTag tag) {
+  EventHandle handle;
+  if (claims_slot(tag.kind)) {
+    handle.slot = pool_.alloc();
+    handle.gen = pool_.generation(handle.slot);
+  }
+  ++live_;
+  route(Entry{t, next_seq_++, tag, handle.slot, handle.gen});
+  return handle;
 }
 
-void EventQueue::post(SimTime t, EventFn fn, EventTag tag) {
-  push_entry(
-      Entry{t, next_seq_++, std::move(fn), EventPool::kNoSlot, 0, tag});
+void EventQueue::cancel(EventHandle handle) {
+  if (pending(handle)) {
+    pool_.release(handle.slot);
+    --live_;
+  }
 }
 
-util::Status EventQueue::pending_events(std::vector<PendingEvent>* out) const {
+void EventQueue::pending_events(std::vector<PendingEvent>* out) const {
   const size_t first = out->size();
-  const auto append = [&](const std::vector<Entry>& entries) -> util::Status {
+  const auto append = [&](const std::vector<Entry>& entries) {
     for (const Entry& entry : entries) {
-      if (stale(entry)) {
-        continue;  // lazily-dropped cancel; never fires
+      if (!stale(entry)) {  // a cancelled entry never fires
+        out->push_back(PendingEvent{entry.t, entry.seq, entry.tag});
       }
-      if (entry.tag.kind == 0) {
-        return util::Error{
-            util::ErrorCode::kFailedPrecondition,
-            "live event at t=" + std::to_string(entry.t) +
-                " carries no EventTag; it cannot be re-armed from a snapshot"};
-      }
-      out->push_back(PendingEvent{entry.t, entry.seq, entry.tag});
     }
-    return util::Status::Ok();
   };
-  if (auto s = append(near_); !s.ok()) {
-    return s;
-  }
+  append(near_);
   for (const auto& bucket : far_) {
-    if (auto s = append(bucket); !s.ok()) {
-      return s;
-    }
+    append(bucket);
   }
-  if (auto s = append(overflow_); !s.ok()) {
-    return s;
-  }
+  append(overflow_);
   std::sort(out->begin() + static_cast<ptrdiff_t>(first), out->end(),
             [](const PendingEvent& a, const PendingEvent& b) {
               if (a.t != b.t) {
@@ -91,12 +78,11 @@ util::Status EventQueue::pending_events(std::vector<PendingEvent>* out) const {
               }
               return a.seq < b.seq;
             });
-  return util::Status::Ok();
 }
 
 void EventQueue::refill() {
   for (;;) {
-    // Cancelled entries already left the live count (EventPool::cancel);
+    // Cancelled entries already left the live count (cancel());
     // here they just get evicted as they surface.
     while (!near_.empty() && stale(near_.front())) {
       std::pop_heap(near_.begin(), near_.end(), Later{});
@@ -113,9 +99,9 @@ void EventQueue::refill() {
       near_end_ =
           far_base_ + static_cast<SimTime>(far_cursor_ + 1) * far_width_;
       ++far_cursor_;
-      for (Entry& entry : bucket) {
+      for (const Entry& entry : bucket) {
         if (!stale(entry)) {
-          near_.push_back(std::move(entry));
+          near_.push_back(entry);
         }
       }
       bucket.clear();
@@ -150,8 +136,8 @@ void EventQueue::rebuild_epoch() {
   epoch_active_ = true;
   std::vector<Entry> pending;
   pending.swap(overflow_);
-  for (Entry& entry : pending) {
-    route(std::move(entry));
+  for (const Entry& entry : pending) {
+    route(entry);
   }
   CODA_ASSERT(overflow_.empty());  // the fresh ring must span every entry
 }
@@ -168,29 +154,29 @@ void EventQueue::reset_structures() {
 }
 
 SimTime EventQueue::next_time() {
-  CODA_ASSERT(pool_->live_ > 0);
+  CODA_ASSERT(live_ > 0);
   refill();
   return near_.front().t;
 }
 
 EventQueue::Popped EventQueue::pop() {
-  CODA_ASSERT(pool_->live_ > 0);
+  CODA_ASSERT(live_ > 0);
   refill();
   std::pop_heap(near_.begin(), near_.end(), Later{});
-  Entry top = std::move(near_.back());
+  const Entry top = near_.back();
   near_.pop_back();
   if (top.slot != EventPool::kNoSlot) {
     // Recycle the control slot; the generation bump flips every handle for
     // this event to !pending(), the pooled equivalent of "fired".
-    pool_->release(top.slot);
+    pool_.release(top.slot);
   }
-  --pool_->live_;
-  if (pool_->live_ == 0) {
+  --live_;
+  if (live_ == 0) {
     // Nothing live remains (stale leftovers at most): reset the epoch so
     // the next batch of submissions sizes a fresh ring for its own span.
     reset_structures();
   }
-  return Popped{top.t, std::move(top.fn)};
+  return Popped{top.t, top.tag};
 }
 
 }  // namespace coda::simcore

@@ -16,30 +16,26 @@
 // so equal-time events always land in the same structure and dispatch
 // order is identical to the single-heap implementation, event for event.
 //
-// Two scheduling paths exist: push() hands back an EventHandle backed by a
-// pooled generation slot (no per-event heap allocation in steady state),
-// while post() is for the common fire-and-forget case and allocates no
-// per-event state beyond the functor itself.
+// An entry is plain data: (t, seq, tag, slot, gen). The tag is the whole
+// event; what it does is up to the layer that owns its kind (see
+// simulator.h). Kinds that claim a pool slot (claims_slot in event_tags.h)
+// get a handle that can cancel them; every other kind is fire-and-forget.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "util/result.h"
+#include "simcore/event_tags.h"
 
 namespace coda::simcore {
 
 using SimTime = double;  // simulated seconds since experiment start
 
-using EventFn = std::function<void()>;
-
-// Identity of a scheduled event, carried alongside the callback so a live
-// session can be snapshotted: callbacks cannot be serialized, but a
-// (kind, a, b) triple plus the fire time is enough for the owning layer to
-// re-create the exact closure on restore (the re-arm manifest). kind 0
-// means untagged; see simcore/event_tags.h for the kind registry.
+// Identity of a scheduled event, and all of it: the (kind, a, b) triple
+// names the owning layer's handler and its arguments (see
+// simcore/event_tags.h for the kind registry). A snapshot's manifest stores
+// (t, tag) rows, which is enough to re-post the exact event on restore.
 struct EventTag {
   uint32_t kind = 0;
   uint64_t a = 0;
@@ -57,11 +53,9 @@ struct PendingEvent {
 // Slab pool of event control slots. Each slot is just a generation counter:
 // a (slot, generation) pair names one scheduled event, and the pair goes
 // stale — meaning "fired or cancelled" — the moment the slot's generation
-// is bumped. Slots recycle through a free list, so after warm-up push()
+// is bumped. Slots recycle through a free list, so after warm-up a push
 // allocates nothing; bumping the generation on release makes recycled slots
-// safe against stale handles (ABA). The pool is shared (shared_ptr) between
-// the queue and every outstanding EventHandle, so handles that outlive the
-// queue stay harmless, exactly like the old per-event control blocks.
+// safe against stale handles (ABA).
 class EventPool {
  public:
   static constexpr uint32_t kNoSlot = UINT32_MAX;
@@ -90,26 +84,12 @@ class EventPool {
     --in_use_;
   }
 
-  // Cancel path used by EventHandle: succeeds only while (idx, g) is still
-  // current, releasing the slot and dropping the live-event count.
-  bool cancel(uint32_t idx, uint64_t g) {
-    if (generation(idx) != g) {
-      return false;  // already fired or cancelled
-    }
-    release(idx);
-    --live_;
-    return true;
-  }
-
   struct Stats {
-    size_t live_events = 0;   // scheduled & not fired/cancelled (incl. post)
+    size_t live_events = 0;   // scheduled & not fired/cancelled, any kind
     size_t slots_in_use = 0;  // pooled control slots currently claimed
     size_t slots_free = 0;    // recycled slots awaiting reuse
     size_t chunks = 0;        // slabs allocated over the pool's lifetime
   };
-  Stats stats() const {
-    return Stats{live_, in_use_, free_.size(), chunks_.size()};
-  }
 
  private:
   friend class EventQueue;
@@ -128,67 +108,42 @@ class EventPool {
   std::vector<std::unique_ptr<uint64_t[]>> chunks_;  // slot generations
   std::vector<uint32_t> free_;
   size_t in_use_ = 0;
-  size_t live_ = 0;  // live events in the owning queue, pooled or post()ed
 };
 
-// Handle to a scheduled event; lets callers cancel it before it fires.
-// Copyable; all copies refer to the same scheduled event. Two backings
-// exist: pooled (queue push — slot index + generation into the shared
-// EventPool) and a plain shared flag (the Simulator's periodic ticks,
-// which manage their own liveness).
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  // True while the event is scheduled and not yet fired/cancelled.
-  bool pending() const {
-    if (pool_) {
-      return pool_->generation(idx_) == gen_;
-    }
-    return state_ && !*state_;
-  }
-
-  // Cancels the event if still pending; no-op otherwise.
-  void cancel() {
-    if (pool_) {
-      pool_->cancel(idx_, gen_);
-    } else if (state_ && !*state_) {
-      *state_ = true;
-    }
-  }
-
- private:
-  friend class EventQueue;
-  friend class Simulator;
-  explicit EventHandle(std::shared_ptr<bool> state)
-      : state_(std::move(state)) {}
-  EventHandle(std::shared_ptr<EventPool> pool, uint32_t idx, uint64_t gen)
-      : pool_(std::move(pool)), idx_(idx), gen_(gen) {}
-
-  std::shared_ptr<bool> state_;      // periodic ticks: true once cancelled
-  std::shared_ptr<EventPool> pool_;  // pushed events: generation slot pool
-  uint32_t idx_ = EventPool::kNoSlot;
-  uint64_t gen_ = 0;
+// Names one queued event of a slot-claiming kind: its pool slot and the
+// slot's generation at push time. A default handle, and the handle of a
+// kind that claims no slot, name nothing. Cancel and query it through the
+// queue (or Simulator) that pushed it.
+struct EventHandle {
+  uint32_t slot = EventPool::kNoSlot;
+  uint64_t gen = 0;
 };
 
 class EventQueue {
  public:
-  // Enqueues `fn` at simulated time `t`. Times may be scheduled in any order
-  // but must not precede the last popped time (checked by the Simulator).
-  EventHandle push(SimTime t, EventFn fn, EventTag tag = {});
+  // Enqueues `tag` at simulated time `t`. Times may be scheduled in any
+  // order but must not precede the last popped time (checked by the
+  // Simulator). A slot-claiming kind gets a pool slot, which the returned
+  // handle names; any other kind gets an empty handle.
+  EventHandle push(SimTime t, EventTag tag);
 
-  // Enqueues `fn` at `t` with no cancellation handle: the event will fire
-  // exactly once. Avoids claiming a control slot.
-  void post(SimTime t, EventFn fn, EventTag tag = {});
+  // True while `handle`'s event is queued: not yet fired or cancelled.
+  bool pending(EventHandle handle) const {
+    return handle.slot != EventPool::kNoSlot &&
+           pool_.generation(handle.slot) == handle.gen;
+  }
+
+  // Cancels `handle`'s event if it is still queued. A no-op once it fired
+  // or was cancelled, even after a later push recycled its slot: the
+  // slot's generation has moved on.
+  void cancel(EventHandle handle);
 
   // Appends every live (non-cancelled) entry to `out` in dispatch order
-  // ((t, seq) ascending). Fails with kFailedPrecondition when any live
-  // entry is untagged — such an event cannot be re-armed from a snapshot,
-  // and dropping it silently would corrupt the restored session.
-  util::Status pending_events(std::vector<PendingEvent>* out) const;
+  // ((t, seq) ascending).
+  void pending_events(std::vector<PendingEvent>* out) const;
 
   // True when no live (non-cancelled) events remain.
-  bool empty() const { return pool_->live_ == 0; }
+  bool empty() const { return live_ == 0; }
 
   // Time of the earliest live event; requires !empty().
   SimTime next_time();
@@ -196,24 +151,26 @@ class EventQueue {
   // Pops and returns the earliest live event; requires !empty().
   struct Popped {
     SimTime t;
-    EventFn fn;
+    EventTag tag;
   };
   Popped pop();
 
   // Number of live events; O(1).
-  size_t live_count() const { return pool_->live_; }
+  size_t live_count() const { return live_; }
 
   // Control-slot pool occupancy; telemetry reads this through the Simulator.
-  EventPool::Stats pool_stats() const { return pool_->stats(); }
+  EventPool::Stats pool_stats() const {
+    return EventPool::Stats{live_, pool_.in_use_, pool_.free_.size(),
+                            pool_.chunks_.size()};
+  }
 
  private:
   struct Entry {
     SimTime t;
     uint64_t seq;
-    EventFn fn;
-    uint32_t slot;  // EventPool::kNoSlot for post()ed events
-    uint64_t gen;   // pool generation at push time
     EventTag tag;
+    uint32_t slot;  // EventPool::kNoSlot for kinds that claim none
+    uint64_t gen;   // pool generation at push time
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -224,18 +181,17 @@ class EventQueue {
     }
   };
 
-  // A pushed entry whose slot generation moved on is cancelled: the handle
-  // released the slot before the event fired.
+  // An entry whose slot generation moved on is cancelled: cancel() released
+  // the slot before the event fired.
   bool stale(const Entry& entry) const {
     return entry.slot != EventPool::kNoSlot &&
-           pool_->generation(entry.slot) != entry.gen;
+           pool_.generation(entry.slot) != entry.gen;
   }
 
   static constexpr size_t kFarBuckets = 256;
 
-  void push_entry(Entry entry);
   // Files an entry into near heap / far ring / overflow by its time.
-  void route(Entry&& entry);
+  void route(const Entry& entry);
   // Ensures the near heap's top is the earliest live event, migrating far
   // buckets (and re-seeding the epoch from overflow) as needed. Requires a
   // live event to exist.
@@ -256,7 +212,8 @@ class EventQueue {
   size_t far_cursor_ = 0;        // next ring bucket to migrate
   bool epoch_active_ = false;
   uint64_t next_seq_ = 0;
-  std::shared_ptr<EventPool> pool_ = std::make_shared<EventPool>();
+  size_t live_ = 0;  // queued events not yet fired or cancelled
+  EventPool pool_;
 };
 
 }  // namespace coda::simcore

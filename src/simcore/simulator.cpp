@@ -1,70 +1,24 @@
 #include "simcore/simulator.h"
 
 #include <limits>
-#include <memory>
 
 #include "util/assert.h"
 
 namespace coda::simcore {
 
-EventHandle Simulator::schedule_at(SimTime t, EventFn fn, EventTag tag) {
+bool Simulator::register_sink(uint32_t kind, EventSink* sink) {
+  if (kind == 0 || kind >= sinks_.size() || sinks_[kind] != nullptr) {
+    return false;
+  }
+  sinks_[kind] = sink;
+  return true;
+}
+
+EventHandle Simulator::schedule_at(SimTime t, EventTag tag) {
   CODA_ASSERT_MSG(t >= now_, "cannot schedule an event in the simulated past");
-  return queue_.push(t, std::move(fn), tag);
-}
-
-EventHandle Simulator::schedule_after(SimTime delay, EventFn fn,
-                                      EventTag tag) {
-  CODA_ASSERT(delay >= 0.0);
-  return queue_.push(now_ + delay, std::move(fn), tag);
-}
-
-void Simulator::post_at(SimTime t, EventFn fn, EventTag tag) {
-  CODA_ASSERT_MSG(t >= now_, "cannot schedule an event in the simulated past");
-  queue_.post(t, std::move(fn), tag);
-}
-
-void Simulator::post_after(SimTime delay, EventFn fn, EventTag tag) {
-  CODA_ASSERT(delay >= 0.0);
-  queue_.post(now_ + delay, std::move(fn), tag);
-}
-
-EventHandle Simulator::schedule_periodic(SimTime period, EventFn fn,
-                                         EventTag tag) {
-  return schedule_periodic_at(now_ + period, period, std::move(fn), tag);
-}
-
-EventHandle Simulator::schedule_periodic_at(SimTime first, SimTime period,
-                                            EventFn fn, EventTag tag) {
-  CODA_ASSERT(period > 0.0);
-  CODA_ASSERT_MSG(first >= now_,
-                  "cannot schedule an event in the simulated past");
-  // The chain re-arms itself after each tick: the queued closure owns the
-  // shared state and enqueues a copy of itself, so exactly one link is alive
-  // at a time and destroying the queue frees the chain (a lambda capturing a
-  // shared_ptr to its own std::function would cycle and leak). One shared
-  // `dead` flag stops the whole chain: EventHandle::cancel() sets it, and
-  // the next tick bails out without re-arming. The tag rides along on every
-  // re-post so the whole chain stays visible to pending_events().
-  auto dead = std::make_shared<bool>(false);
-  auto user_fn = std::make_shared<EventFn>(std::move(fn));
-  struct Tick {
-    Simulator* sim;
-    std::shared_ptr<bool> dead;
-    std::shared_ptr<EventFn> user_fn;
-    SimTime period;
-    EventTag tag;
-    void operator()() const {
-      if (*dead) {
-        return;
-      }
-      (*user_fn)();
-      if (!*dead) {
-        sim->queue_.post(sim->now_ + period, Tick{*this}, tag);
-      }
-    }
-  };
-  queue_.post(first, Tick{this, dead, user_fn, period, tag}, tag);
-  return EventHandle(std::move(dead));
+  CODA_ASSERT_MSG(sink(tag.kind) != nullptr,
+                  "cannot schedule an event of a kind with no sink");
+  return queue_.push(t, tag);
 }
 
 void Simulator::restore_clock(SimTime now, size_t dispatched) {
@@ -83,14 +37,14 @@ SimTime Simulator::next_event_time() {
 size_t Simulator::run_until(SimTime until) {
   size_t n = 0;
   while (!queue_.empty() && queue_.next_time() <= until) {
-    auto [t, fn] = queue_.pop();
-    CODA_ASSERT(t >= now_);
-    now_ = t;
-    fn();
+    const EventQueue::Popped event = queue_.pop();
+    CODA_ASSERT(event.t >= now_);
+    now_ = event.t;
+    sinks_[event.tag.kind]->on_event(event.tag);
     ++n;
     ++dispatched_;
-    if (post_dispatch_) {
-      post_dispatch_();
+    if (post_dispatch_ != nullptr) {
+      post_dispatch_->after_dispatch();
     }
   }
   if (now_ < until) {

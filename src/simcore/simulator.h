@@ -1,15 +1,35 @@
 // Discrete-event simulator driving all CODA experiments.
 //
-// The simulator owns the clock and the event queue. Components schedule
-// callbacks at absolute or relative simulated times; run() dispatches them in
-// (time, insertion) order until the queue drains or a time limit is hit.
+// The simulator owns the clock and the event queue. An event is its
+// EventTag: each layer registers itself as the sink of the kinds it owns
+// (the engine's arrivals, finishes, outages and metrics tick; the policy's
+// retries and CODA's ticks), schedules tags at absolute simulated times,
+// and gets each tag back through EventSink::on_event when its time comes.
+// run_until() dispatches in (time, insertion) order until the queue drains
+// or a time limit is hit. A periodic kind re-posts its next tick at
+// now() + period as the last step of its handler.
 #pragma once
 
-#include <functional>
+#include <array>
+#include <vector>
 
 #include "simcore/event_queue.h"
 
 namespace coda::simcore {
+
+// A layer that owns event kinds. The Simulator hands it every popped
+// event of a kind it registered for.
+class EventSink {
+ public:
+  virtual ~EventSink() = default;
+
+  // Handles one event of a registered kind; Simulator::now() is its time.
+  virtual void on_event(const EventTag& tag) = 0;
+
+  // Runs after every dispatched event, whatever its kind, while this sink
+  // is the Simulator's post-dispatch sink (set_post_dispatch).
+  virtual void after_dispatch() {}
+};
 
 class Simulator {
  public:
@@ -17,46 +37,34 @@ class Simulator {
   // non-decreasing across event dispatches.
   SimTime now() const { return now_; }
 
-  // Schedules `fn` at absolute time `t`; t must be >= now(). The optional
-  // tag identifies the event in a snapshot's re-arm manifest (see
-  // simcore/event_tags.h); untagged events make pending_events() fail.
-  EventHandle schedule_at(SimTime t, EventFn fn, EventTag tag = {});
+  // Makes `sink` the owner of `kind`. Refused (false, nothing registered)
+  // when the kind is out of range or already has a sink.
+  bool register_sink(uint32_t kind, EventSink* sink);
 
-  // Schedules `fn` after `delay` (>= 0) seconds of simulated time.
-  EventHandle schedule_after(SimTime delay, EventFn fn, EventTag tag = {});
+  // The sink registered for `kind`; nullptr when none is, including for a
+  // kind out of range (a kind read from a file may be any number).
+  EventSink* sink(uint32_t kind) const {
+    return kind < sinks_.size() ? sinks_[kind] : nullptr;
+  }
 
-  // Fire-and-forget variants: no cancellation handle, no per-event
-  // control-block allocation. Use for events that always run (arrivals,
-  // metric ticks).
-  void post_at(SimTime t, EventFn fn, EventTag tag = {});
-  void post_after(SimTime delay, EventFn fn, EventTag tag = {});
+  // Queues `tag` at absolute time `t` (>= now()); its kind must have a
+  // sink. The handle names the event when its kind claims a pool slot
+  // (claims_slot) and is empty otherwise.
+  EventHandle schedule_at(SimTime t, EventTag tag);
 
-  // Schedules `fn` every `period` seconds starting at now() + period, until
-  // the returned handle is cancelled or the run ends. The callback observes
-  // the tick time via Simulator::now().
-  //
-  // The returned handle cancels the *whole* periodic chain, not just the
-  // next tick.
-  EventHandle schedule_periodic(SimTime period, EventFn fn,
-                                EventTag tag = {});
+  // Whether `handle`'s event is still queued, and cancelling it (a no-op
+  // once it fired or was cancelled). See EventQueue.
+  bool pending(EventHandle handle) const { return queue_.pending(handle); }
+  void cancel(EventHandle handle) { queue_.cancel(handle); }
 
-  // Periodic chain whose FIRST tick fires at the absolute time `first`
-  // (>= now()), then every `period` seconds after. The snapshot restore
-  // path re-arms an in-flight periodic with this: the serialized pending
-  // tick's time becomes `first`, so the restored chain ticks at the exact
-  // instants the original would have.
-  EventHandle schedule_periodic_at(SimTime first, SimTime period, EventFn fn,
-                                   EventTag tag = {});
-
-  // Appends every live event to `out` in dispatch order; fails when a live
-  // event is untagged (see EventQueue::pending_events).
-  util::Status pending_events(std::vector<PendingEvent>* out) const {
-    return queue_.pending_events(out);
+  // Appends every live event to `out` in dispatch order.
+  void pending_events(std::vector<PendingEvent>* out) const {
+    queue_.pending_events(out);
   }
 
   // Snapshot restore: force the clock and the dispatch counter to the
   // values the snapshotted simulator had. Only legal before any event is
-  // scheduled (the queue must be empty) — re-armed events are scheduled
+  // scheduled (the queue must be empty) — manifest events are re-posted
   // after this, at absolute times >= `now`.
   void restore_clock(SimTime now, size_t dispatched);
 
@@ -82,18 +90,20 @@ class Simulator {
   // lazily drops cancelled heap entries.
   SimTime next_event_time();
 
-  // Installs `fn` to run after every dispatched event, before the clock
-  // advances to the next one. The simulation engine uses this to drain its
-  // dirty-node set exactly once per dispatch: all mutations an event makes
-  // happen at one simulated instant, so batching their recomputes here is
-  // observationally identical to recomputing eagerly. Pass nullptr to clear.
-  void set_post_dispatch(EventFn fn) { post_dispatch_ = std::move(fn); }
+  // Has `sink->after_dispatch()` run after every dispatched event, before
+  // the clock advances to the next one. The simulation engine uses this to
+  // drain its dirty-node set exactly once per dispatch: all mutations an
+  // event makes happen at one simulated instant, so batching their
+  // recomputes here is observationally identical to recomputing eagerly.
+  // Pass nullptr to clear.
+  void set_post_dispatch(EventSink* sink) { post_dispatch_ = sink; }
 
  private:
   SimTime now_ = 0.0;
   EventQueue queue_;
   size_t dispatched_ = 0;
-  EventFn post_dispatch_;
+  std::array<EventSink*, kTagKindEnd> sinks_{};
+  EventSink* post_dispatch_ = nullptr;
 };
 
 }  // namespace coda::simcore

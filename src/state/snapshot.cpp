@@ -12,7 +12,6 @@
 #include <tuple>
 #include <utility>
 
-#include "coda/coda_scheduler.h"
 #include "simcore/event_tags.h"
 #include "state/serde.h"
 #include "util/parse.h"
@@ -35,12 +34,8 @@ util::Result<std::string> capture_snapshot(const SnapshotMeta& meta,
                                            std::string_view session_text,
                                            const sim::ClusterEngine& engine,
                                            const sched::Scheduler& scheduler) {
-  // Collect the manifest first: an untagged live event fails the capture
-  // before any serialization work happens.
   std::vector<simcore::PendingEvent> pending;
-  if (auto status = engine.sim().pending_events(&pending); !status.ok()) {
-    return status.error();
-  }
+  engine.sim().pending_events(&pending);
 
   Writer w;
   w.line("CODA_SNAPSHOT", kVersion);
@@ -118,13 +113,16 @@ util::Result<RestoredSession> restore_session(
 
   // The manifest, read twice. First its shape, on a copy of the reader:
   // every event at or after the snapshot's virtual time, and at most one
-  // live entry per key. Then each entry against the restored state,
-  // re-armed in serialized ((t, seq) ascending) order: the fresh insertion
-  // sequences ascend with it, so relative order under time ties matches
-  // the captured queue. An event in the simulated past, a second live
-  // entry for one key, or one naming a job or node the restored state does
-  // not hold (or holds in another state) would abort the engine (or
-  // silently run twice) when it is posted or when it fires.
+  // live entry per key. Then each entry against the restored session, in
+  // serialized ((t, seq) ascending) order: its kind must have a sink in
+  // this session (the engine's five, the policy's retry, CODA's ticks
+  // while they run), and its arguments must name a job or node in the
+  // state that kind needs. Only then is its tag re-posted; the fresh
+  // insertion sequences ascend with the manifest, so relative order under
+  // time ties matches the captured queue. An event in the simulated past,
+  // a second live entry for one key, or one naming a job or node the
+  // restored state does not hold (or holds in another state) would abort
+  // the engine (or silently run twice) when it is posted or when it fires.
   r.expect("manifest");
   const uint64_t n = r.u64();
   sim::ClusterEngine& engine = *out.engine;
@@ -165,6 +163,12 @@ util::Result<RestoredSession> restore_session(
     }
   }
   for (uint64_t i = 0; i < n && r.ok() && next_event(r); ++i) {
+    if (engine.sim().sink(kind) == nullptr) {
+      r.fail(util::strfmt(
+          "manifest entry of event kind %u has no owner in this session",
+          kind));
+      break;
+    }
     switch (kind) {
       case simcore::kTagArrival: {
         const auto rec = engine.records().find(a);
@@ -179,72 +183,36 @@ util::Result<RestoredSession> restore_session(
             rec->second.abandoned) {
           r.fail("arrival manifest entry references a job that already "
                  "arrived");
-          break;
         }
-        engine.rearm_arrival(t, a);
         break;
       }
       case simcore::kTagJobFinish:
         if (!engine.is_running(a)) {
           r.fail("finish manifest entry references a job that is not "
                  "running");
-          break;
         }
-        engine.rearm_finish(t, a);
         break;
       case simcore::kTagNodeFail:
-      case simcore::kTagNodeRecover: {
+      case simcore::kTagNodeRecover:
         if (a >= engine.cluster().node_count()) {
           r.fail("outage manifest entry references an unknown node");
-          break;
-        }
-        const auto node = static_cast<cluster::NodeId>(a);
-        if (kind == simcore::kTagNodeFail) {
-          engine.rearm_outage_fail(t, node);
-        } else {
-          engine.rearm_outage_recover(t, node);
         }
         break;
-      }
-      case simcore::kTagMetricsTick:
-        engine.rearm_metrics_tick(t);
-        break;
-      case simcore::kTagRetryResubmit: {
-        auto it = specs.find(a);
-        if (it == specs.end()) {
+      case simcore::kTagRetryResubmit:
+        // A retry resubmits a job in retry backoff: one the engine holds a
+        // record for, evicted back to pending, not running, and not yet in
+        // the policy's queue.
+        if (engine.records().count(a) == 0) {
           r.fail("retry manifest entry references an unknown job");
-          break;
-        }
-        // A retry resubmits a job in retry backoff: evicted back to
-        // pending, not running, and not yet in the policy's queue.
-        if (!engine.is_pending(a) || engine.is_running(a) ||
-            out.scheduler.scheduler->queued(a)) {
+        } else if (!engine.is_pending(a) || engine.is_running(a) ||
+                   out.scheduler.scheduler->queued(a)) {
           r.fail("retry manifest entry references a job not in retry "
                  "backoff");
-          break;
-        }
-        out.scheduler.scheduler->rearm_retry(t, it->second);
-        break;
-      }
-      case simcore::kTagEliminatorTick:
-      case simcore::kTagReservationTick:
-      case simcore::kTagTuningTick:
-        if (out.scheduler.coda == nullptr) {
-          r.fail("CODA manifest entry under a non-CODA policy");
-          break;
-        }
-        if (kind == simcore::kTagEliminatorTick) {
-          out.scheduler.coda->rearm_eliminator_tick(t);
-        } else if (kind == simcore::kTagReservationTick) {
-          out.scheduler.coda->rearm_reservation_tick(t);
-        } else {
-          out.scheduler.coda->rearm_tuning_tick(t, a, b);
         }
         break;
-      default:
-        r.fail("manifest entry with unknown event kind " +
-               std::to_string(kind));
-        break;
+    }
+    if (r.ok()) {
+      engine.repost(t, simcore::EventTag{kind, a, b});
     }
   }
   r.expect("END");

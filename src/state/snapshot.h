@@ -18,11 +18,13 @@
 //   event <t hexfloat> <kind> <a> <b>     (n rows, (t, seq) ascending)
 //   END
 //
-// Pending simulator events are never serialized as callbacks: each live
-// event's (time, tag) pair goes into the manifest and restore_session
-// re-creates the exact closure through the owning layer's rearm_* helper.
-// Re-posting in manifest order reproduces the relative dispatch order of
-// time ties (fresh insertion sequences ascend with the manifest).
+// A pending simulator event is nothing but its (kind, a, b) tag, so the
+// manifest stores each live event's (time, tag) pair and restore_session
+// re-posts the same tag (ClusterEngine::repost) once the restored session
+// has checked it: the kind has a sink in this session, and the job or node
+// it names is in the state that kind needs. Re-posting in manifest order
+// reproduces the relative dispatch order of time ties (fresh insertion
+// sequences ascend with the manifest).
 #pragma once
 
 #include <cstdint>
@@ -61,9 +63,7 @@ struct Snapshot {
 };
 
 // Serializes a quiescent live session (no event mid-dispatch; the engine
-// flushes its own dirty state). Fails with kFailedPrecondition when a live
-// pending event carries no tag — such an event cannot be re-armed, and
-// dropping it silently would corrupt the restored session.
+// flushes its own dirty state).
 util::Result<std::string> capture_snapshot(const SnapshotMeta& meta,
                                            std::string_view session_text,
                                            const sim::ClusterEngine& engine,

@@ -88,8 +88,9 @@ class AllNodesScreenProxy : public sched::Scheduler {
  public:
   explicit AllNodesScreenProxy(sched::Scheduler* inner) : inner_(inner) {}
   const char* name() const override { return inner_->name(); }
+  // Forwards to the inner policy without Scheduler::attach: the inner
+  // policy registers itself as the sink of the policy's event kinds.
   void attach(const sched::SchedulerEnv& env) override {
-    Scheduler::attach(env);
     bandwidth_ = std::make_unique<AllNodesBandwidth>(env.bandwidth);
     sched::SchedulerEnv wrapped = env;
     wrapped.bandwidth = bandwidth_.get();

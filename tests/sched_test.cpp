@@ -350,9 +350,15 @@ TEST(Fifo, EvictionWithoutRetryPolicyRequeuesImmediately) {
 TEST(Fifo, RetryBackoffDelaysResubmissionExponentially) {
   FakeEngine engine(1);
   FifoScheduler fifo;
+  const auto job = cpu_job(1, 0, 2);
   auto env = engine.env();
   std::vector<cluster::JobId> abandoned;
   env.abandon_job = [&](cluster::JobId id) { abandoned.push_back(id); };
+  // A retry event carries the job id; the policy asks the engine for the
+  // spec when it fires.
+  env.job_spec = [&job](cluster::JobId) -> const workload::JobSpec& {
+    return job;
+  };
   fifo.attach(env);
   RetryPolicy policy;
   policy.enabled = true;
@@ -361,7 +367,6 @@ TEST(Fifo, RetryBackoffDelaysResubmissionExponentially) {
   policy.max_retries = 2;
   fifo.set_retry_policy(policy);
 
-  auto job = cpu_job(1, 0, 2);
   fifo.submit(job);
   fifo.kick();
   ASSERT_EQ(engine.started().size(), 1u);

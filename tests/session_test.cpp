@@ -1,8 +1,8 @@
 // live == replay == restore at the sim layer. Three runs of one session
 // must serialize to the same report bytes:
 //   A (live)    a session advances to seeded random instants and injects a
-//               fresh job at nextafter(now) at each, as a codad shard does
-//               for every accepted SUBMIT;
+//               fresh job at Session::injection_instant() at each, as a
+//               codad shard does for every accepted SUBMIT;
 //   B (replay)  run_experiment over the trace plus those jobs at their
 //               injection instants, as `coda_cli replay --journal` runs;
 //   C (restore) A snapshotted halfway, restored through restore_session and
@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -53,7 +52,11 @@ TEST_P(SessionEquivalence, LiveReplayAndRestoreReportTheSameBytes) {
   config.failures.seed = 17;
 
   // The injected jobs: a second trace's, renumbered past the base ids, each
-  // due at a seeded random instant.
+  // due at a seeded random instant, plus one more (a copy of the first)
+  // due one ulp before the metrics tick at t = 3600. Its injection instant
+  // coincides with that queued tick; the tick must dispatch first, as it
+  // does in the replay, where the tick precedes the pre-posted arrival's
+  // instant.
   workload::TraceConfig extra_cfg = trace_cfg;
   extra_cfg.seed = 99;
   extra_cfg.cpu_jobs = 12;
@@ -66,6 +69,9 @@ TEST_P(SessionEquivalence, LiveReplayAndRestoreReportTheSameBytes) {
     jobs[i].id = 1000000 + i;
     instants.push_back(rng.uniform(0.0, config.horizon_s));
   }
+  jobs.push_back(jobs.front());
+  jobs.back().id = 1000000 + instants.size();
+  instants.push_back(std::nextafter(3600.0, 0.0));
   std::sort(instants.begin(), instants.end());
 
   // A, snapshotted between its injections at `half`.
@@ -83,8 +89,7 @@ TEST_P(SessionEquivalence, LiveReplayAndRestoreReportTheSameBytes) {
       blob = *captured;
     }
     live.engine->run_until(instants[i]);
-    jobs[i].submit_time = std::nextafter(
-        live.engine->sim().now(), std::numeric_limits<double>::infinity());
+    jobs[i].submit_time = live.injection_instant();
     live.inject(jobs[i], jobs[i].submit_time);
   }
   const ExperimentReport a = live.finish();

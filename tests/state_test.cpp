@@ -1225,6 +1225,56 @@ TEST(Snapshot, RestoreRefusesASecondTuningTickOfOneGeneration) {
   EXPECT_EQ(refusal(cut, stale), "");
 }
 
+// A manifest row whose kind no layer of the restored session owns: a kind
+// outside the registry (the kind is a uint32 read from the file), or a
+// CODA tick under a baseline policy. Re-posted, it would fire with no
+// handler; restore refuses it instead.
+
+// The refusal of `cut`'s blob with its first manifest entry of kind `from`
+// turned into kind `to`.
+std::string refusal_as_kind(const CutSession& cut, uint32_t from,
+                            const std::string& to) {
+  const std::string blob =
+      set_token(cut.blob, "event", 2, to, 2, std::to_string(from));
+  EXPECT_FALSE(blob.empty());
+  return refusal(cut, blob);
+}
+
+TEST(Snapshot, RestoreRefusesAnEventOfKindZero) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  EXPECT_NE(refusal_as_kind(cut, simcore::kTagArrival, "0").find("kind 0"),
+            std::string::npos);
+}
+
+TEST(Snapshot, RestoreRefusesAnEventOfKindOnePastTheLast) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  EXPECT_NE(refusal_as_kind(cut, simcore::kTagArrival, "10").find("kind 10"),
+            std::string::npos);
+}
+
+TEST(Snapshot, RestoreRefusesAnEventOfTheLargestKind) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  EXPECT_NE(refusal_as_kind(cut, simcore::kTagArrival, "4294967295")
+                .find("kind 4294967295"),
+            std::string::npos);
+}
+
+TEST(Snapshot, RestoreRefusesAnEliminatorTickUnderFifo) {
+  const CutSession cut = cut_session(sim::Policy::kFifo);
+  EXPECT_NE(refusal_as_kind(cut, simcore::kTagMetricsTick,
+                            std::to_string(simcore::kTagEliminatorTick))
+                .find("manifest entry"),
+            std::string::npos);
+}
+
+TEST(Snapshot, RestoreRefusesATuningTickUnderDrf) {
+  const CutSession cut = cut_session(sim::Policy::kDrf);
+  EXPECT_NE(refusal_as_kind(cut, simcore::kTagArrival,
+                            std::to_string(simcore::kTagTuningTick))
+                .find("manifest entry"),
+            std::string::npos);
+}
+
 TEST(Snapshot, RestoreRejectsUnknownJobIds) {
   // A snapshot referencing a job id absent from the supplied trace means
   // the embedded session and the state section disagree — fail loudly
