@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
-# Hotspot profiler for the engine benches: builds an instrumented tree and
-# prints a ranked flat profile (top functions by self time) for each
-# requested bench binary, so "what dominates at 10k nodes" is one command.
-# The full reports stay in DIR/profiles: with gprof, <bench>.flat.txt and
-# <bench>.callgraph.txt (`gprof -b -q`). gprof can charge a compiler clone
-# (`[clone .isra.0]`) to the function placed before it, so check a flat
-# row's calls against its callers in the call graph before citing it.
+# Hotspot profiler for the engine benches: builds a profiling tree and
+# prints the top functions by self time for each requested bench binary, so
+# "what dominates at 10k nodes" is one command. The full reports stay in
+# DIR/profiles: <bench>.txt with perf, <bench>.sampled.txt (self and
+# inline-aware inclusive tables) with the sampler.
 #
 # Usage: scripts/profile.sh [--build-dir DIR] [--top N] [bench ...]
 #   bench        bench targets to profile; default: bench_scale
 #                bench_full_month_replay (both in fast mode)
-#   --build-dir  instrumented build tree (default: build-profile)
+#   --build-dir  profiling build tree (default: build-profile)
 #   --top N      rows per ranked table (default: 25)
 #
 # Backend: `perf record`/`perf report` when perf is on PATH and allowed to
-# sample; otherwise gprof (-pg instrumentation).
+# sample; otherwise an LD_PRELOAD sampler (scripts/profile_sampler.cpp: a
+# 10 kHz timer signal records the instruction pointer and the frame-pointer
+# chain of the main thread; the tree is built with -fno-omit-frame-pointer,
+# benches run with CODA_JOBS=1) symbolized by scripts/profile_report.py
+# through `addr2line -f -i`. Shared-library time (libstdc++, libc) counts.
 #
 # Environment:
 #   CODA_FAST=0   profile the full-size benches instead of the smoke traces
@@ -54,15 +56,19 @@ if [[ "$USE_PERF" == "1" ]]; then
   echo "== backend: perf (sampling) =="
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 else
-  echo "== backend: gprof (-pg instrumentation) =="
+  echo "== backend: sampler (LD_PRELOAD, 10 kHz, frame pointers) =="
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg > /dev/null
+        -DCMAKE_CXX_FLAGS=-fno-omit-frame-pointer \
+        -DCMAKE_EXE_LINKER_FLAGS= > /dev/null
+  sampler="$BUILD_DIR/libcoda_sampler.so"
+  "${CXX:-c++}" -std=c++20 -O2 -g -fPIC -shared -o "$sampler" \
+      scripts/profile_sampler.cpp -lrt
 fi
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
       --target "${BENCHES[@]}" > /dev/null
 
-# Instrumented runs replay live engines: cache off so they actually
-# simulate, fast mode (unless overridden) so the suite stays affordable.
+# Profiled runs replay live engines: cache off so they actually simulate,
+# fast mode (unless overridden) so the suite stays affordable.
 export CODA_NO_CACHE=1
 export CODA_FAST="${CODA_FAST:-1}"
 
@@ -85,14 +91,13 @@ for b in "${BENCHES[@]}"; do
     awk -v top="$TOP" '!/^#/ && NF && n++ < top' "$reports/$b.txt"
     echo "report: $reports/$b.txt"
   else
-    # gprof writes gmon.out into the CWD of the profiled process.
-    bin_abs=$(cd "$(dirname "$bin")" && pwd)/$(basename "$bin")
-    (cd "$workdir" && "$bin_abs" > /dev/null 2>&1)
-    gprof -b -p "$bin_abs" "$workdir/gmon.out" > "$reports/$b.flat.txt"
-    gprof -b -q "$bin_abs" "$workdir/gmon.out" > "$reports/$b.callgraph.txt"
-    head -n "$((TOP + 5))" "$reports/$b.flat.txt"
-    echo "flat profile: $reports/$b.flat.txt"
-    echo "call graph:   $reports/$b.callgraph.txt"
-    rm -f "$workdir/gmon.out"
+    # The sampler follows the main thread only: run the replays serially.
+    CODA_JOBS=1 CODA_SAMPLER_OUT="$workdir/$b.samples" \
+        LD_PRELOAD="$(cd "$(dirname "$sampler")" && pwd)/$(basename "$sampler")" \
+        "$bin" > /dev/null
+    python3 scripts/profile_report.py --top "$TOP" "$workdir/$b.samples" \
+        > "$reports/$b.sampled.txt"
+    head -n "$((TOP + 4))" "$reports/$b.sampled.txt"
+    echo "report: $reports/$b.sampled.txt"
   fi
 done

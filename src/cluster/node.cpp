@@ -1,5 +1,7 @@
 #include "cluster/node.h"
 
+#include <algorithm>
+
 #include "cluster/placement_index.h"
 #include "util/strings.h"
 
@@ -9,6 +11,24 @@ void Node::publish_free() {
   if (index_ != nullptr) {
     index_->node_changed(id_, free_gpus(), free_cpus());
   }
+}
+
+namespace {
+
+// The first allocation whose job is not below `job`.
+template <typename Allocations>
+auto first_not_below(Allocations& allocations, JobId job) {
+  return std::lower_bound(
+      allocations.begin(), allocations.end(), job,
+      [](const Allocation& a, JobId id) { return a.job < id; });
+}
+
+}  // namespace
+
+std::vector<Allocation>::const_iterator Node::find(JobId job) const {
+  const auto it = first_not_below(allocations_, job);
+  return it != allocations_.end() && it->job == job ? it
+                                                    : allocations_.end();
 }
 
 void Node::set_failed(bool failed) {
@@ -25,7 +45,8 @@ util::Status Node::allocate(JobId job, int cpus, int gpus) {
     return util::Error{util::ErrorCode::kFailedPrecondition,
                        util::strfmt("node %u has failed", id_)};
   }
-  if (allocations_.count(job) > 0) {
+  const auto at = first_not_below(allocations_, job);
+  if (at != allocations_.end() && at->job == job) {
     return util::Error{
         util::ErrorCode::kFailedPrecondition,
         util::strfmt("job %llu already allocated on node %u",
@@ -37,7 +58,7 @@ util::Status Node::allocate(JobId job, int cpus, int gpus) {
         util::strfmt("node %u cannot fit %d cpus / %d gpus (free %d/%d)", id_,
                      cpus, gpus, free_cpus(), free_gpus())};
   }
-  allocations_[job] = Allocation{job, cpus, gpus};
+  allocations_.insert(at, Allocation{job, cpus, gpus});
   used_ += ResourceVector{cpus, gpus};
   if (used_totals_ != nullptr) {
     *used_totals_ += ResourceVector{cpus, gpus};
@@ -47,8 +68,8 @@ util::Status Node::allocate(JobId job, int cpus, int gpus) {
 }
 
 util::Status Node::resize_cpus(JobId job, int new_cpus) {
-  auto it = allocations_.find(job);
-  if (it == allocations_.end()) {
+  const auto it = first_not_below(allocations_, job);
+  if (it == allocations_.end() || it->job != job) {
     return util::Error{util::ErrorCode::kNotFound,
                        util::strfmt("job %llu not on node %u",
                                     static_cast<unsigned long long>(job),
@@ -58,14 +79,14 @@ util::Status Node::resize_cpus(JobId job, int new_cpus) {
     return util::Error{util::ErrorCode::kInvalidArgument,
                        "cpu count must be non-negative"};
   }
-  const int delta = new_cpus - it->second.cpus;
+  const int delta = new_cpus - it->cpus;
   if (delta > free_cpus()) {
     return util::Error{
         util::ErrorCode::kResourceExhausted,
         util::strfmt("node %u cannot grow job by %d cpus (free %d)", id_,
                      delta, free_cpus())};
   }
-  it->second.cpus = new_cpus;
+  it->cpus = new_cpus;
   used_.cpus += delta;
   if (used_totals_ != nullptr) {
     used_totals_->cpus += delta;
@@ -75,17 +96,17 @@ util::Status Node::resize_cpus(JobId job, int new_cpus) {
 }
 
 util::Status Node::release(JobId job) {
-  auto it = allocations_.find(job);
-  if (it == allocations_.end()) {
+  const auto it = first_not_below(allocations_, job);
+  if (it == allocations_.end() || it->job != job) {
     return util::Error{util::ErrorCode::kNotFound,
                        util::strfmt("job %llu not on node %u",
                                     static_cast<unsigned long long>(job),
                                     id_)};
   }
-  used_ -= ResourceVector{it->second.cpus, it->second.gpus};
+  used_ -= ResourceVector{it->cpus, it->gpus};
   CODA_ASSERT(used_.non_negative());
   if (used_totals_ != nullptr) {
-    *used_totals_ -= ResourceVector{it->second.cpus, it->second.gpus};
+    *used_totals_ -= ResourceVector{it->cpus, it->gpus};
   }
   allocations_.erase(it);
   publish_free();
@@ -93,21 +114,21 @@ util::Status Node::release(JobId job) {
 }
 
 util::Result<Allocation> Node::allocation_of(JobId job) const {
-  auto it = allocations_.find(job);
+  const auto it = find(job);
   if (it == allocations_.end()) {
     return util::Error{util::ErrorCode::kNotFound,
                        util::strfmt("job %llu not on node %u",
                                     static_cast<unsigned long long>(job),
                                     id_)};
   }
-  return it->second;
+  return *it;
 }
 
 std::vector<JobId> Node::gpu_jobs() const {
   std::vector<JobId> out;
-  for (const auto& [job, alloc] : allocations_) {
+  for (const Allocation& alloc : allocations_) {
     if (alloc.gpus > 0) {
-      out.push_back(job);
+      out.push_back(alloc.job);
     }
   }
   return out;
@@ -115,9 +136,9 @@ std::vector<JobId> Node::gpu_jobs() const {
 
 std::vector<JobId> Node::cpu_only_jobs() const {
   std::vector<JobId> out;
-  for (const auto& [job, alloc] : allocations_) {
+  for (const Allocation& alloc : allocations_) {
     if (alloc.gpus == 0) {
-      out.push_back(job);
+      out.push_back(alloc.job);
     }
   }
   return out;

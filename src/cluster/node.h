@@ -6,7 +6,6 @@
 // eliminator falls back to core-halving on nodes without MBA).
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "cluster/resources.h"
@@ -84,10 +83,9 @@ class Node {
   // Allocation held by `job`, or kNotFound.
   util::Result<Allocation> allocation_of(JobId job) const;
 
-  bool hosts(JobId job) const { return allocations_.count(job) > 0; }
-  const std::map<JobId, Allocation>& allocations() const {
-    return allocations_;
-  }
+  bool hosts(JobId job) const { return find(job) != allocations_.end(); }
+  // Ascending job id.
+  const std::vector<Allocation>& allocations() const { return allocations_; }
 
   // Jobs currently holding >= 1 GPU here (training jobs).
   std::vector<JobId> gpu_jobs() const;
@@ -97,12 +95,18 @@ class Node {
  private:
   // Republishes (free_gpus, free_cpus) to the placement index, if attached.
   void publish_free();
+  // The job's allocation, or allocations_.end().
+  std::vector<Allocation>::const_iterator find(JobId job) const;
 
   NodeId id_;
   NodeConfig config_;
   ResourceVector used_;
   bool failed_ = false;
-  std::map<JobId, Allocation> allocations_;  // ordered for determinism
+  // Sorted by job id, the order every walk over a node's jobs (snapshot
+  // rows, restore checks, CODA's borrower scan) must see. One entry per
+  // resident job: a handful on a 28-core node, so a sorted insert or erase
+  // moves a few entries and, once the vector has grown, allocates nothing.
+  std::vector<Allocation> allocations_;
   PlacementIndex* index_ = nullptr;
   ResourceVector* used_totals_ = nullptr;  // cluster-wide used accumulator
 };

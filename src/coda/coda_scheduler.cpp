@@ -499,10 +499,10 @@ bool CodaScheduler::migrate_cross_borrowers_for(
     std::vector<cluster::JobId> borrowers;
     int gpus_reclaimable = node.free_gpus();
     int cores_reclaimable = node.free_cpus();
-    for (const auto& [job, alloc] : node.allocations()) {
-      auto it = running_gpu_.find(job);
+    for (const cluster::Allocation& alloc : node.allocations()) {
+      auto it = running_gpu_.find(alloc.job);
       if (it != running_gpu_.end() && it->second.cross_borrower) {
-        borrowers.push_back(job);
+        borrowers.push_back(alloc.job);
         gpus_reclaimable += alloc.gpus;
         cores_reclaimable += alloc.cpus;
       }

@@ -54,8 +54,8 @@ void Scheduler::load_state(state::Reader* r, const SpecMap& /*specs*/) {
 std::set<cluster::JobId> Scheduler::jobs_on_nodes() const {
   std::set<cluster::JobId> jobs;
   for (const cluster::Node& node : env_.cluster->nodes()) {
-    for (const auto& [job, alloc] : node.allocations()) {
-      jobs.insert(job);
+    for (const cluster::Allocation& alloc : node.allocations()) {
+      jobs.insert(alloc.job);
     }
   }
   return jobs;
@@ -177,8 +177,8 @@ void DrfScheduler::load_state(state::Reader* r, const SpecMap& specs) {
   // it high forever) once those jobs leave.
   std::map<cluster::TenantId, cluster::ResourceVector> held;
   for (const cluster::Node& node : env_.cluster->nodes()) {
-    for (const auto& [job, alloc] : node.allocations()) {
-      const workload::JobSpec* spec = spec_of(r, specs, job);
+    for (const cluster::Allocation& alloc : node.allocations()) {
+      const workload::JobSpec* spec = spec_of(r, specs, alloc.job);
       if (spec == nullptr) {
         return;
       }

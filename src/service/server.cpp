@@ -788,7 +788,7 @@ void Server::handle_command(Shard& shard, Command& cmd,
       if (id == 0) {
         id = shard.session.next_auto_id;
       }
-      bool duplicate = engine.records().count(id) > 0;
+      bool duplicate = engine.records().find(id) != nullptr;
       for (const auto& staged : shard.staged) {
         duplicate = duplicate || staged.spec.id == id;
       }
@@ -833,14 +833,13 @@ void Server::handle_command(Shard& shard, Command& cmd,
     }
 
     case Verb::kStatus: {
-      const auto& records = engine.records();
-      auto it = records.find(req.job_id);
-      if (it == records.end()) {
+      const sim::JobTable::Slot* job = engine.records().find(req.job_id);
+      if (job == nullptr) {
         reply(format_err(util::ErrorCode::kNotFound,
                          "unknown job " + req.arg));
         break;
       }
-      const sim::JobRecord& r = it->second;
+      const sim::JobRecord& r = job->record;
       const char* state = r.completed          ? "completed"
                           : r.abandoned        ? "abandoned"
                           : r.first_start_time < 0.0 ? "pending"

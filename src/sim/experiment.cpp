@@ -218,6 +218,7 @@ ExperimentReport build_report(Policy policy, const ClusterEngine& engine,
   }
 
   const double end = engine.sim().now();
+  report.records.reserve(engine.records().size());
   for (const auto& [id, record] : engine.records()) {
     report.records.push_back(record);
     report.evictions += record.evict_count;

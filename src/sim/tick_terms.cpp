@@ -15,11 +15,12 @@ constexpr auto by_id = [](const auto& a, const auto& b) { return a.id < b.id; };
 uint32_t TickTerms::add(cluster::JobId id, uint32_t cells) {
   CODA_ASSERT(cells > 0);
   uint32_t first = 0;
-  if (cells < free_.size() && !free_[cells].empty()) {
-    first = free_[cells].back();
-    free_[cells].pop_back();
+  if (cells < free_.size() && free_[cells] != kEnd) {
+    first = static_cast<uint32_t>(free_[cells]);
+    free_[cells] = cells_[first].cores;
     std::fill_n(cells_.begin() + first, cells, Cell{});
   } else {
+    CODA_ASSERT(cells_.size() + cells <= static_cast<size_t>(INT32_MAX));
     first = static_cast<uint32_t>(cells_.size());
     cells_.resize(cells_.size() + cells);
   }
@@ -46,9 +47,10 @@ void TickTerms::remove(cluster::JobId id) {
 
 void TickTerms::release(const Entry& entry) {
   if (free_.size() <= entry.cells) {
-    free_.resize(entry.cells + 1);
+    free_.resize(entry.cells + 1, kEnd);
   }
-  free_[entry.cells].push_back(entry.first);
+  cells_[entry.first].cores = free_[entry.cells];
+  free_[entry.cells] = static_cast<int>(entry.first);
 }
 
 TickTerms::Sums TickTerms::fold() {
@@ -60,10 +62,19 @@ TickTerms::Sums TickTerms::fold() {
   }
   if (!added_.empty()) {
     std::sort(added_.begin(), added_.end(), by_id);
-    merged_.resize(order_.size() + added_.size());
-    std::merge(order_.begin(), order_.end(), added_.begin(), added_.end(),
-               merged_.begin(), by_id);
-    order_.swap(merged_);
+    // Merge from the back into the grown list: every entry moves at most
+    // once and no second buffer is needed. Ids are distinct (a removed
+    // entry was filtered out above), so the order is total.
+    size_t kept = order_.size();
+    size_t fresh = added_.size();
+    order_.resize(kept + fresh);
+    for (size_t to = order_.size(); fresh > 0;) {
+      if (kept > 0 && order_[kept - 1].id > added_[fresh - 1].id) {
+        order_[--to] = order_[--kept];
+      } else {
+        order_[--to] = added_[--fresh];
+      }
+    }
     added_.clear();
   }
   // Cells without a GPU term add +0.0 and 0 to the GPU sums. That is

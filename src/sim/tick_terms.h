@@ -10,9 +10,10 @@
 // Floating-point sums depend on order, and this is the order the pinned
 // report bytes were produced in, so every sum keeps its bits. The order
 // lives in an id-sorted entry list, brought up to date once per fold: the
-// jobs added since the last fold are merged in and the removed ones
-// filtered out, through a retained buffer. Once the table's vectors have
-// grown to their high-water marks, neither a fold nor an add allocates.
+// removed jobs are filtered out and the ones added since the last fold are
+// merged in from the back, in place. Freed cell runs are kept on intrusive
+// lists by length. Once the table's three vectors have grown to their
+// high-water marks, neither a fold, an add nor a remove allocates.
 #pragma once
 
 #include <cstddef>
@@ -71,18 +72,21 @@ class TickTerms {
     uint32_t cells = 0;  // 0 marks an entry of order_ removed since a fold
   };
 
+  // A free run's first cell links to the next free run of its length
+  // through `cores` (kEnd ends the list); the rest of a free run is dead.
+  static constexpr int kEnd = -1;
+
   // Files the entry's cells as free.
   void release(const Entry& entry);
 
   std::vector<Cell> cells_;
-  // Free cell runs by length: a job's run is handed to the next job with
-  // as many cells.
-  std::vector<std::vector<uint32_t>> free_;
+  // The first free run of each length, or kEnd: a job's run is handed to
+  // the next job with as many cells.
+  std::vector<int> free_;
   // Every job in the table as of the last fold, by ascending id.
   std::vector<Entry> order_;
   size_t dead_ = 0;           // entries of order_ removed since
   std::vector<Entry> added_;  // added since, in no particular order
-  std::vector<Entry> merged_;  // the merge's output buffer, kept between folds
 };
 
 }  // namespace coda::sim

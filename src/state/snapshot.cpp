@@ -171,16 +171,16 @@ util::Result<RestoredSession> restore_session(
     }
     switch (kind) {
       case simcore::kTagArrival: {
-        const auto rec = engine.records().find(a);
-        if (rec == engine.records().end()) {
+        const sim::JobTable::Slot* job = engine.records().find(a);
+        if (job == nullptr) {
           r.fail("arrival manifest entry references an unknown job");
           break;
         }
         // A job arrives once. One that is pending or running, or has
         // started, completed or been abandoned, already arrived.
-        if (engine.is_pending(a) || engine.is_running(a) ||
-            rec->second.first_start_time >= 0.0 || rec->second.completed ||
-            rec->second.abandoned) {
+        if (job->pending() || job->running() ||
+            job->record.first_start_time >= 0.0 || job->record.completed ||
+            job->record.abandoned) {
           r.fail("arrival manifest entry references a job that already "
                  "arrived");
         }
@@ -202,7 +202,7 @@ util::Result<RestoredSession> restore_session(
         // A retry resubmits a job in retry backoff: one the engine holds a
         // record for, evicted back to pending, not running, and not yet in
         // the policy's queue.
-        if (engine.records().count(a) == 0) {
+        if (engine.records().find(a) == nullptr) {
           r.fail("retry manifest entry references an unknown job");
         } else if (!engine.is_pending(a) || engine.is_running(a) ||
                    out.scheduler.scheduler->queued(a)) {

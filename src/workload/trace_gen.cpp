@@ -9,28 +9,6 @@
 
 namespace coda::workload {
 
-namespace {
-
-// GPU-job training-configuration mix. Most jobs are single-GPU; a solid
-// fraction asks for 4 GPUs (feeding the 4-GPU sub-array of Sec. V-C) and a
-// few train across nodes (Sec. IV-B2).
-struct ConfigChoice {
-  perfmodel::TrainConfig config;
-  double weight;
-};
-
-const std::vector<ConfigChoice>& config_mix() {
-  static const std::vector<ConfigChoice> kMix = {
-      {perfmodel::TrainConfig{1, 1, 0}, 0.40},
-      {perfmodel::TrainConfig{1, 2, 0}, 0.20},
-      {perfmodel::TrainConfig{1, 4, 0}, 0.30},
-      {perfmodel::TrainConfig{2, 2, 0}, 0.10},
-  };
-  return kMix;
-}
-
-}  // namespace
-
 TraceConfig scale_profile(int nodes, int gpu_jobs, int cpu_jobs,
                           double duration_s, uint64_t seed) {
   TraceConfig cfg;
@@ -78,7 +56,8 @@ std::vector<double> TraceGenerator::arrival_times(util::Rng& rng, int count,
 }
 
 JobSpec TraceGenerator::make_gpu_job(util::Rng& rng, const Tenant& tenant,
-                                     double submit) const {
+                                     double submit,
+                                     const perfmodel::TrainPerf& perf) const {
   JobSpec spec;
   spec.kind = JobKind::kGpuTraining;
   spec.tenant = tenant.id;
@@ -89,12 +68,13 @@ JobSpec TraceGenerator::make_gpu_job(util::Rng& rng, const Tenant& tenant,
       rng.uniform_int(0, static_cast<int64_t>(
                              tenant.preferred_models.size()) - 1))];
 
-  // Training configuration and batch size.
-  std::vector<double> weights;
-  for (const auto& choice : config_mix()) {
-    weights.push_back(choice.weight);
-  }
-  spec.train_config = config_mix()[rng.weighted_index(weights)].config;
+  // Training configuration and batch size. Most jobs are single-GPU; a
+  // solid fraction asks for 4 GPUs (feeding the 4-GPU sub-array of Sec.
+  // V-C) and a few train across nodes (Sec. IV-B2).
+  static const perfmodel::TrainConfig kConfigs[] = {
+      {1, 1, 0}, {1, 2, 0}, {1, 4, 0}, {2, 2, 0}};
+  static const std::vector<double> kConfigWeights = {0.40, 0.20, 0.30, 0.10};
+  spec.train_config = kConfigs[rng.weighted_index(kConfigWeights)];
   // Scale-profile override, gated so the default (fraction 0) draws nothing
   // from the stream and stock traces reproduce bit for bit.
   if (config_.wide_span_fraction > 0.0 &&
@@ -124,7 +104,6 @@ JobSpec TraceGenerator::make_gpu_job(util::Rng& rng, const Tenant& tenant,
   const double runtime = std::clamp(
       rng.lognormal(config_.gpu_runtime_mu, config_.gpu_runtime_sigma),
       300.0, 48.0 * 3600.0);
-  perfmodel::TrainPerf perf;
   const int opt = perf.optimal_cores(spec.model, spec.train_config);
   spec.iterations =
       std::max(1.0, runtime / perf.iter_time(spec.model, spec.train_config,
@@ -216,12 +195,15 @@ std::vector<JobSpec> TraceGenerator::generate() const {
   std::vector<JobSpec> trace;
   trace.reserve(static_cast<size_t>(config_.cpu_jobs + config_.gpu_jobs));
 
+  // One perf model for the whole trace: its memo returns the bits a fresh
+  // model computes, and most GPU jobs share a (model, config).
+  const perfmodel::TrainPerf perf;
   // GPU arrivals are flat over the month; CPU arrivals are diurnal (Fig. 1).
   for (double t : arrival_times(arrivals_rng, config_.gpu_jobs,
                                 /*diurnal=*/false)) {
     const auto& tenant =
         config_.tenants[tenant_rng.weighted_index(gpu_weights)];
-    trace.push_back(make_gpu_job(gpu_rng, tenant, t));
+    trace.push_back(make_gpu_job(gpu_rng, tenant, t, perf));
   }
   for (double t : arrival_times(arrivals_rng, config_.cpu_jobs,
                                 /*diurnal=*/true)) {
@@ -240,9 +222,9 @@ std::vector<JobSpec> TraceGenerator::generate() const {
   return trace;
 }
 
-double TraceGenerator::ideal_gpu_runtime(const JobSpec& spec) {
+double TraceGenerator::ideal_gpu_runtime(const JobSpec& spec,
+                                         const perfmodel::TrainPerf& perf) {
   CODA_ASSERT(spec.is_gpu_job());
-  perfmodel::TrainPerf perf;
   const int opt = perf.optimal_cores(spec.model, spec.train_config);
   return spec.iterations * perf.iter_time(spec.model, spec.train_config, opt);
 }
@@ -256,6 +238,7 @@ TraceSummary TraceGenerator::summarize(const std::vector<JobSpec>& trace) {
   int multi_node = 0;
   int heavy = 0;
   int user_facing = 0;
+  const perfmodel::TrainPerf perf;
   for (const auto& spec : trace) {
     if (spec.is_gpu_job()) {
       ++s.gpu_jobs;
@@ -268,7 +251,7 @@ TraceSummary TraceGenerator::summarize(const std::vector<JobSpec>& trace) {
       if (spec.requested_cpus > 10) {
         ++req_gt10;
       }
-      const double runtime = ideal_gpu_runtime(spec);
+      const double runtime = ideal_gpu_runtime(spec, perf);
       if (runtime > 3600.0) {
         ++gt1h;
       }

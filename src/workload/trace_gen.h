@@ -108,15 +108,17 @@ class TraceGenerator {
   std::vector<JobSpec> generate() const;
 
   // Ideal runtime (seconds at the optimal allocation, no contention) that a
-  // GPU job's iteration count was derived from.
-  static double ideal_gpu_runtime(const JobSpec& spec);
+  // GPU job's iteration count was derived from. `perf` is any model; its
+  // memo only saves work.
+  static double ideal_gpu_runtime(const JobSpec& spec,
+                                  const perfmodel::TrainPerf& perf);
 
   // Descriptive statistics of a trace.
   static TraceSummary summarize(const std::vector<JobSpec>& trace);
 
  private:
-  JobSpec make_gpu_job(util::Rng& rng, const Tenant& tenant,
-                       double submit) const;
+  JobSpec make_gpu_job(util::Rng& rng, const Tenant& tenant, double submit,
+                       const perfmodel::TrainPerf& perf) const;
   JobSpec make_cpu_job(util::Rng& rng, const Tenant& tenant,
                        double submit) const;
 

@@ -174,12 +174,13 @@ TEST(TraceGenerator, DiurnalCpuArrivals) {
 
 TEST(TraceGenerator, GpuJobsCarryPositiveWork) {
   const auto trace = TraceGenerator(small_config()).generate();
+  const perfmodel::TrainPerf perf;
   for (const auto& spec : trace) {
     if (spec.is_gpu_job()) {
       EXPECT_GE(spec.iterations, 1.0);
       EXPECT_GE(spec.requested_cpus, 1);
       EXPECT_LE(spec.requested_cpus, 24);
-      const double ideal = TraceGenerator::ideal_gpu_runtime(spec);
+      const double ideal = TraceGenerator::ideal_gpu_runtime(spec, perf);
       EXPECT_GE(ideal, 250.0);
       EXPECT_LE(ideal, 49.0 * 3600.0);
     } else {
