@@ -19,27 +19,26 @@ struct SessionCost {
   double util_lost = 0.0;  // sum over steps of (best util - step util)
 };
 
-SessionCost run_from(core::AdaptiveCpuAllocator& allocator,
+SessionCost run_from(const core::AdaptiveCpuAllocator& allocator,
                      const workload::JobSpec& spec, int start,
                      const TrainPerf& perf) {
   const int opt = perf.optimal_cores(spec.model, spec.train_config);
   const double best = perf.gpu_utilization(spec.model, spec.train_config, opt);
-  allocator.begin(spec.id, spec, start);
+  auto session = allocator.begin(start);
   int cores = start;
   SessionCost cost;
-  while (!allocator.converged(spec.id)) {
+  while (!session.converged()) {
     const double util =
         perf.gpu_utilization(spec.model, spec.train_config, cores);
     cost.util_lost += best - util;
-    auto next = allocator.step(spec.id, util);
+    auto next = allocator.step(session, util);
     if (!next.has_value()) {
       break;
     }
     cores = *next;
   }
-  cost.steps = allocator.profile_steps(spec.id);
-  cost.final_cores = allocator.current_cores(spec.id);
-  allocator.cancel(spec.id);
+  cost.steps = session.steps;
+  cost.final_cores = session.current;
   return cost;
 }
 
@@ -56,7 +55,6 @@ int main() {
   double naive_steps = 0;
   for (perfmodel::ModelId m : perfmodel::kAllModels) {
     workload::JobSpec spec;
-    spec.id = 1;
     spec.kind = workload::JobKind::kGpuTraining;
     spec.model = m;
     spec.train_config = perfmodel::config_1n4g();

@@ -36,31 +36,29 @@ Outcome evaluate(core::SearchMode mode, double noise_sigma) {
       acfg.search_mode = mode;
       core::AdaptiveCpuAllocator allocator(acfg, &history);
       workload::JobSpec spec;
-      spec.id = 1;
       spec.kind = workload::JobKind::kGpuTraining;
       spec.model = m;
       spec.train_config = cfg;
       int cores = allocator.start_cores(spec);
-      allocator.begin(spec.id, spec, cores);
-      while (!allocator.converged(spec.id)) {
+      auto session = allocator.begin(cores);
+      while (!session.converged()) {
         double util = perf.gpu_utilization(m, cfg, cores);
         if (noise_sigma > 0.0) {
           util = std::clamp(util * (1.0 + rng.normal(0.0, noise_sigma)),
                             0.0, 1.0);
         }
-        auto next = allocator.step(spec.id, util);
+        auto next = allocator.step(session, util);
         if (!next.has_value()) {
           break;
         }
         cores = *next;
       }
-      const int found = allocator.current_cores(spec.id);
+      const int found = session.current;
       const int opt = perf.optimal_cores(m, cfg);
-      steps.add(allocator.profile_steps(spec.id));
+      steps.add(session.steps);
       error.add(std::abs(found - opt));
       within += std::abs(found - opt) <= 1 ? 1 : 0;
       ++cases;
-      allocator.cancel(spec.id);
     }
   }
   return Outcome{steps.mean(), error.mean(),

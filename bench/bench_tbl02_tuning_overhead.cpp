@@ -24,28 +24,27 @@ Overhead measure(core::AdaptiveCpuAllocator& allocator,
                  const TrainPerf& perf, perfmodel::ModelId m,
                  const workload::UserHints& hints) {
   workload::JobSpec spec;
-  spec.id = 1;
   spec.kind = workload::JobKind::kGpuTraining;
   spec.model = m;
   spec.hints = hints;
   int cores = allocator.start_cores(spec);
-  allocator.begin(spec.id, spec, cores);
+  auto session = allocator.begin(cores);
   Overhead out;
-  while (!allocator.converged(spec.id)) {
+  while (!session.converged()) {
     const double util =
         perf.gpu_utilization(m, spec.train_config, cores);
     // Iterations trained while profiling at this core count (90 s steps).
     out.iterations += allocator.config().profile_step_s /
                       perf.iter_time(m, spec.train_config, cores);
-    auto next = allocator.step(spec.id, util);
+    auto next = allocator.step(session, util);
     if (!next.has_value()) {
       break;
     }
     cores = *next;
   }
-  out.steps = allocator.profile_steps(spec.id);
-  out.final_cores = allocator.current_cores(spec.id);
-  allocator.finish(spec.id);
+  out.steps = session.steps;
+  out.final_cores = session.current;
+  allocator.finish(spec, session);
   return out;
 }
 

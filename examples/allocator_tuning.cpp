@@ -18,7 +18,6 @@ void tune_once(core::AdaptiveCpuAllocator& allocator,
                const perfmodel::TrainPerf& perf, perfmodel::ModelId model,
                const workload::UserHints& hints, const char* phase) {
   workload::JobSpec spec;
-  spec.id = 1;
   spec.tenant = 7;
   spec.kind = workload::JobKind::kGpuTraining;
   spec.model = model;
@@ -27,22 +26,21 @@ void tune_once(core::AdaptiveCpuAllocator& allocator,
 
   int cores = allocator.start_cores(spec);
   std::printf("  [%s] N_start = %d:", phase, cores);
-  allocator.begin(spec.id, spec, cores);
+  auto session = allocator.begin(cores);
   while (true) {
     const double util =
         perf.gpu_utilization(model, spec.train_config, cores);
     std::printf(" %d cores -> %.1f%%;", cores, 100 * util);
-    auto next = allocator.step(spec.id, util);
+    auto next = allocator.step(session, util);
     if (!next.has_value()) {
       break;
     }
     cores = *next;
   }
   std::printf(" converged at %d cores in %d steps (true optimum %d)\n",
-              allocator.current_cores(spec.id),
-              allocator.profile_steps(spec.id),
+              session.current, session.steps,
               perf.optimal_cores(model, spec.train_config));
-  allocator.finish(spec.id);  // records into the owner's history
+  allocator.finish(spec, session);  // records into the owner's history
 }
 
 }  // namespace

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sched/scheduler.h"
-#include "state/serde.h"
 #include "util/assert.h"
 
 namespace coda::core {
@@ -72,38 +70,14 @@ int AdaptiveCpuAllocator::start_cores(const workload::JobSpec& spec) const {
   return std::clamp(start, config_.min_cores, config_.max_cores);
 }
 
-void AdaptiveCpuAllocator::begin(cluster::JobId job,
-                                 const workload::JobSpec& spec, int start) {
-  CODA_ASSERT(sessions_.count(job) == 0);
+AdaptiveCpuAllocator::Session AdaptiveCpuAllocator::begin(int start) const {
   Session s;
-  s.spec = spec;
-  s.phase = Phase::kProbeStart;
   s.current = std::clamp(start, config_.min_cores, config_.max_cores);
-  sessions_[job] = std::move(s);
+  return s;
 }
 
-int AdaptiveCpuAllocator::current_cores(cluster::JobId job) const {
-  auto it = sessions_.find(job);
-  CODA_ASSERT(it != sessions_.end());
-  return it->second.current;
-}
-
-int AdaptiveCpuAllocator::profile_steps(cluster::JobId job) const {
-  auto it = sessions_.find(job);
-  return it != sessions_.end() ? it->second.steps : 0;
-}
-
-bool AdaptiveCpuAllocator::converged(cluster::JobId job) const {
-  auto it = sessions_.find(job);
-  CODA_ASSERT(it != sessions_.end());
-  return it->second.phase == Phase::kDone;
-}
-
-std::optional<int> AdaptiveCpuAllocator::step(cluster::JobId job,
-                                              double measured_util) {
-  auto it = sessions_.find(job);
-  CODA_ASSERT_MSG(it != sessions_.end(), "step() without begin()");
-  Session& s = it->second;
+std::optional<int> AdaptiveCpuAllocator::step(Session& s,
+                                              double measured_util) const {
   CODA_ASSERT(s.phase != Phase::kDone);
   ++s.steps;
 
@@ -132,7 +106,8 @@ std::optional<int> AdaptiveCpuAllocator::step(cluster::JobId job,
   return next;
 }
 
-std::optional<int> AdaptiveCpuAllocator::transition(Session& s, double util) {
+std::optional<int> AdaptiveCpuAllocator::transition(Session& s,
+                                                    double util) const {
   const double eps = config_.improvement_eps;
   const auto linear_jump_up = [&](int from, double from_util) {
     if (config_.search_mode == SearchMode::kStepwise) {
@@ -260,64 +235,19 @@ std::optional<int> AdaptiveCpuAllocator::transition(Session& s, double util) {
   CODA_UNREACHABLE("bad allocator phase");
 }
 
-void AdaptiveCpuAllocator::settle(cluster::JobId job, int cores) {
-  auto it = sessions_.find(job);
-  CODA_ASSERT(it != sessions_.end());
-  it->second.current = cores;
-  it->second.best_cores = cores;
-  it->second.phase = Phase::kDone;
+void AdaptiveCpuAllocator::settle(Session& s, int cores) const {
+  s.current = cores;
+  s.best_cores = cores;
+  s.phase = Phase::kDone;
 }
 
-void AdaptiveCpuAllocator::cancel(cluster::JobId job) {
-  sessions_.erase(job);
-}
-
-void AdaptiveCpuAllocator::finish(cluster::JobId job) {
-  auto it = sessions_.find(job);
-  if (it == sessions_.end()) {
-    return;
-  }
-  const Session& s = it->second;
-  if (s.steps > 0 && s.spec.is_gpu_job()) {
+void AdaptiveCpuAllocator::finish(const workload::JobSpec& spec,
+                                  const Session& s) {
+  if (s.steps > 0 && spec.is_gpu_job()) {
     history_->record(HistoryRecord{
-        s.spec.tenant, category_of(s.spec), s.spec.model,
-        s.spec.train_config.nodes, s.spec.train_config.gpus_per_node,
+        spec.tenant, category_of(spec), spec.model, spec.train_config.nodes,
+        spec.train_config.gpus_per_node,
         s.best_cores > 0 ? s.best_cores : s.current});
-  }
-  sessions_.erase(it);
-}
-
-// ------------------------------------------------------- snapshot support
-
-void AdaptiveCpuAllocator::save_state(state::Writer* w) const {
-  w->line("alloc_sessions", sessions_.size());
-  for (const auto& [job, s] : sessions_) {
-    w->line("as", job, fields(s));
-  }
-}
-
-void AdaptiveCpuAllocator::load_state(
-    state::Reader* r,
-    const std::map<cluster::JobId, workload::JobSpec>& specs) {
-  r->expect("alloc_sessions");
-  const uint64_t n = r->u64();
-  sessions_.clear();
-  for (uint64_t i = 0; i < n && r->ok(); ++i) {
-    r->expect("as");
-    const cluster::JobId job = r->u64();
-    const workload::JobSpec* spec = sched::spec_of(r, specs, job);
-    if (spec == nullptr) {
-      return;
-    }
-    Session s;
-    s.spec = *spec;
-    r->read(fields(s));
-    if (s.phase < Phase::kProbeStart || s.phase > Phase::kDone) {
-      r->fail("tuning session has invalid phase " +
-              std::to_string(static_cast<int>(s.phase)));
-      return;
-    }
-    sessions_[job] = std::move(s);
   }
 }
 

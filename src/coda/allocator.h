@@ -2,22 +2,20 @@
 // training job, then hill-climbs on measured GPU utilization to the optimal
 // core count N_opt in a handful of 90-second profiling steps.
 //
-// The allocator itself is a pure decision engine: the CODA scheduler drives
-// it with measured utilizations and applies the core-count changes it asks
-// for. This keeps it independently testable against the performance model.
+// The allocator is a pure decision engine and keeps no per-job state. A
+// tuning session is a value its caller holds: begin() returns one, step()
+// and settle() advance it, and finish() records the converged count into
+// the owner's history. The CODA scheduler keeps each running GPU job's
+// session in that job's record, feeds it measured utilizations and applies
+// the core-count changes it asks for; benches and tests drive a session
+// straight against the performance model.
 #pragma once
 
-#include <map>
 #include <optional>
 
 #include "coda/history.h"
 #include "util/fields.h"
 #include "workload/job.h"
-
-namespace coda::state {
-class Writer;
-class Reader;
-}  // namespace coda::state
 
 namespace coda::core {
 
@@ -63,47 +61,8 @@ class AdaptiveCpuAllocator {
   // across categories, then to a conservative default.
   int start_cores(const workload::JobSpec& spec) const;
 
-  // ---- tuning session (one per running job) ----
+  // ---- tuning session ----
 
-  // Begins tuning a job that just started with `start` cores.
-  void begin(cluster::JobId job, const workload::JobSpec& spec, int start);
-
-  // Reports the utilization measured over the last profiling step at the
-  // current core count. Returns the core count to try next, or nullopt when
-  // the session converged (current cores are final). Each call is one
-  // profiling step.
-  std::optional<int> step(cluster::JobId job, double measured_util);
-
-  // The core count the session currently believes in.
-  int current_cores(cluster::JobId job) const;
-
-  // Steps consumed so far (Table II overhead accounting).
-  int profile_steps(cluster::JobId job) const;
-
-  bool converged(cluster::JobId job) const;
-
-  // Force-converges the session at `cores` (used when a suggested resize
-  // cannot be applied because the node has no free cores).
-  void settle(cluster::JobId job, int cores);
-
-  // Drops the session without recording history (job migrated; it will
-  // restart and begin a fresh session).
-  void cancel(cluster::JobId job);
-
-  // Ends the session (job finished or converged); records N_opt into the
-  // history log when the session saw at least one measurement.
-  void finish(cluster::JobId job);
-
-  // Whether a tuning session exists for the job.
-  bool tracking(cluster::JobId job) const { return sessions_.count(job) > 0; }
-
-  // Snapshot support: serializes every live tuning session (specs are
-  // stored by id and rehydrated from the snapshot's embedded session).
-  void save_state(state::Writer* w) const;
-  void load_state(state::Reader* r,
-                  const std::map<cluster::JobId, workload::JobSpec>& specs);
-
- private:
   enum class Phase {
     kProbeStart,   // waiting for the first measurement at N_start
     kProbeDown,    // trying N_start - 1 (paper: evaluate smaller first)
@@ -111,20 +70,21 @@ class AdaptiveCpuAllocator {
     kBinaryAscend, // bisecting between a bad low point and a good high point
     kAscend,       // walking/jumping up (under-provisioned)
     kTrim,         // at plateau after ascending: try one core fewer
-    kDone,
+    kDone,         // converged: `current` is final
   };
 
   struct Session {
-    workload::JobSpec spec;
     Phase phase = Phase::kProbeStart;
     int current = 1;       // cores currently allocated
-    int steps = 0;         // profiling steps consumed
+    int steps = 0;         // profiling steps consumed (Table II overhead)
     double start_util = 0; // utilization measured at N_start
     int best_cores = 1;    // best configuration seen so far
     double best_util = 0;
     // kDescend / kBinaryAscend bookkeeping.
     int good_high = 0;     // known-good core count above
     int bad_low = 0;       // known-bad core count below
+
+    bool converged() const { return phase == Phase::kDone; }
 
     // An `as` row after the job id.
     friend auto fields(util::FieldsOf<Session> auto& s) {
@@ -133,11 +93,28 @@ class AdaptiveCpuAllocator {
     }
   };
 
-  std::optional<int> transition(Session& s, double util);
+  // A session for a job that just started with `start` cores.
+  Session begin(int start) const;
+
+  // Reports the utilization measured over the last profiling step at the
+  // session's current core count. Returns the core count to try next, or
+  // nullopt when the session converged (`current` is final). Each call is
+  // one profiling step.
+  std::optional<int> step(Session& s, double measured_util) const;
+
+  // Force-converges the session at `cores` (used when a suggested resize
+  // cannot be applied because the node has no free cores).
+  void settle(Session& s, int cores) const;
+
+  // Ends a session of `spec`'s job (it converged or the job finished):
+  // records N_opt into the history log when the session took a step.
+  void finish(const workload::JobSpec& spec, const Session& s);
+
+ private:
+  std::optional<int> transition(Session& s, double util) const;
 
   AllocatorConfig config_;
   HistoryLog* history_;
-  std::map<cluster::JobId, Session> sessions_;
 };
 
 }  // namespace coda::core

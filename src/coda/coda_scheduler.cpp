@@ -174,11 +174,9 @@ CodaScheduler::min_pending_gpu_demand() const {
         continue;
       }
       const workload::JobSpec& spec = queue.front();
-      PendingGpuDemand d{spec.train_config.gpus_per_node,
-                         allocator_.start_cores(spec)};
-      if (!best || d.gpus_per_node < best->gpus_per_node ||
-          (d.gpus_per_node == best->gpus_per_node &&
-           d.cpus_per_node < best->cpus_per_node)) {
+      const PendingGpuDemand d{spec.train_config.gpus_per_node,
+                               allocator_.start_cores(spec)};
+      if (!best || d < *best) {
         best = d;
       }
     }
@@ -225,15 +223,6 @@ void CodaScheduler::note_cpu_job_started(const RunningCpu& rc) {
   cpu_jobs_by_node_[rc.node].push_back(rc.spec.id);
   borrowed_on_node_[rc.node] += rc.borrowed_reserved;
   total_borrowed_ += rc.borrowed_reserved;
-  refresh_cpu_bias(rc.node);
-}
-
-void CodaScheduler::note_cpu_job_gone(const RunningCpu& rc) {
-  auto& jobs = cpu_jobs_by_node_[rc.node];
-  jobs.erase(std::remove(jobs.begin(), jobs.end(), rc.spec.id), jobs.end());
-  borrowed_on_node_[rc.node] -= rc.borrowed_reserved;
-  total_borrowed_ -= rc.borrowed_reserved;
-  CODA_ASSERT(borrowed_on_node_[rc.node] >= 0);
   refresh_cpu_bias(rc.node);
 }
 
@@ -434,17 +423,10 @@ bool CodaScheduler::evict_cpu_borrowers_for(cluster::NodeId node_id,
     return false;  // even evicting every borrower would not free enough
   }
   for (size_t i = 0; i < take; ++i) {
-    const cluster::JobId job = borrowers[i]->spec.id;
     const workload::JobSpec spec = borrowers[i]->spec;
-    const auto status = env_.preempt_job(job, /*keep_progress=*/false);
+    const auto status = env_.preempt_job(spec.id, /*keep_progress=*/false);
     CODA_ASSERT(status.ok());
-    cpu_array_.usage[spec.tenant] -= borrowers[i]->cores;
-    note_cpu_job_gone(*borrowers[i]);
-    running_cpu_.erase(job);
-    // The job leaves the node, so any eliminator throttle on it (MBA cap or
-    // halved cores) is void; a stale record would otherwise shadow the job
-    // when it restarts and corrupt the release projection.
-    eliminator_->forget_job(job);
+    release_cpu(spec.id);
     // "The suspended CPU job re-enters the array head."
     cpu_array_.push_front(spec);
     ++preemptions_;
@@ -512,21 +494,8 @@ bool CodaScheduler::migrate_cross_borrowers_for(
       continue;
     }
     for (cluster::JobId job : borrowers) {
-      auto it = running_gpu_.find(job);
-      CODA_ASSERT(it != running_gpu_.end());
-      const workload::JobSpec spec = it->second.spec;
-      if (allocator_.tracking(job)) {
-        allocator_.cancel(job);
-      }
-      pending_outcomes_.erase(job);
-      one_gpu_array_.usage[spec.tenant] -= spec.total_gpus();
-      for (const auto& np : it->second.placement.nodes) {
-        gpu_cores_on_node_[np.node] -= np.cpus;
-        --cross_borrowers_on_node_[np.node];
-        refresh_cpu_bias(np.node);
-      }
-      --cross_borrower_count_;
-      running_gpu_.erase(it);
+      const workload::JobSpec spec = running_gpu_.at(job).spec;
+      release_gpu(job, /*finished=*/false);
       const auto status = env_.preempt_job(job, /*keep_progress=*/true);
       CODA_ASSERT(status.ok());
       one_gpu_array_.push_front(spec);
@@ -549,21 +518,21 @@ void CodaScheduler::start_gpu_job(const workload::JobSpec& spec,
   r.cores_per_node = cores;
   r.four_array_job = four_array;
   r.cross_borrower = cross_borrower;
-  if (cross_borrower) {
-    ++cross_borrower_count_;
-    for (const auto& np : placement.nodes) {
-      ++cross_borrowers_on_node_[np.node];
-    }
-  }
   r.generation = next_generation_++;
   for (const auto& np : placement.nodes) {
     gpu_cores_on_node_[np.node] += np.cpus;
+    cross_borrowers_on_node_[np.node] += cross_borrower ? 1 : 0;
     refresh_cpu_bias(np.node);
   }
+  cross_borrower_count_ += cross_borrower ? 1 : 0;
+  // Begin tuning at the start cores.
+  r.tuning_active = true;
+  r.session = allocator_.begin(cores);
+  r.outcome = {spec.id, spec.model, spec.requested_cpus, cores, cores, 0};
+  schedule_tuning_tick(spec.id, r.generation);
   running_gpu_[spec.id] = std::move(r);
   (four_array ? four_gpu_array_ : one_gpu_array_).usage[spec.tenant] +=
       spec.total_gpus();
-  begin_tuning(spec.id);
 }
 
 void CodaScheduler::schedule_cpu_array() {
@@ -651,22 +620,6 @@ void CodaScheduler::schedule_cpu_array() {
 
 // ------------------------------------------------------------------- tuning
 
-void CodaScheduler::begin_tuning(cluster::JobId job) {
-  auto it = running_gpu_.find(job);
-  CODA_ASSERT(it != running_gpu_.end());
-  RunningGpu& r = it->second;
-  allocator_.begin(job, r.spec, r.cores_per_node);
-  r.tuning_active = true;
-  TuningOutcome outcome;
-  outcome.job = job;
-  outcome.model = r.spec.model;
-  outcome.requested_cpus = r.spec.requested_cpus;
-  outcome.start_cpus = r.cores_per_node;
-  outcome.final_cpus = r.cores_per_node;
-  pending_outcomes_[job] = outcome;
-  schedule_tuning_tick(job, r.generation);
-}
-
 void CodaScheduler::schedule_tuning_tick(cluster::JobId job,
                                          uint64_t generation) {
   env_.sim->schedule_at(env_.sim->now() + config_.allocator.profile_step_s,
@@ -684,7 +637,7 @@ void CodaScheduler::on_tuning_tick(cluster::JobId job, uint64_t generation) {
   if (util < 0.0) {
     return;
   }
-  auto next = allocator_.step(job, util);
+  auto next = allocator_.step(r.session, util);
 
   const auto apply_cores = [&](int cores) -> bool {
     std::vector<std::pair<cluster::NodeId, int>> applied;
@@ -716,22 +669,22 @@ void CodaScheduler::on_tuning_tick(cluster::JobId job, uint64_t generation) {
       return;
     }
     // The node cannot grant the change: settle where we are.
-    allocator_.settle(job, r.cores_per_node);
+    allocator_.settle(r.session, r.cores_per_node);
   }
   // Converged: apply the final choice if it differs.
-  int final_cores = allocator_.current_cores(job);
-  if (final_cores != r.cores_per_node && !apply_cores(final_cores)) {
-    allocator_.settle(job, r.cores_per_node);
-    final_cores = r.cores_per_node;
+  if (r.session.current != r.cores_per_node &&
+      !apply_cores(r.session.current)) {
+    allocator_.settle(r.session, r.cores_per_node);
   }
+  end_tuning(r);
+}
+
+void CodaScheduler::end_tuning(RunningGpu& r) {
   r.tuning_active = false;
-  auto out_it = pending_outcomes_.find(job);
-  CODA_ASSERT(out_it != pending_outcomes_.end());
-  out_it->second.final_cpus = final_cores;
-  out_it->second.profile_steps = allocator_.profile_steps(job);
-  tuning_outcomes_.push_back(out_it->second);
-  pending_outcomes_.erase(out_it);
-  allocator_.finish(job);  // records N_opt into the history log
+  r.outcome.final_cpus = r.cores_per_node;
+  r.outcome.profile_steps = r.session.steps;
+  tuning_outcomes_.push_back(r.outcome);
+  allocator_.finish(r.spec, r.session);  // records N_opt into the history
 }
 
 double CodaScheduler::expected_utilization(cluster::JobId job) const {
@@ -766,84 +719,62 @@ void CodaScheduler::update_reservation_from_history() {
 // -------------------------------------------------------------- termination
 
 void CodaScheduler::on_job_evicted(const workload::JobSpec& spec) {
-  // Node failure killed the job mid-flight: drop every piece of live
-  // bookkeeping (no tuning outcome, no history record — the run is void),
-  // then re-queue at the head of its array or hand the job to the retry
-  // policy (delayed resubmission through the normal submit() path).
+  // Node failure killed the job mid-flight: drop its record (no tuning
+  // outcome, no history record — the run is void), then re-queue it at the
+  // head of its array or hand it to the retry policy (delayed resubmission
+  // through the normal submit() path).
   if (spec.is_gpu_job()) {
-    auto it = running_gpu_.find(spec.id);
-    CODA_ASSERT(it != running_gpu_.end());
-    const RunningGpu& r = it->second;
-    (r.four_array_job ? four_gpu_array_ : one_gpu_array_)
-        .usage[spec.tenant] -= spec.total_gpus();
-    for (const auto& np : r.placement.nodes) {
-      gpu_cores_on_node_[np.node] -= np.cpus;
-      refresh_cpu_bias(np.node);
-    }
-    if (allocator_.tracking(spec.id)) {
-      allocator_.cancel(spec.id);
-    }
-    pending_outcomes_.erase(spec.id);
-    if (r.cross_borrower) {
-      --cross_borrower_count_;
-      for (const auto& np : r.placement.nodes) {
-        --cross_borrowers_on_node_[np.node];
-      }
-    }
-    running_gpu_.erase(it);
-    if (retry_after_eviction(spec)) {
-      gpu_array_for(spec).push_front(spec);
-    }
+    release_gpu(spec.id, /*finished=*/false);
   } else {
-    auto it = running_cpu_.find(spec.id);
-    CODA_ASSERT(it != running_cpu_.end());
-    cpu_array_.usage[spec.tenant] -= it->second.cores;
-    note_cpu_job_gone(it->second);
-    running_cpu_.erase(it);
-    eliminator_->forget_job(spec.id);
-    if (retry_after_eviction(spec)) {
-      cpu_array_.push_front(spec);
-    }
+    release_cpu(spec.id);
+  }
+  if (retry_after_eviction(spec)) {
+    (spec.is_gpu_job() ? gpu_array_for(spec) : cpu_array_).push_front(spec);
   }
 }
 
 void CodaScheduler::on_job_finished(const workload::JobSpec& spec) {
   if (spec.is_gpu_job()) {
-    auto it = running_gpu_.find(spec.id);
-    CODA_ASSERT(it != running_gpu_.end());
-    const RunningGpu& r = it->second;
-    (r.four_array_job ? four_gpu_array_ : one_gpu_array_)
-        .usage[spec.tenant] -= spec.total_gpus();
-    auto out_it = pending_outcomes_.find(spec.id);
-    if (out_it != pending_outcomes_.end()) {
-      // Finished mid-tuning: account what it ran with.
-      out_it->second.final_cpus = r.cores_per_node;
-      out_it->second.profile_steps = allocator_.profile_steps(spec.id);
-      tuning_outcomes_.push_back(out_it->second);
-      pending_outcomes_.erase(out_it);
-    }
-    if (allocator_.tracking(spec.id)) {
-      allocator_.finish(spec.id);
-    }
-    for (const auto& np : r.placement.nodes) {
-      gpu_cores_on_node_[np.node] -= np.cpus;
-      refresh_cpu_bias(np.node);
-    }
-    if (r.cross_borrower) {
-      --cross_borrower_count_;
-      for (const auto& np : r.placement.nodes) {
-        --cross_borrowers_on_node_[np.node];
-      }
-    }
-    running_gpu_.erase(it);
+    release_gpu(spec.id, /*finished=*/true);
   } else {
-    auto it = running_cpu_.find(spec.id);
-    CODA_ASSERT(it != running_cpu_.end());
-    cpu_array_.usage[spec.tenant] -= it->second.cores;
-    note_cpu_job_gone(it->second);
-    running_cpu_.erase(it);
-    eliminator_->forget_job(spec.id);
+    release_cpu(spec.id);
   }
+}
+
+void CodaScheduler::release_gpu(cluster::JobId job, bool finished) {
+  auto it = running_gpu_.find(job);
+  CODA_ASSERT(it != running_gpu_.end());
+  RunningGpu& r = it->second;
+  (r.four_array_job ? four_gpu_array_ : one_gpu_array_)
+      .usage[r.spec.tenant] -= r.spec.total_gpus();
+  if (finished && r.tuning_active) {
+    end_tuning(r);  // finished mid-tuning: account what it ran with
+  }
+  for (const auto& np : r.placement.nodes) {
+    gpu_cores_on_node_[np.node] -= np.cpus;
+    cross_borrowers_on_node_[np.node] -= r.cross_borrower ? 1 : 0;
+    refresh_cpu_bias(np.node);
+  }
+  cross_borrower_count_ -= r.cross_borrower ? 1 : 0;
+  running_gpu_.erase(it);
+}
+
+void CodaScheduler::release_cpu(cluster::JobId job) {
+  auto it = running_cpu_.find(job);
+  CODA_ASSERT(it != running_cpu_.end());
+  const RunningCpu& rc = it->second;
+  cpu_array_.usage[rc.spec.tenant] -= rc.cores;
+  auto& jobs = cpu_jobs_by_node_[rc.node];
+  jobs.erase(std::remove(jobs.begin(), jobs.end(), job), jobs.end());
+  borrowed_on_node_[rc.node] -= rc.borrowed_reserved;
+  total_borrowed_ -= rc.borrowed_reserved;
+  CODA_ASSERT(borrowed_on_node_[rc.node] >= 0);
+  refresh_cpu_bias(rc.node);
+  running_cpu_.erase(it);
+  // The job leaves the node, so any eliminator throttle on it (MBA cap or
+  // halved cores) is void; a stale record would otherwise shadow the job
+  // when it restarts and corrupt the release projection.
+  eliminator_->forget_job(job);
 }
 
 }  // namespace coda::core

@@ -68,7 +68,6 @@ class CodaScheduler : public sched::Scheduler {
     return eliminator_->stats();
   }
   const ContentionEliminator& eliminator() const { return *eliminator_; }
-  const AdaptiveCpuAllocator& allocator() const { return allocator_; }
 
   // Audit of the adaptive allocation, one entry per started GPU job
   // (Fig. 14 / Table II): what the owner asked for vs what CODA converged
@@ -135,6 +134,10 @@ class CodaScheduler : public sched::Scheduler {
     bool cross_borrower = false;   // 1-GPU job running on a 4-GPU node
     uint64_t generation = 0;       // invalidates stale tuning timers
     bool tuning_active = false;
+    // Valid while tuning_active: the allocator's session (an `as` row) and
+    // the outcome it publishes when it ends (a `poc` row).
+    AdaptiveCpuAllocator::Session session;
+    TuningOutcome outcome;
 
     // An `rg` row between the job id and the leg count; the placement
     // follows as `rgp` rows.
@@ -190,9 +193,18 @@ class CodaScheduler : public sched::Scheduler {
   void start_gpu_job(const workload::JobSpec& spec,
                      const sched::Placement& placement, int cores,
                      bool four_array, bool cross_borrower);
-  void begin_tuning(cluster::JobId job);
   void schedule_tuning_tick(cluster::JobId job, uint64_t generation);
   void on_tuning_tick(cluster::JobId job, uint64_t generation);
+  // Publishes the session's outcome with the cores the job holds and
+  // records its history.
+  void end_tuning(RunningGpu& r);
+
+  // The one way each kind of job leaves (finish, eviction, migration or
+  // abort): its record goes, with everything the record holds of the
+  // arrays and nodes. A GPU job that finishes mid-tuning ends its session;
+  // any other exit drops it unpublished, since the run is void or restarts.
+  void release_gpu(cluster::JobId job, bool finished);
+  void release_cpu(cluster::JobId job);
   double expected_utilization(cluster::JobId job) const;
   void update_reservation_from_history();
 
@@ -214,7 +226,6 @@ class CodaScheduler : public sched::Scheduler {
   int cross_borrower_count_ = 0;
 
   std::vector<TuningOutcome> tuning_outcomes_;
-  std::map<cluster::JobId, TuningOutcome> pending_outcomes_;
 
   // Incremental per-node accounting (kick() runs after every event; scanning
   // node allocation maps there would dominate the simulation).
@@ -224,7 +235,10 @@ class CodaScheduler : public sched::Scheduler {
   std::vector<std::vector<cluster::JobId>> cpu_jobs_by_node_;
 
   void note_cpu_job_started(const RunningCpu& rc);
-  void note_cpu_job_gone(const RunningCpu& rc);
+  // load_state's check of the running records against the engine's
+  // allocations and each array's usage rows; poisons `r` and returns false
+  // at the first disagreement.
+  bool check_running_records(state::Reader* r) const;
   void on_eliminator_cpu_resize(cluster::JobId job, cluster::NodeId node,
                                 int new_cores);
 

@@ -1,13 +1,17 @@
 // Snapshot (de)serialization for the CODA scheduler: per-array DRF queues
 // and usage shares, running GPU/CPU bookkeeping, the tuning audit trail,
-// per-node incremental accounting, the history log, the adaptive allocator's
-// live sessions and the eliminator's throttle records.
+// per-node incremental accounting, the history log, the live tuning
+// sessions and the eliminator's throttle records.
 //
 // Queues and running sets reference jobs by id; full JobSpecs come from the
-// snapshot's embedded session (SpecMap). The history log is rebuilt by
-// replaying record() in record order — its running aggregates fold
-// bit-identically in that order (see history.h).
+// snapshot's embedded session (SpecMap). A tuning job's pending outcome
+// (`poc`) and session (`as`) live in its running record; each list walks
+// the records in id order. The history log is rebuilt by replaying
+// record() in record order — its running aggregates fold bit-identically
+// in that order (see history.h).
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -58,9 +62,14 @@ void CodaScheduler::save_state(state::Writer* w) const {
   for (const TuningOutcome& o : tuning_outcomes_) {
     w->line("oc", fields(o));
   }
-  w->line("pending_outcomes", pending_outcomes_.size());
-  for (const auto& [job, o] : pending_outcomes_) {
-    w->line("poc", fields(o));
+  const auto tuning = static_cast<size_t>(std::count_if(
+      running_gpu_.begin(), running_gpu_.end(),
+      [](const auto& job) { return job.second.tuning_active; }));
+  w->line("pending_outcomes", tuning);
+  for (const auto& [id, r] : running_gpu_) {
+    if (r.tuning_active) {
+      w->line("poc", fields(r.outcome));
+    }
   }
 
   w->line("coda_nodes", cpu_jobs_by_node_.size());
@@ -77,7 +86,12 @@ void CodaScheduler::save_state(state::Writer* w) const {
     w->line("hist", fields(rec));
   }
 
-  allocator_.save_state(w);
+  w->line("alloc_sessions", tuning);
+  for (const auto& [id, r] : running_gpu_) {
+    if (r.tuning_active) {
+      w->line("as", id, fields(r.session));
+    }
+  }
   eliminator_->save_state(w);
 }
 
@@ -161,7 +175,10 @@ void CodaScheduler::load_state(state::Reader* r,
         return;
       }
     }
-    running_gpu_[id] = std::move(rg);
+    if (!running_gpu_.emplace(id, std::move(rg)).second) {
+      r->fail("rg row listed twice: " + std::to_string(id));
+      return;
+    }
   }
 
   r->expect("running_cpu");
@@ -179,7 +196,13 @@ void CodaScheduler::load_state(state::Reader* r,
     if (r->read(fields(rc)) && !on_cluster(rc.node, "rc")) {
       return;
     }
-    running_cpu_[id] = std::move(rc);
+    if (!running_cpu_.emplace(id, std::move(rc)).second) {
+      r->fail("rc row listed twice: " + std::to_string(id));
+      return;
+    }
+  }
+  if (!r->ok() || !check_running_records(r)) {
+    return;
   }
 
   r->expect("tuning_outcomes");
@@ -189,14 +212,37 @@ void CodaScheduler::load_state(state::Reader* r,
     r->expect("oc");
     r->read(fields(tuning_outcomes_.emplace_back()));
   }
-  r->expect("pending_outcomes");
-  n = r->u64();
-  pending_outcomes_.clear();
-  for (uint64_t i = 0; i < n && r->ok(); ++i) {
-    TuningOutcome o;
+  // A tuning job's pending outcome and session live in its record, so the
+  // `poc` rows, and later the `as` rows, list exactly the tuning GPU jobs in
+  // the records' (id) order.
+  std::vector<RunningGpu*> tuning;
+  for (auto& [id, rg] : running_gpu_) {
+    if (rg.tuning_active) {
+      tuning.push_back(&rg);
+    }
+  }
+  const auto expect_tuning = [r, &tuning](const char* key) {
+    r->expect(key);
+    const uint64_t rows = r->u64();
+    if (r->ok() && rows != tuning.size()) {
+      r->fail(util::strfmt("%s %llu but %zu GPU jobs are tuning", key,
+                           static_cast<unsigned long long>(rows),
+                           tuning.size()));
+    }
+  };
+  const auto expect_job = [r](const char* row, cluster::JobId named,
+                              const RunningGpu& rg) {
+    if (r->ok() && named != rg.spec.id) {
+      r->fail(util::strfmt("%s row %llu is not tuning GPU job %llu's", row,
+                           static_cast<unsigned long long>(named),
+                           static_cast<unsigned long long>(rg.spec.id)));
+    }
+  };
+  expect_tuning("pending_outcomes");
+  for (RunningGpu* rg : tuning) {
     r->expect("poc");
-    r->read(fields(o));
-    pending_outcomes_[o.job] = o;
+    r->read(fields(rg->outcome));
+    expect_job("poc", rg->outcome.job, *rg);
   }
 
   // The per-node rows restate what the rg/rc rows imply (only the order of
@@ -275,7 +321,22 @@ void CodaScheduler::load_state(state::Reader* r,
     history_.record(rec);
   }
 
-  allocator_.load_state(r, specs);
+  expect_tuning("alloc_sessions");
+  for (RunningGpu* rg : tuning) {
+    r->expect("as");
+    const cluster::JobId named = r->u64();
+    r->read(fields(rg->session));
+    expect_job("as", named, *rg);
+    // Between events no session is done: one that converges ends in the
+    // same tick.
+    using Phase = AdaptiveCpuAllocator::Phase;
+    if (r->ok() && (rg->session.phase < Phase::kProbeStart ||
+                    rg->session.phase >= Phase::kDone)) {
+      r->fail(util::strfmt("tuning session of job %llu has invalid phase %d",
+                           static_cast<unsigned long long>(named),
+                           static_cast<int>(rg->session.phase)));
+    }
+  }
   eliminator_->load_state(r);
 
   // Derived state: the borrowed total and the placement index's per-node
@@ -285,6 +346,61 @@ void CodaScheduler::load_state(state::Reader* r,
     total_borrowed_ += b;
   }
   refresh_all_cpu_bias();
+}
+
+bool CodaScheduler::check_running_records(state::Reader* r) const {
+  // Every job holding an allocation has exactly one record of its kind,
+  // whose legs are its allocations, and every record names such a job: a
+  // job without one would be released by nobody, and a record of another
+  // shape would return cores and GPUs its job never held.
+  using Legs = std::vector<sched::NodePlacement>;
+  std::map<cluster::JobId, Legs> held;
+  for (const cluster::Node& node : env_.cluster->nodes()) {
+    for (const cluster::Allocation& alloc : node.allocations()) {
+      held[alloc.job].push_back({node.id(), alloc.cpus, alloc.gpus});
+    }
+  }
+  std::map<cluster::JobId, Legs> recorded;
+  bool kinds = true;
+  for (const auto& [id, rg] : running_gpu_) {
+    Legs& legs = recorded[id] = rg.placement.nodes;
+    std::sort(legs.begin(), legs.end(),
+              [](const auto& a, const auto& b) { return a.node < b.node; });
+    kinds = kinds && rg.spec.is_gpu_job();
+  }
+  for (const auto& [id, rc] : running_cpu_) {
+    kinds = kinds && !rc.spec.is_gpu_job() &&
+            recorded.emplace(id, Legs{{rc.node, rc.cores, 0}}).second;
+  }
+  if (!kinds || recorded != held) {
+    r->fail("rg and rc rows are not the running jobs and their allocations");
+    return false;
+  }
+
+  // Each array's `au` rows are what its records hold: GPUs in the GPU
+  // arrays, current cores in the CPU array. A tenant whose jobs all left
+  // keeps a row of 0. (No sum overflows: each term is a leg checked above.)
+  std::map<const ArrayState*, std::map<cluster::TenantId, int>> used;
+  for (const auto& [id, rg] : running_gpu_) {
+    used[rg.four_array_job ? &four_gpu_array_ : &one_gpu_array_]
+        [rg.spec.tenant] += rg.spec.total_gpus();
+  }
+  for (const auto& [id, rc] : running_cpu_) {
+    used[&cpu_array_][rc.spec.tenant] += rc.cores;
+  }
+  for (const auto& [array, key] :
+       {std::pair{&cpu_array_, "cpu_array"},
+        std::pair{&four_gpu_array_, "four_gpu_array"},
+        std::pair{&one_gpu_array_, "one_gpu_array"}}) {
+    std::map<cluster::TenantId, int> listed = array->usage;
+    std::erase_if(listed, [](const auto& entry) { return entry.second == 0; });
+    if (listed != used[array]) {
+      r->fail(std::string("au rows of ") + key +
+              " differ from what its jobs hold");
+      return false;
+    }
+  }
+  return true;
 }
 
 bool CodaScheduler::queued(cluster::JobId id) const {

@@ -53,11 +53,9 @@ DrfScheduler::min_pending_gpu_demand() const {
       continue;
     }
     const auto& spec = state.queue.front();
-    PendingGpuDemand d{spec.train_config.gpus_per_node,
-                       std::max(1, spec.requested_cpus)};
-    if (!best || d.gpus_per_node < best->gpus_per_node ||
-        (d.gpus_per_node == best->gpus_per_node &&
-         d.cpus_per_node < best->cpus_per_node)) {
+    const PendingGpuDemand d{spec.train_config.gpus_per_node,
+                             std::max(1, spec.requested_cpus)};
+    if (!best || d < *best) {
       best = d;
     }
   }

@@ -212,9 +212,7 @@ FifoScheduler::min_pending_gpu_demand() const {
     }
     const PendingGpuDemand d{shape.request.gpus_per_node,
                              shape.request.cpus_per_node};
-    if (!best || d.gpus_per_node < best->gpus_per_node ||
-        (d.gpus_per_node == best->gpus_per_node &&
-         d.cpus_per_node < best->cpus_per_node)) {
+    if (!best || d < *best) {
       best = d;
     }
   }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <functional>
 #include <map>
 #include <optional>
@@ -54,6 +55,7 @@ struct NodePlacement {
   friend auto fields(util::FieldsOf<NodePlacement> auto& p) {
     return std::tie(p.node, p.cpus, p.gpus);
   }
+  friend bool operator==(const NodePlacement&, const NodePlacement&) = default;
 };
 
 // How a scheduler re-admits jobs evicted by node failures. Disabled by
@@ -216,6 +218,10 @@ class Scheduler : public simcore::EventSink {
   struct PendingGpuDemand {
     int gpus_per_node = 0;
     int cpus_per_node = 0;
+
+    // Easier to place first: fewer GPUs per node, then fewer cores.
+    friend auto operator<=>(const PendingGpuDemand&,
+                            const PendingGpuDemand&) = default;
   };
   virtual std::optional<PendingGpuDemand> min_pending_gpu_demand() const = 0;
 

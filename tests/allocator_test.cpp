@@ -25,30 +25,30 @@ workload::JobSpec gpu_spec(perfmodel::ModelId model,
 }
 
 // Runs a full tuning session against the analytic model; returns the final
-// core count and steps used.
+// core count and steps used, and the session itself.
 struct TuneResult {
   int final_cores = 0;
   int steps = 0;
+  AdaptiveCpuAllocator::Session session;
 };
 
-TuneResult run_session(AdaptiveCpuAllocator& allocator,
+TuneResult run_session(const AdaptiveCpuAllocator& allocator,
                        const workload::JobSpec& spec,
                        const perfmodel::TrainPerf& perf) {
-  const cluster::JobId id = spec.id;
   int cores = allocator.start_cores(spec);
-  allocator.begin(id, spec, cores);
-  while (!allocator.converged(id)) {
+  TuneResult result;
+  result.session = allocator.begin(cores);
+  while (!result.session.converged()) {
     const double util =
         perf.gpu_utilization(spec.model, spec.train_config, cores);
-    auto next = allocator.step(id, util);
+    auto next = allocator.step(result.session, util);
     if (!next.has_value()) {
       break;
     }
     cores = *next;
   }
-  TuneResult result;
-  result.final_cores = allocator.current_cores(id);
-  result.steps = allocator.profile_steps(id);
+  result.final_cores = result.session.current;
+  result.steps = result.session.steps;
   return result;
 }
 
@@ -191,37 +191,22 @@ TEST(Tuner, FinishRecordsHistory) {
   AdaptiveCpuAllocator allocator(AllocatorConfig{}, &history);
   perfmodel::TrainPerf perf;
   auto spec = gpu_spec(perfmodel::ModelId::kVgg16);
-  run_session(allocator, spec, perf);
-  EXPECT_TRUE(allocator.tracking(spec.id));
-  allocator.finish(spec.id);
-  EXPECT_FALSE(allocator.tracking(spec.id));
+  const auto result = run_session(allocator, spec, perf);
+  allocator.finish(spec, result.session);
   ASSERT_EQ(history.size(), 1u);
   EXPECT_EQ(history.records()[0].model, perfmodel::ModelId::kVgg16);
   EXPECT_NEAR(history.records()[0].optimal_cores,
               perf.optimal_cores(perfmodel::ModelId::kVgg16, {}), 1);
 }
 
-TEST(Tuner, CancelDropsSessionWithoutHistory) {
-  HistoryLog history;
-  AdaptiveCpuAllocator allocator(AllocatorConfig{}, &history);
-  auto spec = gpu_spec(perfmodel::ModelId::kVgg16);
-  allocator.begin(spec.id, spec, 3);
-  allocator.step(spec.id, 0.5);
-  allocator.cancel(spec.id);
-  EXPECT_FALSE(allocator.tracking(spec.id));
-  allocator.finish(spec.id);  // no-op
-  EXPECT_EQ(history.size(), 0u);
-}
-
 TEST(Tuner, SettleForcesConvergence) {
   HistoryLog history;
   AdaptiveCpuAllocator allocator(AllocatorConfig{}, &history);
-  auto spec = gpu_spec(perfmodel::ModelId::kWavenet);
-  allocator.begin(spec.id, spec, 5);
-  allocator.step(spec.id, 0.4);
-  allocator.settle(spec.id, 7);
-  EXPECT_TRUE(allocator.converged(spec.id));
-  EXPECT_EQ(allocator.current_cores(spec.id), 7);
+  auto session = allocator.begin(5);
+  allocator.step(session, 0.4);
+  allocator.settle(session, 7);
+  EXPECT_TRUE(session.converged());
+  EXPECT_EQ(session.current, 7);
 }
 
 TEST(Tuner, StepBudgetIsHardCap) {
@@ -229,16 +214,15 @@ TEST(Tuner, StepBudgetIsHardCap) {
   cfg.max_profile_steps = 3;
   HistoryLog history;
   AdaptiveCpuAllocator allocator(cfg, &history);
-  auto spec = gpu_spec(perfmodel::ModelId::kAlexnet);
-  allocator.begin(spec.id, spec, 2);
+  auto session = allocator.begin(2);
   // Feed a pathological utilization signal; the session must still stop.
   int steps = 0;
-  while (!allocator.converged(spec.id) && steps < 10) {
-    allocator.step(spec.id, 0.5 + 0.001 * steps);
+  while (!session.converged() && steps < 10) {
+    allocator.step(session, 0.5 + 0.001 * steps);
     ++steps;
   }
-  EXPECT_LE(allocator.profile_steps(spec.id), 3);
-  EXPECT_TRUE(allocator.converged(spec.id));
+  EXPECT_LE(session.steps, 3);
+  EXPECT_TRUE(session.converged());
 }
 
 class SearchModes : public testing::TestWithParam<SearchMode> {};
@@ -282,12 +266,12 @@ TEST(SearchModes, StepwiseWalksOneCoreAtATime) {
   cfg.search_mode = SearchMode::kStepwise;
   AdaptiveCpuAllocator allocator(cfg, &history);
   auto spec = gpu_spec(perfmodel::ModelId::kWavenet);  // start 5, opt 6
-  allocator.begin(spec.id, spec, 2);
+  auto session = allocator.begin(2);
   int cores = 2;
   int max_delta = 0;
-  while (!allocator.converged(spec.id)) {
+  while (!session.converged()) {
     auto next = allocator.step(
-        spec.id, perf.gpu_utilization(spec.model, spec.train_config, cores));
+        session, perf.gpu_utilization(spec.model, spec.train_config, cores));
     if (!next.has_value()) {
       break;
     }
@@ -306,19 +290,19 @@ TEST(SearchModes, OneShotStopsAfterSingleJump) {
   cfg.search_mode = SearchMode::kOneShot;
   AdaptiveCpuAllocator allocator(cfg, &history);
   auto spec = gpu_spec(perfmodel::ModelId::kAlexnet);
-  allocator.begin(spec.id, spec, 1);  // far below the optimum of 6
+  auto session = allocator.begin(1);  // far below the optimum of 6
   int cores = 1;
-  while (!allocator.converged(spec.id)) {
+  while (!session.converged()) {
     auto next = allocator.step(
-        spec.id, perf.gpu_utilization(spec.model, spec.train_config, cores));
+        session, perf.gpu_utilization(spec.model, spec.train_config, cores));
     if (!next.has_value()) {
       break;
     }
     cores = *next;
   }
   // probe + jump + one confirmation measurement.
-  EXPECT_LE(allocator.profile_steps(spec.id), 3);
-  EXPECT_GT(allocator.current_cores(spec.id), 1);
+  EXPECT_LE(session.steps, 3);
+  EXPECT_GT(session.current, 1);
 }
 
 // ------------------------------------------------------------------ history

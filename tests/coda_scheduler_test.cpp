@@ -3,8 +3,13 @@
 // online tuning — all through the real engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+
 #include "coda/coda_scheduler.h"
 #include "sim/engine.h"
+#include "state/serde.h"
 #include "workload/heat.h"
 
 namespace coda::core {
@@ -382,6 +387,140 @@ TEST(CodaScheduler, MultiNodeJobsTunePerNode) {
     }
   }
   EXPECT_EQ(nodes_hosting, 2);
+}
+
+// ------------------------------------------------ exits taken mid-tuning
+//
+// Each way a job leaves reaches one release for its kind. A GPU job that
+// finishes mid-tuning publishes its session; any other exit drops it.
+
+size_t outcomes_of(const CodaScheduler& coda, cluster::JobId job) {
+  return static_cast<size_t>(std::count_if(
+      coda.tuning_outcomes().begin(), coda.tuning_outcomes().end(),
+      [job](const auto& o) { return o.job == job; }));
+}
+
+size_t history_of(const CodaScheduler& coda, cluster::TenantId tenant) {
+  return static_cast<size_t>(std::count_if(
+      coda.history().records().begin(), coda.history().records().end(),
+      [tenant](const HistoryRecord& h) { return h.tenant == tenant; }));
+}
+
+// The cores `tenant` holds in the CPU array, as CODA's snapshot rows say:
+// the `au` rows before the `four_gpu_array` header are the CPU array's.
+int cpu_array_usage(const CodaScheduler& coda, cluster::TenantId tenant) {
+  state::Writer w;
+  coda.save_state(&w);
+  std::istringstream rows(w.text());
+  const std::string prefix = "au " + std::to_string(tenant) + " ";
+  for (std::string row; std::getline(rows, row) &&
+                        row.rfind("four_gpu_array ", 0) != 0;) {
+    if (row.rfind(prefix, 0) == 0) {
+      return std::stoi(row.substr(prefix.size()));
+    }
+  }
+  return 0;
+}
+
+TEST(CodaScheduler, FinishMidTuningPublishesItsCoresAndStepsSoFar) {
+  perfmodel::TrainPerf perf;
+  // Wavenet starts at 5 cores; its first tick (90 s) probes 4 cores.
+  const double per_s =
+      1.0 / perf.iter_time(ModelId::kWavenet, perfmodel::TrainConfig{1, 1, 0},
+                           5);
+  for (const int steps : {0, 1}) {
+    Rig rig(2);
+    rig.engine.inject(
+        gpu_spec(1, ModelId::kWavenet, 1, (45.0 + 90.0 * steps) * per_s),
+        0.0);
+    rig.engine.run_until(1000.0);
+    const auto& record = rig.engine.records().at(1);
+    ASSERT_TRUE(record.completed);
+    ASSERT_GT(record.finish_time, 90.0 * steps);
+    ASSERT_LT(record.finish_time, 90.0 * (steps + 1));
+    ASSERT_EQ(rig.coda.tuning_outcomes().size(), 1u);
+    const auto& outcome = rig.coda.tuning_outcomes()[0];
+    EXPECT_EQ(outcome.job, 1u);
+    EXPECT_EQ(outcome.start_cpus, 5);
+    EXPECT_EQ(outcome.final_cpus, steps == 0 ? 5 : 4);
+    EXPECT_EQ(outcome.profile_steps, steps);
+    // Only a session that took a step records history.
+    EXPECT_EQ(rig.coda.history().size(), static_cast<size_t>(steps));
+  }
+}
+
+TEST(CodaScheduler, EvictionMidTuningPublishesNothingUntilRestartConverges) {
+  Rig rig(1);
+  rig.engine.inject(gpu_spec(1, ModelId::kWavenet, 1, 1e7), 0.0);
+  rig.engine.run_until(100.0);  // one profiling step taken at 90 s
+  ASSERT_TRUE(rig.engine.fail_node(0).ok());
+  EXPECT_EQ(rig.engine.records().at(1).evict_count, 1);
+  EXPECT_TRUE(rig.coda.tuning_outcomes().empty());
+  EXPECT_EQ(rig.coda.history().size(), 0u);
+
+  ASSERT_TRUE(rig.engine.recover_node(0).ok());
+  rig.engine.run_until(3600.0);
+  EXPECT_EQ(rig.engine.records().at(1).restart_count, 1);
+  EXPECT_EQ(outcomes_of(rig.coda, 1), 1u);
+  EXPECT_EQ(rig.coda.tuning_outcomes().size(), 1u);
+  EXPECT_EQ(rig.coda.history().size(), 1u);
+}
+
+TEST(CodaScheduler, MigrationMidTuningPublishesNothingUntilRestartConverges) {
+  CodaConfig config;
+  config.reservation_update_period_s = 0.0;
+  Rig rig(2, config);  // node 0 = four-array, node 1 = one-array
+  // Five 1-GPU jobs fill the one-array node; jobs 6 and 7 borrow node 0.
+  for (cluster::JobId id = 1; id <= 7; ++id) {
+    rig.engine.inject(gpu_spec(id, ModelId::kTransformer, 1, 1e8,
+                               static_cast<cluster::TenantId>(id)),
+                      id <= 5 ? 0.0 : 1.0);
+  }
+  rig.engine.run_until(100.0);  // one profiling step each
+  ASSERT_TRUE(rig.engine.cluster().node(0).hosts(6));
+  ASSERT_TRUE(rig.engine.cluster().node(0).hosts(7));
+  // A 4-GPU job reclaims node 0: both borrowers migrate mid-tuning.
+  rig.engine.inject(gpu_spec(8, ModelId::kResnet50, 4, 1e4, 8), 100.0);
+  rig.engine.run_until(101.0);
+  ASSERT_EQ(rig.coda.migrations(), 2);
+  ASSERT_TRUE(rig.engine.cluster().node(0).hosts(8));
+  EXPECT_TRUE(rig.coda.tuning_outcomes().empty());
+  EXPECT_EQ(rig.coda.history().size(), 0u);
+
+  rig.engine.run_until(20000.0);
+  EXPECT_EQ(rig.coda.migrations(), 2);
+  for (cluster::JobId id : {6, 7}) {
+    EXPECT_GE(rig.engine.records().at(id).preempt_count, 1) << id;
+    EXPECT_EQ(outcomes_of(rig.coda, id), 1u) << id;
+    EXPECT_EQ(history_of(rig.coda, static_cast<cluster::TenantId>(id)), 1u)
+        << id;
+  }
+}
+
+TEST(CodaScheduler, AbortedBorrowerLeavesNoThrottleAndNoArrayUsage) {
+  Rig rig(1);
+  // The Wavenet trainer and the bandwidth hog of the node-failure test
+  // above: the hog borrows reserved cores and is throttled by 60 s.
+  rig.engine.inject(gpu_spec(1, ModelId::kWavenet, 1, 1e7), 0.0);
+  auto hog = workload::make_heat_job(workload::HeatParams{20}, 1e9);
+  hog.id = 2;
+  hog.tenant = 20;
+  rig.engine.inject(hog, 0.0);
+  rig.engine.run_until(60.0);
+  ASSERT_TRUE(rig.coda.eliminator().is_throttled(2));
+  ASSERT_GT(rig.coda.reclaimable_cpus(0), 0);
+  ASSERT_EQ(cpu_array_usage(rig.coda, 20), 20);
+
+  // A second trainer needs 5 of the cores the hog holds: the hog is
+  // aborted and waits at the head of the CPU array.
+  rig.engine.inject(gpu_spec(3, ModelId::kWavenet, 1, 1e7, 3), 60.0);
+  rig.engine.run_until(61.0);
+  ASSERT_EQ(rig.coda.preemptions(), 1);
+  EXPECT_TRUE(rig.engine.cluster().node(0).hosts(3));
+  EXPECT_FALSE(rig.engine.cluster().node(0).hosts(2));
+  EXPECT_FALSE(rig.coda.eliminator().is_throttled(2));
+  EXPECT_EQ(rig.coda.reclaimable_cpus(0), 0);
+  EXPECT_EQ(cpu_array_usage(rig.coda, 20), 0);
 }
 
 }  // namespace

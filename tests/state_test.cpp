@@ -1176,8 +1176,8 @@ std::string queue_job(const std::string& blob, const std::string& key,
   });
 }
 
-// The first CPU job whose arrival is still in the cut's manifest.
-workload::JobSpec first_arriving_cpu_job(const CutSession& cut) {
+// The first CPU (or GPU) job whose arrival is still in the cut's manifest.
+workload::JobSpec first_arriving_job(const CutSession& cut, bool gpu) {
   std::set<cluster::JobId> arriving;
   edit_row(cut.blob, [&](std::vector<std::string>* t) {
     if ((*t)[0] == "event" && t->size() == 5 &&
@@ -1187,17 +1187,17 @@ workload::JobSpec first_arriving_cpu_job(const CutSession& cut) {
     return false;
   });
   for (const workload::JobSpec& spec : cut.trace) {
-    if (!spec.is_gpu_job() && arriving.count(spec.id) > 0) {
+    if (spec.is_gpu_job() == gpu && arriving.count(spec.id) > 0) {
       return spec;
     }
   }
-  ADD_FAILURE() << "no CPU job arrives after the cut";
+  ADD_FAILURE() << "no such job arrives after the cut";
   return workload::JobSpec{};
 }
 
 TEST(Snapshot, RestoreRefusesAFifoQueueRowForAJobNotYetArrived) {
   const CutSession cut = cut_session(sim::Policy::kFifo, 5400.0);
-  const workload::JobSpec job = first_arriving_cpu_job(cut);
+  const workload::JobSpec job = first_arriving_job(cut, /*gpu=*/false);
   const std::string blob =
       queue_job(cut.blob, "fifo_queue", 1, "fq", std::to_string(job.id));
   ASSERT_FALSE(blob.empty());
@@ -1209,7 +1209,7 @@ TEST(Snapshot, RestoreRefusesAFifoQueueRowForAJobNotYetArrived) {
 
 TEST(Snapshot, RestoreRefusesADrfQueueRowForAJobNotYetArrived) {
   const CutSession cut = cut_session(sim::Policy::kDrf, 5400.0);
-  const workload::JobSpec job = first_arriving_cpu_job(cut);
+  const workload::JobSpec job = first_arriving_job(cut, /*gpu=*/false);
   const std::string tenant = std::to_string(job.tenant);
   const std::string blob =
       queue_job(cut.blob, "ten", 4, "tq", std::to_string(job.id),
@@ -1228,7 +1228,7 @@ TEST(Snapshot, RestoreRefusesADrfQueueRowForAJobNotYetArrived) {
 TEST(Snapshot, RestoreRefusesACodaQueueRowForAJobNotYetArrived) {
   const CutSession cut = cut_session(sim::Policy::kCoda, 5400.0);
   ASSERT_TRUE(restore_and_finish(cut, cut.blob).ok());  // unedited: runs
-  const workload::JobSpec job = first_arriving_cpu_job(cut);
+  const workload::JobSpec job = first_arriving_job(cut, /*gpu=*/false);
   const std::string tenant = std::to_string(job.tenant);
   const std::string blob =
       queue_job(cut.blob, "aq", 2, "aj", std::to_string(job.id),
@@ -1327,6 +1327,168 @@ TEST(Snapshot, RestoreRefusesAJobBothPendingAndRunning) {
                                     running),
             std::string::npos)
       << refusal(cut, blob);
+}
+
+// A tuning GPU job's pending outcome (`poc`) and session (`as`) live in its
+// running record, so restore refuses rows no record can hold: each list
+// names exactly the tuning jobs, in id order. Refused: a tuning job without
+// either row, a row for a job that is not a tuning running GPU job (here
+// one whose arrival is still in the manifest, added or in a tuning job's
+// place), and a session in the done phase, which no session is in between
+// events. The cut holds two tuning jobs. Restored, the dropped rows, the
+// done phase and the added session abort the session (at a tuning tick's
+// convergence or step, or at the job's start); the added outcome restored
+// silently.
+
+TEST(Snapshot, RestoreRefusesATuningJobWithoutItsPendingOutcome) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  const std::string tuning = token_of(cut.blob, "poc", 1);
+  ASSERT_FALSE(tuning.empty());
+  const std::string blob =
+      drop_row(cut.blob, "poc", tuning, "pending_outcomes");
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("pending_outcomes 1 but 2 GPU jobs are "
+                                    "tuning"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+TEST(Snapshot, RestoreRefusesATuningJobWithoutItsSession) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  const std::string tuning = token_of(cut.blob, "as", 1);
+  ASSERT_FALSE(tuning.empty());
+  const std::string blob = drop_row(cut.blob, "as", tuning, "alloc_sessions");
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("alloc_sessions 1 but 2 GPU jobs are "
+                                    "tuning"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+TEST(Snapshot, RestoreRefusesATuningSessionInItsDonePhase) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  const std::string tuning = token_of(cut.blob, "as", 1);
+  ASSERT_FALSE(tuning.empty());
+  const std::string blob = set_token(cut.blob, "as", 2, "6", 1, tuning);
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("tuning session of job " + tuning +
+                                    " has invalid phase 6"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+TEST(Snapshot, RestoreRefusesATuningSessionForAJobNotYetArrived) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  const std::string id =
+      std::to_string(first_arriving_job(cut, /*gpu=*/true).id);
+  const std::string added = queue_job(cut.blob, "alloc_sessions", 1, "as",
+                                      id + " 0 3 0 0x0p+0 1 0x0p+0 0 0");
+  ASSERT_FALSE(added.empty());
+  EXPECT_NE(refusal(cut, added).find("alloc_sessions 3 but 2 GPU jobs are "
+                                     "tuning"),
+            std::string::npos)
+      << refusal(cut, added);
+  const std::string tuning = token_of(cut.blob, "as", 1);
+  const std::string moved = set_token(cut.blob, "as", 1, id);
+  ASSERT_FALSE(moved.empty());
+  EXPECT_NE(refusal(cut, moved).find("as row " + id +
+                                     " is not tuning GPU job " + tuning),
+            std::string::npos)
+      << refusal(cut, moved);
+}
+
+TEST(Snapshot, RestoreRefusesAPendingOutcomeForAJobNotYetArrived) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  const workload::JobSpec job = first_arriving_job(cut, /*gpu=*/true);
+  const std::string id = std::to_string(job.id);
+  const std::string added = queue_job(
+      cut.blob, "pending_outcomes", 1, "poc",
+      id + " " + std::to_string(static_cast<int>(job.model)) + " 2 3 3 0");
+  ASSERT_FALSE(added.empty());
+  EXPECT_NE(refusal(cut, added).find("pending_outcomes 3 but 2 GPU jobs are "
+                                     "tuning"),
+            std::string::npos)
+      << refusal(cut, added);
+  const std::string tuning = token_of(cut.blob, "poc", 1);
+  const std::string moved = set_token(cut.blob, "poc", 1, id);
+  ASSERT_FALSE(moved.empty());
+  EXPECT_NE(refusal(cut, moved).find("poc row " + id +
+                                     " is not tuning GPU job " + tuning),
+            std::string::npos)
+      << refusal(cut, moved);
+}
+
+// CODA's running records must be the engine's allocations, and its array
+// usage rows what those records hold. A job holding an allocation without
+// a record is released by nobody: restored, the outage that evicts it
+// aborts the session. A record or usage row its jobs do not hold returns
+// cores, GPUs or shares no node lent.
+
+TEST(Snapshot, RestoreRefusesACodaJobWithoutItsRecord) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  // Job 3 runs one leg, not tuning and not borrowing across arrays. Its
+  // `rg` and `rgp` rows go, and so do its cores from that node's `nv` row,
+  // so the per-node rows still agree with the records.
+  ASSERT_EQ(token_of(cut.blob, "rg", 4, 1, "3"), "0");  // cross-borrower
+  ASSERT_EQ(token_of(cut.blob, "rg", 6, 1, "3"), "0");  // tuning
+  ASSERT_EQ(token_of(cut.blob, "rg", 7, 1, "3"), "1");  // legs
+  const size_t rgp = cut.blob.find('\n', cut.blob.find("\nrg 3 ") + 1);
+  const size_t end = cut.blob.find('\n', rgp + 1);
+  const std::string leg = cut.blob.substr(rgp + 1, end - rgp - 1);
+  std::string blob = drop_row(cut.blob.substr(0, rgp) + cut.blob.substr(end),
+                              "rg", "3", "running_gpu");
+  blob = edit_row(blob, [&leg](std::vector<std::string>* t) {
+    if ((*t)[0] != "nv" || (*t)[1] != token_of(leg, "rgp", 1)) {
+      return false;
+    }
+    (*t)[2] = std::to_string(std::stoi((*t)[2]) -
+                             std::stoi(token_of(leg, "rgp", 2)));
+    return true;
+  });
+  ASSERT_FALSE(blob.empty());
+  EXPECT_NE(refusal(cut, blob).find("rg and rc rows are not the running "
+                                    "jobs and their allocations"),
+            std::string::npos)
+      << refusal(cut, blob);
+}
+
+// A GPU leg one GPU wider, and a CPU job one core wider, than the node lent.
+TEST(Snapshot, RestoreRefusesACodaRecordWhoseLegsAreNotItsAllocations) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  for (const auto& [row, index] : {std::pair{"rgp", 3}, std::pair{"rc", 3}}) {
+    const std::string value = token_of(cut.blob, row, index);
+    ASSERT_FALSE(value.empty()) << row;
+    const std::string blob = set_token(cut.blob, row, index,
+                                       std::to_string(std::stoi(value) + 1));
+    EXPECT_NE(refusal(cut, blob).find("rg and rc rows are not the running "
+                                      "jobs and their allocations"),
+              std::string::npos)
+        << refusal(cut, blob);
+  }
+}
+
+// The first `au` row of each array, one more than its jobs hold.
+TEST(Snapshot, RestoreRefusesACodaArrayUsageItsJobsDoNotHold) {
+  const CutSession cut = cut_session(sim::Policy::kCoda);
+  for (const std::string array :
+       {"cpu_array", "four_gpu_array", "one_gpu_array"}) {
+    const size_t at = cut.blob.find("\n" + array + " ");
+    ASSERT_NE(at, std::string::npos);
+    const std::string rest =
+        edit_row(cut.blob.substr(at), [](std::vector<std::string>* t) {
+          if ((*t)[0] != "au") {
+            return false;
+          }
+          (*t)[2] = std::to_string(std::stoi((*t)[2]) + 1);
+          return true;
+        });
+    ASSERT_FALSE(rest.empty()) << array;
+    const std::string blob = cut.blob.substr(0, at) + rest;
+    EXPECT_NE(refusal(cut, blob).find("au rows of " + array +
+                                      " differ from what its jobs hold"),
+              std::string::npos)
+        << refusal(cut, blob);
+  }
 }
 
 // What the checks above must keep restoring: a job a node failure evicted,
